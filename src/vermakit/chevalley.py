@@ -93,7 +93,9 @@ class StructureConstants:
                 val = -acc * norm(gamma) / self._table[(xi, eta)]
                 # val is N(-alpha,-beta); the convention N(-a,-b) = -N(a,b)
                 n_ab = -val
-                assert n_ab.denominator == 1 and n_ab != 0
+                if n_ab.denominator != 1 or n_ab == 0:
+                    raise RuntimeError(f"Jacobi gives C[{alpha}, {beta}] = {n_ab}, "
+                                       f"not a nonzero integer")
                 self._table[(alpha, beta)] = int(n_ab)
                 self._table[(beta, alpha)] = -int(n_ab)
 
@@ -104,13 +106,17 @@ class StructureConstants:
                 s = add(x, y)
                 if any(s) and rs.is_root(s):
                     v = n_partial(x, y)
-                    assert v.denominator == 1 and v != 0
+                    if v.denominator != 1 or v == 0:
+                        raise RuntimeError(f"C[{x}, {y}] = {v} is not a "
+                                           f"nonzero integer")
                     full[(x, y)] = int(v)
         self._table = full
 
         # classical magnitude cross-check: |C[a,b]| = (string length) + 1
         for (x, y), v in self._table.items():
-            assert abs(v) == self._string_down(x, y) + 1, (x, y, v)
+            if abs(v) != self._string_down(x, y) + 1:
+                raise RuntimeError(f"|C[{x}, {y}]| = {abs(v)}, but the root "
+                                   f"string gives {self._string_down(x, y) + 1}")
 
     # -- queries -------------------------------------------------------------
 

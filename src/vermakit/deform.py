@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .rootsys import RootSystem, SimpleSubset, Weight
-from .uea import UEAElement, vp
+from .uea import UEAElement, check_odd_prime, vp
 from .weightmod import LeviInducedModule, Vec, _clean, _vec_add
 
 
@@ -47,8 +47,7 @@ class AdmissibilityReport:
 def weight_admissible(rs: RootSystem, lam: Weight, p: int, n: int
                       ) -> AdmissibilityReport:
     """Admissible iff v_p(lam(h_a)) >= -n for every simple root a."""
-    if p < 3 or any(p % k == 0 for k in range(2, int(p ** 0.5) + 1)):
-        raise ValueError(f"p must be an odd prime, got {p}")
+    check_odd_prime(p)
     if n < 0:
         raise ValueError("n must be nonnegative")
     vals = tuple(vp(x, p) for x in lam.coords)
@@ -57,6 +56,7 @@ def weight_admissible(rs: RootSystem, lam: Weight, p: int, n: int
 
 
 def scalars_admissible(c: dict[int, Fraction], p: int, n: int) -> bool:
+    check_odd_prime(p)
     return all(vp(Fraction(cj), p) >= -n for cj in c.values())
 
 

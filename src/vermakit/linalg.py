@@ -1,4 +1,5 @@
-"""Exact linear algebra over Fraction: echelon forms, rank, inverses.
+"""Exact linear algebra over Fraction: echelon forms, rank, inverses, span
+coordinates.
 
 Everything here works on lists of lists of Fractions (or ints); no floats
 anywhere.  Matrices are small (desk scale), so plain Gaussian elimination
@@ -72,20 +73,44 @@ def det_int(rows: list[list[int]]) -> int:
             if mat[i][c] != 0:
                 factor = mat[i][c] * inv
                 mat[i] = [a - factor * b for a, b in zip(mat[i], mat[c])]
-    assert d.denominator == 1
+    if d.denominator != 1:
+        raise ValueError(f"determinant {d} is not an integer: det_int needs "
+                         f"an integer matrix")
     return int(d)
 
 
-def solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
-    """One solution of rows @ x = rhs over Q, or None if inconsistent."""
-    if not rows:
-        return [] if all(b == 0 for b in rhs) else None
-    ncols = len(rows[0])
-    aug = [list(map(Fraction, row)) + [Fraction(b)] for row, b in zip(rows, rhs)]
-    reduced, pivots = rref(aug)
-    if ncols in pivots:
-        return None
-    x = [Fraction(0)] * ncols
-    for row, c in zip(reduced, pivots):
-        x[c] = row[ncols]
-    return x
+def span_coordinates(spanning: list, candidates: list
+                     ) -> tuple[int, list[list[Fraction] | None]]:
+    """Rank of the spanning vectors, and each candidate's coordinates over
+    them, or None for a candidate outside their span over Q.
+
+    The spanning set is row-reduced once, next to an identity block that
+    records each reduced row as a combination of the spanning vectors; a
+    candidate lies in the span when reducing it against the pivot rows
+    leaves zero, and the multipliers it took give its coordinates.  The
+    coordinates are unique, so integrality decides membership of the
+    Z-span, when the rank equals the number of spanning vectors.
+    """
+    k = len(spanning)
+    if not k:
+        return 0, [None if any(x) else [] for x in candidates]
+    n = len(spanning[0])
+    reduced, pivots = rref([list(v) + [int(i == j) for j in range(k)]
+                            for i, v in enumerate(spanning)])
+    rows = [(row[:n], row[n:], c) for row, c in zip(reduced, pivots) if c < n]
+    out: list[list[Fraction] | None] = []
+    for x in candidates:
+        resid = list(x)
+        for vec, _, c in rows:
+            factor = resid[c]
+            if factor:
+                resid = [a - factor * b for a, b in zip(resid, vec)]
+        if any(resid):
+            out.append(None)
+            continue
+        coords = [Fraction(0)] * k
+        for _, comb, c in rows:
+            if x[c]:
+                coords = [a + x[c] * b for a, b in zip(coords, comb)]
+        out.append(coords)
+    return len(rows), out

@@ -22,18 +22,13 @@ from .uea import EnvelopingAlgebra
 from .weightmod import Vec, _clean, verma
 
 
-def _simple_pos_index(alg: EnvelopingAlgebra, i: int) -> int:
-    root = tuple(int(i == j) for j in range(alg.rs.rank))
-    return alg.rs.root_index[root]
-
-
 def reflection_formula_check(alg: EnvelopingAlgebra, lam: Weight, i: int,
                              s: int) -> bool:
     """Engine value of e_a . f_a^[s] v against (a+1-s) f_a^[s-1] v."""
     if s < 0:
         raise ValueError("the divided-power exponent must be nonnegative")
     module = verma(alg, lam, max(s, 1))
-    idx = _simple_pos_index(alg, i)
+    idx = alg.rs.root_index[alg.rs.simple_root(i)]
     hw: Vec = {tuple([0] * alg.npos): Fraction(1)}
     a = lam.coords[i]
     lhs = module.act(("e", idx),
@@ -58,7 +53,7 @@ def nonvanishing_check(alg: EnvelopingAlgebra, lam: Weight, i: int,
     """e_a^s . f_a^[s] v is the predicted multiple of v, and that multiple
     is nonzero whenever lam(h_a) is not a nonnegative integer."""
     module = verma(alg, lam, max(s, 1))
-    idx = _simple_pos_index(alg, i)
+    idx = alg.rs.root_index[alg.rs.simple_root(i)]
     hw: Vec = {tuple([0] * alg.npos): Fraction(1)}
     vec = module.apply_element(alg.divided_power("f", idx, s), hw)
     for _ in range(s):

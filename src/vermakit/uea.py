@@ -19,14 +19,21 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .chevalley import Gen, StructureConstants
-from .rootsys import Weight
+from .rootsys import Root, Weight, sub
 
 # monomial: (f_exponents over pos roots, h_exponents over simple, e_exponents)
 Monomial = tuple[tuple, tuple, tuple]
 
 
+def check_odd_prime(p: int) -> None:
+    """Raise ValueError unless p is an odd prime."""
+    if p < 3 or p % 2 == 0 or any(p % k == 0 for k in range(3, math.isqrt(p) + 1, 2)):
+        raise ValueError(f"p must be an odd prime, got {p}")
+
+
 def vp(x: Fraction, p: int) -> int | float:
     """p-adic valuation of a rational, +inf for zero."""
+    check_odd_prime(p)
     if x == 0:
         return math.inf
     v = 0
@@ -49,8 +56,7 @@ class DeformationContext:
     depth: int
 
     def __post_init__(self):
-        if self.p < 3 or self.p % 2 == 0 or any(self.p % k == 0 for k in range(3, int(self.p ** 0.5) + 1, 2)):
-            raise ValueError(f"p must be an odd prime, got {self.p}")
+        check_odd_prime(self.p)
         if self.n < 0:
             raise ValueError("n must be nonnegative")
         if self.depth < 1:
@@ -115,6 +121,16 @@ class EnvelopingAlgebra:
             if e[i]:
                 return ("e", i), (f, h, e[:i] + (e[i] - 1,) + e[i + 1:])
         return None, m
+
+    def root_sum(self, exps: tuple) -> Root:
+        """Sum of k_i times the i-th positive root in base order, over an
+        exponent tuple (k_i): the weight drop of f^k, the rise of e^k."""
+        out = [0] * self.rs.rank
+        for k, root in zip(exps, self.sc.base_order):
+            if k:
+                for j, x in enumerate(root):
+                    out[j] += k * x
+        return tuple(out)
 
     @staticmethod
     def degree(m: Monomial) -> int:
@@ -241,15 +257,7 @@ def multiply(a: UEAElement, b: UEAElement,
 
 def weight_of_monomial(alg: EnvelopingAlgebra, m: Monomial) -> Weight:
     """The ad-Cartan weight: sum of e-block roots minus f-block roots."""
-    rs = alg.rs
-    w = rs.zero_weight()
-    for i, k in enumerate(m[2]):
-        if k:
-            w = w + rs.weight_of_root(alg.sc.base_order[i]).scale(k)
-    for i, k in enumerate(m[0]):
-        if k:
-            w = w - rs.weight_of_root(alg.sc.base_order[i]).scale(k)
-    return w
+    return alg.rs.weight_of_root(sub(alg.root_sum(m[2]), alg.root_sum(m[0])))
 
 
 def weight_components(x: UEAElement) -> dict[Weight, UEAElement]:

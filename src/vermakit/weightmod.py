@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .linalg import rank, rref
-from .rootsys import (RootSystem, SimpleSubset, Weight, dual_h_basis, interior,
-                      pairing, positive_subsystem)
+from .rootsys import (RootSystem, SimpleSubset, Weight, add, dual_h_basis,
+                      interior, pairing, positive_subsystem)
 from .uea import EnvelopingAlgebra, UEAElement
 
 Vec = dict  # basis label -> Fraction
@@ -38,9 +38,6 @@ class Character:
 
     def as_dict(self) -> dict[Weight, int]:
         return dict(self.dims)
-
-    def dim_at(self, w: Weight) -> int:
-        return self.as_dict().get(w, 0)
 
     def __add__(self, other: "Character") -> "Character":
         table = self.as_dict()
@@ -155,13 +152,7 @@ class VermaLikeModule(HighestWeightModule):
         self._memo: dict[tuple, Vec] = {}
 
     def label_drop(self, s: tuple) -> tuple:
-        drop = [0] * self.rs.rank
-        for i, k in enumerate(s):
-            if k:
-                root = self.alg.sc.base_order[i]
-                for j in range(self.rs.rank):
-                    drop[j] += k * root[j]
-        return tuple(drop)
+        return self.alg.root_sum(s)
 
     def label_height(self, s: tuple) -> int:
         return sum(k * self.heights[i] for i, k in enumerate(s) if k)
@@ -183,7 +174,10 @@ class VermaLikeModule(HighestWeightModule):
                 if k:
                     scalar *= self.lam.coords[i] ** k
             if scalar:
-                assert all(k == 0 or i in self._allowed_set for i, k in enumerate(a))
+                if any(k and i not in self._allowed_set for i, k in enumerate(a)):
+                    raise ValueError(
+                        f"{g} takes label {s} to {a}, outside the allowed "
+                        f"roots {self.allowed}")
                 out[a] = out.get(a, Fraction(0)) + scalar
         out = _clean(out)
         self._memo[(g, s)] = out
@@ -303,7 +297,9 @@ def weyl_dim(rs: RootSystem, lam: Weight,
     rho = rs.rho()
     for alpha in roots:
         num *= pairing(rs, lam + rho, alpha) / pairing(rs, rho, alpha)
-    assert num.denominator == 1
+    if num.denominator != 1:
+        raise ValueError(f"Weyl product {num} is not an integer: the roots "
+                         f"given are not a positive system")
     return int(num)
 
 
@@ -336,7 +332,7 @@ def parabolic_verma(alg: EnvelopingAlgebra, I: SimpleSubset, lam: Weight,
     parent = VermaLikeModule(alg, lam, depth, allowed)
     singular: list[Vec] = []
     for i in I:
-        idx = alg.rs.root_index[tuple(int(i == j) for j in range(rs.rank))]
+        idx = rs.root_index[rs.simple_root(i)]
         power = int(lam.coords[i]) + 1
         if power * parent.heights[idx] <= depth:
             label = tuple(power if k == idx else 0 for k in range(alg.npos))
@@ -370,9 +366,9 @@ def _induced_character_check(module: QuotientModule, I: SimpleSubset) -> None:
                 continue
             expect += kostant_partition(rs, rem, outside_roots) * dim
         w = module.lam - rs.weight_of_root(drop)
-        assert got.get(w, 0) == expect, (
-            f"induced-basis count mismatch at drop {drop}: "
-            f"{got.get(w, 0)} != {expect}")
+        if got.get(w, 0) != expect:
+            raise RuntimeError(f"induced-basis count mismatch at drop {drop}: "
+                               f"{got.get(w, 0)} != {expect}")
 
 
 # -- contravariant form ----------------------------------------------------------
@@ -392,17 +388,6 @@ def shapovalov_gram(module: VermaLikeModule, nu: tuple) -> list[list[Fraction]]:
             row.append(vec.get(zero, Fraction(0)))
         mat.append(row)
     return mat
-
-
-def shapovalov_pair(module: VermaLikeModule, u: Vec, v: Vec) -> Fraction:
-    """Contravariant pairing of two vectors of a Verma-like module."""
-    zero = tuple([0] * module.alg.npos)
-    total = Fraction(0)
-    for s, cu in u.items():
-        e_word = module.alg.word((zero, (0,) * module.rs.rank, s))
-        vec = module.apply_word(e_word, v)
-        total += cu * vec.get(zero, Fraction(0))
-    return total
 
 
 def simple_dims_table(module: VermaLikeModule) -> dict[tuple, int]:
@@ -472,42 +457,22 @@ class LeviInducedModule(HighestWeightModule):
                                  allowed=self.io_idx, cross_check=False)
         heights = [rs.root_height(r) for r in alg.sc.base_order]
         self.heights = heights
-        t_range = [()] if self.c is not None else None
+        n_out = len(self.outside)
+        # t: every exponent vector of total degree <= depth, or only zero
+        # when the dual-basis directions act by scalars
+        t_labels = ([(0,) * n_out] if self.c is not None else
+                    _enum_f_labels(n_out, list(range(n_out)), [1] * n_out, depth))
         self.basis = []
-        zero_t = (0,) * len(self.outside)
         for b in self.V.basis:
             b_ht = sum(k * heights[i] for i, k in enumerate(b))
             for s in _enum_f_labels(alg.npos, self.free_idx, heights,
                                     depth - b_ht):
-                if self.c is not None:
-                    self.basis.append((s, zero_t, b))
-                else:
-                    for t in self._enum_t(depth):
-                        self.basis.append((s, t, b))
+                self.basis.extend((s, t, b) for t in t_labels)
         self._memo: dict[tuple, Vec] = {}
-
-    def _enum_t(self, budget: int) -> list[tuple]:
-        out: list[tuple] = []
-
-        def rec(pos: int, acc: list, rem: int):
-            if pos == len(self.outside):
-                out.append(tuple(acc))
-                return
-            for k in range(rem + 1):
-                rec(pos + 1, acc + [k], rem - k)
-
-        rec(0, [], budget)
-        return out
 
     def label_drop(self, label) -> tuple:
         s, _, b = label
-        drop = list(self.V.label_drop(b))
-        for i, k in enumerate(s):
-            if k:
-                root = self.alg.sc.base_order[i]
-                for j in range(self.rs.rank):
-                    drop[j] += k * root[j]
-        return tuple(drop)
+        return add(self.alg.root_sum(s), self.V.label_drop(b))
 
     def _label_height(self, label) -> int:
         s, _, b = label
@@ -609,7 +574,7 @@ def levi_hw_check(module: QuotientModule, I: SimpleSubset,
     for j, k in s.items():
         if j in I:
             raise ValueError("exponents must be over simple roots outside I")
-        idx = rs.root_index[tuple(int(j == m) for m in range(rs.rank))]
+        idx = rs.root_index[rs.simple_root(j)]
         for _ in range(k):
             vec = module.act(("f", idx), vec)
         drop[j] += k
@@ -617,7 +582,7 @@ def levi_hw_check(module: QuotientModule, I: SimpleSubset,
         return False
     target = module.lam - rs.weight_of_root(tuple(drop))
     for i in I:
-        idx = rs.root_index[tuple(int(i == m) for m in range(rs.rank))]
+        idx = rs.root_index[rs.simple_root(i)]
         if module.act(("e", idx), vec):
             return False
     for i in range(rs.rank):
@@ -644,7 +609,7 @@ def module_to_json(module: HighestWeightModule) -> dict:
     actions = {}
     for kind in ("e", "f"):
         for i in range(rs.rank):
-            idx = rs.root_index[tuple(int(i == j) for j in range(rs.rank))]
+            idx = rs.root_index[rs.simple_root(i)]
             triplets = []
             for j, label in enumerate(module.basis):
                 try:

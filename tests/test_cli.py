@@ -1,6 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from vermakit.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
@@ -100,3 +108,22 @@ def test_phi_check_inadmissible_c(capsys):
                          "--parabolic", "0", "--c", "1/5")
     assert status == 3
     assert "admissible" in err
+
+
+@pytest.mark.parametrize("prime", ["0", "1", "4", "-3"])
+def test_phi_check_rejects_non_odd_prime(prime):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "vermakit.cli", "phi-check", "--weight", "2,1/3",
+         "--parabolic", "0", "--c", "-3", "--prime", prime],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=5)
+    assert proc.returncode == 3
+    assert "p must be an odd prime" in proc.stderr
+
+
+@pytest.mark.parametrize("prime", ["0", "1", "4", "-3"])
+def test_classify_rejects_non_odd_prime(capsys, prime):
+    status, _, err = run(capsys, "classify", "--weight", "1/2,-1",
+                         "--prime", prime)
+    assert status == 3
+    assert "p must be an odd prime" in err

@@ -8,7 +8,8 @@ from vermakit.deform import (hw_scalar_check, phi_c, phi_c_homomorphism_check,
                              phi_c_level_check, phi_c_surjective,
                              phi_c_target, scalars_admissible, vanishing_test,
                              weight_admissible)
-from vermakit.rootsys import SimpleSubset, Weight
+from vermakit.rootsys import SimpleSubset, Weight, parse_type
+from vermakit.uea import DeformationContext, vp
 from vermakit.weightmod import levi_gvm
 
 
@@ -144,3 +145,16 @@ def test_vanishing_test_grid_guards():
         # two variables but no full tensor grid
         vanishing_test({(1, 0): Fraction(1)}, 1,
                        [(Fraction(0), Fraction(0)), (Fraction(1), Fraction(1))])
+
+
+@pytest.mark.parametrize("p", [0, 1, 2, 4, 9, -3])
+def test_every_prime_entry_point_rejects_non_odd_primes(p):
+    rs = parse_type("A2")
+    # vp at zero: without the check it returns at once instead of looping
+    calls = [lambda: vp(Fraction(0), p),
+             lambda: DeformationContext(p, 0, 4),
+             lambda: weight_admissible(rs, Weight.of(1, 0), p, 0),
+             lambda: scalars_admissible({1: Fraction(1)}, p, 0)]
+    for call in calls:
+        with pytest.raises(ValueError, match="p must be an odd prime"):
+            call()

@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from vermakit.rootsys import (SimpleSubset, Weight, bad_primes,
-                              build_root_system, classify_weight, dot_orbit,
-                              dot_reflect, dual_h_basis, interior, is_singular,
+from vermakit.rootsys import (RootSystem, SimpleSubset, Weight, bad_primes,
+                              classify_weight, dot_orbit, dot_reflect,
+                              dual_h_basis, interior, is_singular,
                               is_totally_proper, pairing, parse_type,
                               parse_weight, positive_subsystem,
                               root_subsystem)
@@ -123,6 +123,6 @@ def test_bad_primes_order_independent():
 
 def test_unsupported_type_rejected():
     with pytest.raises(ValueError):
-        build_root_system("E", 8)
+        RootSystem("E", 8)
     with pytest.raises(ValueError):
         parse_type("Q5")

@@ -4,7 +4,7 @@ import pytest
 
 from vermakit.linalg import rank
 from vermakit.rootsys import SimpleSubset, Weight, dot_reflect, parse_type
-from vermakit.weightmod import (Character, character_to_json,
+from vermakit.weightmod import (Character, VermaLikeModule, character_to_json,
                                 kostant_partition, levi_gvm, levi_hw_check,
                                 module_to_json, parabolic_verma,
                                 shapovalov_gram, simple_dims,
@@ -83,6 +83,15 @@ def test_parabolic_verma_character_cross_check(alg_a2):
 def test_parabolic_verma_rejects_bad_weight(alg_a2):
     with pytest.raises(ValueError):
         parabolic_verma(alg_a2, SimpleSubset.of(0), Weight.of(Fraction(1, 2), 0), 3)
+
+
+def test_restricted_verma_rejects_generator_outside_allowed(alg_a2):
+    rs = alg_a2.rs
+    allowed = [rs.root_index[rs.simple_root(0)]]
+    module = VermaLikeModule(alg_a2, Weight.of(Fraction(1, 2), 0), 3, allowed)
+    outside = rs.root_index[rs.simple_root(1)]
+    with pytest.raises(ValueError, match="outside the allowed roots"):
+        module.act_label(("f", outside), module.basis[0])
 
 
 def test_full_parabolic_gives_finite_module(alg_a2):
