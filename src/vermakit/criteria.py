@@ -27,7 +27,7 @@ from .linalg import rank, span_coordinates  # noqa: F401
 from .rootsys import (Root, RootSystem, SimpleSubset, Weight, bad_primes,
                       dot_reflect, interior, is_singular, neg, pairing,
                       positive_subsystem, root_subsystem)
-from .uea import EnvelopingAlgebra
+from .uea import EnvelopingAlgebra, check_odd_prime
 from .weightmod import _check_dominant_on, parabolic_verma, simple_dims
 
 
@@ -108,7 +108,10 @@ def compute_A(rs: RootSystem, I: SimpleSubset, lam: Weight) -> int:
 
 
 def good_prime(p: int, rs: RootSystem) -> bool:
-    if p == 2:
+    """An odd prime that is not bad for the root system."""
+    try:
+        check_odd_prime(p)
+    except ValueError:
         return False
     return p not in bad_primes(rs)
 
@@ -224,6 +227,7 @@ def classify_sl3(alg: EnvelopingAlgebra, lam: Weight, p: int, n: int,
     if lam.is_dominant_integral():
         raise ValueError("dominant integral weights are excluded "
                          "(finite-dimensional simple quotient)")
+    check_odd_prime(p)
     if not good_prime(p, rs):
         raise ValueError(f"{p} is not a good prime here")
     if not weight_admissible(rs, lam, p, n).admissible:

@@ -2,12 +2,15 @@
 coordinates.
 
 Everything here works on lists of lists of Fractions (or ints); no floats
-anywhere.  Matrices are small (desk scale), so plain Gaussian elimination
-with exact pivots is both simplest and fast enough.
+anywhere.  Rank and determinant clear each row's denominators and run one
+fraction-free (Bareiss) elimination on Python ints; the reduced rows that
+quotients, inverses and span coordinates need come from a Gauss-Jordan
+elimination over Fraction.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 
@@ -35,11 +38,51 @@ def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
     return mat[:r], pivots
 
 
+def _clear_denominators(rows: list[list[Fraction]]) -> tuple[list[list[int]], int]:
+    """Each row scaled by the lcm of its denominators, as Python ints, and
+    the product of those scale factors."""
+    out: list[list[int]] = []
+    scale = 1
+    for row in rows:
+        m = math.lcm(*(x.denominator for x in row))
+        out.append([x.numerator * (m // x.denominator) for x in row])
+        scale *= m
+    return out, scale
+
+
+def _bareiss(mat: list[list[int]]) -> tuple[int, int]:
+    """Fraction-free (Bareiss) elimination of an integer matrix, in place.
+
+    Returns the rank and the signed last pivot, which for a square matrix
+    of full rank is its determinant.  After k pivots every entry below the
+    pivot rows is a (k+1)-minor of the input, so each division by the
+    previous pivot is exact and the integers stay as small as the minors.
+    """
+    nrows = len(mat)
+    ncols = len(mat[0]) if mat else 0
+    sign, prev, r = 1, 1, 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        pivot_row = next((i for i in range(r, nrows) if mat[i][c]), None)
+        if pivot_row is None:
+            continue
+        if pivot_row != r:
+            mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
+            sign = -sign
+        top = mat[r]
+        p = top[c]
+        for i in range(r + 1, nrows):
+            row = mat[i]
+            x = row[c]
+            mat[i] = [(p * a - x * b) // prev for a, b in zip(row, top)]
+        prev = p
+        r += 1
+    return r, sign * prev
+
+
 def rank(rows: list[list[Fraction]]) -> int:
-    if not rows:
-        return 0
-    _, pivots = rref(rows)
-    return len(pivots)
+    return _bareiss(_clear_denominators(rows)[0])[0]
 
 
 def invert(rows: list[list[Fraction]]) -> list[list[Fraction]]:
@@ -56,23 +99,11 @@ def invert(rows: list[list[Fraction]]) -> list[list[Fraction]]:
 def det_int(rows: list[list[int]]) -> int:
     """Determinant of an integer matrix (fraction-free result is exact)."""
     n = len(rows)
-    if n == 0:
-        return 1
-    mat = [[Fraction(x) for x in row] for row in rows]
-    d = Fraction(1)
-    for c in range(n):
-        pivot_row = next((i for i in range(c, n) if mat[i][c] != 0), None)
-        if pivot_row is None:
-            return 0
-        if pivot_row != c:
-            mat[c], mat[pivot_row] = mat[pivot_row], mat[c]
-            d = -d
-        d *= mat[c][c]
-        inv = Fraction(1) / mat[c][c]
-        for i in range(c + 1, n):
-            if mat[i][c] != 0:
-                factor = mat[i][c] * inv
-                mat[i] = [a - factor * b for a, b in zip(mat[i], mat[c])]
+    if any(len(row) != n for row in rows):
+        raise ValueError("det_int needs a square matrix")
+    mat, scale = _clear_denominators(rows)
+    r, last = _bareiss(mat)
+    d = Fraction(last, scale) if r == n else Fraction(0)
     if d.denominator != 1:
         raise ValueError(f"determinant {d} is not an integer: det_int needs "
                          f"an integer matrix")

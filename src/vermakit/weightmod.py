@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .linalg import rank, rref
 from .rootsys import (RootSystem, SimpleSubset, Weight, add, dual_h_basis,
-                      interior, pairing, positive_subsystem)
+                      interior, neg, pairing, positive_subsystem, sub)
 from .uea import EnvelopingAlgebra, UEAElement
 
 Vec = dict  # basis label -> Fraction
@@ -146,10 +146,37 @@ class VermaLikeModule(HighestWeightModule):
         self.depth = depth
         self.allowed = sorted(range(alg.npos) if allowed is None else allowed)
         self._allowed_set = set(self.allowed)
+        if allowed is not None:
+            self._check_allowed_closed()
         self.heights = [self.rs.root_height(r) for r in alg.sc.base_order]
         self.basis = _enum_f_labels(alg.npos, self.allowed, self.heights, depth)
         self.kind = "verma"
         self._memo: dict[tuple, Vec] = {}
+        # weight spaces: sorted labels per drop, and each label's position
+        self.labels_by_drop: dict[tuple, list[tuple]] = {}
+        for s in sorted(self.basis):
+            self.labels_by_drop.setdefault(alg.root_sum(s), []).append(s)
+        self._position = {s: i for labels in self.labels_by_drop.values()
+                          for i, s in enumerate(labels)}
+        self._grams: dict[tuple, list[tuple]] = {}
+
+    def _check_allowed_closed(self) -> None:
+        """The allowed roots must be the positive roots of a closed
+        subsystem: every root sum or difference of two of them is again
+        one of them up to sign, so e and f in it keep labels in it."""
+        roots = self.alg.sc.base_order
+        index = self.rs.root_index
+        for i in self.allowed:
+            if not 0 <= i < self.alg.npos:
+                raise ValueError(f"allowed root index {i} is out of range")
+        for i in self.allowed:
+            for j in self.allowed:
+                for r in (add(roots[i], roots[j]), sub(roots[i], roots[j])):
+                    k = index.get(r, index.get(neg(r)))
+                    if k is not None and k not in self._allowed_set:
+                        raise ValueError(
+                            f"allowed roots {self.allowed} are not closed: "
+                            f"they miss root {roots[k]}")
 
     def label_drop(self, s: tuple) -> tuple:
         return self.alg.root_sum(s)
@@ -161,6 +188,8 @@ class VermaLikeModule(HighestWeightModule):
         cached = self._memo.get((g, s))
         if cached is not None:
             return cached
+        if g[0] != "h" and g[1] not in self._allowed_set:
+            raise ValueError(f"{g} is outside the allowed roots {self.allowed}")
         zero_h = (0,) * self.rs.rank
         zero_e = (0,) * self.alg.npos
         out: Vec = {}
@@ -174,10 +203,6 @@ class VermaLikeModule(HighestWeightModule):
                 if k:
                     scalar *= self.lam.coords[i] ** k
             if scalar:
-                if any(k and i not in self._allowed_set for i, k in enumerate(a)):
-                    raise ValueError(
-                        f"{g} takes label {s} to {a}, outside the allowed "
-                        f"roots {self.allowed}")
                 out[a] = out.get(a, Fraction(0)) + scalar
         out = _clean(out)
         self._memo[(g, s)] = out
@@ -214,13 +239,9 @@ class QuotientModule(HighestWeightModule):
                     drop = parent.label_drop(next(iter(vec)))
                     by_drop.setdefault(drop, []).append(vec)
         # per weight space: row-reduce the submodule, keep non-pivot labels
-        labels_by_drop: dict[tuple, list[tuple]] = {}
-        for s in parent.basis:
-            labels_by_drop.setdefault(parent.label_drop(s), []).append(s)
         self._reduction: dict[tuple, tuple] = {}
         self.basis = []
-        for drop, labels in sorted(labels_by_drop.items()):
-            labels = sorted(labels)
+        for drop, labels in sorted(parent.labels_by_drop.items()):
             rows = [[vec.get(s, Fraction(0)) for s in labels]
                     for vec in by_drop.get(drop, [])]
             reduced, pivots = rref(rows) if rows else ([], [])
@@ -358,7 +379,7 @@ def _induced_character_check(module: QuotientModule, I: SimpleSubset) -> None:
     levi_verma = VermaLikeModule(alg, module.lam, module.depth, levi_idx)
     levi_simple = simple_dims_table(levi_verma)
     got = module.character().as_dict()
-    for drop in {parent.label_drop(s) for s in parent.basis}:
+    for drop in parent.labels_by_drop:
         expect = 0
         for nu2, dim in levi_simple.items():
             rem = tuple(a - b for a, b in zip(drop, nu2))
@@ -376,27 +397,56 @@ def _induced_character_check(module: QuotientModule, I: SimpleSubset) -> None:
 
 def shapovalov_gram(module: VermaLikeModule, nu: tuple) -> list[list[Fraction]]:
     """Gram matrix of the contravariant form on the (lam - nu) weight space,
-    in the f-monomial basis."""
-    labels = sorted(s for s in module.basis if module.label_drop(s) == nu)
-    zero = tuple([0] * module.alg.npos)
-    mat = []
+    in the sorted f-monomial basis."""
+    return [list(row) for row in _gram(module, nu)]
+
+
+def _gram(module: VermaLikeModule, nu: tuple) -> list[tuple]:
+    """The Gram matrix from the one a root below, memoised on the module.
+
+    Entry (s, t) is the coefficient of v in e^s f^t v.  The e-word of s
+    applies e_R first, R the last index with s_R > 0, so by contravariance
+    G_nu(s, t) = sum_u c_u G_{nu - alpha_R}(s', u), where
+    e_R f^t v = sum_u c_u f^u v and s' is s with one fewer f_R.  Only the
+    matrices within one highest-root height below nu are kept: no weight
+    space at nu or above reads the ones further down.
+    """
+    grams = module._grams
+    rows = grams.get(nu)
+    if rows is not None:
+        return rows
+    labels = module.labels_by_drop.get(nu, [])
+    position = module._position
+    roots = module.alg.sc.base_order
+    columns: dict[int, list[Vec]] = {}
+    rows = []
     for s in labels:
-        e_word = module.alg.word((zero, (0,) * module.rs.rank, s))
-        row = []
-        for t in labels:
-            vec = module.apply_word(e_word, {t: Fraction(1)})
-            row.append(vec.get(zero, Fraction(0)))
-        mat.append(row)
-    return mat
+        lead = max((i for i, k in enumerate(s) if k), default=None)
+        if lead is None:
+            rows.append((Fraction(1),))  # the highest-weight vector
+            continue
+        below = _gram(module, sub(nu, roots[lead]))
+        row_below = below[position[s[:lead] + (s[lead] - 1,) + s[lead + 1:]]]
+        if lead not in columns:
+            columns[lead] = [module.act_label(("e", lead), t) for t in labels]
+        rows.append(tuple(sum((c * row_below[position[u]] for u, c in col.items()),
+                              Fraction(0))
+                          for col in columns[lead]))
+    grams[nu] = rows
+    floor = sum(nu) - max(module.heights)
+    for old in [d for d in grams if sum(d) < floor]:
+        del grams[old]
+    return rows
 
 
 def simple_dims_table(module: VermaLikeModule) -> dict[tuple, int]:
-    """Weight-space dimensions of the simple quotient, keyed by root drop."""
-    drops = sorted({module.label_drop(s) for s in module.basis})
+    """Weight-space dimensions of the simple quotient, keyed by root drop.
+
+    Weight spaces are taken in order of height, so each Gram matrix is
+    built from ones already memoised."""
     out: dict[tuple, int] = {}
-    for nu in drops:
-        g = shapovalov_gram(module, nu)
-        r = rank(g) if g else 0
+    for nu in sorted(module.labels_by_drop, key=lambda d: (sum(d), d)):
+        r = rank(shapovalov_gram(module, nu))
         if r:
             out[nu] = r
     return out

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from vermakit.chevalley import structure_constants
@@ -32,3 +34,29 @@ def alg_b2():
 @pytest.fixture(scope="session")
 def alg_g2():
     return _alg("G2")
+
+
+def _fraction_rank_det(rows):
+    """Rank, and determinant of a square matrix, by plain Gaussian
+    elimination over Fraction: the reference for the fraction-free kernel."""
+    mat = [[Fraction(x) for x in row] for row in rows]
+    ncols = len(mat[0]) if mat else 0
+    det, r = Fraction(1), 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if pivot is None:
+            continue
+        if pivot != r:
+            mat[r], mat[pivot] = mat[pivot], mat[r]
+            det = -det
+        det *= mat[r][c]
+        for i in range(r + 1, len(mat)):
+            factor = mat[i][c] / mat[r][c]
+            mat[i] = [a - factor * b for a, b in zip(mat[i], mat[r])]
+        r += 1
+    return r, (det if r == len(mat) == ncols else Fraction(0))
+
+
+@pytest.fixture(scope="session")
+def fraction_rank_det():
+    return _fraction_rank_det

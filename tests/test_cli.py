@@ -127,3 +127,10 @@ def test_classify_rejects_non_odd_prime(capsys, prime):
                          "--prime", prime)
     assert status == 3
     assert "p must be an odd prime" in err
+
+
+def test_classify_prime_two_gets_odd_prime_message(capsys):
+    status, _, err = run(capsys, "classify", "--weight", "1/2,-1",
+                         "--prime", "2")
+    assert status == 3
+    assert "p must be an odd prime" in err

@@ -140,6 +140,16 @@ def test_good_prime(rs_a2):
     assert good_prime(7, rs_a2)
 
 
+@pytest.mark.parametrize("p", [0, 1, 4, 9, -3, 25])
+def test_good_prime_rejects_non_primes(rs_a2, p):
+    assert not good_prime(p, rs_a2)
+
+
+def test_classify_checks_odd_prime_before_good_prime(alg_a2):
+    with pytest.raises(ValueError, match="p must be an odd prime, got 2"):
+        classify_sl3(alg_a2, Weight.of(Fraction(1, 2), -1), 2, 0)
+
+
 def test_classifier_reference_examples(alg_a2):
     report = classify_sl3(alg_a2, Weight.of(Fraction(1, 2), -1), 5, 0)
     assert report.case == "singular"

@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 
 from vermakit.linalg import rank
-from vermakit.rootsys import SimpleSubset, Weight, dot_reflect, parse_type
+from vermakit.rootsys import (SimpleSubset, Weight, dot_reflect, pairing,
+                              parse_type, positive_subsystem)
 from vermakit.weightmod import (Character, VermaLikeModule, character_to_json,
                                 kostant_partition, levi_gvm, levi_hw_check,
                                 module_to_json, parabolic_verma,
@@ -92,6 +93,100 @@ def test_restricted_verma_rejects_generator_outside_allowed(alg_a2):
     outside = rs.root_index[rs.simple_root(1)]
     with pytest.raises(ValueError, match="outside the allowed roots"):
         module.act_label(("f", outside), module.basis[0])
+
+
+def test_restricted_verma_rejects_generator_outside_allowed_past_depth(alg_a2):
+    # f_{alpha_2} f_{alpha_1} v lies past depth 1: the check must not
+    # depend on the image surviving the depth cut
+    rs = alg_a2.rs
+    allowed = [rs.root_index[rs.simple_root(0)]]
+    module = VermaLikeModule(alg_a2, Weight.of(Fraction(1, 2), 0), 1, allowed)
+    outside = rs.root_index[rs.simple_root(1)]
+    assert (0, 1, 0) in module.basis  # f_{alpha_1} v
+    with pytest.raises(ValueError, match="outside the allowed roots"):
+        module.act_label(("f", outside), (0, 1, 0))
+    with pytest.raises(ValueError, match="outside the allowed roots"):
+        module.act_label(("e", outside), module.basis[0])
+
+
+@pytest.mark.parametrize("roots", [((1, 0), (0, 1)), ((1, 0), (1, 1))])
+def test_restricted_verma_rejects_roots_that_are_not_closed(alg_a2, roots):
+    allowed = [alg_a2.rs.root_index[r] for r in roots]
+    with pytest.raises(ValueError, match="not closed"):
+        VermaLikeModule(alg_a2, Weight.of(Fraction(1, 2), 0), 3, allowed)
+
+
+def _gram_by_entries(module, nu):
+    """Reference Gram matrix: each entry applies the whole e-word of its
+    row label to its column label."""
+    labels = sorted(s for s in module.basis if module.label_drop(s) == nu)
+    zero, zero_h = (0,) * module.alg.npos, (0,) * module.rs.rank
+    return [[module.apply_word(module.alg.word((zero, zero_h, s)),
+                               {t: Fraction(1)}).get(zero, Fraction(0))
+             for t in labels] for s in labels]
+
+
+_GRAM_WEIGHTS = {  # rank -> generic, dominant integral, singular
+    1: [(Fraction(2, 7),), (2,), (-1,)],
+    2: [(Fraction(1, 2), Fraction(-1, 3)), (1, 2), (Fraction(2, 5), -1)],
+    3: [(Fraction(3, 7), Fraction(-1, 2), Fraction(1, 3)), (1, 0, 1),
+        (-1, Fraction(1, 3), -1)],
+}
+
+
+@pytest.mark.parametrize("label,depth,levi", [
+    ("A1", 7, None), ("A2", 6, None), ("A3", 4, None), ("B2", 5, None),
+    ("G2", 5, None), ("A3", 5, (0, 1)), ("G2", 6, (1,))])
+def test_shapovalov_gram_matches_entrywise_reference(request, fraction_rank_det,
+                                                     label, depth, levi):
+    alg = request.getfixturevalue(f"alg_{label.lower()}")
+    rs = alg.rs
+    allowed = (None if levi is None else
+               [rs.root_index[r] for r in positive_subsystem(rs, SimpleSubset.of(*levi))])
+    for coords in _GRAM_WEIGHTS[rs.rank]:
+        lam = Weight.of(*coords)
+        module = VermaLikeModule(alg, lam, depth, allowed)
+        reference = VermaLikeModule(alg, lam, depth, allowed)
+        # highest drops first: each call recurses down through the memo
+        drops = sorted({module.label_drop(s) for s in module.basis},
+                       key=lambda nu: (-sum(nu), nu))
+        for nu in drops:
+            gram = shapovalov_gram(module, nu)
+            assert gram == _gram_by_entries(reference, nu), (label, coords, nu)
+            assert rank(gram) == fraction_rank_det(gram)[0]
+        table = simple_dims_table(module)
+        assert table == {nu: r for nu in drops
+                         if (r := fraction_rank_det(_gram_by_entries(reference, nu))[0])}
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2"])
+def test_shapovalov_determinant_formula(request, fraction_rank_det, label):
+    """det G_nu(lam) / prod_{alpha>0} prod_{r>=1} (<lam+rho, alpha^v> - r)^P(nu - r alpha)
+    is one constant c_nu for every lam (Shapovalov 1972; Jantzen 1977)."""
+    alg = request.getfixturevalue(f"alg_{label.lower()}")
+    rs = alg.rs
+    rho = rs.rho()
+    constants = None
+    for coords in [(Fraction(1, 2), Fraction(1, 3)), (Fraction(-2, 5), Fraction(3, 7)),
+                   (Fraction(5, 4), Fraction(-7, 11))]:
+        module = verma(alg, Weight.of(*coords), 5)
+        ratios = {}
+        for nu in {module.label_drop(s) for s in module.basis}:
+            product = Fraction(1)
+            for alpha in rs.positive_roots:
+                q = pairing(rs, module.lam + rho, alpha)
+                r = 1
+                while all(a >= r * b for a, b in zip(nu, alpha)):
+                    rem = tuple(a - r * b for a, b in zip(nu, alpha))
+                    product *= (q - r) ** kostant_partition(rs, rem)
+                    r += 1
+            det = fraction_rank_det(shapovalov_gram(module, nu))[1]
+            assert product and det, (coords, nu)
+            ratios[nu] = det / product
+        if constants is None:
+            constants = ratios
+        assert ratios == constants, coords
+    assert len(constants) == 21
 
 
 def test_full_parabolic_gives_finite_module(alg_a2):
