@@ -12,6 +12,7 @@ an anti-automorphism.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
 from .rootsys import Root, RootSystem, add, neg, sub
 
@@ -42,9 +43,7 @@ class StructureConstants:
         rs = self.rs
         order = {r: i for i, r in enumerate(self.base_order)}
         pos = set(self.base_order)
-
-        def norm(r: Root) -> Fraction:
-            return rs.inner(r, r)
+        norm = {r: rs.inner(r, r) for r in rs.roots}
 
         def n_partial(x: Root, y: Root) -> Fraction:
             """Constant for arbitrary-sign roots, from the positive table so far."""
@@ -63,8 +62,8 @@ class StructureConstants:
             # x positive, y negative
             z = neg(s)
             if s in pos:  # z negative: reduce via triple (x, y, z)
-                return n_partial(y, z) * norm(z) / norm(x)
-            return n_partial(z, x) * norm(z) / norm(y)
+                return n_partial(y, z) * norm[z] / norm[x]
+            return n_partial(z, x) * norm[z] / norm[y]
 
         for gamma in self.base_order:
             if rs.root_height(gamma) < 2:
@@ -86,11 +85,11 @@ class StructureConstants:
                 acc = Fraction(0)
                 if rs.is_root(sub(eta, alpha)):
                     acc += (n_partial(eta, neg(alpha)) * n_partial(xi, neg(beta))
-                            / norm(sub(eta, alpha)))
+                            / norm[sub(eta, alpha)])
                 if rs.is_root(sub(xi, alpha)):
                     acc += (n_partial(neg(alpha), xi) * n_partial(eta, neg(beta))
-                            / norm(sub(xi, alpha)))
-                val = -acc * norm(gamma) / self._table[(xi, eta)]
+                            / norm[sub(xi, alpha)])
+                val = -acc * norm[gamma] / self._table[(xi, eta)]
                 # val is N(-alpha,-beta); the convention N(-a,-b) = -N(a,b)
                 n_ab = -val
                 if n_ab.denominator != 1 or n_ab == 0:
@@ -222,20 +221,25 @@ def verify_chevalley(sc: StructureConstants) -> dict:
             break
     record("support", bad is None, bad)
 
+    # every bracket of two generators, computed once for the checks below
+    gens = sc.generators()
+    table = {(g1, g2): sc.bracket(g1, g2) for g1, g2 in product(gens, gens)}
+
     # bracket relations against the Cartan matrix
     bad = None
-    for i in range(rs.rank):
-        for idx, beta in enumerate(sc.base_order):
-            want = sum(beta[k] * rs.cartan[k][i] for k in range(rs.rank))
-            if sc.bracket(("h", i), ("e", idx)) != ({("e", idx): want} if want else {}):
-                bad = ("h", i, "e", idx)
-            if sc.bracket(("h", i), ("f", idx)) != ({("f", idx): -want} if want else {}):
-                bad = ("h", i, "f", idx)
+    for i, (idx, beta) in product(range(rs.rank), enumerate(sc.base_order)):
+        want = sum(beta[k] * rs.cartan[k][i] for k in range(rs.rank))
+        if table[("h", i), ("e", idx)] != ({("e", idx): want} if want else {}):
+            bad = ("h", i, "e", idx)
+        elif table[("h", i), ("f", idx)] != ({("f", idx): -want} if want else {}):
+            bad = ("h", i, "f", idx)
+        if bad:
+            break
     record("cartan_action", bad is None, bad)
 
     bad = None
     for idx, alpha in enumerate(sc.base_order):
-        got = sc.bracket(("e", idx), ("f", idx))
+        got = table[("e", idx), ("f", idx)]
         want = {("h", i): c for i, c in enumerate(rs.coroot_coefficients(alpha)) if c}
         if got != want:
             bad = alpha
@@ -243,26 +247,18 @@ def verify_chevalley(sc: StructureConstants) -> dict:
     record("ef_coroot", bad is None, bad)
 
     # Jacobi identity on all generator triples
-    gens = sc.generators()
     bad = None
-    for g1 in gens:
-        for g2 in gens:
-            b12 = sc.bracket(g1, g2)
-            for g3 in gens:
-                acc: dict[Gen, int] = {}
-                # [[g1,g2],g3] + [[g2,g3],g1] + [[g3,g1],g2]
-                for g, c in b12.items():
-                    _acc_add(acc, sc.bracket(g, g3), c)
-                for g, c in sc.bracket(g2, g3).items():
-                    _acc_add(acc, sc.bracket(g, g1), c)
-                for g, c in sc.bracket(g3, g1).items():
-                    _acc_add(acc, sc.bracket(g, g2), c)
-                if any(v != 0 for v in acc.values()):
-                    bad = (g1, g2, g3)
-                    break
-            if bad:
-                break
-        if bad:
+    for g1, g2, g3 in product(gens, gens, gens):
+        acc: dict[Gen, int] = {}
+        # [[g1,g2],g3] + [[g2,g3],g1] + [[g3,g1],g2]
+        for g, c in table[g1, g2].items():
+            _acc_add(acc, table[g, g3], c)
+        for g, c in table[g2, g3].items():
+            _acc_add(acc, table[g, g1], c)
+        for g, c in table[g3, g1].items():
+            _acc_add(acc, table[g, g2], c)
+        if any(v != 0 for v in acc.values()):
+            bad = (g1, g2, g3)
             break
     record("jacobi", bad is None, bad)
 

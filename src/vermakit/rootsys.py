@@ -233,7 +233,7 @@ class RootSystem:
 
 
 def _symmetrizer(cartan: list[list[int]]) -> list[Fraction]:
-    """d_i with d_i * cartan[i][j] == d_j * cartan[j][i]; (a_i, a_i) = 2 d_i."""
+    """d_i with d_j * cartan[i][j] == d_i * cartan[j][i]; (a_i, a_i) = 2 d_i."""
     n = len(cartan)
     d: list[Fraction | None] = [None] * n
     for start in range(n):

@@ -1,3 +1,7 @@
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 
 from vermakit.chevalley import (ad_matrix, constants_to_json,
@@ -8,6 +12,49 @@ from vermakit.rootsys import add, neg, parse_type
 @pytest.fixture(scope="module")
 def sc_a2():
     return structure_constants(parse_type("A2"))
+
+
+# sha256 of each type's constants_to_json, recorded before the Chevalley
+# layer cached its root norms and bracket table
+CONSTANT_DIGESTS = json.loads(
+    (Path(__file__).with_name("data") / "chevalley_constants_sha256.json").read_text())
+
+
+@pytest.mark.parametrize("label", sorted(CONSTANT_DIGESTS))
+def test_every_type_verifies_with_the_recorded_constants(label):
+    sc = structure_constants(parse_type(label))
+    records = json.dumps(constants_to_json(sc), sort_keys=True).encode()
+    assert hashlib.sha256(records).hexdigest() == CONSTANT_DIGESTS[label]
+    assert verify_chevalley(sc)["all_pass"]
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2"])
+def test_doubled_constant_quadruple_fails_only_jacobi(label):
+    # doubling C[a,b], C[b,a], C[-b,-a], C[-a,-b] keeps antisymmetry, the
+    # transpose symmetry and the support, and breaks only the Jacobi identity
+    sc = structure_constants(parse_type(label))
+    a, b = sc.rs.simple_root(0), sc.rs.simple_root(1)
+    for key in ((a, b), (b, a), (neg(b), neg(a)), (neg(a), neg(b))):
+        sc._table[key] *= 2
+    report = verify_chevalley(sc)
+    assert not report["jacobi"]["pass"]
+    assert not report["all_pass"]
+    assert all(v["pass"] for k, v in report.items()
+               if k not in ("jacobi", "all_pass"))
+
+
+def test_cartan_action_reports_the_first_mismatch(sc_a2, monkeypatch):
+    # two planted wrong h-brackets; loop order is h index, then root, e before f
+    planted = {(("h", 1), ("e", 0)), (("h", 0), ("f", 2))}
+    honest = sc_a2.bracket
+
+    def bracket(g1, g2):
+        return {g2: 7} if (g1, g2) in planted else honest(g1, g2)
+
+    monkeypatch.setattr(sc_a2, "bracket", bracket)
+    report = verify_chevalley(sc_a2)
+    assert report["cartan_action"] == {"pass": False,
+                                       "counterexample": ("h", 0, "f", 2)}
 
 
 def test_all_relations_hold_small_types():

@@ -42,6 +42,18 @@ def test_cartan_symmetrization_is_symmetric():
                 assert rs.inner(a, b) == rs.inner(b, a)
 
 
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "A4", "B2", "B3", "B4",
+                                   "C2", "C3", "C4", "D4", "F4", "G2"])
+def test_symmetrizer_symmetrises_the_cartan_matrix(label):
+    # d_j a_ij = d_i a_ji is what makes inner symmetric; (a_i, a_i) = 2 d_i
+    rs = parse_type(label)
+    d, a = rs.symmetrizer, rs.cartan
+    for i in range(rs.rank):
+        for j in range(rs.rank):
+            assert d[j] * a[i][j] == d[i] * a[j][i]
+        assert rs.inner(rs.simple_root(i), rs.simple_root(i)) == 2 * d[i]
+
+
 def test_pairing_against_cartan_matrix():
     rs = parse_type("B2")
     for i in range(2):
