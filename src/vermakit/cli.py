@@ -48,14 +48,19 @@ def _emit(report: dict, as_json: bool, lines: list[str]) -> None:
             print(line)
 
 
-def _parse_subset(text: str) -> SimpleSubset:
+def _parse_subset(rs, text: str) -> SimpleSubset:
     text = text.strip()
     if not text:
         return SimpleSubset.of()
     try:
-        return SimpleSubset.of(*[int(t) for t in text.split(",")])
+        indices = [int(t) for t in text.split(",")]
     except ValueError as e:
         raise _CLIError(EXIT_PARSE, f"bad simple-root subset {text!r}: {e}")
+    for i in indices:
+        if not 0 <= i < rs.rank:
+            raise _CLIError(EXIT_PARSE, f"bad simple-root subset {text!r}: "
+                                        f"index {i} is not in 0..{rs.rank - 1}")
+    return SimpleSubset.of(*indices)
 
 
 def _parse_weight_arg(rs, text: str) -> Weight:
@@ -102,7 +107,7 @@ def _cmd_character(args) -> int:
     rs = _parse_type_arg(args.type)
     lam = _parse_weight_arg(rs, args.weight)
     alg = EnvelopingAlgebra(structure_constants(rs))
-    I = _parse_subset(args.parabolic)
+    I = _parse_subset(rs, args.parabolic)
     try:
         if len(I):
             module = parabolic_verma(alg, I, lam, args.depth)
@@ -129,7 +134,7 @@ def _cmd_primes(args) -> int:
 def _cmd_phi_check(args) -> int:
     rs = _parse_type_arg(args.type)
     lam = _parse_weight_arg(rs, args.weight)
-    I = _parse_subset(args.parabolic)
+    I = _parse_subset(rs, args.parabolic)
     outside = [j for j in range(rs.rank) if j not in I]
     parts = args.c.split(",") if args.c.strip() else []
     if len(parts) != len(outside):
@@ -141,6 +146,8 @@ def _cmd_phi_check(args) -> int:
         raise _CLIError(EXIT_PARSE, f"bad scalar vector {args.c!r}: {e}")
     alg = EnvelopingAlgebra(structure_constants(rs))
     try:
+        if args.samples < 1:
+            raise ValueError("samples must be at least 1")
         if not deform.scalars_admissible(c, args.prime, args.n):
             raise ValueError(f"c is not admissible at p={args.prime}, n={args.n}")
         source = levi_gvm(alg, I, lam, args.depth)

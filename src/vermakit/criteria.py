@@ -28,7 +28,8 @@ from .rootsys import (Root, RootSystem, SimpleSubset, Weight, bad_primes,
                       dot_reflect, interior, is_singular, neg, pairing,
                       positive_subsystem, root_subsystem)
 from .uea import EnvelopingAlgebra, check_odd_prime
-from .weightmod import _check_dominant_on, parabolic_verma, simple_dims
+from .weightmod import (_check_depth, _check_dominant_on, parabolic_verma,
+                        simple_dims)
 
 
 def _is_positive_integer(q: Fraction) -> bool:
@@ -40,13 +41,12 @@ def _in_n0(q: Fraction) -> bool:
 
 
 def psi_plus(rs: RootSystem, I: SimpleSubset, lam: Weight,
-             phi_pos: list[Root] | None = None,
-             levi: set[Root] | None = None) -> set[Root]:
+             phi_pos: list[Root] | None = None) -> set[Root]:
     """Positive roots outside the parabolic whose rho-shifted pairing with
-    lam is a positive integer.  The optional arguments restrict the whole
-    computation to a sub-root-system."""
+    lam is a positive integer.  The optional positive roots restrict the
+    search to a sub-root-system."""
     phi_pos = rs.positive_roots if phi_pos is None else phi_pos
-    levi = root_subsystem(rs, I) if levi is None else levi
+    levi = root_subsystem(rs, I)
     rho = rs.rho()
     return {beta for beta in phi_pos
             if beta not in levi
@@ -65,7 +65,7 @@ def condition_star(rs: RootSystem, I: SimpleSubset, lam: Weight,
     rho = rs.rho()
     phi_all = phi_pos + [neg(r) for r in phi_pos]
     witnesses: dict[Root, Root] = {}
-    for beta in sorted(psi_plus(rs, I, lam, phi_pos, levi)):
+    for beta in sorted(psi_plus(rs, I, lam, phi_pos)):
         found = None
         _, coords = span_coordinates(levi_simples + [beta], phi_all)
         for gamma, x in zip(phi_all, coords):
@@ -82,10 +82,8 @@ def condition_star(rs: RootSystem, I: SimpleSubset, lam: Weight,
     return True, witnesses
 
 
-def condition_star_star(rs: RootSystem, I: SimpleSubset, lam: Weight,
-                        phi_pos: list[Root] | None = None,
-                        levi: set[Root] | None = None) -> bool:
-    return not psi_plus(rs, I, lam, phi_pos, levi)
+def condition_star_star(rs: RootSystem, I: SimpleSubset, lam: Weight) -> bool:
+    return not psi_plus(rs, I, lam)
 
 
 def jantzen_irreducible(rs: RootSystem, I: SimpleSubset, lam: Weight) -> str:
@@ -224,6 +222,7 @@ def classify_sl3(alg: EnvelopingAlgebra, lam: Weight, p: int, n: int,
     rs = alg.rs
     if (rs.type_label, rs.rank) != ("A", 2):
         raise ValueError("classifier is specific to the rank-2 type A system")
+    _check_depth(check_depth)
     if lam.is_dominant_integral():
         raise ValueError("dominant integral weights are excluded "
                          "(finite-dimensional simple quotient)")

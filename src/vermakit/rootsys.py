@@ -136,7 +136,7 @@ class RootSystem:
         self.positive_roots = self._close_positive_roots()
         expected = _POSITIVE_COUNTS[type_label](rank_)
         if len(self.positive_roots) != expected:
-            raise AssertionError(
+            raise RuntimeError(
                 f"closure produced {len(self.positive_roots)} positive roots, "
                 f"expected {expected} for {type_label}{rank_}"
             )

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import rank, rref
+from .linalg import rank, reduce_against, rref
 from .rootsys import (RootSystem, SimpleSubset, Weight, add, dual_h_basis,
                       interior, neg, pairing, positive_subsystem, sub)
 from .uea import EnvelopingAlgebra, UEAElement
@@ -129,6 +129,11 @@ def _enum_f_labels(npos: int, idxs: list[int], heights: list[int],
     return labels
 
 
+def _check_depth(depth: int) -> None:
+    if depth < 1:
+        raise ValueError("depth must be at least 1")
+
+
 class VermaLikeModule(HighestWeightModule):
     """Verma module over the subsystem spanned by a set of positive roots.
 
@@ -140,6 +145,7 @@ class VermaLikeModule(HighestWeightModule):
 
     def __init__(self, alg: EnvelopingAlgebra, lam: Weight, depth: int,
                  allowed: list[int] | None = None):
+        _check_depth(depth)
         self.alg = alg
         self.rs = alg.rs
         self.lam = lam
@@ -260,11 +266,8 @@ class QuotientModule(HighestWeightModule):
         out: Vec = {}
         for drop, part in by_drop.items():
             labels, reduced, pivots = self._reduction[drop]
-            coords = [part.get(s, Fraction(0)) for s in labels]
-            for row, piv in zip(reduced, pivots):
-                factor = coords[piv]
-                if factor:
-                    coords = [x - factor * y for x, y in zip(coords, row)]
+            coords = reduce_against([part.get(s, Fraction(0)) for s in labels],
+                                    reduced, pivots)
             for s, x in zip(labels, coords):
                 if x:
                     out[s] = x
@@ -328,8 +331,6 @@ def weyl_dim(rs: RootSystem, lam: Weight,
 
 
 def verma(alg: EnvelopingAlgebra, lam: Weight, depth: int) -> VermaLikeModule:
-    if depth < 1:
-        raise ValueError("depth must be at least 1")
     return VermaLikeModule(alg, lam, depth)
 
 
@@ -479,6 +480,7 @@ class LeviInducedModule(HighestWeightModule):
 
     def __init__(self, alg: EnvelopingAlgebra, I: SimpleSubset, lam: Weight,
                  depth: int, c: dict[int, Fraction] | None = None):
+        _check_depth(depth)
         rs = alg.rs
         self.alg = alg
         self.rs = rs

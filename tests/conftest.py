@@ -60,3 +60,33 @@ def _fraction_rank_det(rows):
 @pytest.fixture(scope="session")
 def fraction_rank_det():
     return _fraction_rank_det
+
+
+def _fraction_rref(rows):
+    """Reduced row echelon form by Gauss-Jordan elimination over Fraction:
+    the reference for the fraction-free kernel behind linalg.rref."""
+    mat = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    r = 0
+    ncols = len(mat[0]) if mat else 0
+    for c in range(ncols):
+        pivot_row = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
+        inv = Fraction(1) / mat[r][c]
+        mat[r] = [x * inv for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c] != 0:
+                factor = mat[i][c]
+                mat[i] = [a - factor * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(mat):
+            break
+    return mat[:r], pivots
+
+
+@pytest.fixture(scope="session")
+def fraction_rref():
+    return _fraction_rref

@@ -134,3 +134,37 @@ def test_classify_prime_two_gets_odd_prime_message(capsys):
                          "--prime", "2")
     assert status == 3
     assert "p must be an odd prime" in err
+
+
+PHI_A2 = ["phi-check", "--weight", "2,1/3", "--parabolic", "0", "--c", "-3"]
+
+
+@pytest.mark.parametrize("argv,message", [
+    (PHI_A2 + ["--depth", "0"], "depth must be at least 1"),
+    (["verify", "--suite", "phi", "--depth", "0"], "depth must be at least 1"),
+    (["character", "--weight", "1,0", "--parabolic", "0", "--depth", "-3"],
+     "depth must be at least 1"),
+    (["character", "--weight", "1,0", "--depth", "0"],
+     "depth must be at least 1"),
+    (["classify", "--weight", "-2,3", "--depth", "0"],
+     "depth must be at least 1"),
+    (["classify", "--weight", "-2,3", "--depth", "-1"],
+     "depth must be at least 1"),
+    (PHI_A2 + ["--samples", "0"], "samples must be at least 1"),
+])
+def test_counts_below_one_are_refused(capsys, argv, message):
+    status, out, err = run(capsys, *argv)
+    assert status == 3
+    assert message in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["character", "--weight", "1,0", "--parabolic", "5"],
+    ["character", "--weight", "1,0", "--parabolic=-1"],
+    ["phi-check", "--weight", "2,1/3", "--parabolic", "5", "--c", "-3"],
+])
+def test_simple_root_index_out_of_range(capsys, argv):
+    status, _, err = run(capsys, *argv)
+    assert status == 2
+    assert "bad simple-root subset" in err and "is not in 0..1" in err

@@ -214,3 +214,11 @@ def test_report_json_stable(alg_a2):
     r2 = classify_sl3(alg_a2, Weight.of(2, -1), 5, 0)
     assert r1.to_json() == r2.to_json()
     assert r1.to_json()["case"] == "singular"
+
+
+@pytest.mark.parametrize("depth", [0, -1])
+def test_depth_below_one_is_refused(alg_a2, depth):
+    with pytest.raises(ValueError, match="depth must be at least 1"):
+        classify_sl3(alg_a2, Weight.of(-2, 3), 5, 0, check_depth=depth)
+    with pytest.raises(ValueError, match="depth must be at least 1"):
+        case3_additivity_check(alg_a2, Weight.of(0, 2), 0, depth)

@@ -138,3 +138,10 @@ def test_unsupported_type_rejected():
         RootSystem("E", 8)
     with pytest.raises(ValueError):
         parse_type("Q5")
+
+
+def test_positive_root_count_mismatch_raises_runtime_error(monkeypatch):
+    from vermakit import rootsys
+    monkeypatch.setitem(rootsys._POSITIVE_COUNTS, "A", lambda n: 0)
+    with pytest.raises(RuntimeError, match="closure produced 3 positive roots"):
+        RootSystem("A", 2)

@@ -252,3 +252,14 @@ def test_gram_rank_matches_simple_dims(alg_a2):
     for nu, r in table.items():
         gram = shapovalov_gram(module, nu)
         assert rank([row[:] for row in gram]) == r
+
+
+@pytest.mark.parametrize("depth", [0, -3])
+def test_modules_refuse_depth_below_one(alg_a2, depth):
+    lam = Weight.of(1, Fraction(1, 3))
+    for build in (verma, simple_dims, VermaLikeModule):
+        with pytest.raises(ValueError, match="depth must be at least 1"):
+            build(alg_a2, lam, depth)
+    for build in (parabolic_verma, levi_gvm):
+        with pytest.raises(ValueError, match="depth must be at least 1"):
+            build(alg_a2, SimpleSubset.of(0), lam, depth)
