@@ -27,6 +27,9 @@ class StructureConstants:
         self.base_order = list(rs.positive_roots)  # height, then lex
         self._table: dict[tuple[Root, Root], int] = {}
         self._build()
+        # nonzero simple-coroot coefficients of each positive root's coroot,
+        # by base-order index, filled by bracket as it meets them
+        self._coroots: dict[int, list[tuple[int, int]]] = {}
 
     # -- construction -------------------------------------------------------
 
@@ -157,11 +160,13 @@ class StructureConstants:
             return _negate(self.bracket(g2, g1))
         a, b = self.gen_root(g1), self.gen_root(g2)
         s = add(a, b)
-        if not any(s):  # [e_a, f_a] = h_a (coroot)
+        if not any(s):  # [e_a, f_a] = h_a (coroot); here i1 == i2
             sign = 1 if k1 == "e" else -1
-            pos_root = a if k1 == "e" else b
-            coeffs = rs.coroot_coefficients(pos_root)
-            return {("h", i): sign * c for i, c in enumerate(coeffs) if c}
+            coroot = self._coroots.get(i1)
+            if coroot is None:
+                coeffs = rs.coroot_coefficients(self.base_order[i1])
+                coroot = self._coroots[i1] = [(i, c) for i, c in enumerate(coeffs) if c]
+            return {("h", i): sign * c for i, c in coroot}
         if not rs.is_root(s):
             return {}
         cval = self.c(a, b)

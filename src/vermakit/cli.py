@@ -18,8 +18,8 @@ from fractions import Fraction
 
 from . import criteria, deform, reflect_identities
 from .chevalley import structure_constants, verify_chevalley
-from .rootsys import (SimpleSubset, Weight, bad_primes, dot_orbit,
-                      parse_type, parse_weight)
+from .rootsys import (SimpleSubset, Weight, bad_primes, check_subset,
+                      dot_orbit, parse_type, parse_weight)
 from .uea import (DeformationContext, EnvelopingAlgebra, exp_truncated,
                   iwasawa_generator_monomial, multiply, weight_components)
 from .weightmod import (character_to_json, kostant_partition, levi_gvm,
@@ -56,11 +56,12 @@ def _parse_subset(rs, text: str) -> SimpleSubset:
         indices = [int(t) for t in text.split(",")]
     except ValueError as e:
         raise _CLIError(EXIT_PARSE, f"bad simple-root subset {text!r}: {e}")
-    for i in indices:
-        if not 0 <= i < rs.rank:
-            raise _CLIError(EXIT_PARSE, f"bad simple-root subset {text!r}: "
-                                        f"index {i} is not in 0..{rs.rank - 1}")
-    return SimpleSubset.of(*indices)
+    subset = SimpleSubset.of(*indices)
+    try:
+        check_subset(rs, subset)
+    except ValueError as e:
+        raise _CLIError(EXIT_PARSE, f"bad simple-root subset {text!r}: {e}")
+    return subset
 
 
 def _parse_weight_arg(rs, text: str) -> Weight:

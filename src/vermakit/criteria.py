@@ -25,8 +25,8 @@ from .deform import weight_admissible
 # checks that a function imported into several modules is patched in each
 from .linalg import rank, span_coordinates  # noqa: F401
 from .rootsys import (Root, RootSystem, SimpleSubset, Weight, bad_primes,
-                      dot_reflect, interior, is_singular, neg, pairing,
-                      positive_subsystem, root_subsystem)
+                      check_subset, dot_reflect, interior, is_singular, neg,
+                      pairing, positive_subsystem, root_subsystem)
 from .uea import EnvelopingAlgebra, check_odd_prime
 from .weightmod import (_check_depth, _check_dominant_on, parabolic_verma,
                         simple_dims)
@@ -58,6 +58,7 @@ def condition_star(rs: RootSystem, I: SimpleSubset, lam: Weight,
                    ) -> tuple[bool, dict[Root, Root]]:
     """Returns (holds, witness per offending root).  The optional positive
     roots restrict the search to a sub-root-system."""
+    check_subset(rs, I)
     _check_dominant_on(rs, lam, I)
     phi_pos = rs.positive_roots if phi_pos is None else phi_pos
     levi = root_subsystem(rs, I)
@@ -119,6 +120,7 @@ def gvm_region_irreducible(rs: RootSystem, I: SimpleSubset, lam: Weight,
     """Irreducibility of the interior generalised Verma module at
     lam - sum c_j a_j, certified by condition (*) inside the Levi
     subsystem.  Requires integer c_j <= -A."""
+    check_subset(rs, I)
     _check_dominant_on(rs, lam, I)
     A = compute_A(rs, I, lam)
     outside = [j for j in range(rs.rank) if j not in I]

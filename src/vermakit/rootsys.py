@@ -324,8 +324,17 @@ def classify_weight(rs: RootSystem, lam: Weight) -> dict[str, bool]:
     }
 
 
+def check_subset(rs: RootSystem, subset: SimpleSubset) -> None:
+    """Raise ValueError unless every member is a simple-root index of rs."""
+    for i in subset:
+        if not 0 <= i < rs.rank:
+            raise ValueError(f"simple-root index {i} is not in 0..{rs.rank - 1} "
+                             f"(rank {rs.rank})")
+
+
 def root_subsystem(rs: RootSystem, subset: SimpleSubset) -> set[Root]:
     """All roots supported on the given simple indices (both signs)."""
+    check_subset(rs, subset)
     out = set()
     for r in rs.roots:
         if all(r[i] == 0 for i in range(rs.rank) if i not in subset):
@@ -334,12 +343,14 @@ def root_subsystem(rs: RootSystem, subset: SimpleSubset) -> set[Root]:
 
 
 def positive_subsystem(rs: RootSystem, subset: SimpleSubset) -> list[Root]:
+    check_subset(rs, subset)
     return [r for r in rs.positive_roots
             if all(r[i] == 0 for i in range(rs.rank) if i not in subset)]
 
 
 def interior(rs: RootSystem, subset: SimpleSubset) -> SimpleSubset:
     """Members of the subset not adjacent (via the Cartan matrix) to its complement."""
+    check_subset(rs, subset)
     outside = [j for j in range(rs.rank) if j not in subset]
     return SimpleSubset(frozenset(
         b for b in subset if all(rs.cartan[a][b] == 0 for a in outside)
@@ -367,6 +378,7 @@ def dynkin_components(rs: RootSystem) -> list[set[int]]:
 
 def is_totally_proper(rs: RootSystem, subset: SimpleSubset) -> bool:
     """True iff no Dynkin component lies entirely inside the subset."""
+    check_subset(rs, subset)
     return all(not comp <= subset.members for comp in dynkin_components(rs))
 
 

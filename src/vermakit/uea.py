@@ -8,6 +8,12 @@ rewritten into this order with the commutation relations; each rewriting
 step strictly lowers (degree, position), so the process terminates and
 the result is canonical.
 
+The Chevalley structure constants are integers, so the normal form of a
+monomial product has integer coefficients (Kostant's Z-form of U(g)):
+``gen_mul_mono`` and ``mono_mul`` work on Python ints.  ``UEAElement``
+stores Fractions, because elements such as divided powers and truncated
+exponentials carry rational coefficients.
+
 The transpose map swaps e and f blocks; with the sign convention used by
 the structure-constant table it is an anti-automorphism.
 """
@@ -70,7 +76,7 @@ class EnvelopingAlgebra:
         self.sc = sc
         self.rs = sc.rs
         self.npos = len(sc.base_order)
-        self._memo: dict[tuple[Gen, Monomial], dict[Monomial, Fraction]] = {}
+        self._memo: dict[tuple[Gen, Monomial], dict[Monomial, int]] = {}
 
     # -- monomial plumbing ---------------------------------------------------
 
@@ -138,34 +144,37 @@ class EnvelopingAlgebra:
 
     # -- rewriting -------------------------------------------------------------
 
-    def gen_mul_mono(self, g: Gen, m: Monomial) -> dict[Monomial, Fraction]:
-        """Normal form of generator * normal-ordered monomial."""
+    def gen_mul_mono(self, g: Gen, m: Monomial) -> dict[Monomial, int]:
+        """Normal form of generator * normal-ordered monomial.  The
+        coefficients are ints: the structure constants are."""
         cached = self._memo.get((g, m))
         if cached is not None:
             return cached
         lead, rest = self._lead_and_rest(m)
         if lead is None or self._gen_key(g) <= self._gen_key(lead):
-            result = {self._prepend(g, m): Fraction(1)}
+            result = {self._prepend(g, m): 1}
         else:
             # g m = lead (g rest) + [g, lead] rest
-            result: dict[Monomial, Fraction] = {}
+            result: dict[Monomial, int] = {}
             for mono, c in self.gen_mul_mono(g, rest).items():
                 for mm, cc in self.gen_mul_mono(lead, mono).items():
-                    result[mm] = result.get(mm, Fraction(0)) + c * cc
+                    result[mm] = result.get(mm, 0) + c * cc
             for gb, cb in self.sc.bracket(g, lead).items():
                 for mm, cc in self.gen_mul_mono(gb, rest).items():
-                    result[mm] = result.get(mm, Fraction(0)) + cb * cc
+                    result[mm] = result.get(mm, 0) + cb * cc
             result = {k: v for k, v in result.items() if v}
         self._memo[(g, m)] = result
         return result
 
-    def mono_mul(self, m1: Monomial, m2: Monomial) -> dict[Monomial, Fraction]:
-        result = {m2: Fraction(1)}
+    def mono_mul(self, m1: Monomial, m2: Monomial) -> dict[Monomial, int]:
+        """Normal form of a product of two normal-ordered monomials, with
+        int coefficients."""
+        result = {m2: 1}
         for g in reversed(self.word(m1)):
-            nxt: dict[Monomial, Fraction] = {}
+            nxt: dict[Monomial, int] = {}
             for mono, coeff in result.items():
                 for mm, cc in self.gen_mul_mono(g, mono).items():
-                    nxt[mm] = nxt.get(mm, Fraction(0)) + coeff * cc
+                    nxt[mm] = nxt.get(mm, 0) + coeff * cc
             result = {k: v for k, v in nxt.items() if v}
         return result
 

@@ -4,8 +4,15 @@ Verma modules have basis f^s v with s running over positive-root exponent
 vectors; parabolic quotients are cut out by the singular vectors
 f_a^(lam(h_a)+1) v; Levi-induced modules carry extra central polynomial
 directions along the dual Cartan basis.  All actions are computed through
-the PBW rewriting engine and kept as exact rationals, so weight-space
-dimensions of simple quotients come out of Gram-matrix ranks over Q.
+the PBW rewriting engine and are exact, so weight-space dimensions of
+simple quotients come out of Gram-matrix ranks over Q.
+
+On the Verma path the arithmetic is on Python ints.  With lam = N/D over
+one common denominator D, each normal-form term of g f^s v carries at most
+one h, so D times the action of g on f^s v is an integer vector; row s of
+the Gram matrix, built from these by contravariance, is D^|s| times the
+rational row and has the same rank.  Fractions appear only at the public
+edges: ``act_label``, ``shapovalov_gram`` and the module vectors.
 
 Depth semantics: a statement "within depth d" quantifies over weights
 lam - nu with the height of nu at most d.
@@ -13,12 +20,14 @@ lam - nu with the height of nu at most d.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .linalg import rank, reduce_against, rref
-from .rootsys import (RootSystem, SimpleSubset, Weight, add, dual_h_basis,
-                      interior, neg, pairing, positive_subsystem, sub)
+from .rootsys import (RootSystem, SimpleSubset, Weight, add, check_subset,
+                      dual_h_basis, interior, neg, pairing, positive_subsystem,
+                      sub)
 from .uea import EnvelopingAlgebra, UEAElement
 
 Vec = dict  # basis label -> Fraction
@@ -150,6 +159,10 @@ class VermaLikeModule(HighestWeightModule):
         self.rs = alg.rs
         self.lam = lam
         self.depth = depth
+        # lam = lam_num / lam_den over one common denominator
+        self.lam_den = math.lcm(*(x.denominator for x in lam.coords))
+        self.lam_num = [x.numerator * (self.lam_den // x.denominator)
+                        for x in lam.coords]
         self.allowed = sorted(range(alg.npos) if allowed is None else allowed)
         self._allowed_set = set(self.allowed)
         if allowed is not None:
@@ -157,7 +170,7 @@ class VermaLikeModule(HighestWeightModule):
         self.heights = [self.rs.root_height(r) for r in alg.sc.base_order]
         self.basis = _enum_f_labels(alg.npos, self.allowed, self.heights, depth)
         self.kind = "verma"
-        self._memo: dict[tuple, Vec] = {}
+        self._memo: dict[tuple, dict[tuple, int]] = {}
         # weight spaces: sorted labels per drop, and each label's position
         self.labels_by_drop: dict[tuple, list[tuple]] = {}
         for s in sorted(self.basis):
@@ -191,6 +204,16 @@ class VermaLikeModule(HighestWeightModule):
         return sum(k * self.heights[i] for i, k in enumerate(s) if k)
 
     def act_label(self, g, s: tuple) -> Vec:
+        """The action of g on f^s v: ``int_action`` over lam_den."""
+        den = self.lam_den
+        return {a: Fraction(x, den) for a, x in self.int_action(g, s).items()}
+
+    def int_action(self, g, s: tuple) -> dict[tuple, int]:
+        """lam_den times ``act_label(g, s)``, memoised, as ints.
+
+        Each normal-form term of g f^s carries at most one h: commuting g
+        past f's never adds a Cartan or raising factor.  An h_i-term acts
+        on v by lam_i = lam_num[i] / lam_den, an h-free one by 1."""
         cached = self._memo.get((g, s))
         if cached is not None:
             return cached
@@ -198,18 +221,23 @@ class VermaLikeModule(HighestWeightModule):
             raise ValueError(f"{g} is outside the allowed roots {self.allowed}")
         zero_h = (0,) * self.rs.rank
         zero_e = (0,) * self.alg.npos
-        out: Vec = {}
+        out: dict[tuple, int] = {}
         for (a, b, c), coeff in self.alg.gen_mul_mono(g, (s, zero_h, zero_e)).items():
             if any(c):
                 continue  # positive part kills the highest-weight generator
             if self.label_height(a) > self.depth:
                 continue
-            scalar = coeff
-            for i, k in enumerate(b):
-                if k:
-                    scalar *= self.lam.coords[i] ** k
-            if scalar:
-                out[a] = out.get(a, Fraction(0)) + scalar
+            h_degree = sum(b)
+            if h_degree == 0:
+                x = coeff * self.lam_den
+            elif h_degree == 1:
+                x = coeff * self.lam_num[b.index(1)]
+            else:
+                raise RuntimeError(f"normal form of {g} f^{s} v has a term of "
+                                   f"h-degree {h_degree}, {(a, b, c)}; at most 1 "
+                                   f"is possible")
+            if x:
+                out[a] = out.get(a, 0) + x
         out = _clean(out)
         self._memo[(g, s)] = out
         return out
@@ -350,6 +378,7 @@ def parabolic_verma(alg: EnvelopingAlgebra, I: SimpleSubset, lam: Weight,
     f_a^(lam(h_a)+1) v for a in I, with a basis-count cross-check against
     the induced construction."""
     rs = alg.rs
+    check_subset(rs, I)
     _check_dominant_on(rs, lam, I)
     parent = VermaLikeModule(alg, lam, depth, allowed)
     singular: list[Vec] = []
@@ -399,18 +428,23 @@ def _induced_character_check(module: QuotientModule, I: SimpleSubset) -> None:
 def shapovalov_gram(module: VermaLikeModule, nu: tuple) -> list[list[Fraction]]:
     """Gram matrix of the contravariant form on the (lam - nu) weight space,
     in the sorted f-monomial basis."""
-    return [list(row) for row in _gram(module, nu)]
+    den = module.lam_den
+    return [[Fraction(x, den ** sum(s)) for x in row]
+            for s, row in zip(module.labels_by_drop.get(nu, []), _gram(module, nu))]
 
 
 def _gram(module: VermaLikeModule, nu: tuple) -> list[tuple]:
-    """The Gram matrix from the one a root below, memoised on the module.
+    """The Gram matrix from the one a root below, on ints, with row s scaled
+    by lam_den^|s|; memoised on the module.
 
     Entry (s, t) is the coefficient of v in e^s f^t v.  The e-word of s
     applies e_R first, R the last index with s_R > 0, so by contravariance
     G_nu(s, t) = sum_u c_u G_{nu - alpha_R}(s', u), where
-    e_R f^t v = sum_u c_u f^u v and s' is s with one fewer f_R.  Only the
-    matrices within one highest-root height below nu are kept: no weight
-    space at nu or above reads the ones further down.
+    e_R f^t v = sum_u c_u f^u v and s' is s with one fewer f_R.  With the
+    integer action lam_den c_u in place of c_u, each step scales the row by
+    one more lam_den.  Only the matrices within one highest-root height
+    below nu are kept: no weight space at nu or above reads the ones
+    further down.
     """
     grams = module._grams
     rows = grams.get(nu)
@@ -424,14 +458,13 @@ def _gram(module: VermaLikeModule, nu: tuple) -> list[tuple]:
     for s in labels:
         lead = max((i for i, k in enumerate(s) if k), default=None)
         if lead is None:
-            rows.append((Fraction(1),))  # the highest-weight vector
+            rows.append((1,))  # the highest-weight vector
             continue
         below = _gram(module, sub(nu, roots[lead]))
         row_below = below[position[s[:lead] + (s[lead] - 1,) + s[lead + 1:]]]
         if lead not in columns:
-            columns[lead] = [module.act_label(("e", lead), t) for t in labels]
-        rows.append(tuple(sum((c * row_below[position[u]] for u, c in col.items()),
-                              Fraction(0))
+            columns[lead] = [module.int_action(("e", lead), t) for t in labels]
+        rows.append(tuple(sum(c * row_below[position[u]] for u, c in col.items())
                           for col in columns[lead]))
     grams[nu] = rows
     floor = sum(nu) - max(module.heights)
@@ -482,6 +515,7 @@ class LeviInducedModule(HighestWeightModule):
                  depth: int, c: dict[int, Fraction] | None = None):
         _check_depth(depth)
         rs = alg.rs
+        check_subset(rs, I)
         self.alg = alg
         self.rs = rs
         self.I = I
@@ -621,6 +655,7 @@ def levi_hw_check(module: QuotientModule, I: SimpleSubset,
     lam minus the applied roots."""
     rs = module.rs
     alg = module.alg
+    check_subset(rs, I)
     vec: Vec = {tuple([0] * alg.npos): Fraction(1)}
     drop = [0] * rs.rank
     for j, k in s.items():

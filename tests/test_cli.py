@@ -163,6 +163,7 @@ def test_counts_below_one_are_refused(capsys, argv, message):
     ["character", "--weight", "1,0", "--parabolic", "5"],
     ["character", "--weight", "1,0", "--parabolic=-1"],
     ["phi-check", "--weight", "2,1/3", "--parabolic", "5", "--c", "-3"],
+    ["phi-check", "--weight", "2,1/3", "--parabolic=-1", "--c", "-3"],
 ])
 def test_simple_root_index_out_of_range(capsys, argv):
     status, _, err = run(capsys, *argv)

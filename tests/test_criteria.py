@@ -222,3 +222,16 @@ def test_depth_below_one_is_refused(alg_a2, depth):
         classify_sl3(alg_a2, Weight.of(-2, 3), 5, 0, check_depth=depth)
     with pytest.raises(ValueError, match="depth must be at least 1"):
         case3_additivity_check(alg_a2, Weight.of(0, 2), 0, depth)
+
+
+@pytest.mark.parametrize("index", [-1, 5])
+def test_subset_index_outside_the_rank_is_refused(rs_a2, index):
+    I = SimpleSubset.of(index)
+    lam = Weight.of(0, 1)
+    message = f"simple-root index {index} is not in 0..1 \\(rank 2\\)"
+    for check in (psi_plus, condition_star, condition_star_star,
+                  jantzen_irreducible, compute_A):
+        with pytest.raises(ValueError, match=message):
+            check(rs_a2, I, lam)
+    with pytest.raises(ValueError, match=message):
+        gvm_region_irreducible(rs_a2, I, lam, {0: -5, 1: -5})

@@ -145,3 +145,12 @@ def test_positive_root_count_mismatch_raises_runtime_error(monkeypatch):
     monkeypatch.setitem(rootsys._POSITIVE_COUNTS, "A", lambda n: 0)
     with pytest.raises(RuntimeError, match="closure produced 3 positive roots"):
         RootSystem("A", 2)
+
+
+@pytest.mark.parametrize("index", [-1, 5])
+def test_subset_index_outside_the_rank_is_refused(index):
+    rs = parse_type("A2")
+    message = f"simple-root index {index} is not in 0..1 \\(rank 2\\)"
+    for query in (root_subsystem, positive_subsystem, interior, is_totally_proper):
+        with pytest.raises(ValueError, match=message):
+            query(rs, SimpleSubset.of(0, index))

@@ -132,3 +132,27 @@ def test_element_json(alg_a2):
     records = element_to_json(x)
     assert all(set(r) == {"f", "h", "e", "coeff"} for r in records)
     assert sorted(r["coeff"] for r in records) == ["1", "1/3"]
+
+
+_ALL_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D4",
+              "F4", "G2"]
+
+
+@pytest.mark.parametrize("label", _ALL_TYPES)
+def test_normal_form_coefficients_are_ints(label):
+    """Kostant's Z-form: the Chevalley constants are integers, so every
+    normal form of a product of PBW monomials has int coefficients."""
+    alg = EnvelopingAlgebra(structure_constants(parse_type(label)))
+    gens = alg.sc.generators()
+    monos = ([alg.mono_one()] + [alg.mono_of_gen(g) for g in gens]
+             + [alg._prepend(g1, alg.mono_of_gen(g2))
+                for i, g1 in enumerate(gens) for g2 in gens[i:]])
+    rng = random.Random(31)
+    if label == "F4":
+        monos = rng.sample(monos, 300)
+    for g in gens:
+        for m in monos:
+            assert all(type(c) is int for c in alg.gen_mul_mono(g, m).values()), (g, m)
+    for _ in range(100):
+        m1, m2 = rng.choice(monos), rng.choice(monos)
+        assert all(type(c) is int for c in alg.mono_mul(m1, m2).values()), (m1, m2)

@@ -5,9 +5,9 @@ import pytest
 from vermakit.linalg import rank
 from vermakit.rootsys import (SimpleSubset, Weight, dot_reflect, pairing,
                               parse_type, positive_subsystem)
-from vermakit.weightmod import (Character, VermaLikeModule, character_to_json,
-                                kostant_partition, levi_gvm, levi_hw_check,
-                                module_to_json, parabolic_verma,
+from vermakit.weightmod import (Character, VermaLikeModule, _gram,
+                                character_to_json, kostant_partition, levi_gvm,
+                                levi_hw_check, module_to_json, parabolic_verma,
                                 shapovalov_gram, simple_dims,
                                 simple_dims_table, verma, weyl_dim)
 
@@ -263,3 +263,74 @@ def test_modules_refuse_depth_below_one(alg_a2, depth):
     for build in (parabolic_verma, levi_gvm):
         with pytest.raises(ValueError, match="depth must be at least 1"):
             build(alg_a2, SimpleSubset.of(0), lam, depth)
+
+
+_DENOMINATOR_WEIGHTS = {  # common denominator -> weight
+    1: (1, 2), 2: (Fraction(1, 2), -1), 3: (Fraction(2, 3), Fraction(1, 3)),
+    6: (Fraction(1, 2), Fraction(-1, 3)), 7: (Fraction(3, 7), Fraction(-2, 7))}
+
+
+def _rational_action(module, g, s):
+    """The action of g on f^s v over Fraction, each h-power acting by the
+    power of its lam coordinate: the reference for the integer action."""
+    zero_h, zero_e = (0,) * module.rs.rank, (0,) * module.alg.npos
+    out = {}
+    for (a, b, c), coeff in module.alg.gen_mul_mono(g, (s, zero_h, zero_e)).items():
+        if any(c) or module.label_height(a) > module.depth:
+            continue
+        scalar = Fraction(coeff)
+        for i, k in enumerate(b):
+            scalar *= module.lam.coords[i] ** k
+        out[a] = out.get(a, Fraction(0)) + scalar
+    return {a: x for a, x in out.items() if x}
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2"])
+def test_integer_action_and_gram_rows_are_scaled_rationals(request, label):
+    alg = request.getfixturevalue(f"alg_{label.lower()}")
+    gens = alg.sc.generators()
+    for den, coords in _DENOMINATOR_WEIGHTS.items():
+        module = verma(alg, Weight.of(*coords), 5)
+        assert module.lam_den == den
+        for g in gens:
+            for s in module.basis:
+                reference = _rational_action(module, g, s)
+                got = module.int_action(g, s)
+                assert all(type(x) is int for x in got.values())
+                assert got == {a: den * x for a, x in reference.items()}, (g, s)
+                action = module.act_label(g, s)
+                assert action == reference
+                assert all(type(x) is Fraction for x in action.values())
+        reference = verma(alg, module.lam, 5)
+        for nu, labels in sorted(module.labels_by_drop.items(),
+                                 key=lambda kv: sum(kv[0])):
+            rows = _gram(module, nu)
+            want = _gram_by_entries(reference, nu)
+            assert all(type(x) is int for row in rows for x in row)
+            assert [list(row) for row in rows] == [
+                [den ** sum(s) * x for x in row] for s, row in zip(labels, want)]
+            assert shapovalov_gram(module, nu) == want
+
+
+def test_integer_action_refuses_h_degree_above_one(alg_a2, monkeypatch):
+    module = verma(alg_a2, Weight.of(Fraction(1, 2), 1), 3)
+    zero = (0,) * alg_a2.npos
+    monkeypatch.setattr(alg_a2, "gen_mul_mono",
+                        lambda g, m: {(m[0], (2, 0), m[2]): 1})
+    with pytest.raises(RuntimeError, match="h-degree 2"):
+        module.int_action(("h", 0), zero)
+    with pytest.raises(RuntimeError, match="h-degree 2"):
+        module.act_label(("f", 0), zero)
+
+
+@pytest.mark.parametrize("index", [-1, 5])
+def test_subset_index_outside_the_rank_is_refused(alg_a2, index):
+    I = SimpleSubset.of(index)
+    message = f"simple-root index {index} is not in 0..1 \\(rank 2\\)"
+    with pytest.raises(ValueError, match=message):
+        parabolic_verma(alg_a2, I, Weight.of(0, 1), 3)
+    with pytest.raises(ValueError, match=message):
+        levi_gvm(alg_a2, I, Weight.of(0, 1), 3)
+    module = parabolic_verma(alg_a2, SimpleSubset.of(0), Weight.of(2, 1), 3)
+    with pytest.raises(ValueError, match=message):
+        levi_hw_check(module, I, {1: 1})
