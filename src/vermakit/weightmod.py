@@ -3,16 +3,22 @@
 Verma modules have basis f^s v with s running over positive-root exponent
 vectors; parabolic quotients are cut out by the singular vectors
 f_a^(lam(h_a)+1) v; Levi-induced modules carry extra central polynomial
-directions along the dual Cartan basis.  All actions are computed through
-the PBW rewriting engine and are exact, so weight-space dimensions of
-simple quotients come out of Gram-matrix ranks over Q.
+directions along the dual Cartan basis.  All actions are exact, so
+weight-space dimensions of simple quotients come out of Gram-matrix ranks
+over Q.
+
+Actions are computed in the module, by recursion on the leading f of a
+label, not through normal forms in U(g): e_R f_L f^r v = f_L e_R f^r v +
+[e_R, f_L] f^r v, h acts on a weight vector by a scalar, and the PBW
+rewriting engine is asked only for products of f's, which stay in U(n-).
+No term with an e or an h is ever formed.
 
 On the Verma path the arithmetic is on Python ints.  With lam = N/D over
-one common denominator D, each normal-form term of g f^s v carries at most
-one h, so D times the action of g on f^s v is an integer vector; row s of
-the Gram matrix, built from these by contravariance, is D^|s| times the
-rational row and has the same rank.  Fractions appear only at the public
-edges: ``act_label``, ``shapovalov_gram`` and the module vectors.
+one common denominator D, D times the action of g on f^s v is an integer
+vector; row s of the Gram matrix, built from these by contravariance, is
+D^|s| times the rational row and has the same rank.  Fractions appear only
+at the public edges: ``act_label``, ``shapovalov_gram`` and the module
+vectors.
 
 Depth semantics: a statement "within depth d" quantifies over weights
 lam - nu with the height of nu at most d.
@@ -21,6 +27,7 @@ lam - nu with the height of nu at most d.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -101,18 +108,13 @@ class HighestWeightModule:
             _vec_add(out, self.apply_word(self.alg.word(mono), vec), coeff)
         return _clean(out)
 
-    def label_weight(self, label) -> Weight:
-        return self.lam - self.rs.weight_of_root(self.label_drop(label))
-
     def label_drop(self, label):
         raise NotImplementedError
 
     def character(self) -> Character:
-        table: dict[Weight, int] = {}
-        for label in self.basis:
-            w = self.label_weight(label)
-            table[w] = table.get(w, 0) + 1
-        return Character.of(table)
+        counts = Counter(map(self.label_drop, self.basis))
+        return Character.of({self.lam - self.rs.weight_of_root(drop): n
+                             for drop, n in counts.items()})
 
 
 def _enum_f_labels(npos: int, idxs: list[int], heights: list[int],
@@ -170,7 +172,13 @@ class VermaLikeModule(HighestWeightModule):
         self.heights = [self.rs.root_height(r) for r in alg.sc.base_order]
         self.basis = _enum_f_labels(alg.npos, self.allowed, self.heights, depth)
         self.kind = "verma"
-        self._memo: dict[tuple, dict[tuple, int]] = {}
+        self._memo: dict[tuple, dict[tuple, int]] = {}  # (R, s) -> e_R f^s v
+        self._zero_h = (0,) * self.rs.rank
+        self._zero_e = (0,) * alg.npos
+        self._brackets: dict[tuple, dict] = {}  # [e_R, f_L], filled lazily
+        # <beta_k, alpha_i^v> for the k-th positive root and simple index i
+        self._coroot_pairing = [[int(x) for x in self.rs.weight_of_root(root).coords]
+                                for root in alg.sc.base_order]
         # weight spaces: sorted labels per drop, and each label's position
         self.labels_by_drop: dict[tuple, list[tuple]] = {}
         for s in sorted(self.basis):
@@ -209,37 +217,65 @@ class VermaLikeModule(HighestWeightModule):
         return {a: Fraction(x, den) for a, x in self.int_action(g, s).items()}
 
     def int_action(self, g, s: tuple) -> dict[tuple, int]:
-        """lam_den times ``act_label(g, s)``, memoised, as ints.
+        """lam_den times ``act_label(g, s)``, as ints; e actions are
+        memoised.
 
-        Each normal-form term of g f^s carries at most one h: commuting g
-        past f's never adds a Cartan or raising factor.  An h_i-term acts
-        on v by lam_i = lam_num[i] / lam_den, an h-free one by 1."""
-        cached = self._memo.get((g, s))
+        Computed in the module, not in U(g): h_i acts on f^s v by the
+        scalar lam_i - <drop(s), alpha_i^v>; f_R by the normal form of
+        f_R f^s, which lies in U(n-); and e_R by recursion on f^s = f_L f^r,
+        L the leading index:
+        e_R f^s v = f_L (e_R f^r v) + [e_R, f_L] f^r v.
+        No term with an e or an h is ever formed."""
+        kind, i = g
+        if kind == "h":  # a scalar: cheaper to recompute than to memoise
+            if not 0 <= i < self.rs.rank:
+                raise ValueError(f"{g} is not a generator: the Cartan index "
+                                 f"must be in 0..{self.rs.rank - 1}")
+            pairing = self._coroot_pairing
+            x = self.lam_num[i] - self.lam_den * sum(
+                n * pairing[k][i] for k, n in enumerate(s) if n)
+            return {s: x} if x and self.label_height(s) <= self.depth else {}
+        if kind not in ("e", "f"):
+            raise ValueError(f"{g} is not a generator: its kind must be "
+                             f"'e', 'f' or 'h'")
+        if i not in self._allowed_set:
+            raise ValueError(f"{g} is outside the allowed roots {self.allowed}")
+        if kind == "f":  # the rewriting engine memoises f f^s
+            return {a: self.lam_den * c for a, c in self._f_times(i, s).items()}
+        cached = self._memo.get((i, s))
         if cached is not None:
             return cached
-        if g[0] != "h" and g[1] not in self._allowed_set:
-            raise ValueError(f"{g} is outside the allowed roots {self.allowed}")
-        zero_h = (0,) * self.rs.rank
-        zero_e = (0,) * self.alg.npos
-        out: dict[tuple, int] = {}
-        for (a, b, c), coeff in self.alg.gen_mul_mono(g, (s, zero_h, zero_e)).items():
-            if any(c):
-                continue  # positive part kills the highest-weight generator
-            if self.label_height(a) > self.depth:
-                continue
-            h_degree = sum(b)
-            if h_degree == 0:
-                x = coeff * self.lam_den
-            elif h_degree == 1:
-                x = coeff * self.lam_num[b.index(1)]
-            else:
-                raise RuntimeError(f"normal form of {g} f^{s} v has a term of "
-                                   f"h-degree {h_degree}, {(a, b, c)}; at most 1 "
-                                   f"is possible")
-            if x:
-                out[a] = out.get(a, 0) + x
-        out = _clean(out)
-        self._memo[(g, s)] = out
+        out = {}
+        lead = max((k for k, n in enumerate(s) if n), default=None)
+        if lead is not None:  # else e kills the highest-weight vector
+            rest = s[:lead] + (s[lead] - 1,) + s[lead + 1:]
+            for u, x in self.int_action(g, rest).items():
+                for a, c in self._f_times(lead, u).items():
+                    out[a] = out.get(a, 0) + c * x
+            bracket = self._brackets.get((i, lead))
+            if bracket is None:
+                bracket = self._brackets[(i, lead)] = self.alg.sc.bracket(
+                    g, ("f", lead))
+            for gb, cb in bracket.items():
+                for a, x in self.int_action(gb, rest).items():
+                    out[a] = out.get(a, 0) + cb * x
+            out = _clean(out)
+        self._memo[(i, s)] = out
+        return out
+
+    def _f_times(self, i: int, s: tuple) -> dict[tuple, int]:
+        """f_i f^s v within the depth: the normal form of f_i f^s, whose
+        int coefficients do not depend on lam.  All its terms have the
+        height of s plus that of root i."""
+        if self.label_height(s) + self.heights[i] > self.depth:
+            return {}
+        out = {}
+        mono = (s, self._zero_h, self._zero_e)
+        for (a, b, c), coeff in self.alg.gen_mul_mono(("f", i), mono).items():
+            if b != self._zero_h or c != self._zero_e:
+                raise RuntimeError(f"normal form of f_{i} f^{s} has the term "
+                                   f"{(a, b, c)} outside U(n-)")
+            out[a] = coeff
         return out
 
 
@@ -264,11 +300,19 @@ class QuotientModule(HighestWeightModule):
             if not u:
                 continue
             ht = min(parent.label_height(s) for s in u)
+            # f^m u = f_L (f^m' u), L the leading index of m and m' = m less
+            # one f_L; the enumeration is lexicographic, so m' comes first
+            translates: dict[tuple, Vec] = {}
             for mono in _enum_f_labels(self.alg.npos, parent.allowed,
                                        parent.heights, parent.depth - ht):
-                word = self.alg.word((mono, (0,) * self.rs.rank,
-                                      (0,) * self.alg.npos))
-                vec = parent.apply_word(word, u)
+                lead = max((i for i, k in enumerate(mono) if k), default=None)
+                if lead is None:
+                    vec = u
+                else:
+                    below = translates[mono[:lead] + (mono[lead] - 1,)
+                                       + mono[lead + 1:]]
+                    vec = parent.act(("f", lead), below) if below else {}
+                translates[mono] = vec
                 if vec:
                     drop = parent.label_drop(next(iter(vec)))
                     by_drop.setdefault(drop, []).append(vec)
@@ -313,11 +357,15 @@ class QuotientModule(HighestWeightModule):
 
 
 def kostant_partition(rs: RootSystem, nu: tuple,
-                      roots: list[tuple] | None = None) -> int:
+                      roots: list[tuple] | None = None,
+                      memo: dict | None = None) -> int:
     """Number of ways to write nu as an N0-combination of the given
-    positive roots (all of them by default)."""
+    positive roots (all of them by default).
+
+    The memo's keys do not depend on nu: calls with the same roots may
+    share one dict."""
     roots = list(rs.positive_roots) if roots is None else list(roots)
-    memo: dict[tuple, int] = {}
+    memo = {} if memo is None else memo
 
     def rec(pos: int, rem: tuple) -> int:
         if all(x == 0 for x in rem):
@@ -409,13 +457,14 @@ def _induced_character_check(module: QuotientModule, I: SimpleSubset) -> None:
     levi_verma = VermaLikeModule(alg, module.lam, module.depth, levi_idx)
     levi_simple = simple_dims_table(levi_verma)
     got = module.character().as_dict()
+    memo: dict[tuple, int] = {}
     for drop in parent.labels_by_drop:
         expect = 0
         for nu2, dim in levi_simple.items():
             rem = tuple(a - b for a, b in zip(drop, nu2))
             if any(x < 0 for x in rem):
                 continue
-            expect += kostant_partition(rs, rem, outside_roots) * dim
+            expect += kostant_partition(rs, rem, outside_roots, memo) * dim
         w = module.lam - rs.weight_of_root(drop)
         if got.get(w, 0) != expect:
             raise RuntimeError(f"induced-basis count mismatch at drop {drop}: "

@@ -1,12 +1,14 @@
+import re
 from fractions import Fraction
 
 import pytest
 
-from vermakit.linalg import rank
+from vermakit.linalg import rank, rref
 from vermakit.rootsys import (SimpleSubset, Weight, dot_reflect, pairing,
                               parse_type, positive_subsystem)
-from vermakit.weightmod import (Character, VermaLikeModule, _gram,
-                                character_to_json, kostant_partition, levi_gvm,
+from vermakit.weightmod import (Character, QuotientModule, VermaLikeModule,
+                                _enum_f_labels, _gram, character_to_json,
+                                kostant_partition, levi_gvm,
                                 levi_hw_check, module_to_json, parabolic_verma,
                                 shapovalov_gram, simple_dims,
                                 simple_dims_table, verma, weyl_dim)
@@ -312,15 +314,127 @@ def test_integer_action_and_gram_rows_are_scaled_rationals(request, label):
             assert shapovalov_gram(module, nu) == want
 
 
-def test_integer_action_refuses_h_degree_above_one(alg_a2, monkeypatch):
+def test_f_action_refuses_terms_outside_u_n_minus(alg_a2, monkeypatch):
+    # the normal form of f f^s lies in U(n-): a term with an h- or an
+    # e-part means the rewriting is wrong, not that the term kills v
     module = verma(alg_a2, Weight.of(Fraction(1, 2), 1), 3)
     zero = (0,) * alg_a2.npos
-    monkeypatch.setattr(alg_a2, "gen_mul_mono",
-                        lambda g, m: {(m[0], (2, 0), m[2]): 1})
-    with pytest.raises(RuntimeError, match="h-degree 2"):
-        module.int_action(("h", 0), zero)
-    with pytest.raises(RuntimeError, match="h-degree 2"):
-        module.act_label(("f", 0), zero)
+    for h, e in [((1, 0), zero), ((0, 0), (0, 0, 1))]:
+        monkeypatch.setattr(alg_a2, "gen_mul_mono",
+                            lambda g, m, h=h, e=e: {(m[0], h, e): 1})
+        with pytest.raises(RuntimeError, match=r"outside U\(n-\)"):
+            module.int_action(("f", 1), zero)
+        with pytest.raises(RuntimeError, match=r"outside U\(n-\)"):
+            module.act_label(("f", 2), zero)
+
+
+@pytest.mark.parametrize("g", [("h", -1), ("h", 2), ("x", 0)])
+def test_integer_action_refuses_a_generator_it_does_not_have(alg_a2, g):
+    module = verma(alg_a2, Weight.of(Fraction(1, 2), 1), 3)
+    zero = (0,) * alg_a2.npos
+    for act in (module.int_action, module.act_label):
+        with pytest.raises(ValueError, match=re.escape(str(g))):
+            act(g, zero)
+        with pytest.raises(ValueError, match=re.escape(str(g))):
+            act(g, module.basis[-1])
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2"])
+def test_simple_dims_rewrites_only_f_generators(request, monkeypatch, label):
+    alg = request.getfixturevalue(f"alg_{label.lower()}")
+    seen = set()
+    original = alg.gen_mul_mono
+
+    def spy(g, m):
+        seen.add((g[0], any(m[1]) or any(m[2])))
+        return original(g, m)
+
+    monkeypatch.setattr(alg, "gen_mul_mono", spy)
+    simple_dims(alg, Weight.of(Fraction(1, 2), Fraction(-1, 3)), 8)
+    simple_dims(alg, Weight.of(1, 2), 8)
+    assert seen == {("f", False)}
+
+
+_LEVI_ACTION_CASES = [("A3", None, 4), ("A3", (0, 1), 5), ("G2", (1,), 6),
+                      ("G2", (0,), 6)]
+
+
+@pytest.mark.parametrize("label,levi,depth", _LEVI_ACTION_CASES)
+def test_integer_action_is_scaled_rational_on_a3_and_levi_modules(
+        request, label, levi, depth):
+    alg = request.getfixturevalue(f"alg_{label.lower()}")
+    rs = alg.rs
+    allowed = (None if levi is None else
+               [rs.root_index[r] for r in positive_subsystem(rs, SimpleSubset.of(*levi))])
+    for den, coords in _DENOMINATOR_WEIGHTS.items():
+        lam = Weight.of(*(coords + (1,) * (rs.rank - 2)))
+        module = VermaLikeModule(alg, lam, depth, allowed)
+        assert module.lam_den == den
+        gens = [g for g in alg.sc.generators()
+                if g[0] == "h" or g[1] in module.allowed]
+        for g in gens:
+            for s in module.basis:
+                reference = _rational_action(module, g, s)
+                assert module.int_action(g, s) == {a: den * x for a, x in
+                                                   reference.items()}, (g, s)
+
+
+def _reductions_by_words(parent, singular):
+    """Reference for QuotientModule._build_reductions: each translate
+    applies its whole f-word to the singular vector."""
+    alg = parent.alg
+    zero_h, zero_e = (0,) * parent.rs.rank, (0,) * alg.npos
+    by_drop = {}
+    for u in singular:
+        ht = min(parent.label_height(s) for s in u)
+        for mono in _enum_f_labels(alg.npos, parent.allowed, parent.heights,
+                                   parent.depth - ht):
+            vec = parent.apply_word(alg.word((mono, zero_h, zero_e)), u)
+            if vec:
+                by_drop.setdefault(parent.label_drop(next(iter(vec))), []).append(vec)
+    reduction, basis = {}, []
+    for drop, labels in sorted(parent.labels_by_drop.items()):
+        rows = [[vec.get(s, Fraction(0)) for s in labels]
+                for vec in by_drop.get(drop, [])]
+        reduced, pivots = rref(rows) if rows else ([], [])
+        reduction[drop] = (labels, reduced, pivots)
+        basis.extend(s for i, s in enumerate(labels) if i not in pivots)
+    return reduction, basis
+
+
+@pytest.mark.parametrize("label,levi,coords,depth", [
+    ("A2", (0,), (2, Fraction(1, 2)), 6), ("A3", (0, 2), (1, Fraction(1, 3), 2), 5),
+    ("B2", (1,), (Fraction(-1, 2), 2), 6), ("G2", (0,), (1, Fraction(2, 3)), 7),
+    ("A3", (0, 2), (1, 0, 7), 5)], ids=["A2", "A3", "B2", "G2", "A3-beyond"])
+def test_incremental_translates_match_whole_words(request, label, levi, coords, depth):
+    alg = request.getfixturevalue(f"alg_{label.lower()}")
+    rs = alg.rs
+    parent = VermaLikeModule(alg, Weight.of(*coords), depth)
+    singular, beyond = [], False
+    for i in levi:
+        idx = rs.root_index[rs.simple_root(i)]
+        power = int(coords[i]) + 1
+        mono = tuple(power if k == idx else 0 for k in range(alg.npos))
+        singular.append({mono: Fraction(1)})
+        beyond |= power * parent.heights[idx] > depth
+    # a non-monomial singular vector: the f-translate of one above
+    singular.append(parent.act(("f", alg.npos - 1), singular[0]))
+    if not beyond:  # every case reaches a singular vector past the depth
+        singular.append({(depth + 1,) + (0,) * (alg.npos - 1): Fraction(1)})
+    module = QuotientModule(parent, singular, "test")
+    reduction, basis = _reductions_by_words(parent, [u for u in singular if u])
+    assert module._reduction == reduction
+    assert module.basis == basis
+    assert len(basis) < len(parent.basis)
+
+
+def test_shared_kostant_memo_gives_the_same_counts(alg_g2):
+    rs = alg_g2.rs
+    roots = rs.positive_roots[1:]
+    memo = {}
+    for nu in [(a, b) for a in range(6) for b in range(6)]:
+        assert (kostant_partition(rs, nu, roots, memo)
+                == kostant_partition(rs, nu, roots)), nu
 
 
 @pytest.mark.parametrize("index", [-1, 5])
