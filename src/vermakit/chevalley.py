@@ -20,16 +20,14 @@ Gen = tuple  # ('e', pos_root_index) | ('f', pos_root_index) | ('h', simple_inde
 
 
 class StructureConstants:
-    """Integer Chevalley constants for one root system, plus bracket tables."""
+    """Integer Chevalley constants for one root system, plus a bracket memo."""
 
     def __init__(self, rs: RootSystem):
         self.rs = rs
         self.base_order = list(rs.positive_roots)  # height, then lex
         self._table: dict[tuple[Root, Root], int] = {}
         self._build()
-        # nonzero simple-coroot coefficients of each positive root's coroot,
-        # by base-order index, filled by bracket as it meets them
-        self._coroots: dict[int, list[tuple[int, int]]] = {}
+        self._brackets: dict[tuple, dict[Gen, int]] = {}  # filled by bracket
 
     # -- construction -------------------------------------------------------
 
@@ -146,7 +144,14 @@ class StructureConstants:
         return None
 
     def bracket(self, g1: Gen, g2: Gen) -> dict[Gen, int]:
-        """[g1, g2] as an integer combination of basis generators."""
+        """[g1, g2] as an integer combination of basis generators, memoised
+        per pair: callers must not mutate the returned dict."""
+        out = self._brackets.get((g1, g2))
+        if out is None:
+            out = self._brackets[(g1, g2)] = self._bracket(g1, g2)
+        return out
+
+    def _bracket(self, g1: Gen, g2: Gen) -> dict[Gen, int]:
         rs = self.rs
         k1, i1 = g1
         k2, i2 = g2
@@ -162,11 +167,8 @@ class StructureConstants:
         s = add(a, b)
         if not any(s):  # [e_a, f_a] = h_a (coroot); here i1 == i2
             sign = 1 if k1 == "e" else -1
-            coroot = self._coroots.get(i1)
-            if coroot is None:
-                coeffs = rs.coroot_coefficients(self.base_order[i1])
-                coroot = self._coroots[i1] = [(i, c) for i, c in enumerate(coeffs) if c]
-            return {("h", i): sign * c for i, c in coroot}
+            coeffs = rs.coroot_coefficients(self.base_order[i1])
+            return {("h", i): sign * c for i, c in enumerate(coeffs) if c}
         if not rs.is_root(s):
             return {}
         cval = self.c(a, b)

@@ -25,8 +25,9 @@ from .deform import weight_admissible
 # checks that a function imported into several modules is patched in each
 from .linalg import rank, span_coordinates  # noqa: F401
 from .rootsys import (Root, RootSystem, SimpleSubset, Weight, bad_primes,
-                      check_subset, dot_reflect, interior, is_singular, neg,
-                      pairing, positive_subsystem, root_subsystem)
+                      check_subset, check_weight, dot_reflect, interior,
+                      is_singular, neg, pairing, positive_subsystem,
+                      root_subsystem)
 from .uea import EnvelopingAlgebra, check_odd_prime
 from .weightmod import (_check_depth, _check_dominant_on, parabolic_verma,
                         simple_dims)
@@ -45,6 +46,7 @@ def psi_plus(rs: RootSystem, I: SimpleSubset, lam: Weight,
     """Positive roots outside the parabolic whose rho-shifted pairing with
     lam is a positive integer.  The optional positive roots restrict the
     search to a sub-root-system."""
+    check_weight(rs, lam)
     phi_pos = rs.positive_roots if phi_pos is None else phi_pos
     levi = root_subsystem(rs, I)
     rho = rs.rho()
@@ -58,6 +60,7 @@ def condition_star(rs: RootSystem, I: SimpleSubset, lam: Weight,
                    ) -> tuple[bool, dict[Root, Root]]:
     """Returns (holds, witness per offending root).  The optional positive
     roots restrict the search to a sub-root-system."""
+    check_weight(rs, lam)
     check_subset(rs, I)
     _check_dominant_on(rs, lam, I)
     phi_pos = rs.positive_roots if phi_pos is None else phi_pos
@@ -97,6 +100,7 @@ def jantzen_irreducible(rs: RootSystem, I: SimpleSubset, lam: Weight) -> str:
 def compute_A(rs: RootSystem, I: SimpleSubset, lam: Weight) -> int:
     """Minimal positive integer A with <lam+rho, a^v> - A never a positive
     integer, over all roots a of the parabolic subsystem."""
+    check_weight(rs, lam)
     rho = rs.rho()
     best = 1
     for alpha in root_subsystem(rs, I):
@@ -120,6 +124,7 @@ def gvm_region_irreducible(rs: RootSystem, I: SimpleSubset, lam: Weight,
     """Irreducibility of the interior generalised Verma module at
     lam - sum c_j a_j, certified by condition (*) inside the Levi
     subsystem.  Requires integer c_j <= -A."""
+    check_weight(rs, lam)
     check_subset(rs, I)
     _check_dominant_on(rs, lam, I)
     A = compute_A(rs, I, lam)
@@ -140,6 +145,8 @@ def gvm_region_irreducible(rs: RootSystem, I: SimpleSubset, lam: Weight,
 def reflection_step(rs: RootSystem, lam: Weight, i: int) -> tuple[Weight, dict]:
     """Dot reflection in a simple root, licensed only when the rho-shifted
     pairing is not a nonnegative integer."""
+    check_weight(rs, lam)
+    check_subset(rs, SimpleSubset.of(i))
     q = lam.coords[i] + 1
     if _in_n0(q):
         raise ValueError(
@@ -224,6 +231,7 @@ def classify_sl3(alg: EnvelopingAlgebra, lam: Weight, p: int, n: int,
     rs = alg.rs
     if (rs.type_label, rs.rank) != ("A", 2):
         raise ValueError("classifier is specific to the rank-2 type A system")
+    check_weight(rs, lam)
     _check_depth(check_depth)
     if lam.is_dominant_integral():
         raise ValueError("dominant integral weights are excluded "

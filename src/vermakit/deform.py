@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .rootsys import RootSystem, SimpleSubset, Weight
+from .rootsys import RootSystem, SimpleSubset, Weight, check_weight
 from .uea import UEAElement, check_odd_prime, vp
 from .weightmod import LeviInducedModule, Vec, _clean, _vec_add
 
@@ -47,6 +47,7 @@ class AdmissibilityReport:
 def weight_admissible(rs: RootSystem, lam: Weight, p: int, n: int
                       ) -> AdmissibilityReport:
     """Admissible iff v_p(lam(h_a)) >= -n for every simple root a."""
+    check_weight(rs, lam)
     check_odd_prime(p)
     if n < 0:
         raise ValueError("n must be nonnegative")

@@ -290,6 +290,8 @@ def pairing(rs: RootSystem, lam: Weight, alpha: Root) -> Fraction:
 
 def dot_reflect(rs: RootSystem, i: int, lam: Weight) -> Weight:
     """s_i . lam = lam - <lam + rho, a_i^v> a_i  (dot action of a simple reflection)."""
+    check_weight(rs, lam)
+    check_subset(rs, SimpleSubset.of(i))
     factor = lam.coords[i] + 1
     alpha_wt = rs.weight_of_root(rs.simple_root(i))
     return lam - alpha_wt.scale(factor)
@@ -312,6 +314,7 @@ def dot_orbit(rs: RootSystem, lam: Weight) -> set[Weight]:
 
 
 def is_singular(rs: RootSystem, lam: Weight) -> bool:
+    check_weight(rs, lam)
     shifted = lam + rs.rho()
     return any(pairing(rs, shifted, a) == 0 for a in rs.positive_roots)
 
@@ -330,6 +333,13 @@ def check_subset(rs: RootSystem, subset: SimpleSubset) -> None:
         if not 0 <= i < rs.rank:
             raise ValueError(f"simple-root index {i} is not in 0..{rs.rank - 1} "
                              f"(rank {rs.rank})")
+
+
+def check_weight(rs: RootSystem, lam: Weight) -> None:
+    """Raise ValueError unless lam has one coordinate per simple root of rs."""
+    if len(lam.coords) != rs.rank:
+        raise ValueError(f"weight ({lam}) needs {rs.rank} coordinates "
+                         f"(rank {rs.rank}), got {len(lam.coords)}")
 
 
 def root_subsystem(rs: RootSystem, subset: SimpleSubset) -> set[Root]:

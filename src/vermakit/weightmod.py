@@ -8,10 +8,10 @@ weight-space dimensions of simple quotients come out of Gram-matrix ranks
 over Q.
 
 Actions are computed in the module, by recursion on the leading f of a
-label, not through normal forms in U(g): e_R f_L f^r v = f_L e_R f^r v +
-[e_R, f_L] f^r v, h acts on a weight vector by a scalar, and the PBW
-rewriting engine is asked only for products of f's, which stay in U(n-).
-No term with an e or an h is ever formed.
+label, not through normal forms in U(g): g f_L r = f_L (g r) + [g, f_L] r
+is one step shared by all modules.  On the Verma path h acts by a scalar,
+and the PBW rewriting engine is asked only for products of f's, which stay
+in U(n-).  No term with an e or an h is ever formed.
 
 On the Verma path the arithmetic is on Python ints.  With lam = N/D over
 one common denominator D, D times the action of g on f^s v is an integer
@@ -30,11 +30,12 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .linalg import rank, reduce_against, rref
 from .rootsys import (RootSystem, SimpleSubset, Weight, add, check_subset,
-                      dual_h_basis, interior, neg, pairing, positive_subsystem,
-                      sub)
+                      check_weight, dual_h_basis, interior, neg, pairing,
+                      positive_subsystem, sub)
 from .uea import EnvelopingAlgebra, UEAElement
 
 Vec = dict  # basis label -> Fraction
@@ -74,6 +75,19 @@ def _vec_add(acc: Vec, vec: Vec, scale: Fraction) -> None:
         return
     for k, v in vec.items():
         acc[k] = acc.get(k, Fraction(0)) + scale * v
+
+
+def _commute_past_f(act, f_lead, bracket: dict, g, rest) -> dict:
+    """g f_L r = f_L (g r) + [g, f_L] r, with act(g, label) the module
+    action, f_lead(label) that of f_L and bracket = [g, f_L]."""
+    out = {}
+    for u, x in act(g, rest).items():
+        for a, c in f_lead(u).items():
+            out[a] = out.get(a, 0) + c * x
+    for gb, cb in bracket.items():
+        for a, x in act(gb, rest).items():
+            out[a] = out.get(a, 0) + cb * x
+    return _clean(out)
 
 
 class HighestWeightModule:
@@ -157,6 +171,7 @@ class VermaLikeModule(HighestWeightModule):
     def __init__(self, alg: EnvelopingAlgebra, lam: Weight, depth: int,
                  allowed: list[int] | None = None):
         _check_depth(depth)
+        check_weight(alg.rs, lam)
         self.alg = alg
         self.rs = alg.rs
         self.lam = lam
@@ -175,7 +190,6 @@ class VermaLikeModule(HighestWeightModule):
         self._memo: dict[tuple, dict[tuple, int]] = {}  # (R, s) -> e_R f^s v
         self._zero_h = (0,) * self.rs.rank
         self._zero_e = (0,) * alg.npos
-        self._brackets: dict[tuple, dict] = {}  # [e_R, f_L], filled lazily
         # <beta_k, alpha_i^v> for the k-th positive root and simple index i
         self._coroot_pairing = [[int(x) for x in self.rs.weight_of_root(root).coords]
                                 for root in alg.sc.base_order]
@@ -245,21 +259,11 @@ class VermaLikeModule(HighestWeightModule):
         cached = self._memo.get((i, s))
         if cached is not None:
             return cached
-        out = {}
         lead = max((k for k, n in enumerate(s) if n), default=None)
-        if lead is not None:  # else e kills the highest-weight vector
-            rest = s[:lead] + (s[lead] - 1,) + s[lead + 1:]
-            for u, x in self.int_action(g, rest).items():
-                for a, c in self._f_times(lead, u).items():
-                    out[a] = out.get(a, 0) + c * x
-            bracket = self._brackets.get((i, lead))
-            if bracket is None:
-                bracket = self._brackets[(i, lead)] = self.alg.sc.bracket(
-                    g, ("f", lead))
-            for gb, cb in bracket.items():
-                for a, x in self.int_action(gb, rest).items():
-                    out[a] = out.get(a, 0) + cb * x
-            out = _clean(out)
+        out = {} if lead is None else _commute_past_f(  # e kills v
+            self.int_action, partial(self._f_times, lead),
+            self.alg.sc.bracket(g, ("f", lead)), g,
+            s[:lead] + (s[lead] - 1,) + s[lead + 1:])
         self._memo[(i, s)] = out
         return out
 
@@ -364,7 +368,14 @@ def kostant_partition(rs: RootSystem, nu: tuple,
 
     The memo's keys do not depend on nu: calls with the same roots may
     share one dict."""
+    if len(nu) != rs.rank:
+        raise ValueError(f"nu {tuple(nu)} needs {rs.rank} coordinates "
+                         f"(rank {rs.rank}), got {len(nu)}")
     roots = list(rs.positive_roots) if roots is None else list(roots)
+    for root in roots:
+        if tuple(root) not in rs.root_index:
+            raise ValueError(f"{root} is not a positive root of {rs.type_label}"
+                             f"{rs.rank}")
     memo = {} if memo is None else memo
 
     def rec(pos: int, rem: tuple) -> int:
@@ -387,19 +398,17 @@ def kostant_partition(rs: RootSystem, nu: tuple,
     return rec(0, tuple(nu))
 
 
-def weyl_dim(rs: RootSystem, lam: Weight,
-             pos_roots: list[tuple] | None = None) -> int:
+def weyl_dim(rs: RootSystem, lam: Weight) -> int:
     """Finite-dimensional simple dimension by the product formula."""
+    check_weight(rs, lam)
     if not lam.is_dominant_integral():
         raise ValueError("weyl_dim needs a dominant integral weight")
-    roots = rs.positive_roots if pos_roots is None else pos_roots
     num = Fraction(1)
     rho = rs.rho()
-    for alpha in roots:
+    for alpha in rs.positive_roots:
         num *= pairing(rs, lam + rho, alpha) / pairing(rs, rho, alpha)
     if num.denominator != 1:
-        raise ValueError(f"Weyl product {num} is not an integer: the roots "
-                         f"given are not a positive system")
+        raise RuntimeError(f"Weyl product {num} at {lam} is not an integer")
     return int(num)
 
 
@@ -420,45 +429,46 @@ def _check_dominant_on(rs: RootSystem, lam: Weight, subset) -> None:
 
 
 def parabolic_verma(alg: EnvelopingAlgebra, I: SimpleSubset, lam: Weight,
-                    depth: int, allowed: list[int] | None = None,
-                    cross_check: bool = True) -> QuotientModule:
+                    depth: int) -> QuotientModule:
     """Quotient of the Verma module by the singular vectors
     f_a^(lam(h_a)+1) v for a in I, with a basis-count cross-check against
     the induced construction."""
     rs = alg.rs
+    check_weight(rs, lam)
     check_subset(rs, I)
     _check_dominant_on(rs, lam, I)
-    parent = VermaLikeModule(alg, lam, depth, allowed)
+    module = _parabolic_quotient(VermaLikeModule(alg, lam, depth), I)
+    _induced_character_check(module, I)
+    return module
+
+
+def _parabolic_quotient(parent: VermaLikeModule, I: SimpleSubset) -> QuotientModule:
+    """parent modulo the singular vectors f_a^(lam(h_a)+1) v, a in I, that
+    lie within its depth; lam must be dominant integral on I."""
+    rs, alg = parent.rs, parent.alg
     singular: list[Vec] = []
     for i in I:
         idx = rs.root_index[rs.simple_root(i)]
-        power = int(lam.coords[i]) + 1
-        if power * parent.heights[idx] <= depth:
+        power = int(parent.lam.coords[i]) + 1
+        if power * parent.heights[idx] <= parent.depth:
             label = tuple(power if k == idx else 0 for k in range(alg.npos))
             singular.append({label: Fraction(1)})
-    module = QuotientModule(parent, singular, kind=f"parabolic({sorted(I)})")
-    if cross_check:
-        _induced_character_check(module, I)
-    return module
+    return QuotientModule(parent, singular, kind=f"parabolic({sorted(I)})")
 
 
 def _induced_character_check(module: QuotientModule, I: SimpleSubset) -> None:
     """The quotient character must match the induced-basis count: Kostant
     partitions over the non-Levi positive roots convolved with the
     finite-dimensional Levi simple dimensions."""
-    alg = module.alg
     rs = module.rs
-    parent = module.parent
-    levi_idx = [i for i in parent.allowed
-                if all(alg.sc.base_order[i][j] == 0
-                       for j in range(rs.rank) if j not in I)]
-    outside_roots = [alg.sc.base_order[i] for i in parent.allowed
-                     if i not in set(levi_idx)]
-    levi_verma = VermaLikeModule(alg, module.lam, module.depth, levi_idx)
+    levi_roots = positive_subsystem(rs, I)
+    outside_roots = [r for r in rs.positive_roots if r not in levi_roots]
+    levi_verma = VermaLikeModule(module.alg, module.lam, module.depth,
+                                 [rs.root_index[r] for r in levi_roots])
     levi_simple = simple_dims_table(levi_verma)
     got = module.character().as_dict()
     memo: dict[tuple, int] = {}
-    for drop in parent.labels_by_drop:
+    for drop in module.parent.labels_by_drop:
         expect = 0
         for nu2, dim in levi_simple.items():
             rem = tuple(a - b for a, b in zip(drop, nu2))
@@ -535,10 +545,9 @@ def simple_dims_table(module: VermaLikeModule) -> dict[tuple, int]:
     return out
 
 
-def simple_dims(alg: EnvelopingAlgebra, lam: Weight, depth: int,
-                allowed: list[int] | None = None) -> Character:
+def simple_dims(alg: EnvelopingAlgebra, lam: Weight, depth: int) -> Character:
     """Character of the simple highest-weight module, truncated at depth."""
-    module = VermaLikeModule(alg, lam, depth, allowed)
+    module = VermaLikeModule(alg, lam, depth)
     rs = alg.rs
     return Character.of({lam - rs.weight_of_root(nu): d
                          for nu, d in simple_dims_table(module).items()})
@@ -564,6 +573,7 @@ class LeviInducedModule(HighestWeightModule):
                  depth: int, c: dict[int, Fraction] | None = None):
         _check_depth(depth)
         rs = alg.rs
+        check_weight(rs, lam)
         check_subset(rs, I)
         self.alg = alg
         self.rs = rs
@@ -588,8 +598,9 @@ class LeviInducedModule(HighestWeightModule):
 
         # V: finite-dimensional simple module of the interior
         v_depth = sum(int(pairing(rs, lam, r)) for r in io_roots)
-        self.V = parabolic_verma(alg, self.interior, lam, max(v_depth, 1),
-                                 allowed=self.io_idx, cross_check=False)
+        self.V = _parabolic_quotient(
+            VermaLikeModule(alg, lam, max(v_depth, 1), self.io_idx),
+            self.interior)
         heights = [rs.root_height(r) for r in alg.sc.base_order]
         self.heights = heights
         n_out = len(self.outside)
@@ -625,11 +636,21 @@ class LeviInducedModule(HighestWeightModule):
 
     def act_label(self, g, label) -> Vec:
         cached = self._memo.get((g, label))
-        if cached is not None:
-            return cached
-        out = self._act_label(g, label)
-        self._memo[(g, label)] = out
-        return out
+        if cached is None:
+            self._check_generator(g)
+            cached = self._memo[(g, label)] = self._act_label(g, label)
+        return cached
+
+    def _check_generator(self, g) -> None:
+        kind, i = g
+        ok = (0 <= i < self.alg.npos if kind in ("e", "f") else
+              0 <= i < self.rs.rank if kind == "h" else
+              kind == "hd" and i in self.outside)
+        if not ok:
+            raise ValueError(
+                f"{g} is not a generator: e and f take a positive-root index "
+                f"in 0..{self.alg.npos - 1}, h a simple index in "
+                f"0..{self.rs.rank - 1} and hd one outside I, in {self.outside}")
 
     def _act_label(self, g, label) -> Vec:
         s, t, b = label
@@ -638,15 +659,11 @@ class LeviInducedModule(HighestWeightModule):
         if lead is not None:
             if kind == "f" and g[1] in self.free_idx and g[1] >= lead:
                 return self._prepend_f(g[1], label)
-            # g (f_lead rest) = f_lead (g rest) + [g, f_lead] rest
             rest = (s[:lead] + (s[lead] - 1,) + s[lead + 1:], t, b)
-            out: Vec = {}
-            for lab, co in self.act_label(g, rest).items():
-                _vec_add(out, self.act_label(("f", lead), lab), co)
-            if kind in ("e", "f", "h"):
-                for gb, cb in self.alg.sc.bracket(g, ("f", lead)).items():
-                    _vec_add(out, self.act_label(gb, rest), Fraction(cb))
-            return _clean(out)
+            # [h^a, f_lead] = 0: a is outside I and f_lead is in the Levi
+            bracket = {} if kind == "hd" else self.alg.sc.bracket(g, ("f", lead))
+            return _commute_past_f(self.act_label, partial(self.act_label, ("f", lead)),
+                                   bracket, g, rest)
         # no free f-part left
         if kind == "hd":
             j = g[1]

@@ -1,12 +1,16 @@
 import hashlib
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from vermakit.chevalley import (ad_matrix, constants_to_json,
                                 structure_constants, verify_chevalley)
-from vermakit.rootsys import add, neg, parse_type
+from vermakit.deform import phi_c_homomorphism_check
+from vermakit.rootsys import SimpleSubset, Weight, add, neg, parse_type
+from vermakit.uea import EnvelopingAlgebra
+from vermakit.weightmod import levi_gvm, simple_dims
 
 
 @pytest.fixture(scope="module")
@@ -121,3 +125,24 @@ def test_json_export_round_trips(sc_a2):
     assert len(records) == len(dict(sc_a2.pairs()))
     for rec in records:
         assert sc_a2.c(tuple(rec["alpha"]), tuple(rec["beta"])) == rec["value"]
+
+
+@pytest.mark.parametrize("label", sorted(CONSTANT_DIGESTS))
+def test_memoised_brackets_match_a_fresh_computation(label):
+    # the Verma, Chevalley and Levi layers all read one bracket memo; a
+    # caller that mutated a returned dict would leave a wrong entry behind
+    sc = structure_constants(parse_type(label))
+    rs, alg = sc.rs, EnvelopingAlgebra(sc)
+    lam = Weight.of(1, *[Fraction(1, 2)] * (rs.rank - 1))
+    simple_dims(alg, lam, 3)
+    assert verify_chevalley(sc)["all_pass"]
+    source = levi_gvm(alg, SimpleSubset.of(0), lam, 2)
+    c = {j: Fraction(-2) for j in source.outside}
+    vec = {lab: Fraction(1) for lab in source.basis if not any(lab[1])}
+    idx = rs.root_index[rs.simple_root(0)]
+    for g in (("e", idx), ("f", idx), ("h", 0)):
+        assert phi_c_homomorphism_check(source, alg.gen(*g), vec, c)
+    fresh = structure_constants(rs)
+    assert len(sc._brackets) >= len(sc.generators()) ** 2
+    for (g1, g2), value in sc._brackets.items():
+        assert value == fresh.bracket(g1, g2), (g1, g2)

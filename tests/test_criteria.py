@@ -235,3 +235,24 @@ def test_subset_index_outside_the_rank_is_refused(rs_a2, index):
             check(rs_a2, I, lam)
     with pytest.raises(ValueError, match=message):
         gvm_region_irreducible(rs_a2, I, lam, {0: -5, 1: -5})
+
+
+@pytest.mark.parametrize("query", [
+    psi_plus, condition_star, condition_star_star, jantzen_irreducible,
+    compute_A, lambda rs, I, lam: gvm_region_irreducible(rs, I, lam, {1: -9}),
+    lambda rs, I, lam: reflection_step(rs, lam, 0)],
+    ids=["psi_plus", "condition_star", "condition_star_star",
+         "jantzen_irreducible", "compute_A", "gvm_region_irreducible",
+         "reflection_step"])
+@pytest.mark.parametrize("coords", [(Fraction(1, 2),), (-2, 0, 2)])
+def test_weight_of_the_wrong_rank_is_refused(rs_a2, query, coords):
+    # a short weight used to pass (*) with an empty certificate
+    message = rf"needs 2 coordinates \(rank 2\), got {len(coords)}"
+    with pytest.raises(ValueError, match=message):
+        query(rs_a2, SimpleSubset.of(0), Weight.of(*coords))
+
+
+@pytest.mark.parametrize("coords", [(Fraction(1, 2),), (-2, 0, 2)])
+def test_classifier_refuses_a_weight_of_the_wrong_rank(alg_a2, coords):
+    with pytest.raises(ValueError, match=r"needs 2 coordinates \(rank 2\)"):
+        classify_sl3(alg_a2, Weight.of(*coords), 5, 0)

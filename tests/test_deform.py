@@ -158,3 +158,9 @@ def test_every_prime_entry_point_rejects_non_odd_primes(p):
     for call in calls:
         with pytest.raises(ValueError, match="p must be an odd prime"):
             call()
+
+
+@pytest.mark.parametrize("coords", [(Fraction(1, 5),), (1, 0, 2)])
+def test_admissibility_refuses_a_weight_of_the_wrong_rank(coords):
+    with pytest.raises(ValueError, match=r"needs 2 coordinates \(rank 2\)"):
+        weight_admissible(parse_type("A2"), Weight.of(*coords), 5, 0)

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from vermakit.rootsys import (RootSystem, SimpleSubset, Weight, bad_primes,
-                              classify_weight, dot_orbit, dot_reflect,
+                              check_weight, classify_weight, dot_orbit,
+                              dot_reflect,
                               dual_h_basis, interior, is_singular,
                               is_totally_proper, pairing, parse_type,
                               parse_weight, positive_subsystem,
@@ -154,3 +155,21 @@ def test_subset_index_outside_the_rank_is_refused(index):
     for query in (root_subsystem, positive_subsystem, interior, is_totally_proper):
         with pytest.raises(ValueError, match=message):
             query(rs, SimpleSubset.of(0, index))
+
+
+@pytest.mark.parametrize("query", [
+    check_weight, is_singular, classify_weight, dot_orbit,
+    lambda rs, lam: dot_reflect(rs, 0, lam)],
+    ids=["check_weight", "is_singular", "classify_weight", "dot_orbit",
+         "dot_reflect"])
+@pytest.mark.parametrize("coords", [(Fraction(1, 2),), (1, 0, 2)])
+def test_weight_of_the_wrong_rank_is_refused(query, coords):
+    message = rf"needs 2 coordinates \(rank 2\), got {len(coords)}"
+    with pytest.raises(ValueError, match=message):
+        query(parse_type("A2"), Weight.of(*coords))
+
+
+@pytest.mark.parametrize("index", [-1, 2])
+def test_dot_reflection_index_outside_the_rank_is_refused(index):
+    with pytest.raises(ValueError, match=f"simple-root index {index} is not"):
+        dot_reflect(parse_type("A2"), index, Weight.of(1, 0))

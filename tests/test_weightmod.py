@@ -1,4 +1,5 @@
 import re
+import signal
 from fractions import Fraction
 
 import pytest
@@ -6,9 +7,9 @@ import pytest
 from vermakit.linalg import rank, rref
 from vermakit.rootsys import (SimpleSubset, Weight, dot_reflect, pairing,
                               parse_type, positive_subsystem)
-from vermakit.weightmod import (Character, QuotientModule, VermaLikeModule,
-                                _enum_f_labels, _gram, character_to_json,
-                                kostant_partition, levi_gvm,
+from vermakit.weightmod import (Character, LeviInducedModule, QuotientModule,
+                                VermaLikeModule, _enum_f_labels, _gram,
+                                character_to_json, kostant_partition, levi_gvm,
                                 levi_hw_check, module_to_json, parabolic_verma,
                                 shapovalov_gram, simple_dims,
                                 simple_dims_table, verma, weyl_dim)
@@ -448,3 +449,81 @@ def test_subset_index_outside_the_rank_is_refused(alg_a2, index):
     module = parabolic_verma(alg_a2, SimpleSubset.of(0), Weight.of(2, 1), 3)
     with pytest.raises(ValueError, match=message):
         levi_hw_check(module, I, {1: 1})
+
+
+def _alarm(signum, frame):
+    raise TimeoutError("no answer within the deadline")
+
+
+@pytest.mark.parametrize("nu,roots,bad", [
+    ((1,), None, r"nu \(1,\) needs 2 coordinates \(rank 2\), got 1"),
+    ((1, 1, 5), None, r"needs 2 coordinates \(rank 2\), got 3"),
+    ((1, 1), [(1, 0), (0, 0)], r"\(0, 0\) is not a positive root of A2"),
+    ((1, 1), [(1, 0), (-1, 0)], r"\(-1, 0\) is not a positive root of A2"),
+    ((1, 1), [(1, 0), (1, 1, 0)], r"\(1, 1, 0\) is not a positive root")],
+    ids=["short-nu", "long-nu", "zero-root", "negative-root", "long-root"])
+def test_kostant_partition_refuses_malformed_input(alg_a2, nu, roots, bad):
+    # these used to loop forever or, for the long nu, to answer 2; the alarm
+    # turns a hang into a failure
+    previous = signal.signal(signal.SIGALRM, _alarm)
+    signal.alarm(3)
+    try:
+        with pytest.raises(ValueError, match=bad):
+            kostant_partition(alg_a2.rs, nu, roots)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("build", [
+    verma, simple_dims, VermaLikeModule,
+    lambda alg, lam, depth: parabolic_verma(alg, SimpleSubset.of(0), lam, depth),
+    lambda alg, lam, depth: levi_gvm(alg, SimpleSubset.of(0), lam, depth),
+    lambda alg, lam, depth: weyl_dim(alg.rs, lam)],
+    ids=["verma", "simple_dims", "VermaLikeModule", "parabolic_verma",
+         "levi_gvm", "weyl_dim"])
+@pytest.mark.parametrize("coords", [(1,), (1, 0, 2)])
+def test_weight_of_the_wrong_rank_is_refused(alg_a2, build, coords):
+    # weyl_dim used to answer 0 and 8 here, verma to build a wrong character
+    message = rf"needs 2 coordinates \(rank 2\), got {len(coords)}"
+    with pytest.raises(ValueError, match=message):
+        build(alg_a2, Weight.of(*coords), 3)
+
+
+@pytest.mark.parametrize("c", [None, {1: Fraction(-2)}], ids=["free", "scalar"])
+@pytest.mark.parametrize("g", [("e", 99), ("f", -1), ("h", -1), ("h", 5),
+                               ("hd", 0), ("hd", 2), ("x", 0)])
+def test_levi_module_refuses_a_generator_it_does_not_have(alg_a2, g, c):
+    module = LeviInducedModule(alg_a2, SimpleSubset.of(0),
+                               Weight.of(3, Fraction(1, 2)), 3, c)
+    top = max(module.basis, key=module._label_height)
+    for label in (module.hw_label(), top):
+        with pytest.raises(ValueError, match=re.escape(f"{g} is not a generator")):
+            module.act_label(g, label)
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2"])
+def test_integer_action_is_scaled_rational_for_drawn_weights(request, tmp_path,
+                                                            label):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    alg = request.getfixturevalue(f"alg_{label.lower()}")
+    coordinate = st.fractions(min_value=-4, max_value=4, max_denominator=9)
+
+    @hypothesis.settings(max_examples=25, deadline=None, database=None)
+    @hypothesis.given(st.tuples(coordinate, coordinate))
+    def check(coords):
+        module = verma(alg, Weight.of(*coords), 4)
+        for g in alg.sc.generators():
+            for s in module.basis:
+                assert module.int_action(g, s) == {
+                    a: module.lam_den * x
+                    for a, x in _rational_action(module, g, s).items()}, (g, s)
+
+    # hypothesis caches what it reads from the source under its home
+    # directory even without an example database: keep that out of the tree
+    hypothesis.configuration.set_hypothesis_home_dir(tmp_path)
+    try:
+        check()
+    finally:
+        hypothesis.configuration.set_hypothesis_home_dir(None)
