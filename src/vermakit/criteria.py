@@ -17,16 +17,15 @@ attach a finite-depth character-additivity certificate there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .deform import weight_admissible
 # rank is unused here but stays bound: the benchmark's tracer self-test
 # checks that a function imported into several modules is patched in each
 from .linalg import rank, span_coordinates  # noqa: F401
-from .rootsys import (Root, RootSystem, SimpleSubset, Weight, bad_primes,
-                      check_subset, check_weight, dot_reflect, interior,
-                      is_singular, neg, pairing, positive_subsystem,
+from .rootsys import (Record, Root, RootSystem, SimpleSubset, Weight,
+                      bad_primes, check_subset, check_weight, dot_reflect,
+                      interior, is_singular, neg, pairing, positive_subsystem,
                       root_subsystem)
 from .uea import EnvelopingAlgebra, check_odd_prime
 from .weightmod import (_check_depth, _check_dominant_on, parabolic_verma,
@@ -162,13 +161,14 @@ def reflection_step(rs: RootSystem, lam: Weight, i: int) -> tuple[Weight, dict]:
 # -- the sl3 classifier --------------------------------------------------------
 
 
-@dataclass
-class CaseReport:
-    input: dict
-    case: str
-    certificates: list = field(default_factory=list)
-    chain: list = field(default_factory=list)  # list of Weights
-    checks: dict = field(default_factory=dict)
+class CaseReport(Record):
+    def __init__(self, input: dict, case: str, certificates: list | None = None,
+                 chain: list | None = None, checks: dict | None = None):
+        self.input = input
+        self.case = case
+        self.certificates = [] if certificates is None else certificates
+        self.chain = [] if chain is None else chain  # list of Weights
+        self.checks = {} if checks is None else checks
 
     def to_json(self) -> dict:
         return {

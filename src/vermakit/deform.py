@@ -15,23 +15,20 @@ distinct points is identically zero, by exact interpolation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .rootsys import RootSystem, SimpleSubset, Weight, check_weight
+from .rootsys import RootSystem, SimpleSubset, Value, Weight, check_weight
 from .uea import UEAElement, check_odd_prime, vp
 from .weightmod import LeviInducedModule, Vec, _clean, _vec_add
 
 
-@dataclass(frozen=True)
-class AdmissibilityReport:
+class AdmissibilityReport(Value):
     """Valuations of a weight on the Cartan generators, against a bound."""
 
-    weight: Weight
-    p: int
-    n: int
-    per_generator: tuple
-    admissible: bool
+    def __init__(self, weight: Weight, p: int, n: int, per_generator: tuple,
+                 admissible: bool):
+        self.__dict__.update(weight=weight, p=p, n=n,
+                             per_generator=per_generator, admissible=admissible)
 
     def to_json(self) -> dict:
         return {

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 # rank is unused here but stays bound: the benchmark's tracer self-test
@@ -70,11 +68,39 @@ def cartan_matrix(type_label: str, rank_: int) -> list[list[int]]:
     return a
 
 
-@dataclass(frozen=True)
-class Weight:
+class Record:
+    """Named fields, set in ``__init__`` in a fixed order; equality and
+    ``repr`` read them in that order, as a dataclass's do."""
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.__dict__ == other.__dict__
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={v!r}" for k, v in self.__dict__.items())
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Value(Record):
+    """An immutable Record, hashed by its field tuple as a frozen dataclass
+    is.  ``__init__`` fills ``__dict__``; assignment raises AttributeError."""
+
+    def __hash__(self):
+        return hash(tuple(self.__dict__.values()))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Weight(Value):
     """A weight in fundamental-weight coordinates (values on simple coroots)."""
 
-    coords: tuple[Fraction, ...]
+    def __init__(self, coords: tuple[Fraction, ...]):
+        self.__dict__["coords"] = coords
 
     @staticmethod
     def of(*values) -> "Weight":
@@ -103,11 +129,11 @@ class Weight:
         return ",".join(str(c) for c in self.coords)
 
 
-@dataclass(frozen=True)
-class SimpleSubset:
+class SimpleSubset(Value):
     """A subset of the simple roots, by index."""
 
-    members: frozenset[int]
+    def __init__(self, members: frozenset[int]):
+        self.__dict__["members"] = members
 
     @staticmethod
     def of(*indices: int) -> "SimpleSubset":
@@ -284,6 +310,7 @@ def parse_weight(rs: RootSystem, text: str) -> Weight:
 
 def pairing(rs: RootSystem, lam: Weight, alpha: Root) -> Fraction:
     """<lam, alpha^v> for any root alpha."""
+    check_weight(rs, lam)
     coeffs = rs.coroot_coefficients(alpha)
     return sum((c * x for c, x in zip(coeffs, lam.coords)), Fraction(0))
 
@@ -415,15 +442,13 @@ def _simple_system_of(rs: RootSystem, subsystem: frozenset[Root]) -> list[Root]:
     return sorted(simple, key=lambda r: (sum(r), r))
 
 
-def enumerate_closed_subsystems(
-    rs: RootSystem, rng: random.Random | None = None
-) -> list[dict]:
+def enumerate_closed_subsystems(rs: RootSystem, rng=None) -> list[dict]:
     """All nonempty subsystems ZS n Phi, with a simple system and Cartan det each.
 
     Every such subsystem arises from a linearly independent set of positive
     roots, so only those are enumerated.  The result is sorted canonically and
-    does not depend on enumeration order (the optional rng only shuffles the
-    candidate order, for order-independence checks).
+    does not depend on enumeration order (the optional rng, a random.Random,
+    only shuffles the candidate order, for order-independence checks).
     """
     candidates = list(rs.positive_roots)
     if rng is not None:
@@ -453,7 +478,7 @@ def enumerate_closed_subsystems(
     return out
 
 
-def bad_primes(rs: RootSystem, rng: random.Random | None = None) -> set[int]:
+def bad_primes(rs: RootSystem, rng=None) -> set[int]:
     """Primes dividing the Cartan determinant of some closed root subsystem."""
     primes: set[int] = set()
     for rec in enumerate_closed_subsystems(rs, rng=rng):

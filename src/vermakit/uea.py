@@ -21,11 +21,10 @@ the structure-constant table it is an anti-automorphism.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .chevalley import Gen, StructureConstants
-from .rootsys import Root, Weight, sub
+from .rootsys import Root, Value, Weight, sub
 
 # monomial: (f_exponents over pos roots, h_exponents over simple, e_exponents)
 Monomial = tuple[tuple, tuple, tuple]
@@ -53,20 +52,16 @@ def vp(x: Fraction, p: int) -> int | float:
     return v
 
 
-@dataclass(frozen=True)
-class DeformationContext:
+class DeformationContext(Value):
     """Odd prime p, deformation parameter n, and a degree truncation bound."""
 
-    p: int
-    n: int
-    depth: int
-
-    def __post_init__(self):
-        check_odd_prime(self.p)
-        if self.n < 0:
+    def __init__(self, p: int, n: int, depth: int):
+        check_odd_prime(p)
+        if n < 0:
             raise ValueError("n must be nonnegative")
-        if self.depth < 1:
+        if depth < 1:
             raise ValueError("depth must be at least 1")
+        self.__dict__.update(p=p, n=n, depth=depth)
 
 
 class EnvelopingAlgebra:

@@ -28,24 +28,23 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
 from .linalg import rank, reduce_against, rref
-from .rootsys import (RootSystem, SimpleSubset, Weight, add, check_subset,
-                      check_weight, dual_h_basis, interior, neg, pairing,
-                      positive_subsystem, sub)
+from .rootsys import (RootSystem, SimpleSubset, Value, Weight, add,
+                      check_subset, check_weight, dual_h_basis, interior, neg,
+                      pairing, positive_subsystem, sub)
 from .uea import EnvelopingAlgebra, UEAElement
 
 Vec = dict  # basis label -> Fraction
 
 
-@dataclass(frozen=True)
-class Character:
+class Character(Value):
     """Weight-space dimension table of a truncated module."""
 
-    dims: tuple  # sorted tuple of (Weight, int) pairs
+    def __init__(self, dims: tuple):  # sorted tuple of (Weight, int) pairs
+        self.__dict__["dims"] = dims
 
     @staticmethod
     def of(table: dict[Weight, int]) -> "Character":
@@ -643,14 +642,15 @@ class LeviInducedModule(HighestWeightModule):
 
     def _check_generator(self, g) -> None:
         kind, i = g
-        ok = (0 <= i < self.alg.npos if kind in ("e", "f") else
+        ok = (i in self.levi_idx if kind in ("e", "f") else
               0 <= i < self.rs.rank if kind == "h" else
               kind == "hd" and i in self.outside)
         if not ok:
             raise ValueError(
-                f"{g} is not a generator: e and f take a positive-root index "
-                f"in 0..{self.alg.npos - 1}, h a simple index in "
-                f"0..{self.rs.rank - 1} and hd one outside I, in {self.outside}")
+                f"{g} is not a generator: e and f take the index of a positive "
+                f"root of the Levi subalgebra, in {self.levi_idx}, h a simple "
+                f"index in 0..{self.rs.rank - 1} and hd one outside I, "
+                f"in {self.outside}")
 
     def _act_label(self, g, label) -> Vec:
         s, t, b = label
@@ -696,9 +696,7 @@ class LeviInducedModule(HighestWeightModule):
             return out
         if kind == "e":
             return {}  # raises out of the induced vacuum
-        if idx in self.free_idx:
-            return self._prepend_f(idx, label)
-        raise ValueError(f"generator {g} is not in the Levi subalgebra")
+        return self._prepend_f(idx, label)  # idx is a free Levi root
 
     def _prepend_f(self, idx: int, label) -> Vec:
         s, t, b = label

@@ -9,6 +9,7 @@ import random
 from fractions import Fraction
 
 from vermakit.chevalley import structure_constants, verify_chevalley
+from vermakit.cli import _random_element
 from vermakit.criteria import (case3_additivity_check, classify_sl3,
                                compute_A, condition_star, condition_star_star,
                                gvm_region_irreducible, verify_case_report)
@@ -23,17 +24,6 @@ from vermakit.uea import (DeformationContext, exp_truncated,
 from vermakit.weightmod import (VermaLikeModule, kostant_partition, levi_gvm,
                                 simple_dims, simple_dims_table, verma,
                                 weyl_dim)
-
-
-def _random_element(alg, rng, max_deg):
-    gens = alg.sc.generators()
-    out = alg.zero()
-    for _ in range(2):
-        t = alg.one()
-        for _ in range(rng.randint(0, max_deg)):
-            t = multiply(t, alg.gen(*rng.choice(gens)))
-        out = out + t.scale(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
-    return out
 
 
 def test_criterion_01_chevalley_relations_and_transpose_symmetry():

@@ -2,11 +2,16 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from vermakit.cli import main
+from vermakit.chevalley import structure_constants
+from vermakit.cli import MAX_BASIS_LABELS, _verma_labels, main
+from vermakit.rootsys import Weight, parse_type
+from vermakit.uea import EnvelopingAlgebra
+from vermakit.weightmod import verma
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -157,6 +162,45 @@ def test_counts_below_one_are_refused(capsys, argv, message):
     assert status == 3
     assert message in err
     assert out == ""
+
+
+def test_character_refuses_a_basis_over_budget_before_any_work():
+    # this request used to run without bound
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "vermakit.cli", "character", "--type", "A2",
+         "--weight", "1/2,1/3", "--depth", "100000"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    size = _verma_labels(parse_type("A2"), 100000, MAX_BASIS_LABELS)
+    assert size > MAX_BASIS_LABELS
+    assert (f"at least {size} basis labels, over the budget of "
+            f"{MAX_BASIS_LABELS}") in proc.stderr
+
+
+@pytest.mark.parametrize("label,depth", [("A1", 7), ("A2", 9), ("A3", 6),
+                                         ("B2", 8), ("G2", 9), ("F4", 4)])
+def test_verma_label_count_is_the_basis_size(label, depth):
+    rs = parse_type(label)
+    alg = EnvelopingAlgebra(structure_constants(rs))
+    size = len(verma(alg, Weight.of(*[Fraction(1, 2)] * rs.rank), depth).basis)
+    assert _verma_labels(rs, depth, size) == size
+    assert _verma_labels(rs, depth, size - 1) > size - 1
+
+
+def test_character_budget_edge(capsys):
+    # the deepest A2 truncation within the budget runs; one height more exits 3
+    rs = parse_type("A2")
+    depth = max(d for d in range(200)
+                if _verma_labels(rs, d, MAX_BASIS_LABELS) <= MAX_BASIS_LABELS)
+    argv = ["character", "--weight", "1/2,1/3", "--json"]
+    status, out, _ = run(capsys, *argv, "--depth", str(depth))
+    assert status == 0
+    assert sum(e["dim"] for e in json.loads(out)["character"]) == \
+        _verma_labels(rs, depth, MAX_BASIS_LABELS)
+    status, out, err = run(capsys, *argv, "--depth", str(depth + 1))
+    assert status == 3 and out == "" and "over the budget" in err
 
 
 @pytest.mark.parametrize("argv", [

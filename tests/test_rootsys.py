@@ -159,9 +159,10 @@ def test_subset_index_outside_the_rank_is_refused(index):
 
 @pytest.mark.parametrize("query", [
     check_weight, is_singular, classify_weight, dot_orbit,
-    lambda rs, lam: dot_reflect(rs, 0, lam)],
+    lambda rs, lam: dot_reflect(rs, 0, lam),
+    lambda rs, lam: pairing(rs, lam, (1, 1))],
     ids=["check_weight", "is_singular", "classify_weight", "dot_orbit",
-         "dot_reflect"])
+         "dot_reflect", "pairing"])
 @pytest.mark.parametrize("coords", [(Fraction(1, 2),), (1, 0, 2)])
 def test_weight_of_the_wrong_rank_is_refused(query, coords):
     message = rf"needs 2 coordinates \(rank 2\), got {len(coords)}"

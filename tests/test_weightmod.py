@@ -502,6 +502,24 @@ def test_levi_module_refuses_a_generator_it_does_not_have(alg_a2, g, c):
             module.act_label(g, label)
 
 
+@pytest.mark.parametrize("type_label,I,coords", [
+    ("A2", (0,), (1, Fraction(1, 2))),
+    ("A3", (0, 1), (2, 0, Fraction(1, 3))),
+    ("G2", (1,), (Fraction(1, 2), 1))], ids=["A2", "A3", "G2"])
+def test_levi_module_refuses_e_and_f_outside_the_levi(request, type_label, I,
+                                                      coords):
+    # e of such a root used to answer {} where f raised
+    alg = request.getfixturevalue(f"alg_{type_label.lower()}")
+    module = levi_gvm(alg, SimpleSubset.of(*I), Weight.of(*coords), 3)
+    outside = [i for i in range(alg.npos) if i not in module.levi_idx]
+    assert outside
+    top = max(module.basis, key=module._label_height)
+    for g in [(kind, i) for kind in ("e", "f") for i in outside]:
+        for label in (module.hw_label(), top):
+            with pytest.raises(ValueError, match=re.escape(f"{g} is not a generator")):
+                module.act_label(g, label)
+
+
 @pytest.mark.parametrize("label", ["A2", "B2", "G2"])
 def test_integer_action_is_scaled_rational_for_drawn_weights(request, tmp_path,
                                                             label):
