@@ -1,6 +1,7 @@
 """Replay of recorded outputs: the benchmark's golden corpus (CLI stdout,
 bad primes, structure-constant counts) and the closed root subsystems of
-the small types, recorded before the span test was rewritten."""
+all 13 types, recorded with the Fraction span test before the enumeration
+moved to integer Hermite forms."""
 
 import json
 from pathlib import Path
