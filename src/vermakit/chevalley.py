@@ -11,12 +11,17 @@ an anti-automorphism.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
 from itertools import product
+from types import MappingProxyType
 
 from .rootsys import Root, RootSystem, add, neg, sub
 
 Gen = tuple  # ('e', pos_root_index) | ('f', pos_root_index) | ('h', simple_index)
+
+# the bracket of every commuting pair of generators, shared by all of them
+_ZERO: Mapping[Gen, int] = MappingProxyType({})
 
 
 class StructureConstants:
@@ -27,7 +32,7 @@ class StructureConstants:
         self.base_order = list(rs.positive_roots)  # height, then lex
         self._table: dict[tuple[Root, Root], int] = {}
         self._build()
-        self._brackets: dict[tuple, dict[Gen, int]] = {}  # filled by bracket
+        self._brackets: dict[tuple, Mapping[Gen, int]] = {}  # filled by bracket
 
     # -- construction -------------------------------------------------------
 
@@ -143,12 +148,13 @@ class StructureConstants:
             return neg(self.base_order[i])
         return None
 
-    def bracket(self, g1: Gen, g2: Gen) -> dict[Gen, int]:
+    def bracket(self, g1: Gen, g2: Gen) -> Mapping[Gen, int]:
         """[g1, g2] as an integer combination of basis generators, memoised
-        per pair: callers must not mutate the returned dict."""
+        per pair: callers must not mutate the returned mapping.  Every zero
+        bracket is the one read-only empty mapping ``_ZERO``."""
         out = self._brackets.get((g1, g2))
         if out is None:
-            out = self._brackets[(g1, g2)] = self._bracket(g1, g2)
+            out = self._brackets[(g1, g2)] = self._bracket(g1, g2) or _ZERO
         return out
 
     def _bracket(self, g1: Gen, g2: Gen) -> dict[Gen, int]:

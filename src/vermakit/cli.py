@@ -32,10 +32,12 @@ EXIT_VERIFY = 1
 EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
 
-# Largest Verma basis `character` builds.  A parabolic quotient is built from
-# the Verma module of the same depth, so one count bounds both; near this size
-# a Verma character takes about 0.1 s on a 2-vCPU x86 host, a parabolic one up
-# to about 16 s (G2, I = {0}, depth 22: 8,616 labels).
+# Largest Verma basis that `character`, `classify` and `phi-check` build to
+# their --depth.  A parabolic quotient or a Levi-induced module is built from,
+# or is no larger than, the Verma module of the same depth, so one count
+# bounds them all; near this size a Verma character takes about 0.1 s on a
+# 2-vCPU x86 host, a parabolic one up to about 16 s (G2, I = {0}, depth 22:
+# 8,616 labels).
 MAX_BASIS_LABELS = 10_000
 
 
@@ -90,6 +92,7 @@ def _parse_type_arg(text: str):
 def _cmd_classify(args) -> int:
     rs = _parse_type_arg(args.type)
     lam = _parse_weight_arg(rs, args.weight)
+    _check_basis_budget(rs, args.depth)
     alg = EnvelopingAlgebra(structure_constants(rs))
     try:
         report = criteria.classify_sl3(alg, lam, args.prime, args.n,
@@ -130,16 +133,22 @@ def _verma_labels(rs, depth: int, stop: int) -> int:
     return total
 
 
+def _check_basis_budget(rs, depth: int) -> None:
+    """Exit 3, before any module is built, when the Verma basis to depth has
+    more than MAX_BASIS_LABELS labels."""
+    size = _verma_labels(rs, depth, MAX_BASIS_LABELS)
+    if size > MAX_BASIS_LABELS:
+        raise _CLIError(EXIT_PRECONDITION,
+                        f"the Verma module to depth {depth} has at least "
+                        f"{size} basis labels, over the budget of "
+                        f"{MAX_BASIS_LABELS}")
+
+
 def _cmd_character(args) -> int:
     rs = _parse_type_arg(args.type)
     lam = _parse_weight_arg(rs, args.weight)
     I = _parse_subset(rs, args.parabolic)
-    size = _verma_labels(rs, args.depth, MAX_BASIS_LABELS)
-    if size > MAX_BASIS_LABELS:
-        raise _CLIError(EXIT_PRECONDITION,
-                        f"the Verma module to depth {args.depth} has at least "
-                        f"{size} basis labels, over the budget of "
-                        f"{MAX_BASIS_LABELS}")
+    _check_basis_budget(rs, args.depth)
     alg = EnvelopingAlgebra(structure_constants(rs))
     try:
         if len(I):
@@ -177,6 +186,7 @@ def _cmd_phi_check(args) -> int:
         c = {j: Fraction(t) for j, t in zip(outside, parts)}
     except (ValueError, ZeroDivisionError) as e:
         raise _CLIError(EXIT_PARSE, f"bad scalar vector {args.c!r}: {e}")
+    _check_basis_budget(rs, args.depth)
     alg = EnvelopingAlgebra(structure_constants(rs))
     try:
         if args.samples < 1:
@@ -422,7 +432,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prime", type=int, default=5)
     p.add_argument("--n", type=int, default=0)
     p.add_argument("--depth", type=int, default=4,
-                   help="character-check depth for integral-case certificates")
+                   help=f"character-check depth for integral-case "
+                        f"certificates; refused when the Verma basis has "
+                        f"more than {MAX_BASIS_LABELS} labels")
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("character", help="highest-weight character table")
@@ -454,7 +466,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated scalars for the outside directions")
     p.add_argument("--prime", type=int, default=5)
     p.add_argument("--n", type=int, default=0)
-    p.add_argument("--depth", type=int, default=3)
+    p.add_argument("--depth", type=int, default=3,
+                   help=f"truncation height; refused when the Verma basis "
+                        f"has more than {MAX_BASIS_LABELS} labels")
     p.add_argument("--samples", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_phi_check)

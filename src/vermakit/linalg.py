@@ -1,11 +1,14 @@
 """Exact linear algebra over Fraction: echelon forms, rank, inverses, span
-coordinates.
+coordinates, and integer lattices.
 
 Everything here works on lists of lists of Fractions (or ints); no floats
 anywhere.  One fraction-free Gauss-Jordan elimination on Python ints, with
-each row's denominators cleared first, supplies all of it: the reduced rows
-and pivots of ``rref``, which ``rank``, ``invert`` and ``span_coordinates``
-read, and the last pivot that ``det_int`` reads.
+each row's denominators cleared first, supplies the rational part: the
+reduced rows and pivots of ``rref``, which ``rank``, ``invert`` and
+``span_coordinates`` read, and the last pivot that ``det_int`` reads.  The
+lattice part is the row Hermite normal form of an integer matrix, built by
+extended-gcd row operations (``hermite_form``), and membership of its row
+lattice (``in_lattice``).
 """
 
 from __future__ import annotations
@@ -133,3 +136,78 @@ def span_coordinates(spanning: list, candidates: list
         resid = reduce_against(list(x) + [Fraction(0)] * k, reduced, pivots)
         out.append(None if any(resid[:n]) else [-a for a in resid[n:]])
     return len(pivots), out
+
+
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, x, y) with x*a + y*b = g, g = +-gcd(a, b)."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    return a, x0, y0
+
+
+def hermite_form(rows) -> tuple[tuple[int, ...], ...]:
+    """Row Hermite normal form of an integer matrix: the nonzero rows of the
+    echelon basis of the lattice the rows span over Z, each pivot positive
+    and each entry above a pivot in [0, pivot).  This basis is unique, so two
+    matrices span the same lattice exactly when their forms are equal, and
+    the form has fewer rows than the input exactly when the rows are
+    linearly dependent.
+
+    In each column the rows not yet used fold, two at a time, into one row
+    holding the gcd of their entries there, by the unimodular step
+    (top, row) -> (x top + y row, (a/g) row - (b/g) top), where
+    x a + y b = g for the entries a of top and b of row; the other row ends
+    with a zero in that column.  The rows already in the form are then
+    reduced against the new pivot row.
+    """
+    mat = [list(row) for row in rows]
+    ncols = len(mat[0]) if mat else 0
+    if any(len(row) != ncols for row in mat):
+        raise ValueError("hermite_form needs rows of equal length")
+    form: list[list[int]] = []
+    for c in range(ncols):
+        top = None
+        rest = []
+        for row in mat:
+            if not row[c]:
+                rest.append(row)
+            elif top is None:
+                top = row
+            else:
+                g, x, y = _xgcd(top[c], row[c])
+                a, b = top[c] // g, row[c] // g
+                top, row = ([x * u + y * v for u, v in zip(top, row)],
+                            [a * v - b * u for u, v in zip(top, row)])
+                rest.append(row)
+        mat = rest
+        if top is None:
+            continue
+        if top[c] < 0:
+            top = [-p for p in top]
+        for i, prev in enumerate(form):
+            q = prev[c] // top[c]
+            if q:
+                form[i] = [p - q * t for p, t in zip(prev, top)]
+        form.append(top)
+    return tuple(map(tuple, form))
+
+
+def in_lattice(vec, form: tuple[tuple[int, ...], ...]) -> bool:
+    """True when the integer vector vec lies in the row lattice of a form
+    from ``hermite_form``: vec is reduced against each pivot row in turn,
+    which leaves the remainder modulo the pivot in that column, and lies in
+    the lattice exactly when nothing is left."""
+    if form and len(vec) != len(form[0]):
+        raise ValueError(f"vector of length {len(vec)} against a form with "
+                         f"{len(form[0])} columns")
+    vec = list(vec)
+    for row in form:
+        c = next(i for i, p in enumerate(row) if p)
+        q = vec[c] // row[c]
+        if q:
+            vec = [v - q * p for v, p in zip(vec, row)]
+    return not any(vec)

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 # rank is unused here but stays bound: the benchmark's tracer self-test
 # checks that a function imported into several modules is patched in each
-from .linalg import det_int, invert, rank, span_coordinates  # noqa: F401
+from .linalg import det_int, hermite_form, in_lattice, invert, rank  # noqa: F401
 
 Root = tuple[int, ...]
 
@@ -445,27 +445,29 @@ def _simple_system_of(rs: RootSystem, subsystem: frozenset[Root]) -> list[Root]:
 def enumerate_closed_subsystems(rs: RootSystem, rng=None) -> list[dict]:
     """All nonempty subsystems ZS n Phi, with a simple system and Cartan det each.
 
-    Every such subsystem arises from a linearly independent set of positive
-    roots, so only those are enumerated.  The result is sorted canonically and
-    does not depend on enumeration order (the optional rng, a random.Random,
-    only shuffles the candidate order, for order-independence checks).
+    Every such subsystem Psi is ZS n Phi for a linearly independent set S of
+    positive roots, so only those sets are tried.  S lies in Psi and Psi in
+    ZS, so ZPsi = ZS: the row Hermite normal form of S, which is canonical
+    for its lattice, is a one-to-one key for Psi.  A set whose form has fewer
+    rows than the set is dependent; a lattice already seen is skipped before
+    any root is tested; Psi is the set of roots that lie in the lattice.  All
+    of it is integer arithmetic.  The result is sorted canonically and does
+    not depend on enumeration order (the optional rng, a random.Random, only
+    shuffles the candidate order, for order-independence checks).
     """
     candidates = list(rs.positive_roots)
     if rng is not None:
         rng.shuffle(candidates)
-    seen: set[frozenset[Root]] = set()
+    seen: set[tuple[tuple[int, ...], ...]] = set()
     out = []
     for size in range(1, rs.rank + 1):
         for combo in itertools.combinations(candidates, size):
-            r, coords = span_coordinates(combo, rs.roots)
-            if r != size:
+            form = hermite_form(combo)
+            if len(form) != size or form in seen:
                 continue
-            subsystem = frozenset(
-                gamma for gamma, x in zip(rs.roots, coords)
-                if x is not None and all(c.denominator == 1 for c in x))
-            if subsystem in seen:
-                continue
-            seen.add(subsystem)
+            seen.add(form)
+            subsystem = frozenset(gamma for gamma in rs.roots
+                                  if in_lattice(gamma, form))
             simple = _simple_system_of(rs, subsystem)
             cmat = [[rs.root_pairing(b, a) for a in simple] for b in simple]
             out.append({

@@ -90,3 +90,14 @@ def _fraction_rref(rows):
 @pytest.fixture(scope="session")
 def fraction_rref():
     return _fraction_rref
+
+
+@pytest.fixture
+def hypothesis(tmp_path):
+    """The hypothesis package, or a skip when it is missing."""
+    hypothesis = pytest.importorskip("hypothesis")
+    # hypothesis caches what it reads from the source under its home
+    # directory even without an example database: keep that out of the tree
+    hypothesis.configuration.set_hypothesis_home_dir(tmp_path)
+    yield hypothesis
+    hypothesis.configuration.set_hypothesis_home_dir(None)

@@ -146,3 +146,17 @@ def test_memoised_brackets_match_a_fresh_computation(label):
     assert len(sc._brackets) >= len(sc.generators()) ** 2
     for (g1, g2), value in sc._brackets.items():
         assert value == fresh.bracket(g1, g2), (g1, g2)
+
+
+def test_zero_brackets_share_one_read_only_result():
+    sc = structure_constants(parse_type("B2"))
+    assert verify_chevalley(sc)["all_pass"]
+    zeros = [v for v in sc._brackets.values() if not v]
+    assert zeros and all(v is zeros[0] for v in zeros)
+    zero = sc.bracket(("h", 0), ("h", 1))
+    assert zero is zeros[0] and zero == {}
+    with pytest.raises(TypeError):
+        zero[("h", 0)] = 1
+    with pytest.raises(AttributeError):
+        zero.update({("h", 0): 1})
+    assert sc.bracket(("e", 0), ("e", 0)) == {}

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from vermakit import cli
 from vermakit.chevalley import structure_constants
 from vermakit.cli import MAX_BASIS_LABELS, _verma_labels, main
 from vermakit.rootsys import Weight, parse_type
@@ -177,6 +178,23 @@ def test_character_refuses_a_basis_over_budget_before_any_work():
     assert size > MAX_BASIS_LABELS
     assert (f"at least {size} basis labels, over the budget of "
             f"{MAX_BASIS_LABELS}") in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--weight", "-2,3"],
+    ["phi-check", "--weight", "2,1/3", "--parabolic", "0", "--c", "-3"],
+], ids=lambda argv: argv[0])
+def test_depth_over_budget_is_refused_before_any_work(capsys, monkeypatch, argv):
+    # both requests used to build modules to depth 100000, without bound
+    def no_work(*args):
+        raise AssertionError("an over-budget request reached the algebra")
+
+    monkeypatch.setattr(cli, "structure_constants", no_work)
+    size = _verma_labels(parse_type("A2"), 100000, MAX_BASIS_LABELS)
+    status, out, err = run(capsys, *argv, "--depth", "100000")
+    assert status == 3 and out == ""
+    assert (f"at least {size} basis labels, over the budget of "
+            f"{MAX_BASIS_LABELS}") in err
 
 
 @pytest.mark.parametrize("label,depth", [("A1", 7), ("A2", 9), ("A3", 6),

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from vermakit.linalg import det_int, invert, rank, rref, span_coordinates
+from vermakit.linalg import (det_int, hermite_form, in_lattice, invert, rank, rref,
+                             span_coordinates)
 
 
 def _combine(vectors, coords):
@@ -146,3 +147,97 @@ def test_span_coordinates_matches_fraction_rank(fraction_rank_det):
                 assert _combine(spanning, co) == tuple(x), (spanning, x)
                 inside += 1
     assert inside > 100 and outside > 20
+
+
+def test_hermite_form_examples():
+    assert hermite_form([[2, 4], [1, 1]]) == ((1, 1), (0, 2))
+    assert hermite_form([[0, -3], [0, 2]]) == ((0, 1),)
+    assert hermite_form([[1, 2], [2, 4]]) == ((1, 2),)  # dependent
+    assert hermite_form([]) == hermite_form([[0, 0]]) == ()
+    assert in_lattice((1, 3), ((1, 1), (0, 2)))
+    assert not in_lattice((0, 1), ((1, 1), (0, 2)))
+    assert not in_lattice((0, 0, 1), ((1, 0, 0), (0, 1, 0)))
+    with pytest.raises(ValueError, match="equal length"):
+        hermite_form([[1, 2], [3]])
+    with pytest.raises(ValueError, match="2 columns"):
+        in_lattice((1, 2, 3), ((1, 1), (0, 2)))
+
+
+def test_hermite_form_is_reduced_echelon_over_the_rank():
+    rng = random.Random(15)
+    for rows in _random_matrices(rng, lambda r: r.randint(-9, 9)):
+        before = [row[:] for row in rows]
+        form = hermite_form(rows)
+        assert rows == before  # the input is left alone
+        assert len(form) == rank(rows), rows
+        pivots = [next(c for c, x in enumerate(row) if x) for row in form]
+        assert pivots == sorted(set(pivots))
+        for k, (row, c) in enumerate(zip(form, pivots)):
+            assert row[c] > 0
+            assert all(0 <= above[c] < row[c] for above in form[:k])
+        assert all(in_lattice(row, form) for row in rows)
+
+
+def _integer_rows(st, nrows, ncols):
+    return st.lists(st.lists(st.integers(-6, 6), min_size=ncols, max_size=ncols),
+                    min_size=nrows, max_size=nrows)
+
+
+def test_hermite_membership_matches_span_coordinates(hypothesis):
+    """A generating set of the lattice of an independent basis B, with
+    integer combinations of B mixed in (so it is dependent when any are):
+    its form is that of B, and a vector lies in it exactly when its
+    span_coordinates over B exist and are integers."""
+    st = hypothesis.strategies
+
+    @st.composite
+    def lattices(draw):
+        ncols = draw(st.integers(1, 4))
+        k = draw(st.integers(0, ncols))
+        basis = draw(_integer_rows(st, k, ncols))
+        hypothesis.assume(rank(basis) == k)
+        combos = draw(st.lists(st.lists(st.integers(-3, 3), min_size=k,
+                                        max_size=k), max_size=3))
+        members = [[sum(c * b[j] for c, b in zip(coeffs, basis))
+                    for j in range(ncols)] for coeffs in combos]
+        rows = draw(st.permutations(basis + members))
+        others = draw(_integer_rows(st, 3, ncols))
+        return basis, rows, members + others
+
+    @hypothesis.settings(max_examples=300, deadline=None, database=None)
+    @hypothesis.given(lattices())
+    def check(case):
+        basis, rows, candidates = case
+        form = hermite_form(rows)
+        assert form == hermite_form(basis)
+        _, coords = span_coordinates(basis, candidates)
+        for x, co in zip(candidates, coords):
+            integral = co is not None and all(c == int(c) for c in co)
+            assert in_lattice(x, form) == integral, (basis, x)
+
+    check()
+
+
+def test_hermite_form_is_invariant_under_unimodular_row_operations(hypothesis):
+    st = hypothesis.strategies
+    ops = st.lists(st.tuples(st.sampled_from(["swap", "negate", "add"]),
+                             st.integers(0, 4), st.integers(0, 4),
+                             st.integers(-3, 3)), max_size=8)
+
+    @hypothesis.settings(max_examples=300, deadline=None, database=None)
+    @hypothesis.given(st.integers(1, 5).flatmap(
+        lambda n: st.integers(1, 4).flatmap(lambda m: _integer_rows(st, n, m))),
+        ops)
+    def check(rows, steps):
+        moved = [row[:] for row in rows]
+        for kind, i, j, m in steps:
+            i, j = i % len(moved), j % len(moved)
+            if kind == "swap":
+                moved[i], moved[j] = moved[j], moved[i]
+            elif kind == "negate":
+                moved[i] = [-x for x in moved[i]]
+            elif i != j:
+                moved[i] = [x + m * y for x, y in zip(moved[i], moved[j])]
+        assert hermite_form(moved) == hermite_form(rows), (rows, steps)
+
+    check()

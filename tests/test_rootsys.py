@@ -128,10 +128,11 @@ def test_bad_primes_reference_values():
 
 
 def test_bad_primes_order_independent():
-    rs = parse_type("B2")
-    base = bad_primes(rs)
-    for seed in range(3):
-        assert bad_primes(rs, rng=random.Random(seed)) == base
+    for label in ("B2", "B4", "F4"):
+        rs = parse_type(label)
+        base = bad_primes(rs)
+        for seed in range(3):
+            assert bad_primes(rs, rng=random.Random(seed)) == base, (label, seed)
 
 
 def test_unsupported_type_rejected():

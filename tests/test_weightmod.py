@@ -521,9 +521,8 @@ def test_levi_module_refuses_e_and_f_outside_the_levi(request, type_label, I,
 
 
 @pytest.mark.parametrize("label", ["A2", "B2", "G2"])
-def test_integer_action_is_scaled_rational_for_drawn_weights(request, tmp_path,
+def test_integer_action_is_scaled_rational_for_drawn_weights(request, hypothesis,
                                                             label):
-    hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     alg = request.getfixturevalue(f"alg_{label.lower()}")
     coordinate = st.fractions(min_value=-4, max_value=4, max_denominator=9)
@@ -538,10 +537,4 @@ def test_integer_action_is_scaled_rational_for_drawn_weights(request, tmp_path,
                     a: module.lam_den * x
                     for a, x in _rational_action(module, g, s).items()}, (g, s)
 
-    # hypothesis caches what it reads from the source under its home
-    # directory even without an example database: keep that out of the tree
-    hypothesis.configuration.set_hypothesis_home_dir(tmp_path)
-    try:
-        check()
-    finally:
-        hypothesis.configuration.set_hypothesis_home_dir(None)
+    check()
