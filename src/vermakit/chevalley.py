@@ -1,19 +1,25 @@
 """Chevalley structure constants and verification of the defining relations.
 
 The constants C[a,b] with [e_a, e_b] = C[a,b] e_{a+b} (writing e_{-a} = f_a)
-are fixed by the extraspecial-pair convention: positive roots are ordered by
-height then lexicographically; for each non-simple positive root the
-decomposition with smallest first summand gets a positive constant, and all
-remaining constants follow from the Jacobi identity.  This yields integer
-constants with C[a,b] = C[-b,-a], the symmetry that makes the transpose map
-an anti-automorphism.
+are fixed by the extraspecial-pair convention (Carter, Simple Groups of Lie
+Type, 4.2): positive roots are ordered by height then lexicographically; for
+each non-simple positive root the decomposition with smallest first summand
+gets a positive constant, and all remaining constants follow from the Jacobi
+identity.  This yields integer constants with C[a,b] = C[-b,-a], the symmetry
+that makes the transpose map an anti-automorphism.  They are built on Python
+ints from the integer root norms (r, r); a Fraction appears only in the one
+division of each extraspecial Jacobi step.
+
+verify_chevalley checks the bracket table for antisymmetry and then the
+Jacobi identity on unordered generator triples only: on an antisymmetric
+bracket the cyclic Jacobi sum is alternating.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, combinations_with_replacement, product
 from types import MappingProxyType
 
 from .rootsys import Root, RootSystem, add, neg, sub
@@ -30,8 +36,7 @@ class StructureConstants:
     def __init__(self, rs: RootSystem):
         self.rs = rs
         self.base_order = list(rs.positive_roots)  # height, then lex
-        self._table: dict[tuple[Root, Root], int] = {}
-        self._build()
+        self._table = self._build()
         self._brackets: dict[tuple, Mapping[Gen, int]] = {}  # filled by bracket
 
     # -- construction -------------------------------------------------------
@@ -45,83 +50,76 @@ class StructureConstants:
             cur = sub(cur, alpha)
         return k
 
-    def _build(self) -> None:
+    def _build(self) -> dict[tuple[Root, Root], int]:
         rs = self.rs
         order = {r: i for i, r in enumerate(self.base_order)}
         pos = set(self.base_order)
-        norm = {r: rs.inner(r, r) for r in rs.roots}
+        norm: dict[Root, int] = {}
+        for r in self.base_order:
+            v = rs.inner(r, r)
+            if v.denominator != 1:
+                raise RuntimeError(f"({r}, {r}) = {v} is not an integer")
+            norm[r] = norm[neg(r)] = v.numerator
+        table: dict[tuple[Root, Root], int] = {}
 
-        def n_partial(x: Root, y: Root) -> Fraction:
-            """Constant for arbitrary-sign roots, from the positive table so far."""
-            s = add(x, y)
-            if not rs.is_root(s):
-                return Fraction(0)
-            xpos, ypos = x in pos, y in pos
-            if xpos and ypos:
-                if (x, y) in self._table:
-                    return Fraction(self._table[(x, y)])
-                return -Fraction(self._table[(y, x)])
-            if not xpos and not ypos:
-                return -n_partial(neg(x), neg(y))
-            if not xpos:  # x negative, y positive
-                return -n_partial(y, x)
-            # x positive, y negative
-            z = neg(s)
-            if s in pos:  # z negative: reduce via triple (x, y, z)
-                return n_partial(y, z) * norm[z] / norm[x]
-            return n_partial(z, x) * norm[z] / norm[y]
+        def put(a: Root, b: Root, v: int) -> None:
+            """Record C[a,b] = v for positive a, b, and the five constants it
+            fixes: C[-a,-b] = -v, and, with g = a + b and the rule
+            C[x,y]/(z,z) = C[y,z]/(x,x) = C[z,x]/(y,y) for x + y + z = 0,
+            C[g,-a] = C[a,-g] = -v(b,b)/(g,g) = -C[-a,g] = -C[-g,a]."""
+            g = add(a, b)
+            q, r = divmod(v * norm[b], norm[g])
+            if r:
+                raise RuntimeError(f"C[{g}, {neg(a)}] = {-v * norm[b]}/{norm[g]} "
+                                   f"is not an integer")
+            na, ng = neg(a), neg(g)
+            table[(a, b)] = v
+            table[(na, neg(b))] = -v
+            table[(g, na)] = table[(a, ng)] = -q
+            table[(na, g)] = table[(ng, a)] = q
 
         for gamma in self.base_order:
             if rs.root_height(gamma) < 2:
                 continue
-            pairs = [
-                (a, sub(gamma, a))
-                for a in self.base_order
-                if sub(gamma, a) in pos and order[a] < order[sub(gamma, a)]
-            ]
-            pairs.sort(key=lambda p: order[p[0]])
+            pairs = [(a, b) for a in self.base_order
+                     if (b := sub(gamma, a)) in pos and order[a] < order[b]]
             xi, eta = pairs[0]  # extraspecial pair: minimal first summand
-            self._table[(xi, eta)] = self._string_down(xi, eta) + 1
-            self._table[(eta, xi)] = -self._table[(xi, eta)]
+            c_xe = self._string_down(xi, eta) + 1
+            put(xi, eta, c_xe)
+            put(eta, xi, -c_xe)
             for alpha, beta in pairs[1:]:
                 # Jacobi on the quadruple (xi, eta, -alpha, -beta), which sums
                 # to zero with no two members opposite:
                 #   N(xi,eta)N(-a,-b)/(g,g) + N(eta,-a)N(xi,-b)/(eta-a,eta-a)
                 #     + N(-a,xi)N(eta,-b)/(xi-a,xi-a) = 0
+                # where every constant but N(-a,-b) = -N(a,b) sits at a lower
+                # height, so is already in the table
                 acc = Fraction(0)
-                if rs.is_root(sub(eta, alpha)):
-                    acc += (n_partial(eta, neg(alpha)) * n_partial(xi, neg(beta))
-                            / norm[sub(eta, alpha)])
-                if rs.is_root(sub(xi, alpha)):
-                    acc += (n_partial(neg(alpha), xi) * n_partial(eta, neg(beta))
-                            / norm[sub(xi, alpha)])
-                val = -acc * norm[gamma] / self._table[(xi, eta)]
-                # val is N(-alpha,-beta); the convention N(-a,-b) = -N(a,b)
-                n_ab = -val
+                if rs.is_root(d := sub(eta, alpha)):
+                    acc += Fraction(table[(eta, neg(alpha))]
+                                    * table[(xi, neg(beta))], norm[d])
+                if rs.is_root(d := sub(xi, alpha)):
+                    acc += Fraction(table[(neg(alpha), xi)]
+                                    * table[(eta, neg(beta))], norm[d])
+                n_ab = acc * norm[gamma] / c_xe
                 if n_ab.denominator != 1 or n_ab == 0:
                     raise RuntimeError(f"Jacobi gives C[{alpha}, {beta}] = {n_ab}, "
                                        f"not a nonzero integer")
-                self._table[(alpha, beta)] = int(n_ab)
-                self._table[(beta, alpha)] = -int(n_ab)
+                put(alpha, beta, n_ab.numerator)
+                put(beta, alpha, -n_ab.numerator)
 
-        # extend to all root pairs with root sum
-        full: dict[tuple[Root, Root], int] = {}
-        for x in rs.roots:
-            for y in rs.roots:
-                s = add(x, y)
-                if any(s) and rs.is_root(s):
-                    v = n_partial(x, y)
-                    if v.denominator != 1 or v == 0:
-                        raise RuntimeError(f"C[{x}, {y}] = {v} is not a "
-                                           f"nonzero integer")
-                    full[(x, y)] = int(v)
-        self._table = full
+        # every root pair with root sum, ordered by the pair's positions in
+        # rs.roots, the order in which verify_chevalley meets them
+        where = {r: i for i, r in enumerate(rs.roots)}
+        full = dict(sorted(table.items(),
+                           key=lambda kv: (where[kv[0][0]], where[kv[0][1]])))
 
         # classical magnitude cross-check: |C[a,b]| = (string length) + 1
-        for (x, y), v in self._table.items():
+        for (x, y), v in full.items():
             if abs(v) != self._string_down(x, y) + 1:
                 raise RuntimeError(f"|C[{x}, {y}]| = {abs(v)}, but the root "
                                    f"string gives {self._string_down(x, y) + 1}")
+        return full
 
     # -- queries -------------------------------------------------------------
 
@@ -191,23 +189,20 @@ def structure_constants(rs: RootSystem) -> StructureConstants:
     return StructureConstants(rs)
 
 
-def ad_matrix(sc: StructureConstants, x: Gen) -> list[list[int]]:
-    """Matrix of [x, -] on the basis (e-block, h-block, f-block)."""
-    gens = sc.generators()
-    index = {g: i for i, g in enumerate(gens)}
-    n = len(gens)
-    mat = [[0] * n for _ in range(n)]
-    for j, g in enumerate(gens):
-        for target, coeff in sc.bracket(x, g).items():
-            mat[index[target]][j] += coeff
-    return mat
-
-
 def verify_chevalley(sc: StructureConstants) -> dict:
     """Check every defining relation plus the Jacobi identity on all triples.
 
     Failures are reported, not raised; each named check carries a pass flag
     and the first counterexample found.
+
+    The Jacobi identity is evaluated on the triples g1 < g2 < g3 of
+    ``sc.generators()`` only, after checking that the bracket table is
+    antisymmetric, [x, y] = -[y, x]: the cyclic sum J(x, y, z) of an
+    antisymmetric bilinear bracket vanishes on repeated arguments and changes
+    sign under a transposition.  Its counterexample is the first failing
+    triple in product(gens, gens, gens) order, which is a sorted one.  When
+    the table is not antisymmetric, ``jacobi`` fails with the first offending
+    pair (g1, g2), g1 <= g2, as its counterexample.
     """
     rs = sc.rs
     report: dict[str, dict] = {}
@@ -259,24 +254,28 @@ def verify_chevalley(sc: StructureConstants) -> dict:
             break
     record("ef_coroot", bad is None, bad)
 
-    # Jacobi identity on all generator triples
-    bad = None
-    for g1, g2, g3 in product(gens, gens, gens):
-        acc: dict[Gen, int] = {}
-        # [[g1,g2],g3] + [[g2,g3],g1] + [[g3,g1],g2]
-        for g, c in table[g1, g2].items():
-            _acc_add(acc, table[g, g3], c)
-        for g, c in table[g2, g3].items():
-            _acc_add(acc, table[g, g1], c)
-        for g, c in table[g3, g1].items():
-            _acc_add(acc, table[g, g2], c)
-        if any(v != 0 for v in acc.values()):
-            bad = (g1, g2, g3)
-            break
+    # Jacobi identity on sorted triples, once the table is antisymmetric
+    bad = next(((g1, g2) for g1, g2 in combinations_with_replacement(gens, 2)
+                if table[g2, g1] != _negate(table[g1, g2])), None)
+    if bad is None:
+        bad = next((t for t in combinations(gens, 3) if _jacobi_fails(table, *t)),
+                   None)
     record("jacobi", bad is None, bad)
 
     report["all_pass"] = all(v["pass"] for k, v in report.items() if k != "all_pass")
     return report
+
+
+def _jacobi_fails(table: dict, g1: Gen, g2: Gen, g3: Gen) -> bool:
+    """Whether [[g1,g2],g3] + [[g2,g3],g1] + [[g3,g1],g2] is nonzero."""
+    acc: dict[Gen, int] = {}
+    for g, c in table[g1, g2].items():
+        _acc_add(acc, table[g, g3], c)
+    for g, c in table[g2, g3].items():
+        _acc_add(acc, table[g, g1], c)
+    for g, c in table[g3, g1].items():
+        _acc_add(acc, table[g, g2], c)
+    return any(v != 0 for v in acc.values())
 
 
 def _acc_add(acc: dict, d: dict, scale: int) -> None:

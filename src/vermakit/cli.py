@@ -32,12 +32,13 @@ EXIT_VERIFY = 1
 EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
 
-# Largest Verma basis that `character`, `classify` and `phi-check` build to
-# their --depth.  A parabolic quotient or a Levi-induced module is built from,
-# or is no larger than, the Verma module of the same depth, so one count
-# bounds them all; near this size a Verma character takes about 0.1 s on a
-# 2-vCPU x86 host, a parabolic one up to about 16 s (G2, I = {0}, depth 22:
-# 8,616 labels).
+# Largest Verma basis that `character`, `classify`, `phi-check` and `verify`
+# build to their --depth.  A parabolic quotient or a Levi-induced module is
+# built from, or is no larger than, the Verma module of the same depth, so one
+# count bounds them all; near this size a Verma character takes about 0.1 s on
+# a 2-vCPU x86 host, a parabolic one up to about 16 s (G2, I = {0}, depth 22:
+# 8,616 labels), and `verify --suite verma` about 0.7 s end to end (A2,
+# depth 46: 9,500 labels).
 MAX_BASIS_LABELS = 10_000
 
 
@@ -266,10 +267,11 @@ def _suite_verma(depth: int, rng) -> tuple[bool, str]:
     lam = Weight.of(Fraction(2, 7), Fraction(-3, 5))
     module = verma(alg, lam, depth)
     ch = module.character().as_dict()
-    for s in module.basis:
-        nu = module.label_drop(s)
+    memo: dict = {}
+    # each drop once, in the order of its first basis label
+    for nu in dict.fromkeys(module.label_drop(s) for s in module.basis):
         w = lam - rs.weight_of_root(nu)
-        if ch[w] != kostant_partition(rs, nu):
+        if ch[w] != kostant_partition(rs, nu, memo=memo):
             return False, f"multiplicity mismatch at drop {nu}"
     return True, f"Verma character matches the partition count to depth {depth}"
 
@@ -395,6 +397,9 @@ _SUITES = {
 
 
 def _cmd_verify(args) -> int:
+    # the verma suite builds the A2 Verma module to --depth; the other suites
+    # cap the depth they use, or build no module
+    _check_basis_budget(parse_type("A2"), args.depth)
     names = sorted(_SUITES) if args.suite == "all" else [args.suite]
     results = []
     for name in names:
@@ -453,7 +458,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run property suites")
     p.add_argument("--suite", default="all",
                    choices=["all"] + sorted(_SUITES))
-    p.add_argument("--depth", type=int, default=5)
+    p.add_argument("--depth", type=int, default=5,
+                   help=f"suite depth; refused when the A2 Verma basis has "
+                        f"more than {MAX_BASIS_LABELS} labels")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_verify)

@@ -1,12 +1,13 @@
 import hashlib
 import json
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
 
-from vermakit.chevalley import (ad_matrix, constants_to_json,
-                                structure_constants, verify_chevalley)
+from vermakit.chevalley import (constants_to_json, structure_constants,
+                                verify_chevalley)
 from vermakit.deform import phi_c_homomorphism_check
 from vermakit.rootsys import SimpleSubset, Weight, add, neg, parse_type
 from vermakit.uea import EnvelopingAlgebra
@@ -24,12 +25,36 @@ CONSTANT_DIGESTS = json.loads(
     (Path(__file__).with_name("data") / "chevalley_constants_sha256.json").read_text())
 
 
+def reference_jacobi(sc) -> dict:
+    """The Jacobi check on all n^3 ordered generator triples, with the first
+    failing triple in product order: the reference for verify_chevalley,
+    which evaluates only the sorted triples."""
+    gens = sc.generators()
+    for g1, g2, g3 in product(gens, gens, gens):
+        acc = {}
+        for x, y, z in ((g1, g2, g3), (g2, g3, g1), (g3, g1, g2)):
+            for g, c in sc.bracket(x, y).items():
+                for k, v in sc.bracket(g, z).items():
+                    acc[k] = acc.get(k, 0) + c * v
+        if any(acc.values()):
+            return {"pass": False, "counterexample": (g1, g2, g3)}
+    return {"pass": True, "counterexample": None}
+
+
+def assert_report_matches_the_reference(sc) -> dict:
+    report = verify_chevalley(sc)
+    want = dict(report, jacobi=reference_jacobi(sc))
+    want["all_pass"] = all(v["pass"] for k, v in want.items() if k != "all_pass")
+    assert report == want
+    return report
+
+
 @pytest.mark.parametrize("label", sorted(CONSTANT_DIGESTS))
 def test_every_type_verifies_with_the_recorded_constants(label):
     sc = structure_constants(parse_type(label))
     records = json.dumps(constants_to_json(sc), sort_keys=True).encode()
     assert hashlib.sha256(records).hexdigest() == CONSTANT_DIGESTS[label]
-    assert verify_chevalley(sc)["all_pass"]
+    assert assert_report_matches_the_reference(sc)["all_pass"]
 
 
 @pytest.mark.parametrize("label", ["A2", "B2", "G2"])
@@ -40,9 +65,25 @@ def test_doubled_constant_quadruple_fails_only_jacobi(label):
     a, b = sc.rs.simple_root(0), sc.rs.simple_root(1)
     for key in ((a, b), (b, a), (neg(b), neg(a)), (neg(a), neg(b))):
         sc._table[key] *= 2
-    report = verify_chevalley(sc)
+    report = assert_report_matches_the_reference(sc)
     assert not report["jacobi"]["pass"]
     assert not report["all_pass"]
+    assert all(v["pass"] for k, v in report.items()
+               if k not in ("jacobi", "all_pass"))
+
+
+def test_bracket_table_that_is_not_antisymmetric_fails_jacobi(sc_a2, monkeypatch):
+    # [e_0, f_1] = 0 in A2; planting h_0 in one order only breaks
+    # [x, y] = -[y, x], on which the sorted-triple Jacobi check rests
+    honest = sc_a2.bracket
+
+    def bracket(g1, g2):
+        return {("h", 0): 1} if (g1, g2) == (("e", 0), ("f", 1)) else honest(g1, g2)
+
+    monkeypatch.setattr(sc_a2, "bracket", bracket)
+    report = verify_chevalley(sc_a2)
+    assert report["jacobi"] == {"pass": False,
+                                "counterexample": (("e", 0), ("f", 1))}
     assert all(v["pass"] for k, v in report.items()
                if k not in ("jacobi", "all_pass"))
 
@@ -97,27 +138,40 @@ def test_bracket_ef_gives_coroot(sc_a2):
     assert got == {("h", 0): 1, ("h", 1): 1}
 
 
-def test_ad_matrices_represent_the_bracket(sc_a2):
-    # ad[x]ad[y] - ad[y]ad[x] = ad[[x,y]] on a sample pair
-    gens = sc_a2.generators()
+def ad_matrix(sc, x) -> list[list[int]]:
+    """Matrix of [x, -] on the basis (e-block, h-block, f-block)."""
+    gens = sc.generators()
     index = {g: i for i, g in enumerate(gens)}
-    x, y = ("e", 0), ("f", 1)
-    ax, ay = ad_matrix(sc_a2, x), ad_matrix(sc_a2, y)
-    n = len(gens)
+    mat = [[0] * len(gens) for _ in gens]
+    for j, g in enumerate(gens):
+        for target, coeff in sc.bracket(x, g).items():
+            mat[index[target]][j] += coeff
+    return mat
 
+
+def test_ad_matrices_represent_the_bracket():
+    # ad[x]ad[y] - ad[y]ad[x] = ad[[x,y]] on every generator pair: ad is a
+    # homomorphism exactly when the Jacobi identity holds, so this checks it
+    # with no code shared with verify_chevalley
     def matmul(a, b):
+        n = len(a)
         return [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)]
                 for i in range(n)]
 
-    comm = [[matmul(ax, ay)[i][j] - matmul(ay, ax)[i][j] for j in range(n)]
-            for i in range(n)]
-    want = [[0] * n for _ in range(n)]
-    for g, c in sc_a2.bracket(x, y).items():
-        m = ad_matrix(sc_a2, g)
-        for i in range(n):
-            for j in range(n):
-                want[i][j] += c * m[i][j]
-    assert comm == want
+    for label in ("A2", "B2", "G2"):
+        sc = structure_constants(parse_type(label))
+        gens = sc.generators()
+        n = len(gens)
+        ad = {g: ad_matrix(sc, g) for g in gens}
+        for x, y in product(gens, gens):
+            xy, yx = matmul(ad[x], ad[y]), matmul(ad[y], ad[x])
+            comm = [[xy[i][j] - yx[i][j] for j in range(n)] for i in range(n)]
+            want = [[0] * n for _ in range(n)]
+            for g, c in sc.bracket(x, y).items():
+                for i in range(n):
+                    for j in range(n):
+                        want[i][j] += c * ad[g][i][j]
+            assert comm == want, (label, x, y)
 
 
 def test_json_export_round_trips(sc_a2):

@@ -183,9 +183,10 @@ def test_character_refuses_a_basis_over_budget_before_any_work():
 @pytest.mark.parametrize("argv", [
     ["classify", "--weight", "-2,3"],
     ["phi-check", "--weight", "2,1/3", "--parabolic", "0", "--c", "-3"],
+    ["verify", "--suite", "verma"],
 ], ids=lambda argv: argv[0])
 def test_depth_over_budget_is_refused_before_any_work(capsys, monkeypatch, argv):
-    # both requests used to build modules to depth 100000, without bound
+    # each request used to build modules to depth 100000, without bound
     def no_work(*args):
         raise AssertionError("an over-budget request reached the algebra")
 

@@ -52,7 +52,18 @@ def test_symmetrizer_symmetrises_the_cartan_matrix(label):
     for i in range(rs.rank):
         for j in range(rs.rank):
             assert d[j] * a[i][j] == d[i] * a[j][i]
+            assert rs.root_pairing(rs.simple_root(i), rs.simple_root(j)) == a[i][j]
         assert rs.inner(rs.simple_root(i), rs.simple_root(i)) == 2 * d[i]
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "A4", "B2", "B3", "B4",
+                                   "C2", "C3", "C4", "D4", "F4", "G2"])
+def test_root_norms_are_even_positive_integers(label):
+    # the Chevalley constants are built on these norms as Python ints
+    rs = parse_type(label)
+    for r in rs.roots:
+        norm = rs.inner(r, r)
+        assert norm.denominator == 1 and norm > 0 and norm % 2 == 0, (r, norm)
 
 
 def test_pairing_against_cartan_matrix():
