@@ -33,13 +33,16 @@ EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
 
 # Largest Verma basis that `character`, `classify`, `phi-check` and `verify`
-# build to their --depth.  A parabolic quotient or a Levi-induced module is
-# built from, or is no larger than, the Verma module of the same depth, so one
+# build to their --depth.  A generalised Verma module, parabolic or
+# Levi-induced, is no larger than the Verma module of the same depth, so one
 # count bounds them all; near this size a Verma character takes about 0.1 s on
-# a 2-vCPU x86 host, a parabolic one up to about 16 s (G2, I = {0}, depth 22:
-# 8,616 labels), and `verify --suite verma` about 0.7 s end to end (A2,
+# a 2-vCPU x86 host, a parabolic one about 0.25 s (G2, I = {0}, depth 22:
+# 8,616 Verma labels), and `verify --suite verma` about 0.7 s end to end (A2,
 # depth 46: 9,500 labels).
 MAX_BASIS_LABELS = 10_000
+
+# Most homomorphism samples `phi-check` draws.
+MAX_SAMPLES = 10_000
 
 
 class _CLIError(Exception):
@@ -187,11 +190,14 @@ def _cmd_phi_check(args) -> int:
         c = {j: Fraction(t) for j, t in zip(outside, parts)}
     except (ValueError, ZeroDivisionError) as e:
         raise _CLIError(EXIT_PARSE, f"bad scalar vector {args.c!r}: {e}")
+    if args.samples < 1:
+        raise _CLIError(EXIT_PRECONDITION, "samples must be at least 1")
+    if args.samples > MAX_SAMPLES:
+        raise _CLIError(EXIT_PRECONDITION, f"samples must be at most "
+                        f"{MAX_SAMPLES}, got {args.samples}")
     _check_basis_budget(rs, args.depth)
     alg = EnvelopingAlgebra(structure_constants(rs))
     try:
-        if args.samples < 1:
-            raise ValueError("samples must be at least 1")
         if not deform.scalars_admissible(c, args.prime, args.n):
             raise ValueError(f"c is not admissible at p={args.prime}, n={args.n}")
         source = levi_gvm(alg, I, lam, args.depth)
@@ -206,11 +212,11 @@ def _cmd_phi_check(args) -> int:
     gens = ([("e", i) for i in source.levi_idx]
             + [("f", i) for i in source.levi_idx]
             + [("h", i) for i in range(rs.rank)])
+    labels = [m for m in source.basis if sum(m[1]) + 1 <= source.depth]
     ok = True
     for _ in range(args.samples):
         g = rng.choice(gens)
-        label = rng.choice([m for m in source.basis
-                            if sum(m[1]) + 1 <= source.depth])
+        label = rng.choice(labels)
         vec = {label: Fraction(rng.randint(1, 9))}
         if not deform.phi_c_homomorphism_check(source, alg.gen(*g), vec, c,
                                                target):
@@ -313,10 +319,10 @@ def _suite_phi(depth: int, rng) -> tuple[bool, str]:
         return False, "highest-weight scalar identity fails"
     gens = ([("e", i) for i in source.levi_idx]
             + [("f", i) for i in source.levi_idx] + [("h", 0), ("h", 1)])
+    labels = [m for m in source.basis if sum(m[1]) + 1 <= source.depth]
     for k in range(15):
         g = rng.choice(gens)
-        label = rng.choice([m for m in source.basis
-                            if sum(m[1]) + 1 <= source.depth])
+        label = rng.choice(labels)
         if not deform.phi_c_homomorphism_check(
                 source, alg.gen(*g), {label: Fraction(1)}, c, target):
             return False, f"homomorphism identity fails on sample {k}"

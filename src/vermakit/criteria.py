@@ -28,8 +28,8 @@ from .rootsys import (Record, Root, RootSystem, SimpleSubset, Weight,
                       interior, is_singular, neg, pairing, positive_subsystem,
                       root_subsystem)
 from .uea import EnvelopingAlgebra, check_odd_prime
-from .weightmod import (_check_depth, _check_dominant_on, parabolic_verma,
-                        simple_dims)
+from .weightmod import (_check_depth, _check_dominant_on, _drops_within,
+                        parabolic_verma, simple_dims)
 
 
 def _is_positive_integer(q: Fraction) -> bool:
@@ -207,17 +207,18 @@ def _starstar_certificate(rs: RootSystem, I: SimpleSubset, lam: Weight) -> dict:
 
 def case3_additivity_check(alg: EnvelopingAlgebra, mu: Weight, gamma: int,
                            depth: int) -> bool:
-    """Character additivity at finite depth: the parabolic quotient for the
-    simple root other than gamma, at dominant mu, matches the sum of the
-    simple characters of mu and of its gamma-dot-reflection."""
+    """Character additivity at finite depth: the generalised Verma module
+    for the simple root other than gamma, at dominant mu, matches the sum
+    of the simple characters of mu and of its gamma-dot-reflection at every
+    weight within the depth."""
     rs = alg.rs
     other = 1 - gamma
     lhs = parabolic_verma(alg, SimpleSubset.of(other), mu, depth)
     lhs_ch = lhs.character().as_dict()
     rhs = (simple_dims(alg, mu, depth)
            + simple_dims(alg, dot_reflect(rs, gamma, mu), depth)).as_dict()
-    for s in lhs.parent.basis:
-        w = mu - rs.weight_of_root(lhs.parent.label_drop(s))
+    for drop in _drops_within(rs.rank, depth):
+        w = mu - rs.weight_of_root(drop)
         if lhs_ch.get(w, 0) != rhs.get(w, 0):
             return False
     return True

@@ -1,11 +1,13 @@
 """Depth-truncated highest-weight modules and their exact linear algebra.
 
 Verma modules have basis f^s v with s running over positive-root exponent
-vectors; parabolic quotients are cut out by the singular vectors
-f_a^(lam(h_a)+1) v; Levi-induced modules carry extra central polynomial
-directions along the dual Cartan basis.  All actions are exact, so
-weight-space dimensions of simple quotients come out of Gram-matrix ranks
-over Q.
+vectors.  Generalised Verma modules U(g) (x)_{U(p_J)} L_J(lam) are induced
+modules: f-monomials over the roots outside the Levi of J times a basis of
+the finite-dimensional L_J(lam), which is the one module cut out of a
+Verma module by the singular vectors f_a^(lam(h_a)+1) v.  Levi-induced
+modules carry extra central polynomial directions along the dual Cartan
+basis.  All actions are exact, so weight-space dimensions of simple
+quotients come out of Gram-matrix ranks over Q.
 
 Actions are computed in the module, by recursion on the leading f of a
 label, not through normal forms in U(g): g f_L r = f_L (g r) + [g, f_L] r
@@ -284,15 +286,15 @@ class VermaLikeModule(HighestWeightModule):
 
 class QuotientModule(HighestWeightModule):
     """Quotient of a Verma-like module by the span of f-translates of
-    given singular vectors, one reduction per weight space."""
+    given singular vectors, one reduction per weight space: the
+    finite-dimensional Levi module inside every induced module."""
 
-    def __init__(self, parent: VermaLikeModule, singular: list[Vec], kind: str):
+    def __init__(self, parent: VermaLikeModule, singular: list[Vec]):
         self.parent = parent
         self.alg = parent.alg
         self.rs = parent.rs
         self.lam = parent.lam
         self.depth = parent.depth
-        self.kind = kind
         self._build_reductions(singular)
         self._memo: dict[tuple, Vec] = {}
 
@@ -427,20 +429,6 @@ def _check_dominant_on(rs: RootSystem, lam: Weight, subset) -> None:
                 f"coordinate {i} is {v}")
 
 
-def parabolic_verma(alg: EnvelopingAlgebra, I: SimpleSubset, lam: Weight,
-                    depth: int) -> QuotientModule:
-    """Quotient of the Verma module by the singular vectors
-    f_a^(lam(h_a)+1) v for a in I, with a basis-count cross-check against
-    the induced construction."""
-    rs = alg.rs
-    check_weight(rs, lam)
-    check_subset(rs, I)
-    _check_dominant_on(rs, lam, I)
-    module = _parabolic_quotient(VermaLikeModule(alg, lam, depth), I)
-    _induced_character_check(module, I)
-    return module
-
-
 def _parabolic_quotient(parent: VermaLikeModule, I: SimpleSubset) -> QuotientModule:
     """parent modulo the singular vectors f_a^(lam(h_a)+1) v, a in I, that
     lie within its depth; lam must be dominant integral on I."""
@@ -452,22 +440,29 @@ def _parabolic_quotient(parent: VermaLikeModule, I: SimpleSubset) -> QuotientMod
         if power * parent.heights[idx] <= parent.depth:
             label = tuple(power if k == idx else 0 for k in range(alg.npos))
             singular.append({label: Fraction(1)})
-    return QuotientModule(parent, singular, kind=f"parabolic({sorted(I)})")
+    return QuotientModule(parent, singular)
 
 
-def _induced_character_check(module: QuotientModule, I: SimpleSubset) -> None:
-    """The quotient character must match the induced-basis count: Kostant
-    partitions over the non-Levi positive roots convolved with the
-    finite-dimensional Levi simple dimensions."""
+def _drops_within(rank: int, depth: int) -> list[tuple]:
+    """Every root drop nu of height at most depth: the weights lam - nu
+    a statement "within depth" quantifies over."""
+    return _enum_f_labels(rank, list(range(rank)), [1] * rank, depth)
+
+
+def _induced_character_check(module: LeviInducedModule, J: SimpleSubset) -> None:
+    """The character must match Kostant partitions over the roots outside
+    the Levi of J convolved with the Shapovalov ranks of the Levi Verma
+    module: an independent check of the quotient V and of the enumeration
+    of the free f-part."""
     rs = module.rs
-    levi_roots = positive_subsystem(rs, I)
+    levi_roots = positive_subsystem(rs, J)
     outside_roots = [r for r in rs.positive_roots if r not in levi_roots]
     levi_verma = VermaLikeModule(module.alg, module.lam, module.depth,
                                  [rs.root_index[r] for r in levi_roots])
     levi_simple = simple_dims_table(levi_verma)
     got = module.character().as_dict()
     memo: dict[tuple, int] = {}
-    for drop in module.parent.labels_by_drop:
+    for drop in _drops_within(rs.rank, module.depth):
         expect = 0
         for nu2, dim in levi_simple.items():
             rem = tuple(a - b for a, b in zip(drop, nu2))
@@ -552,24 +547,27 @@ def simple_dims(alg: EnvelopingAlgebra, lam: Weight, depth: int) -> Character:
                          for nu, d in simple_dims_table(module).items()})
 
 
-# -- Levi-induced modules with central directions --------------------------------
+# -- generalised Verma modules as induced modules --------------------------------
 
 
 class LeviInducedModule(HighestWeightModule):
     """Module over the Levi of a simple subset I, induced from the simple
-    module of the interior with free polynomial directions along the dual
-    Cartan basis outside I.
+    module V of an inner subset J, by default the interior of I, with free
+    polynomial directions along the dual Cartan basis outside I.  With I
+    all simple roots there are no such directions, and the module is the
+    generalised Verma module U(g) (x)_{U(p_J)} L_J(lam).
 
     Labels are triples (s, t, b): f-exponents over the positive Levi roots
-    outside the interior, exponents over the dual-basis elements h^a for
-    a outside I, and a basis label of the interior simple module V.  When
-    the scalar vector c is given, the dual-basis directions act by the
-    scalars lam(h^a) - c_a instead of freely (t stays zero), which is the
-    target of the projection maps.
+    outside the Levi of J, exponents over the dual-basis elements h^a for
+    a outside I, and a basis label of V.  When the scalar vector c is
+    given, the dual-basis directions act by the scalars lam(h^a) - c_a
+    instead of freely (t stays zero), which is the target of the
+    projection maps.
     """
 
     def __init__(self, alg: EnvelopingAlgebra, I: SimpleSubset, lam: Weight,
-                 depth: int, c: dict[int, Fraction] | None = None):
+                 depth: int, c: dict[int, Fraction] | None = None,
+                 inner: SimpleSubset | None = None):
         _check_depth(depth)
         rs = alg.rs
         check_weight(rs, lam)
@@ -579,10 +577,13 @@ class LeviInducedModule(HighestWeightModule):
         self.I = I
         self.lam = lam
         self.depth = depth
-        self.interior = interior(rs, I)
-        _check_dominant_on(rs, lam, self.interior)
+        self.inner = interior(rs, I) if inner is None else inner
+        io_roots = positive_subsystem(rs, self.inner)  # checks the indices
+        if any(j not in I for j in self.inner):
+            raise ValueError(f"inner subset {sorted(self.inner)} is not "
+                             f"inside I = {sorted(I)}")
+        _check_dominant_on(rs, lam, self.inner)
         levi_roots = positive_subsystem(rs, I)
-        io_roots = positive_subsystem(rs, self.interior)
         self.levi_idx = [rs.root_index[r] for r in levi_roots]
         self.io_idx = sorted(rs.root_index[r] for r in io_roots)
         self.free_idx = sorted(set(self.levi_idx) - set(self.io_idx))
@@ -595,11 +596,13 @@ class LeviInducedModule(HighestWeightModule):
         self.lam_dual = [sum((dual[k][j] * lam.coords[k] for k in range(rs.rank)),
                              Fraction(0)) for j in range(rs.rank)]
 
-        # V: finite-dimensional simple module of the interior
+        # V: the finite-dimensional simple module of J, whose lowest weight
+        # lies sum_beta <lam, beta^v> below lam; cut at the depth, so that
+        # no action leaves the basis
         v_depth = sum(int(pairing(rs, lam, r)) for r in io_roots)
         self.V = _parabolic_quotient(
-            VermaLikeModule(alg, lam, max(v_depth, 1), self.io_idx),
-            self.interior)
+            VermaLikeModule(alg, lam, max(min(v_depth, depth), 1), self.io_idx),
+            self.inner)
         heights = [rs.root_height(r) for r in alg.sc.base_order]
         self.heights = heights
         n_out = len(self.outside)
@@ -711,37 +714,16 @@ def levi_gvm(alg: EnvelopingAlgebra, I: SimpleSubset, lam: Weight,
     return LeviInducedModule(alg, I, lam, depth)
 
 
-def levi_hw_check(module: QuotientModule, I: SimpleSubset,
-                  s: dict[int, int]) -> bool:
-    """Inside a parabolic quotient for I, the vector made by applying
-    f_j^(s_j) for simple j outside I to the generator must be a Levi
-    highest-weight vector: killed by e_a for a in I, with h acting by
-    lam minus the applied roots."""
-    rs = module.rs
-    alg = module.alg
-    check_subset(rs, I)
-    vec: Vec = {tuple([0] * alg.npos): Fraction(1)}
-    drop = [0] * rs.rank
-    for j, k in s.items():
-        if j in I:
-            raise ValueError("exponents must be over simple roots outside I")
-        idx = rs.root_index[rs.simple_root(j)]
-        for _ in range(k):
-            vec = module.act(("f", idx), vec)
-        drop[j] += k
-    if not vec:
-        return False
-    target = module.lam - rs.weight_of_root(tuple(drop))
-    for i in I:
-        idx = rs.root_index[rs.simple_root(i)]
-        if module.act(("e", idx), vec):
-            return False
-    for i in range(rs.rank):
-        got = module.act(("h", i), vec)
-        want = _clean({lab: target.coords[i] * c for lab, c in vec.items()})
-        if got != want:
-            return False
-    return True
+def parabolic_verma(alg: EnvelopingAlgebra, J: SimpleSubset, lam: Weight,
+                    depth: int) -> LeviInducedModule:
+    """The generalised Verma module U(g) (x)_{U(p_J)} L_J(lam): the induced
+    module over all simple roots with inner subset J, checked against
+    Kostant partitions and the Shapovalov ranks of the Levi Verma module."""
+    all_simple = SimpleSubset.of(*range(alg.rs.rank))
+    module = LeviInducedModule(alg, all_simple, lam, depth, inner=J)
+    module.kind = f"parabolic({sorted(J)})"
+    _induced_character_check(module, J)
+    return module
 
 
 # -- JSON exports ------------------------------------------------------------------

@@ -32,6 +32,16 @@ def alg_b2():
 
 
 @pytest.fixture(scope="session")
+def alg_b3():
+    return _alg("B3")
+
+
+@pytest.fixture(scope="session")
+def alg_c3():
+    return _alg("C3")
+
+
+@pytest.fixture(scope="session")
 def alg_g2():
     return _alg("G2")
 

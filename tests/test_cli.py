@@ -180,6 +180,18 @@ def test_character_refuses_a_basis_over_budget_before_any_work():
             f"{MAX_BASIS_LABELS}") in proc.stderr
 
 
+def test_phi_check_refuses_samples_over_the_bound_before_any_work():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "vermakit.cli", *PHI_A2, "--samples",
+         str(cli.MAX_SAMPLES + 1)],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert (f"samples must be at most {cli.MAX_SAMPLES}, "
+            f"got {cli.MAX_SAMPLES + 1}") in proc.stderr
+
+
 @pytest.mark.parametrize("argv", [
     ["classify", "--weight", "-2,3"],
     ["phi-check", "--weight", "2,1/3", "--parabolic", "0", "--c", "-3"],

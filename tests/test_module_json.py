@@ -1,17 +1,23 @@
 """module_to_json of Levi-induced and parabolic modules against recorded
-output.  The records were made before the module layer shared one
-commutation step and one bracket memo; rerun this file as a script
-(PYTHONPATH=src python tests/test_module_json.py) only to record anew."""
+output.  The Levi records were made before the module layer shared one
+commutation step and one bracket memo.  The parabolic records were made
+anew when parabolic_verma became an induced module, whose basis is not the
+old quotient's; the isomorphism test below ties the two.  Rerun this file
+as a script (PYTHONPATH=src python tests/test_module_json.py) only to
+record anew."""
 
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from vermakit.chevalley import structure_constants
+from vermakit.linalg import rank
 from vermakit.rootsys import SimpleSubset, Weight, parse_type
 from vermakit.uea import EnvelopingAlgebra
-from vermakit.weightmod import levi_gvm, module_to_json, parabolic_verma
+from vermakit.weightmod import (VermaLikeModule, _parabolic_quotient, levi_gvm,
+                                module_to_json, parabolic_verma)
 
 DATA = Path(__file__).with_name("data") / "module_json.json"
 
@@ -41,6 +47,44 @@ def test_module_json_matches_the_record(index):
     recorded = json.loads(DATA.read_text())[index]
     assert recorded["case"] == json.loads(json.dumps(list(CASES[index])))
     assert _module_json(*CASES[index]) == recorded["module"]
+
+
+@pytest.mark.parametrize("index", [i for i, case in enumerate(CASES)
+                                   if case[0] == "parabolic_verma"])
+def test_parabolic_record_is_isomorphic_to_the_verma_quotient(index):
+    """(s, (), b) -> the class of f^s f^b v in the Verma module modulo the
+    f-translates of the singular vectors f_a^(lam(h_a)+1) v, a in J, is
+    bijective on each weight space and commutes with every simple e, f, h."""
+    _, label, J, weight, depth = CASES[index]
+    alg = EnvelopingAlgebra(structure_constants(parse_type(label)))
+    rs = alg.rs
+    J, lam = SimpleSubset.of(*J), Weight.of(*weight)
+    module = parabolic_verma(alg, J, lam, depth)
+    old = _parabolic_quotient(VermaLikeModule(alg, lam, depth), J)
+    zero_h, zero_e = (0,) * rs.rank, (0,) * alg.npos
+    phi = {x: old.project(old.parent.apply_word(alg.word((x[0], zero_h, zero_e)),
+                                                {x[2]: Fraction(1)}))
+           for x in module.basis}
+
+    drops = {module.label_drop(x) for x in module.basis}
+    assert drops == {old.label_drop(s) for s in old.basis}
+    for drop in drops:
+        new_labels = [x for x in module.basis if module.label_drop(x) == drop]
+        old_labels = [s for s in old.basis if old.label_drop(s) == drop]
+        matrix = [[phi[x].get(s, Fraction(0)) for s in old_labels]
+                  for x in new_labels]
+        assert len(new_labels) == len(old_labels) == rank(matrix), drop
+
+    simple = [rs.root_index[rs.simple_root(i)] for i in range(rs.rank)]
+    gens = ([("e", i) for i in simple] + [("f", i) for i in simple]
+            + [("h", i) for i in range(rs.rank)])
+    for g in gens:
+        for x in module.basis:
+            mapped = {}
+            for y, c in module.act_label(g, x).items():
+                for s, d in phi[y].items():
+                    mapped[s] = mapped.get(s, Fraction(0)) + c * d
+            assert {s: c for s, c in mapped.items() if c} == old.act(g, phi[x]), (g, x)
 
 
 if __name__ == "__main__":

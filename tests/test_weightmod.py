@@ -8,10 +8,10 @@ from vermakit.linalg import rank, rref
 from vermakit.rootsys import (SimpleSubset, Weight, dot_reflect, pairing,
                               parse_type, positive_subsystem)
 from vermakit.weightmod import (Character, LeviInducedModule, QuotientModule,
-                                VermaLikeModule, _enum_f_labels, _gram,
-                                character_to_json, kostant_partition, levi_gvm,
-                                levi_hw_check, module_to_json, parabolic_verma,
-                                shapovalov_gram, simple_dims,
+                                VermaLikeModule, _drops_within, _enum_f_labels,
+                                _gram, _parabolic_quotient, character_to_json,
+                                kostant_partition, levi_gvm, module_to_json,
+                                parabolic_verma, shapovalov_gram, simple_dims,
                                 simple_dims_table, verma, weyl_dim)
 
 
@@ -204,9 +204,61 @@ def test_case3_additivity_small(alg_a2):
     lhs_ch = lhs.character().as_dict()
     rhs = (simple_dims(alg_a2, mu, 4)
            + simple_dims(alg_a2, dot_reflect(rs, 1, mu), 4)).as_dict()
-    for s in lhs.parent.basis:
-        w = mu - rs.weight_of_root(lhs.parent.label_drop(s))
+    for drop in _drops_within(rs.rank, 4):
+        w = mu - rs.weight_of_root(drop)
         assert lhs_ch.get(w, 0) == rhs.get(w, 0)
+
+
+_PARABOLIC_CASES = [  # type, J, weight dominant integral on J, depth
+    ("A2", (0,), (1, Fraction(1, 2)), 6),
+    ("A3", (0, 2), (1, Fraction(-1, 2), 2), 4),
+    ("B2", (1,), (Fraction(2, 3), 1), 5),
+    ("B3", (0, 2), (1, Fraction(1, 3), 1), 4),
+    ("C3", (1, 2), (Fraction(-1, 2), 1, 1), 4),
+    ("G2", (0,), (1, Fraction(1, 3)), 7)]
+
+
+@pytest.mark.parametrize("label,J,coords,depth", _PARABOLIC_CASES,
+                         ids=[case[0] for case in _PARABOLIC_CASES])
+def test_parabolic_verma_respects_every_bracket(request, label, J, coords, depth):
+    """[x, y] v = x (y v) - y (x v) for every pair of generators and every
+    label the depth cut leaves untouched."""
+    alg = request.getfixturevalue(f"alg_{label.lower()}")
+    module = parabolic_verma(alg, SimpleSubset.of(*J), Weight.of(*coords), depth)
+    heights = module.heights
+    gens = alg.sc.generators()
+    checked = 0
+    for n, x in enumerate(gens):
+        for y in gens[n + 1:]:
+            lift = sum(heights[g[1]] for g in (x, y) if g[0] == "f")
+            for label_ in module.basis:
+                if module._label_height(label_) + lift > depth:
+                    continue
+                v = {label_: Fraction(1)}
+                lhs = {}
+                for g, c in alg.sc.bracket(x, y).items():
+                    for k, d in module.act(g, v).items():
+                        lhs[k] = lhs.get(k, 0) + c * d
+                xy = module.act(x, module.act(y, v))
+                yx = module.act(y, module.act(x, v))
+                rhs = {k: xy.get(k, 0) - yx.get(k, 0) for k in set(xy) | set(yx)}
+                assert ({k: c for k, c in lhs.items() if c}
+                        == {k: c for k, c in rhs.items() if c}), (x, y, label_)
+                checked += 1
+    assert checked
+
+
+@pytest.mark.parametrize("label,J,depth", [
+    ("A2", (0,), 14), ("A3", (0, 2), 8), ("A3", (0, 1), 9), ("B2", (1,), 12),
+    ("B3", (0, 2), 8), ("G2", (0,), 10), ("A2", (0, 1), 2)])
+def test_parabolic_verma_character_matches_the_verma_quotient(request, label, J,
+                                                              depth):
+    alg = request.getfixturevalue(f"alg_{label.lower()}")
+    rank_ = alg.rs.rank
+    lam = Weight.of(*[1 if i in J else Fraction(1, 3) for i in range(rank_)])
+    I = SimpleSubset.of(*J)
+    old = _parabolic_quotient(VermaLikeModule(alg, lam, depth), I)
+    assert parabolic_verma(alg, I, lam, depth).character() == old.character()
 
 
 def test_levi_module_bracket_relations(alg_a2):
@@ -224,13 +276,6 @@ def test_levi_module_bracket_relations(alg_a2):
             diff[lab] = diff.get(lab, Fraction(0)) - c
         diff = {k: v for k, v in diff.items() if v}
         assert diff == h
-
-
-def test_levi_hw_check(alg_a2):
-    module = parabolic_verma(alg_a2, SimpleSubset.of(0), Weight.of(2, 1), 5)
-    assert levi_hw_check(module, SimpleSubset.of(0), {1: 3})
-    with pytest.raises(ValueError):
-        levi_hw_check(module, SimpleSubset.of(0), {0: 1})
 
 
 def test_character_json_sorted(alg_a2):
@@ -422,7 +467,7 @@ def test_incremental_translates_match_whole_words(request, label, levi, coords, 
     singular.append(parent.act(("f", alg.npos - 1), singular[0]))
     if not beyond:  # every case reaches a singular vector past the depth
         singular.append({(depth + 1,) + (0,) * (alg.npos - 1): Fraction(1)})
-    module = QuotientModule(parent, singular, "test")
+    module = QuotientModule(parent, singular)
     reduction, basis = _reductions_by_words(parent, [u for u in singular if u])
     assert module._reduction == reduction
     assert module.basis == basis
@@ -446,9 +491,6 @@ def test_subset_index_outside_the_rank_is_refused(alg_a2, index):
         parabolic_verma(alg_a2, I, Weight.of(0, 1), 3)
     with pytest.raises(ValueError, match=message):
         levi_gvm(alg_a2, I, Weight.of(0, 1), 3)
-    module = parabolic_verma(alg_a2, SimpleSubset.of(0), Weight.of(2, 1), 3)
-    with pytest.raises(ValueError, match=message):
-        levi_hw_check(module, I, {1: 1})
 
 
 def _alarm(signum, frame):
@@ -500,6 +542,25 @@ def test_levi_module_refuses_a_generator_it_does_not_have(alg_a2, g, c):
     for label in (module.hw_label(), top):
         with pytest.raises(ValueError, match=re.escape(f"{g} is not a generator")):
             module.act_label(g, label)
+
+
+def test_levi_module_actions_stay_in_the_basis_when_v_is_deeper(alg_a3):
+    # V = L_{(0)}(lam) reaches depth 2, past the module's depth 1; its
+    # f-action used to answer labels outside the basis
+    module = levi_gvm(alg_a3, SimpleSubset.of(0, 1),
+                      Weight.of(2, 0, Fraction(1, 3)), 1)
+    basis = set(module.basis)
+    gens = ([(kind, i) for kind in ("e", "f") for i in module.levi_idx]
+            + [("h", i) for i in range(3)])
+    for g in gens:
+        for label in module.basis:
+            assert set(module.act_label(g, label)) <= basis, (g, label)
+
+
+def test_levi_module_refuses_an_inner_subset_outside_i(alg_a2):
+    with pytest.raises(ValueError, match=r"inner subset \[1\] is not inside I = \[0\]"):
+        LeviInducedModule(alg_a2, SimpleSubset.of(0), Weight.of(3, 1), 3,
+                          inner=SimpleSubset.of(1))
 
 
 @pytest.mark.parametrize("type_label,I,coords", [
