@@ -366,7 +366,8 @@ def _suite_linkage(depth: int, rng) -> tuple[bool, str]:
     for _ in range(50):
         lam = Weight.of(*[Fraction(rng.randint(-6, 6), rng.choice([1, 2, 4]))
                           for _ in range(2)])
-        dom = [w for w in dot_orbit(rs, lam) if w.is_dominant_integral()]
+        dom = [drop for drop in dot_orbit(rs, lam)
+               if (lam - rs.weight_of_root(drop)).is_dominant_integral()]
         if len(dom) > 1:
             return False, f"two dominant weights linked to {lam}"
     return True, "each sampled dot orbit has at most one dominant weight"

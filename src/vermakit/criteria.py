@@ -89,13 +89,6 @@ def condition_star_star(rs: RootSystem, I: SimpleSubset, lam: Weight) -> bool:
     return not psi_plus(rs, I, lam)
 
 
-def jantzen_irreducible(rs: RootSystem, I: SimpleSubset, lam: Weight) -> str:
-    """'irreducible' when condition (*) certifies it, else 'unknown'
-    (the criterion is sufficient only)."""
-    ok, _ = condition_star(rs, I, lam)
-    return "irreducible" if ok else "unknown"
-
-
 def compute_A(rs: RootSystem, I: SimpleSubset, lam: Weight) -> int:
     """Minimal positive integer A with <lam+rho, a^v> - A never a positive
     integer, over all roots a of the parabolic subsystem."""
@@ -224,9 +217,6 @@ def case3_additivity_check(alg: EnvelopingAlgebra, mu: Weight, gamma: int,
     return True
 
 
-_CASE3_CACHE: dict[tuple, bool] = {}
-
-
 def classify_sl3(alg: EnvelopingAlgebra, lam: Weight, p: int, n: int,
                  check_depth: int = 4) -> CaseReport:
     rs = alg.rs
@@ -271,11 +261,11 @@ def classify_sl3(alg: EnvelopingAlgebra, lam: Weight, p: int, n: int,
             report.certificates.append(cert)
             report.chain.append(cur)
         gamma, mu = base
-        key = (tuple(mu.coords), gamma, check_depth)
-        if key not in _CASE3_CACHE:
-            _CASE3_CACHE[key] = case3_additivity_check(alg, mu, gamma,
-                                                       check_depth)
-        ok = _CASE3_CACHE[key]
+        verdicts = alg.case3_verdicts
+        key = (mu.coords, gamma, check_depth)
+        if key not in verdicts:
+            verdicts[key] = case3_additivity_check(alg, mu, gamma, check_depth)
+        ok = verdicts[key]
         report.certificates.append({
             "kind": "case3_extension",
             "base": [str(x) for x in cur.coords],
@@ -335,15 +325,32 @@ def _terminal_subset(cur: Weight) -> tuple[SimpleSubset, bool] | None:
 
 
 def verify_case_report(alg: EnvelopingAlgebra, report: CaseReport) -> bool:
-    """Independently re-run every certificate in a report."""
-    rs = alg.rs
+    """Independently re-check every certificate in a report; a malformed
+    field (a missing key, an index outside {0, 1}, a non-number) fails it,
+    and so does a walk that stops short of a terminal certificate.
+
+    A case3_extension needs no module.  With mu dominant integral and beta
+    the simple root other than gamma, every Kazhdan-Lusztig polynomial of A2
+    is 1, so at every weight and depth ch L(mu) + ch L(s_gamma.mu)
+    = sum_W (-1)^l(w) ch M(w.mu) + sum_{w >= s_gamma} (-1)^(l(w)-1) ch M(w.mu)
+    = ch M(mu) - ch M(s_beta.mu) = ch M_beta(mu).  So the certificate holds
+    when s_gamma.mu is the chain weight and the report records the check."""
+    if (alg.rs.type_label, alg.rs.rank) != ("A", 2):
+        raise ValueError("case reports are specific to the rank-2 type A system")
+    try:
+        return _certificates_hold(alg.rs, report)
+    except (LookupError, TypeError, ValueError):
+        return False
+
+
+def _certificates_hold(rs: RootSystem, report: CaseReport) -> bool:
     chain_pos = 0
     cur = report.chain[0]
     for cert in report.certificates:
         kind = cert["kind"]
         if kind == "reflection_step":
             i = cert["alpha"]
-            if _in_n0(cur.coords[i] + 1):
+            if i not in (0, 1) or _in_n0(cur.coords[i] + 1):
                 return False
             cur = dot_reflect(rs, i, cur)
             chain_pos += 1
@@ -351,30 +358,22 @@ def verify_case_report(alg: EnvelopingAlgebra, report: CaseReport) -> bool:
                     or report.chain[chain_pos] != cur):
                 return False
         elif kind == "condition_star":
-            I = SimpleSubset.of(*cert["I"])
-            try:
-                ok, _ = condition_star(rs, I, cur)
-            except ValueError:
-                return False
+            ok, _ = condition_star(rs, SimpleSubset.of(*cert["I"]), cur)
             if not ok:
                 return False
         elif kind == "condition_star_star":
-            I = SimpleSubset.of(*cert["I"])
-            if not condition_star_star(rs, I, cur):
+            if not condition_star_star(rs, SimpleSubset.of(*cert["I"]), cur):
                 return False
         elif kind == "case3_extension":
-            mu = Weight.of(*[Fraction(x) for x in cert["mu"]])
-            gamma = cert["gamma"]
-            if dot_reflect(rs, gamma, mu) != cur:
-                return False
-            if not mu.is_dominant_integral():
-                return False
-            key = (tuple(mu.coords), gamma, cert["depth"])
-            if key not in _CASE3_CACHE:
-                _CASE3_CACHE[key] = case3_additivity_check(alg, mu, gamma,
-                                                           cert["depth"])
-            if not _CASE3_CACHE[key]:
+            mu = Weight.of(*cert["mu"])
+            gamma, depth = cert["gamma"], cert["depth"]
+            if not (gamma in (0, 1) and isinstance(depth, int) and depth >= 1
+                    and mu.is_dominant_integral()
+                    and dot_reflect(rs, gamma, mu) == cur
+                    and report.checks.get("case3_character_additivity") is True):
                 return False
         else:
             return False
-    return True
+    # the walk must reach the chain's end and stop at a terminal certificate
+    return (chain_pos == len(report.chain) - 1 and report.certificates[-1]["kind"]
+            in ("condition_star", "condition_star_star", "case3_extension"))

@@ -324,34 +324,40 @@ def dot_reflect(rs: RootSystem, i: int, lam: Weight) -> Weight:
     return lam - alpha_wt.scale(factor)
 
 
-def dot_orbit(rs: RootSystem, lam: Weight) -> set[Weight]:
-    """Closure of {lam} under the dot action of all simple reflections."""
-    seen = {lam}
-    frontier = [lam]
+def dot_orbit(rs: RootSystem, lam: Weight,
+              subset: SimpleSubset | None = None) -> dict[tuple, int]:
+    """The dot orbit of lam under the reflections in the subset (default:
+    all simple roots) as {lam - w.lam in simple-root coordinates: (-1)^k},
+    k the fewest reflections that reach w.lam.  The drops are ints where lam
+    is integral on the subset; where it is dominant integral, the orbit is
+    free, k = l(w), and the signed sum of the ch M(lam - drop) is ch M_J(lam)
+    (Lepowsky's generalised BGG resolution)."""
+    check_weight(rs, lam)
+    subset = SimpleSubset.of(*range(rs.rank)) if subset is None else subset
+    check_subset(rs, subset)
+    shifted = [x + 1 for x in lam.coords]  # <lam + rho, a_i^v>
+    signs = {(0,) * rs.rank: 1}
+    frontier = list(signs)
     while frontier:
         nxt = []
-        for mu in frontier:
-            for i in range(rs.rank):
-                nu = dot_reflect(rs, i, mu)
-                if nu not in seen:
-                    seen.add(nu)
-                    nxt.append(nu)
+        for drop in frontier:
+            for i in subset:
+                # s_i.(lam - drop) = lam - drop - <lam - drop + rho, a_i^v> a_i
+                x = drop[i] + shifted[i] - sum(d * rs.cartan[k][i]
+                                               for k, d in enumerate(drop))
+                x = int(x) if x.denominator == 1 else x
+                new = drop[:i] + (x,) + drop[i + 1:]
+                if new not in signs:
+                    signs[new] = -signs[drop]
+                    nxt.append(new)
         frontier = nxt
-    return seen
+    return signs
 
 
 def is_singular(rs: RootSystem, lam: Weight) -> bool:
     check_weight(rs, lam)
     shifted = lam + rs.rho()
     return any(pairing(rs, shifted, a) == 0 for a in rs.positive_roots)
-
-
-def classify_weight(rs: RootSystem, lam: Weight) -> dict[str, bool]:
-    return {
-        "dominant_integral": lam.is_dominant_integral(),
-        "singular": is_singular(rs, lam),
-        "integral": lam.is_integral(),
-    }
 
 
 def check_subset(rs: RootSystem, subset: SimpleSubset) -> None:

@@ -72,6 +72,8 @@ class EnvelopingAlgebra:
         self.rs = sc.rs
         self.npos = len(sc.base_order)
         self._memo: dict[tuple[Gen, Monomial], dict[Monomial, int]] = {}
+        # criteria.classify_sl3's case-3 verdicts, per (mu, gamma, depth)
+        self.case3_verdicts: dict[tuple, bool] = {}
 
     # -- monomial plumbing ---------------------------------------------------
 

@@ -208,8 +208,8 @@ def test_criterion_12_linkage_unique_dominant():
         for b in vals:
             lam = Weight.of(a, b)
             assert weight_admissible(rs, lam, 5, 0).admissible
-            dominant = [w for w in dot_orbit(rs, lam)
-                        if w.is_dominant_integral()]
+            dominant = [drop for drop in dot_orbit(rs, lam)
+                        if (lam - rs.weight_of_root(drop)).is_dominant_integral()]
             assert len(dominant) <= 1, lam
             count += 1
     assert count == 100

@@ -3,12 +3,14 @@ from fractions import Fraction
 
 import pytest
 
+from vermakit import criteria, weightmod
+from vermakit.chevalley import structure_constants
 from vermakit.criteria import (case3_additivity_check, classify_sl3,
                                compute_A, condition_star, condition_star_star,
-                               good_prime, gvm_region_irreducible,
-                               jantzen_irreducible, psi_plus, reflection_step,
-                               verify_case_report)
+                               good_prime, gvm_region_irreducible, psi_plus,
+                               reflection_step, verify_case_report)
 from vermakit.rootsys import SimpleSubset, Weight, parse_type
+from vermakit.uea import EnvelopingAlgebra
 
 
 @pytest.fixture(scope="module")
@@ -47,7 +49,6 @@ def test_condition_star_requires_dominance(rs_a2):
 def test_condition_star_fails_for_dominant_interior_weight(rs_a2):
     ok, _ = condition_star(rs_a2, SimpleSubset.of(0), Weight.of(1, 1))
     assert not ok
-    assert jantzen_irreducible(rs_a2, SimpleSubset.of(0), Weight.of(1, 1)) == "unknown"
 
 
 def test_star_star_implies_star_sampled():
@@ -111,7 +112,7 @@ def test_jantzen_consistent_with_shapovalov(alg_a2):
         b = Fraction(rng.randint(-9, 9), rng.choice([2, 3, 4]))
         I = rng.choice([SimpleSubset.of(), SimpleSubset.of(0)])
         lam = Weight.of(a, b)
-        if jantzen_irreducible(rs, I, lam) != "irreducible":
+        if not condition_star(rs, I, lam)[0]:
             continue
         if len(I):
             module = parabolic_verma(alg_a2, I, lam, 5)
@@ -204,6 +205,103 @@ def test_verify_rejects_tampered_report(alg_a2):
     assert not verify_case_report(alg_a2, report)
 
 
+def _fresh_a2():
+    return EnvelopingAlgebra(structure_constants(parse_type("A2")))
+
+
+def _first(report, kind):
+    return next(c for c in report.certificates if c["kind"] == kind)
+
+
+@pytest.mark.parametrize("kind,field,value", [
+    ("case3_extension", "gamma", 2), ("case3_extension", "gamma", -1),
+    ("case3_extension", "depth", 0), ("case3_extension", "depth", "4"),
+    ("reflection_step", "alpha", 7), ("reflection_step", "alpha", -1),
+    ("case3_extension", "mu", ["x", "1"]), ("case3_extension", "mu", ["1"]),
+    ("case3_extension", "mu", None), ("case3_extension", "kind", None)])
+def test_verify_returns_false_on_a_malformed_field(alg_a2, kind, field, value):
+    report = classify_sl3(alg_a2, Weight.of(-3, -3), 5, 0, check_depth=4)
+    assert verify_case_report(alg_a2, report)
+    _first(report, kind)[field] = value
+    assert verify_case_report(alg_a2, report) is False
+
+
+def test_verify_returns_false_on_a_missing_field(alg_a2):
+    report = classify_sl3(alg_a2, Weight.of(-3, -3), 5, 0, check_depth=4)
+    del _first(report, "case3_extension")["mu"]
+    assert verify_case_report(alg_a2, report) is False
+
+
+@pytest.mark.parametrize("coords", [(-3, -3), (Fraction(1, 2), Fraction(-5, 2)),
+                                    (2, -1)])
+@pytest.mark.parametrize("cut", ["no-certificates", "no-terminal", "long-chain"])
+def test_verify_rejects_a_walk_that_stops_short(alg_a2, coords, cut):
+    report = classify_sl3(alg_a2, Weight.of(*coords), 5, 0, check_depth=4)
+    if cut == "no-certificates":
+        report.certificates = []
+    elif cut == "no-terminal":
+        report.certificates.pop()
+    else:
+        report.chain.append(report.chain[-1])
+    assert not verify_case_report(alg_a2, report)
+
+
+def test_verify_rejects_a_planted_case3_verdict(alg_a2):
+    report = classify_sl3(alg_a2, Weight.of(-2, 3), 5, 0, check_depth=4)
+    assert _first(report, "case3_extension")
+    report.checks["case3_character_additivity"] = False
+    assert not verify_case_report(alg_a2, report)
+    del report.checks["case3_character_additivity"]
+    assert not verify_case_report(alg_a2, report)
+
+
+def test_verify_rejects_a_case3_mu_off_the_chain_or_not_dominant(alg_a2):
+    report = classify_sl3(alg_a2, Weight.of(-3, -3), 5, 0, check_depth=4)
+    cert = _first(report, "case3_extension")
+    cert["mu"], cert["gamma"] = ["2", "1"], 0  # dominant, wrong reflection
+    assert not verify_case_report(alg_a2, report)
+    cert["mu"], cert["gamma"] = ["1", "-5"], 1  # s_1.mu is; mu not dominant
+    assert not verify_case_report(alg_a2, report)
+
+
+def test_verify_refuses_an_algebra_that_is_not_a2(alg_a2, alg_b2):
+    report = classify_sl3(alg_a2, Weight.of(-3, -3), 5, 0, check_depth=4)
+    with pytest.raises(ValueError, match="specific to the rank-2 type A"):
+        verify_case_report(alg_b2, report)
+
+
+def test_case3_verdicts_are_memoised_per_algebra(monkeypatch):
+    calls = []
+
+    def counting(alg, mu, gamma, depth):
+        calls.append((alg, mu, gamma, depth))
+        return case3_additivity_check(alg, mu, gamma, depth)
+
+    monkeypatch.setattr(criteria, "case3_additivity_check", counting)
+    first, second = _fresh_a2(), _fresh_a2()
+    for alg in (first, second, first):
+        report = classify_sl3(alg, Weight.of(-3, -3), 5, 0, check_depth=4)
+        assert report.checks["case3_character_additivity"]
+    assert [c[0] for c in calls] == [first, second]
+    assert first.case3_verdicts == second.case3_verdicts
+
+
+def test_verify_builds_no_module(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise RuntimeError("the verifier must not build a module")
+
+    alg = _fresh_a2()
+    reports = [classify_sl3(alg, Weight.of(*c), 5, 0, check_depth=4)
+               for c in ((-3, -3), (-2, 3), (2, -1), (Fraction(1, 2), -1))]
+    for module in (criteria, weightmod):
+        for name in ("case3_additivity_check", "parabolic_verma",
+                     "simple_dims"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    for report in reports:
+        assert verify_case_report(_fresh_a2(), report), report.input
+
+
 def test_case3_additivity_direct(alg_a2):
     assert case3_additivity_check(alg_a2, Weight.of(1, 0), 1, 4)
     assert case3_additivity_check(alg_a2, Weight.of(0, 0), 0, 4)
@@ -229,8 +327,7 @@ def test_subset_index_outside_the_rank_is_refused(rs_a2, index):
     I = SimpleSubset.of(index)
     lam = Weight.of(0, 1)
     message = f"simple-root index {index} is not in 0..1 \\(rank 2\\)"
-    for check in (psi_plus, condition_star, condition_star_star,
-                  jantzen_irreducible, compute_A):
+    for check in (psi_plus, condition_star, condition_star_star, compute_A):
         with pytest.raises(ValueError, match=message):
             check(rs_a2, I, lam)
     with pytest.raises(ValueError, match=message):
@@ -238,7 +335,8 @@ def test_subset_index_outside_the_rank_is_refused(rs_a2, index):
 
 
 @pytest.mark.parametrize("query", [
-    psi_plus, condition_star, condition_star_star, jantzen_irreducible,
+    psi_plus, condition_star, condition_star_star,
+    lambda rs, I, lam: condition_star(rs, I, lam)[0],
     compute_A, lambda rs, I, lam: gvm_region_irreducible(rs, I, lam, {1: -9}),
     lambda rs, I, lam: reflection_step(rs, lam, 0)],
     ids=["psi_plus", "condition_star", "condition_star_star",

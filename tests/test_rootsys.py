@@ -4,8 +4,7 @@ from fractions import Fraction
 import pytest
 
 from vermakit.rootsys import (RootSystem, SimpleSubset, Weight, bad_primes,
-                              check_weight, classify_weight, dot_orbit,
-                              dot_reflect,
+                              check_weight, dot_orbit, dot_reflect,
                               dual_h_basis, interior, is_singular,
                               is_totally_proper, pairing, parse_type,
                               parse_weight, positive_subsystem,
@@ -96,6 +95,31 @@ def test_dot_orbit_size_regular_integral():
     assert len(dot_orbit(rs, Weight.of(1, 0))) == 6
 
 
+@pytest.mark.parametrize("label,coords,subset,size", [
+    ("A2", (1, 1), (0,), 2), ("A2", (Fraction(1, 2), 3), (1,), 2),
+    ("G2", (0, 0), (0, 1), 12), ("G2", (5, 5), (0, 1), 12),
+    ("B2", (2, 1), (0, 1), 8), ("A3", (1, Fraction(1, 3), 2), (0, 2), 4)])
+def test_dot_orbit_on_a_dominant_subset_is_free_with_length_signs(
+        label, coords, subset, size):
+    """lam dominant integral on the subset: one int drop per element of
+    W_J, half of each sign, and each simple reflection in the subset maps
+    the weights lam - drop onto each other with the opposite sign."""
+    rs = parse_type(label)
+    lam = Weight.of(*coords)
+    J = SimpleSubset.of(*subset)
+    orbit = dot_orbit(rs, lam, J)
+    assert len(orbit) == size
+    assert sorted(orbit.values()).count(1) == size // 2
+    assert all(type(x) is int for drop in orbit for x in drop)
+    assert orbit[(0,) * rs.rank] == 1
+    weights = {lam - rs.weight_of_root(drop): sign
+               for drop, sign in orbit.items()}
+    assert len(weights) == size
+    for mu, sign in weights.items():
+        for i in J:
+            assert weights[dot_reflect(rs, i, mu)] == -sign
+
+
 def test_singular_weight_detection():
     rs = parse_type("A2")
     assert is_singular(rs, Weight.of(-1, 5))
@@ -105,9 +129,10 @@ def test_singular_weight_detection():
 
 def test_classify_weight_flags():
     rs = parse_type("A2")
-    flags = classify_weight(rs, Weight.of(2, 0))
-    assert flags == {"dominant_integral": True, "singular": False,
-                     "integral": True}
+    lam = Weight.of(2, 0)
+    assert lam.is_dominant_integral()
+    assert not is_singular(rs, lam)
+    assert lam.is_integral()
 
 
 def test_subsystem_and_interior():
@@ -170,7 +195,10 @@ def test_subset_index_outside_the_rank_is_refused(index):
 
 
 @pytest.mark.parametrize("query", [
-    check_weight, is_singular, classify_weight, dot_orbit,
+    check_weight, is_singular,
+    lambda rs, lam: (lam.is_dominant_integral(), is_singular(rs, lam),
+                     lam.is_integral()),
+    dot_orbit,
     lambda rs, lam: dot_reflect(rs, 0, lam),
     lambda rs, lam: pairing(rs, lam, (1, 1))],
     ids=["check_weight", "is_singular", "classify_weight", "dot_orbit",
