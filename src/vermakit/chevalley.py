@@ -286,6 +286,9 @@ def _acc_add(acc: dict, d: dict, scale: int) -> None:
 
 
 def constants_to_json(sc: StructureConstants) -> list[dict]:
-    """Export as a stable list of {alpha, beta, value} records."""
+    """Export as a stable list of {alpha, beta, value} records.
+
+    This is the format that the sha256 digests of all 13 supported types
+    hash: they pin the Chevalley basis every other layer is built on."""
     items = sorted(sc.pairs(), key=lambda kv: (kv[0][0], kv[0][1]))
     return [{"alpha": list(x), "beta": list(y), "value": v} for (x, y), v in items]

@@ -138,10 +138,37 @@ def hw_scalar_check(source_or_target: LeviInducedModule, c: dict, i: int
     return _clean(lhs) == want
 
 
+def phi_c_checks(source: LeviInducedModule, c: dict, samples: int,
+                 rng) -> dict[str, bool]:
+    """The phi_c battery: surjectivity, the scalar identity for every
+    dual-basis direction outside I, and the homomorphism identity on
+    samples.  Each sample draws from rng a generator, a label with room for
+    one more degree in the truncation and a coefficient in 1..9; the
+    samples stop at the first failure."""
+    target = phi_c_target(source, c)
+    checks = {"surjective": phi_c_surjective(source, c, target),
+              "hw_scalars": all(hw_scalar_check(target, c, j)
+                                for j in source.outside)}
+    gens = ([("e", i) for i in source.levi_idx]
+            + [("f", i) for i in source.levi_idx]
+            + [("h", i) for i in range(source.rs.rank)])
+    labels = [m for m in source.basis if sum(m[1]) + 1 <= source.depth]
+    checks["homomorphism"] = all(
+        phi_c_homomorphism_check(source, source.alg.gen(*rng.choice(gens)),
+                                 {rng.choice(labels): Fraction(rng.randint(1, 9))},
+                                 c, target)
+        for _ in range(samples))
+    return checks
+
+
 def phi_c_level_check(source: LeviInducedModule, vec: Vec, c: dict,
                       p: int, n: int) -> bool:
     """Filtration spot check: projecting never lowers the level
-    v_p(coefficient) - n * (label degree) when the scalars are admissible."""
+    v_p(coefficient) - n * (label degree) when the scalars are admissible.
+
+    It backs the statement that phi_c respects the p-adic filtrations for
+    admissible c, so that it extends to the completed modules of the
+    Iwasawa algebra."""
     if not scalars_admissible(c, p, n):
         raise ValueError("scalars are not admissible at this (p, n)")
 
@@ -166,6 +193,10 @@ def vanishing_test(poly: dict[tuple, Fraction], degree: int,
     a (degree+1)^r tensor grid of distinct values per variable; under that
     precondition, vanishing on the samples is equivalent to being the zero
     polynomial.
+
+    It backs the density step of the faithfulness argument: what kills the
+    scalar-action module for every admissible c is a polynomial in c that
+    vanishes on a dense set of scalars, hence is zero.
     """
     if not samples:
         raise ValueError("empty sample set")

@@ -51,7 +51,10 @@ def reflection_coefficient(a: Fraction, s: int) -> Fraction:
 def nonvanishing_check(alg: EnvelopingAlgebra, lam: Weight, i: int,
                        s: int) -> bool:
     """e_a^s . f_a^[s] v is the predicted multiple of v, and that multiple
-    is nonzero whenever lam(h_a) is not a nonnegative integer."""
+    is nonzero whenever lam(h_a) is not a nonnegative integer.
+
+    It backs the sl2 step of the irreducibility criteria: no power f_a^s v
+    is singular unless lam(h_a) is a nonnegative integer."""
     module = verma(alg, lam, max(s, 1))
     idx = alg.rs.root_index[alg.rs.simple_root(i)]
     hw: Vec = {tuple([0] * alg.npos): Fraction(1)}

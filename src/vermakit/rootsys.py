@@ -201,6 +201,7 @@ class RootSystem:
 
     def simple_root(self, i: int) -> Root:
         """The simple root alpha_i as a coefficient vector."""
+        check_subset(self, (i,))
         return self._simple_roots[i]
 
     def is_root(self, r: Root) -> bool:
@@ -400,29 +401,13 @@ def interior(rs: RootSystem, subset: SimpleSubset) -> SimpleSubset:
     ))
 
 
-def dynkin_components(rs: RootSystem) -> list[set[int]]:
-    seen: set[int] = set()
-    comps = []
-    for start in range(rs.rank):
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        while stack:
-            i = stack.pop()
-            for j in range(rs.rank):
-                if j not in comp and rs.cartan[i][j] != 0:
-                    comp.add(j)
-                    stack.append(j)
-        seen |= comp
-        comps.append(comp)
-    return comps
-
-
 def is_totally_proper(rs: RootSystem, subset: SimpleSubset) -> bool:
-    """True iff no Dynkin component lies entirely inside the subset."""
+    """True iff no Dynkin component lies inside the subset: the hypothesis
+    of the paper's faithfulness theorem for the generalised Verma module
+    M_I(lam), under which it is infinite-dimensional.  Every supported
+    Cartan matrix is connected, so this says I is not every simple root."""
     check_subset(rs, subset)
-    return all(not comp <= subset.members for comp in dynkin_components(rs))
+    return len(subset) < rs.rank
 
 
 def dual_h_basis(rs: RootSystem) -> list[list[Fraction]]:

@@ -177,9 +177,6 @@ class EnvelopingAlgebra:
 
     # -- element constructors ----------------------------------------------------
 
-    def element(self, terms: dict[Monomial, Fraction]) -> "UEAElement":
-        return UEAElement(self, terms)
-
     def zero(self) -> "UEAElement":
         return UEAElement(self, {})
 
@@ -318,23 +315,17 @@ def iwasawa_generator_monomial(s: tuple[int, ...], basis: list[UEAElement],
 
     Its lowest-degree term is p^((n+1)|s|) x1^s1 ... xr^sr.
     """
+    if not basis:
+        raise ValueError("empty generator basis")
+    if len(s) != len(basis) or min(s) < 0:
+        raise ValueError(f"multi-index {tuple(s)} needs one nonnegative "
+                         f"exponent per basis element ({len(basis)})")
     if sum(s) > ctx.depth:
         raise ValueError("multi-index degree exceeds the truncation depth")
     scalar = Fraction(ctx.p) ** (ctx.n + 1)
-    alg = basis[0].alg if basis else None
-    out = alg.one() if alg else None
-    if out is None:
-        raise ValueError("empty generator basis")
-    one = alg.one()
+    out = one = basis[0].alg.one()
     for x, si in zip(basis, s):
         factor = exp_truncated(x.scale(scalar), ctx) - one
         for _ in range(si):
             out = multiply(out, factor, ctx)
     return out
-
-
-def element_to_json(x: UEAElement) -> list[dict]:
-    """Stable JSON form: one record per monomial, coefficients as strings."""
-    items = sorted(x.terms.items())
-    return [{"f": list(m[0]), "h": list(m[1]), "e": list(m[2]), "coeff": str(c)}
-            for m, c in items]

@@ -3,8 +3,8 @@
 Verma modules have basis f^s v with s running over positive-root exponent
 vectors.  Generalised Verma modules U(g) (x)_{U(p_J)} L_J(lam) are induced
 modules: f-monomials over the roots outside the Levi of J times a basis of
-the finite-dimensional L_J(lam), which is the one module cut out of a
-Verma module by the singular vectors f_a^(lam(h_a)+1) v.  Levi-induced
+the finite-dimensional L_J(lam), the Verma module of the Levi of J modulo
+the singular vectors f_a^(lam(h_a)+1) v, a in J.  Levi-induced
 modules carry extra central polynomial directions along the dual Cartan
 basis.  All actions are exact, so weight-space dimensions of simple
 quotients come out of Gram-matrix ranks over Q.
@@ -36,7 +36,7 @@ from functools import partial
 from .linalg import rank, reduce_against, rref
 from .rootsys import (RootSystem, SimpleSubset, Value, Weight, add,
                       check_subset, check_weight, dot_orbit, dual_h_basis,
-                      interior, neg, pairing, positive_subsystem, sub)
+                      interior, pairing, positive_subsystem, sub)
 from .uea import EnvelopingAlgebra, UEAElement
 
 Vec = dict  # basis label -> Fraction
@@ -161,16 +161,16 @@ def _check_depth(depth: int) -> None:
 
 
 class VermaLikeModule(HighestWeightModule):
-    """Verma module over the subsystem spanned by a set of positive roots.
+    """Verma module of the Levi subalgebra of a simple subset J.
 
-    With all positive roots allowed this is the ordinary Verma module; a
-    restricted set gives the Verma module of a Levi subalgebra, computed
-    with the ambient structure constants so sign conventions agree across
-    nested constructions.
+    With J None (or every simple root) this is the ordinary Verma module;
+    a smaller J gives the Verma module of its Levi subalgebra, computed with
+    the ambient structure constants so sign conventions agree across nested
+    constructions.  ``allowed`` holds the indices of its positive roots.
     """
 
     def __init__(self, alg: EnvelopingAlgebra, lam: Weight, depth: int,
-                 allowed: list[int] | None = None):
+                 J: SimpleSubset | None = None):
         _check_depth(depth)
         check_weight(alg.rs, lam)
         self.alg = alg
@@ -181,10 +181,10 @@ class VermaLikeModule(HighestWeightModule):
         self.lam_den = math.lcm(*(x.denominator for x in lam.coords))
         self.lam_num = [x.numerator * (self.lam_den // x.denominator)
                         for x in lam.coords]
-        self.allowed = sorted(range(alg.npos) if allowed is None else allowed)
+        self.allowed = (list(range(alg.npos)) if J is None else
+                        sorted(self.rs.root_index[r]
+                               for r in positive_subsystem(self.rs, J)))
         self._allowed_set = set(self.allowed)
-        if allowed is not None:
-            self._check_allowed_closed()
         self.heights = [self.rs.root_height(r) for r in alg.sc.base_order]
         self.basis = _enum_f_labels(alg.npos, self.allowed, self.heights, depth)
         self.kind = "verma"
@@ -201,24 +201,6 @@ class VermaLikeModule(HighestWeightModule):
         self._position = {s: i for labels in self.labels_by_drop.values()
                           for i, s in enumerate(labels)}
         self._grams: dict[tuple, list[tuple]] = {}
-
-    def _check_allowed_closed(self) -> None:
-        """The allowed roots must be the positive roots of a closed
-        subsystem: every root sum or difference of two of them is again
-        one of them up to sign, so e and f in it keep labels in it."""
-        roots = self.alg.sc.base_order
-        index = self.rs.root_index
-        for i in self.allowed:
-            if not 0 <= i < self.alg.npos:
-                raise ValueError(f"allowed root index {i} is out of range")
-        for i in self.allowed:
-            for j in self.allowed:
-                for r in (add(roots[i], roots[j]), sub(roots[i], roots[j])):
-                    k = index.get(r, index.get(neg(r)))
-                    if k is not None and k not in self._allowed_set:
-                        raise ValueError(
-                            f"allowed roots {self.allowed} are not closed: "
-                            f"they miss root {roots[k]}")
 
     def label_drop(self, s: tuple) -> tuple:
         return self.alg.root_sum(s)
@@ -284,35 +266,52 @@ class VermaLikeModule(HighestWeightModule):
         return out
 
 
-class QuotientModule(HighestWeightModule):
-    """Quotient of a Verma-like module by the span of f-translates of
-    given singular vectors, one reduction per weight space: the
-    finite-dimensional Levi module inside every induced module."""
+def _check_dominant_on(rs: RootSystem, lam: Weight, subset) -> None:
+    for i in subset:
+        v = lam.coords[i]
+        if v.denominator != 1 or v < 0:
+            raise ValueError(
+                f"weight must be dominant integral on the subset; "
+                f"coordinate {i} is {v}")
 
-    def __init__(self, parent: VermaLikeModule, singular: list[Vec]):
+
+class QuotientModule(HighestWeightModule):
+    """A Verma-like module modulo the singular vectors f_a^(lam(h_a)+1) v,
+    a in a simple subset J on which lam is dominant integral, one reduction
+    per weight space.  Over the Levi of J this is the finite-dimensional
+    L_J(lam) inside every induced module: those vectors generate the
+    maximal submodule (Humphreys, BGG Category O, 2008)."""
+
+    def __init__(self, parent: VermaLikeModule, J: SimpleSubset):
+        check_subset(parent.rs, J)
+        _check_dominant_on(parent.rs, parent.lam, J)
         self.parent = parent
         self.alg = parent.alg
         self.rs = parent.rs
         self.lam = parent.lam
         self.depth = parent.depth
-        self._build_reductions(singular)
+        self._build_reductions(J)
         self._memo: dict[tuple, Vec] = {}
 
-    def _build_reductions(self, singular: list[Vec]) -> None:
-        parent = self.parent
+    def _build_reductions(self, J: SimpleSubset) -> None:
+        parent, rs = self.parent, self.rs
         by_drop: dict[tuple, list[Vec]] = {}
-        for u in singular:
-            if not u:
-                continue
-            ht = min(parent.label_height(s) for s in u)
+        for a in J:
+            idx = rs.root_index[rs.simple_root(a)]
+            if idx not in parent._allowed_set:
+                raise ValueError(f"simple root {a} of J = {sorted(J)} is outside "
+                                 f"the allowed roots {parent.allowed}")
+            power = int(self.lam.coords[a]) + 1
             # f^m u = f_L (f^m' u), L the leading index of m and m' = m less
-            # one f_L; the enumeration is lexicographic, so m' comes first
+            # one f_L; the enumeration is lexicographic, so m' comes first.
+            # A singular vector past the depth has no translates.
             translates: dict[tuple, Vec] = {}
-            for mono in _enum_f_labels(self.alg.npos, parent.allowed,
-                                       parent.heights, parent.depth - ht):
+            for mono in _enum_f_labels(self.alg.npos, parent.allowed, parent.heights,
+                                       parent.depth - power * parent.heights[idx]):
                 lead = max((i for i, k in enumerate(mono) if k), default=None)
                 if lead is None:
-                    vec = u
+                    vec = {tuple(power if k == idx else 0
+                                 for k in range(self.alg.npos)): Fraction(1)}
                 else:
                     below = translates[mono[:lead] + (mono[lead] - 1,)
                                        + mono[lead + 1:]]
@@ -412,29 +411,6 @@ def weyl_dim(rs: RootSystem, lam: Weight) -> int:
 
 def verma(alg: EnvelopingAlgebra, lam: Weight, depth: int) -> VermaLikeModule:
     return VermaLikeModule(alg, lam, depth)
-
-
-def _check_dominant_on(rs: RootSystem, lam: Weight, subset) -> None:
-    for i in subset:
-        v = lam.coords[i]
-        if v.denominator != 1 or v < 0:
-            raise ValueError(
-                f"weight must be dominant integral on the subset; "
-                f"coordinate {i} is {v}")
-
-
-def _parabolic_quotient(parent: VermaLikeModule, I: SimpleSubset) -> QuotientModule:
-    """parent modulo the singular vectors f_a^(lam(h_a)+1) v, a in I, that
-    lie within its depth; lam must be dominant integral on I."""
-    rs, alg = parent.rs, parent.alg
-    singular: list[Vec] = []
-    for i in I:
-        idx = rs.root_index[rs.simple_root(i)]
-        power = int(parent.lam.coords[i]) + 1
-        if power * parent.heights[idx] <= parent.depth:
-            label = tuple(power if k == idx else 0 for k in range(alg.npos))
-            singular.append({label: Fraction(1)})
-    return QuotientModule(parent, singular)
 
 
 def _drops_within(rank: int, depth: int) -> list[tuple]:
@@ -571,11 +547,8 @@ class LeviInducedModule(HighestWeightModule):
         if any(j not in I for j in self.inner):
             raise ValueError(f"inner subset {sorted(self.inner)} is not "
                              f"inside I = {sorted(I)}")
-        _check_dominant_on(rs, lam, self.inner)
         levi_roots = positive_subsystem(rs, I)
         self.levi_idx = [rs.root_index[r] for r in levi_roots]
-        self.io_idx = sorted(rs.root_index[r] for r in io_roots)
-        self.free_idx = sorted(set(self.levi_idx) - set(self.io_idx))
         self.outside = [j for j in range(rs.rank) if j not in I]
         self.c = None if c is None else {j: Fraction(c[j]) for j in self.outside}
         self.kind = ("levi_gvm" if c is None else "levi_gvm_scalar")
@@ -587,11 +560,13 @@ class LeviInducedModule(HighestWeightModule):
 
         # V: the finite-dimensional simple module of J, whose lowest weight
         # lies sum_beta <lam, beta^v> below lam; cut at the depth, so that
-        # no action leaves the basis
+        # no action leaves the basis.  V refuses lam not dominant integral on J.
         v_depth = sum(int(pairing(rs, lam, r)) for r in io_roots)
-        self.V = _parabolic_quotient(
-            VermaLikeModule(alg, lam, max(min(v_depth, depth), 1), self.io_idx),
+        self.V = QuotientModule(
+            VermaLikeModule(alg, lam, max(min(v_depth, depth), 1), self.inner),
             self.inner)
+        self.io_idx = self.V.parent.allowed
+        self.free_idx = sorted(set(self.levi_idx) - set(self.io_idx))
         heights = [rs.root_height(r) for r in alg.sc.base_order]
         self.heights = heights
         n_out = len(self.outside)

@@ -143,8 +143,7 @@ def test_criterion_08_gvm_region(alg_a2):
             # Shapovalov evidence on the Levi Verma: the alpha-direction
             # Verma at the shifted weight has full Gram ranks to depth 5
             shifted = lam - alpha2_wt.scale(c)
-            module = VermaLikeModule(alg_a2, shifted, 5,
-                                     allowed=[rs.root_index[(1, 0)]])
+            module = VermaLikeModule(alg_a2, shifted, 5, J=SimpleSubset.of(0))
             assert all(r == 1 for r in simple_dims_table(module).values())
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -143,6 +144,25 @@ def test_classify_prime_two_gets_odd_prime_message(capsys):
 
 
 PHI_A2 = ["phi-check", "--weight", "2,1/3", "--parabolic", "0", "--c", "-3"]
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["classify", "--weight", "1,1"],
+     "dominant integral weights are excluded (finite-dimensional simple quotient)"),
+    (["character", "--weight", "1/2,0", "--depth", "3", "--parabolic", "0"],
+     "weight must be dominant integral on the subset; coordinate 0 is 1/2"),
+    (["phi-check", "--weight", "2,1/3", "--parabolic", "0", "--c", "1/5"],
+     "c is not admissible at p=5, n=0"),
+], ids=["classify", "character", "phi-check"])
+def test_a_library_precondition_exits_3_with_its_message(capsys, argv, message):
+    status, out, err = run(capsys, *argv)
+    assert (status, out, err) == (3, "", f"error: {message}\n")
+
+
+def test_phi_suite_names_the_failing_check(monkeypatch):
+    monkeypatch.setattr(cli.deform, "phi_c_surjective", lambda *a: False)
+    assert cli._suite_phi(4, random.Random(0)) == (
+        False, "the surjective check fails")
 
 
 @pytest.mark.parametrize("argv,message", [

@@ -4,7 +4,9 @@ from fractions import Fraction
 import pytest
 
 from vermakit.criteria import compute_A, gvm_region_irreducible
-from vermakit.deform import (hw_scalar_check, phi_c, phi_c_homomorphism_check,
+from vermakit import deform
+from vermakit.deform import (hw_scalar_check, phi_c, phi_c_checks,
+                             phi_c_homomorphism_check,
                              phi_c_level_check, phi_c_surjective,
                              phi_c_target, scalars_admissible, vanishing_test,
                              weight_admissible)
@@ -77,6 +79,34 @@ def test_phi_c_homomorphism_random(source, alg_a2):
         c = {1: Fraction(rng.randint(-6, 6), rng.choice([1, 2, 3]))}
         vec = {rng.choice(roomy): Fraction(rng.randint(1, 9))}
         assert phi_c_homomorphism_check(source, alg_a2.gen(*g), vec, c)
+
+
+def test_phi_c_checks_pass_in_a_fixed_order(source):
+    checks = phi_c_checks(source, {1: Fraction(-3)}, 20, random.Random(4))
+    assert list(checks) == ["surjective", "hw_scalars", "homomorphism"]
+    assert all(checks.values())
+
+
+def test_phi_c_checks_draw_each_sample_in_order_and_stop_at_a_failure(
+        source, alg_a2, monkeypatch):
+    seen = []
+
+    def fails_third(src, x, vec, c, target):
+        seen.append((x, vec))
+        return len(seen) < 3
+
+    monkeypatch.setattr(deform, "phi_c_homomorphism_check", fails_third)
+    checks = phi_c_checks(source, {1: Fraction(-3)}, 10, random.Random(7))
+    assert checks["homomorphism"] is False and len(seen) == 3
+    # generator, then label, then coefficient: the draws phi-check has
+    # always made, so its output stays the same for every seed
+    rng = random.Random(7)
+    gens = ([("e", i) for i in source.levi_idx]
+            + [("f", i) for i in source.levi_idx] + [("h", 0), ("h", 1)])
+    roomy = [m for m in source.basis if sum(m[1]) + 1 <= source.depth]
+    for x, vec in seen:
+        assert x == alg_a2.gen(*rng.choice(gens))
+        assert vec == {rng.choice(roomy): Fraction(rng.randint(1, 9))}
 
 
 def test_phi_c_depth_guard(source, alg_a2):

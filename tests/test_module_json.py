@@ -16,7 +16,7 @@ from vermakit.chevalley import structure_constants
 from vermakit.linalg import rank
 from vermakit.rootsys import SimpleSubset, Weight, parse_type
 from vermakit.uea import EnvelopingAlgebra
-from vermakit.weightmod import (VermaLikeModule, _parabolic_quotient, levi_gvm,
+from vermakit.weightmod import (QuotientModule, VermaLikeModule, levi_gvm,
                                 module_to_json, parabolic_verma)
 
 DATA = Path(__file__).with_name("data") / "module_json.json"
@@ -60,7 +60,7 @@ def test_parabolic_record_is_isomorphic_to_the_verma_quotient(index):
     rs = alg.rs
     J, lam = SimpleSubset.of(*J), Weight.of(*weight)
     module = parabolic_verma(alg, J, lam, depth)
-    old = _parabolic_quotient(VermaLikeModule(alg, lam, depth), J)
+    old = QuotientModule(VermaLikeModule(alg, lam, depth), J)
     zero_h, zero_e = (0,) * rs.rank, (0,) * alg.npos
     phi = {x: old.project(old.parent.apply_word(alg.word((x[0], zero_h, zero_e)),
                                                 {x[2]: Fraction(1)}))

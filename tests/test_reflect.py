@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from vermakit.rootsys import Weight
 from vermakit.reflect_identities import (nonvanishing_check,
                                          reflection_coefficient,
@@ -47,3 +49,13 @@ def test_engine_matches_product_even_at_integer_weights(alg_a1):
     # formula verified; nonvanishing simply not claimed there
     assert nonvanishing_check(alg_a1, Weight.of(Fraction(3)), 0, 4)
     assert reflection_coefficient(Fraction(3), 4) == 0
+
+
+@pytest.mark.parametrize("index", [-1, 2])
+def test_simple_index_outside_the_rank_is_refused(alg_a2, index):
+    # -1 used to read the last simple root and pass both checks
+    lam = Weight.of(Fraction(1, 2), Fraction(1, 3))
+    message = f"simple-root index {index} is not in 0..1"
+    for check in (reflection_formula_check, nonvanishing_check):
+        with pytest.raises(ValueError, match=message):
+            check(alg_a2, lam, index, 3)

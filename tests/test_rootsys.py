@@ -185,6 +185,51 @@ def test_positive_root_count_mismatch_raises_runtime_error(monkeypatch):
         RootSystem("A", 2)
 
 
+_ALL_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D4",
+              "F4", "G2"]
+
+
+def _dynkin_components(rs) -> list[set[int]]:
+    comps: list[set[int]] = []
+    for start in range(rs.rank):
+        if any(start in comp for comp in comps):
+            continue
+        comp, stack = {start}, [start]
+        while stack:
+            i = stack.pop()
+            for j in range(rs.rank):
+                if j not in comp and rs.cartan[i][j]:
+                    comp.add(j)
+                    stack.append(j)
+        comps.append(comp)
+    return comps
+
+
+@pytest.mark.parametrize("label", _ALL_TYPES)
+def test_every_supported_type_is_connected(label):
+    assert len(_dynkin_components(parse_type(label))) == 1
+
+
+@pytest.mark.parametrize("label", _ALL_TYPES)
+def test_totally_proper_means_a_proper_subset(label):
+    rs = parse_type(label)
+    comps = _dynkin_components(rs)
+    for bits in range(2 ** rs.rank):
+        I = SimpleSubset.of(*[i for i in range(rs.rank) if bits >> i & 1])
+        want = all(not comp <= I.members for comp in comps)
+        assert is_totally_proper(rs, I) == want == (len(I) < rs.rank), I
+
+
+@pytest.mark.parametrize("label", ["A2", "G2", "F4"])
+def test_simple_root_index_outside_the_rank_is_refused(label):
+    rs = parse_type(label)
+    for index in (-1, rs.rank):
+        message = (f"simple-root index {index} is not in 0..{rs.rank - 1} "
+                   f"\\(rank {rs.rank}\\)")
+        with pytest.raises(ValueError, match=message):
+            rs.simple_root(index)
+
+
 @pytest.mark.parametrize("index", [-1, 5])
 def test_subset_index_outside_the_rank_is_refused(index):
     rs = parse_type("A2")

@@ -6,7 +6,7 @@ import pytest
 from vermakit.chevalley import structure_constants
 from vermakit.rootsys import parse_type
 from vermakit.uea import (DeformationContext, EnvelopingAlgebra,
-                          element_to_json, exp_truncated, gamma_level,
+                          exp_truncated, gamma_level,
                           iwasawa_generator_monomial, multiply, tau, vp,
                           weight_components, weight_of_monomial)
 
@@ -127,11 +127,19 @@ def test_iwasawa_lowest_terms(alg_a1):
         assert elem.terms[low] == Fraction(5) ** (2 * sum(s))
 
 
-def test_element_json(alg_a2):
-    x = alg_a2.gen("e", 0).scale(Fraction(1, 3)) + alg_a2.one()
-    records = element_to_json(x)
-    assert all(set(r) == {"f", "h", "e", "coeff"} for r in records)
-    assert sorted(r["coeff"] for r in records) == ["1", "1/3"]
+@pytest.mark.parametrize("s", [(1, 0, 0, 3), (1, 0), (1, -2, 0), (-1, 0, 2)])
+def test_iwasawa_refuses_a_malformed_multi_index(alg_a1, s):
+    # (1, 0, 0, 3) and (1, -2, 0) used to answer as (1, 0, 0) does
+    ctx = DeformationContext(5, 1, 6)
+    basis = [alg_a1.gen("f", 0), alg_a1.gen("h", 0), alg_a1.gen("e", 0)]
+    with pytest.raises(ValueError, match=r"needs one nonnegative exponent "
+                                         r"per basis element \(3\)"):
+        iwasawa_generator_monomial(s, basis, ctx)
+
+
+def test_iwasawa_refuses_an_empty_basis():
+    with pytest.raises(ValueError, match="empty generator basis"):
+        iwasawa_generator_monomial((), [], DeformationContext(5, 1, 6))
 
 
 _ALL_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D4",

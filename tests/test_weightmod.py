@@ -10,7 +10,7 @@ from vermakit.rootsys import (SimpleSubset, Weight, dot_reflect, pairing,
 from vermakit.weightmod import (Character, LeviInducedModule, QuotientModule,
                                 VermaLikeModule, _drops_within, _enum_f_labels,
                                 _gram, _induced_character_check,
-                                _parabolic_quotient, character_to_json,
+                                character_to_json,
                                 kostant_partition, levi_gvm, module_to_json,
                                 parabolic_verma, shapovalov_gram, simple_dims,
                                 simple_dims_table, verma, weyl_dim)
@@ -92,8 +92,8 @@ def test_parabolic_verma_rejects_bad_weight(alg_a2):
 
 def test_restricted_verma_rejects_generator_outside_allowed(alg_a2):
     rs = alg_a2.rs
-    allowed = [rs.root_index[rs.simple_root(0)]]
-    module = VermaLikeModule(alg_a2, Weight.of(Fraction(1, 2), 0), 3, allowed)
+    module = VermaLikeModule(alg_a2, Weight.of(Fraction(1, 2), 0), 3,
+                             SimpleSubset.of(0))
     outside = rs.root_index[rs.simple_root(1)]
     with pytest.raises(ValueError, match="outside the allowed roots"):
         module.act_label(("f", outside), module.basis[0])
@@ -103,8 +103,8 @@ def test_restricted_verma_rejects_generator_outside_allowed_past_depth(alg_a2):
     # f_{alpha_2} f_{alpha_1} v lies past depth 1: the check must not
     # depend on the image surviving the depth cut
     rs = alg_a2.rs
-    allowed = [rs.root_index[rs.simple_root(0)]]
-    module = VermaLikeModule(alg_a2, Weight.of(Fraction(1, 2), 0), 1, allowed)
+    module = VermaLikeModule(alg_a2, Weight.of(Fraction(1, 2), 0), 1,
+                             SimpleSubset.of(0))
     outside = rs.root_index[rs.simple_root(1)]
     assert (0, 1, 0) in module.basis  # f_{alpha_1} v
     with pytest.raises(ValueError, match="outside the allowed roots"):
@@ -113,11 +113,30 @@ def test_restricted_verma_rejects_generator_outside_allowed_past_depth(alg_a2):
         module.act_label(("e", outside), module.basis[0])
 
 
-@pytest.mark.parametrize("roots", [((1, 0), (0, 1)), ((1, 0), (1, 1))])
-def test_restricted_verma_rejects_roots_that_are_not_closed(alg_a2, roots):
-    allowed = [alg_a2.rs.root_index[r] for r in roots]
-    with pytest.raises(ValueError, match="not closed"):
-        VermaLikeModule(alg_a2, Weight.of(Fraction(1, 2), 0), 3, allowed)
+def test_levi_verma_takes_the_positive_roots_of_its_subset(alg_a3):
+    rs = alg_a3.rs
+    J = SimpleSubset.of(0, 1)
+    module = VermaLikeModule(alg_a3, Weight.of(Fraction(1, 2), 1, 0), 4, J)
+    assert module.allowed == sorted(rs.root_index[r]
+                                    for r in positive_subsystem(rs, J))
+    with pytest.raises(ValueError, match=r"simple-root index 3 is not in 0..2"):
+        VermaLikeModule(alg_a3, Weight.of(1, 1, 1), 4, SimpleSubset.of(3))
+
+
+@pytest.mark.parametrize("coords,bad", [((Fraction(1, 2), 0), "1/2"), ((-1, 0), "-1")])
+def test_quotient_refuses_a_weight_not_dominant_integral_on_J(alg_a2, coords, bad):
+    # int(1/2) + 1 once quotiented by f_a v, and -1 by the unit vector v
+    parent = VermaLikeModule(alg_a2, Weight.of(*coords), 4)
+    with pytest.raises(ValueError, match=f"dominant integral on the subset; "
+                                         f"coordinate 0 is {bad}"):
+        QuotientModule(parent, SimpleSubset.of(0))
+
+
+def test_quotient_refuses_a_simple_root_outside_its_parent(alg_a2):
+    parent = VermaLikeModule(alg_a2, Weight.of(1, 1), 4, SimpleSubset.of(0))
+    with pytest.raises(ValueError, match="simple root 1 of J = \\[0, 1\\] is "
+                                         "outside the allowed roots"):
+        QuotientModule(parent, SimpleSubset.of(0, 1))
 
 
 def _gram_by_entries(module, nu):
@@ -145,12 +164,11 @@ def test_shapovalov_gram_matches_entrywise_reference(request, fraction_rank_det,
                                                      label, depth, levi):
     alg = request.getfixturevalue(f"alg_{label.lower()}")
     rs = alg.rs
-    allowed = (None if levi is None else
-               [rs.root_index[r] for r in positive_subsystem(rs, SimpleSubset.of(*levi))])
+    J = None if levi is None else SimpleSubset.of(*levi)
     for coords in _GRAM_WEIGHTS[rs.rank]:
         lam = Weight.of(*coords)
-        module = VermaLikeModule(alg, lam, depth, allowed)
-        reference = VermaLikeModule(alg, lam, depth, allowed)
+        module = VermaLikeModule(alg, lam, depth, J)
+        reference = VermaLikeModule(alg, lam, depth, J)
         # highest drops first: each call recurses down through the memo
         drops = sorted({module.label_drop(s) for s in module.basis},
                        key=lambda nu: (-sum(nu), nu))
@@ -258,7 +276,7 @@ def test_parabolic_verma_character_matches_the_verma_quotient(request, label, J,
     rank_ = alg.rs.rank
     lam = Weight.of(*[1 if i in J else Fraction(1, 3) for i in range(rank_)])
     I = SimpleSubset.of(*J)
-    old = _parabolic_quotient(VermaLikeModule(alg, lam, depth), I)
+    old = QuotientModule(VermaLikeModule(alg, lam, depth), I)
     assert parabolic_verma(alg, I, lam, depth).character() == old.character()
 
 
@@ -271,7 +289,7 @@ def test_parabolic_verma_on_every_simple_root_is_the_finite_simple_module(
     alg = request.getfixturevalue(f"alg_{label.lower()}")
     lam = Weight.of(*coords)
     J = SimpleSubset.of(*range(alg.rs.rank))
-    old = _parabolic_quotient(VermaLikeModule(alg, lam, depth), J)
+    old = QuotientModule(VermaLikeModule(alg, lam, depth), J)
     module = parabolic_verma(alg, J, lam, depth)
     assert module.character() == old.character()
     assert module.character().total() == weyl_dim(alg.rs, lam)
@@ -435,11 +453,10 @@ def test_integer_action_is_scaled_rational_on_a3_and_levi_modules(
         request, label, levi, depth):
     alg = request.getfixturevalue(f"alg_{label.lower()}")
     rs = alg.rs
-    allowed = (None if levi is None else
-               [rs.root_index[r] for r in positive_subsystem(rs, SimpleSubset.of(*levi))])
+    J = None if levi is None else SimpleSubset.of(*levi)
     for den, coords in _DENOMINATOR_WEIGHTS.items():
         lam = Weight.of(*(coords + (1,) * (rs.rank - 2)))
-        module = VermaLikeModule(alg, lam, depth, allowed)
+        module = VermaLikeModule(alg, lam, depth, J)
         assert module.lam_den == den
         gens = [g for g in alg.sc.generators()
                 if g[0] == "h" or g[1] in module.allowed]
@@ -481,19 +498,14 @@ def test_incremental_translates_match_whole_words(request, label, levi, coords, 
     alg = request.getfixturevalue(f"alg_{label.lower()}")
     rs = alg.rs
     parent = VermaLikeModule(alg, Weight.of(*coords), depth)
-    singular, beyond = [], False
+    singular = []
     for i in levi:
         idx = rs.root_index[rs.simple_root(i)]
         power = int(coords[i]) + 1
-        mono = tuple(power if k == idx else 0 for k in range(alg.npos))
-        singular.append({mono: Fraction(1)})
-        beyond |= power * parent.heights[idx] > depth
-    # a non-monomial singular vector: the f-translate of one above
-    singular.append(parent.act(("f", alg.npos - 1), singular[0]))
-    if not beyond:  # every case reaches a singular vector past the depth
-        singular.append({(depth + 1,) + (0,) * (alg.npos - 1): Fraction(1)})
-    module = QuotientModule(parent, singular)
-    reduction, basis = _reductions_by_words(parent, [u for u in singular if u])
+        singular.append({tuple(power if k == idx else 0
+                               for k in range(alg.npos)): Fraction(1)})
+    module = QuotientModule(parent, SimpleSubset.of(*levi))
+    reduction, basis = _reductions_by_words(parent, singular)
     assert module._reduction == reduction
     assert module.basis == basis
     assert len(basis) < len(parent.basis)
