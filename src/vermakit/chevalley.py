@@ -78,8 +78,8 @@ class StructureConstants:
             table[(g, na)] = table[(a, ng)] = -q
             table[(na, g)] = table[(ng, a)] = q
 
-        for gamma in self.base_order:
-            if rs.root_height(gamma) < 2:
+        for gamma, height in zip(self.base_order, rs.heights):
+            if height < 2:
                 continue
             pairs = [(a, b) for a in self.base_order
                      if (b := sub(gamma, a)) in pos and order[a] < order[b]]

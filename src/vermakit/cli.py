@@ -118,13 +118,12 @@ def _verma_labels(rs, depth: int, stop: int) -> int:
     """The number of Verma basis labels (f-exponent vectors over the positive
     roots) of height at most depth, counted height by height; the count ends
     at the first height where it passes stop."""
-    heights = [rs.root_height(r) for r in rs.positive_roots]
     # rows[j][d]: labels of height d over the first j + 1 roots
-    rows: list[list[int]] = [[] for _ in heights]
+    rows: list[list[int]] = [[] for _ in rs.heights]
     total = 0
     for d in range(depth + 1):
         count = int(d == 0)
-        for h, row in zip(heights, rows):
+        for h, row in zip(rs.heights, rows):
             if d >= h:
                 count += row[d - h]
             row.append(count)
@@ -190,9 +189,9 @@ def _cmd_phi_check(args) -> int:
         raise _CLIError(EXIT_PRECONDITION, f"samples must be at most "
                         f"{MAX_SAMPLES}, got {args.samples}")
     _check_basis_budget(rs, args.depth)
-    alg = EnvelopingAlgebra(structure_constants(rs))
     if not deform.scalars_admissible(c, args.prime, args.n):
         raise ValueError(f"c is not admissible at p={args.prime}, n={args.n}")
+    alg = EnvelopingAlgebra(structure_constants(rs))
     source = levi_gvm(alg, I, lam, args.depth)
     checks = deform.phi_c_checks(source, c, args.samples,
                                  random.Random(args.seed))

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .rootsys import RootSystem, SimpleSubset, Value, Weight, check_weight
 from .uea import UEAElement, check_odd_prime, vp
-from .weightmod import LeviInducedModule, Vec, _clean, _vec_add
+from .weightmod import LeviInducedModule, Vec, _clean, _vec_add, label_height
 
 
 class AdmissibilityReport(Value):
@@ -30,32 +30,27 @@ class AdmissibilityReport(Value):
         self.__dict__.update(weight=weight, p=p, n=n,
                              per_generator=per_generator, admissible=admissible)
 
-    def to_json(self) -> dict:
-        return {
-            "weight": [str(x) for x in self.weight.coords],
-            "p": self.p,
-            "n": self.n,
-            "valuations": [None if v == math.inf else v
-                           for v in self.per_generator],
-            "admissible": self.admissible,
-        }
+
+def _valuations_at_least(values, p: int, n: int) -> tuple[tuple, bool]:
+    """The p-adic valuations of values, and whether each is at least -n,
+    for an odd prime p and a level n >= 0."""
+    check_odd_prime(p)
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    vals = tuple(vp(Fraction(x), p) for x in values)
+    return vals, all(v >= -n for v in vals)
 
 
 def weight_admissible(rs: RootSystem, lam: Weight, p: int, n: int
                       ) -> AdmissibilityReport:
     """Admissible iff v_p(lam(h_a)) >= -n for every simple root a."""
     check_weight(rs, lam)
-    check_odd_prime(p)
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    vals = tuple(vp(x, p) for x in lam.coords)
-    return AdmissibilityReport(lam, p, n, vals,
-                               all(v >= -n for v in vals))
+    return AdmissibilityReport(lam, p, n, *_valuations_at_least(lam.coords, p, n))
 
 
 def scalars_admissible(c: dict[int, Fraction], p: int, n: int) -> bool:
-    check_odd_prime(p)
-    return all(vp(Fraction(cj), p) >= -n for cj in c.values())
+    """Admissible iff v_p(c_j) >= -n for every scalar c_j."""
+    return _valuations_at_least(c.values(), p, n)[1]
 
 
 def phi_c_target(source: LeviInducedModule, c: dict) -> LeviInducedModule:
@@ -177,7 +172,7 @@ def phi_c_level_check(source: LeviInducedModule, vec: Vec, c: dict,
             return math.inf
         out = math.inf
         for (s, t, b), coeff in v.items():
-            deg = module._label_height((s, t, b)) + sum(t)
+            deg = label_height(module.rs, s) + label_height(module.rs, b) + sum(t)
             out = min(out, vp(coeff, p) - n * deg)
         return out
 

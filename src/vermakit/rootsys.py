@@ -166,6 +166,9 @@ class RootSystem:
                 f"closure produced {len(self.positive_roots)} positive roots, "
                 f"expected {expected} for {type_label}{rank_}"
             )
+        # heights[i]: the height of the i-th positive root, the weight of its
+        # f in the height of a PBW label
+        self.heights = [sum(r) for r in self.positive_roots]
         self.root_index = {r: i for i, r in enumerate(self.positive_roots)}
         self.roots = self.positive_roots + [neg(r) for r in self.positive_roots]
         self._root_set = set(self.roots)
@@ -236,9 +239,6 @@ class RootSystem:
                                  f"coefficient {c} on h_{i}")
             coeffs.append(int(c))
         return tuple(coeffs)
-
-    def root_height(self, alpha: Root) -> int:
-        return sum(alpha)
 
     def weight_of_root(self, alpha: Root) -> Weight:
         """The root alpha as a weight (values on simple coroots)."""

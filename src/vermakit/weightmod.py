@@ -132,27 +132,40 @@ class HighestWeightModule:
                              for drop, n in counts.items()})
 
 
+# -- PBW labels ------------------------------------------------------------------
+# A label s is the exponent tuple of f^s, indexed like rs.positive_roots.
+
+
+def label_height(rs: RootSystem, s: tuple) -> int:
+    """Height of the weight drop of f^s: each s_i times the height of the
+    i-th positive root."""
+    return sum(k * h for k, h in zip(s, rs.heights) if k)
+
+
+def _bump(s: tuple, i: int, k: int) -> tuple:
+    """s with k added to its i-th exponent."""
+    return s[:i] + (s[i] + k,) + s[i + 1:]
+
+
+def _split_lead(s: tuple) -> tuple[int | None, tuple]:
+    """(L, s less one f_L), with f^s = f_L f^(s less one f_L) and L the last
+    index where s is nonzero; (None, s) for the empty label."""
+    for i in range(len(s) - 1, -1, -1):
+        if s[i]:
+            return i, _bump(s, i, -1)
+    return None, s
+
+
 def _enum_f_labels(npos: int, idxs: list[int], heights: list[int],
                    budget: int) -> list[tuple]:
-    """All exponent tuples supported on idxs with weighted height <= budget."""
-    labels: list[tuple] = []
-
-    def rec(pos: int, acc: dict[int, int], rem: int):
-        if pos == len(idxs):
-            t = [0] * npos
-            for i, k in acc.items():
-                t[i] = k
-            labels.append(tuple(t))
-            return
-        i = idxs[pos]
-        for k in range(rem // heights[i] + 1):
-            if k:
-                acc[i] = k
-            rec(pos + 1, acc, rem - k * heights[i])
-            acc.pop(i, None)
-
-    rec(0, {}, budget)
-    return labels
+    """All exponent tuples supported on idxs with weighted height <= budget,
+    in lexicographic order of their exponents along idxs."""
+    labels = [((0,) * npos, budget)]
+    for i in idxs:
+        h = heights[i]
+        labels = [(_bump(s, i, k), rem - k * h)
+                  for s, rem in labels for k in range(rem // h + 1)]
+    return [s for s, _ in labels]
 
 
 def _check_depth(depth: int) -> None:
@@ -185,8 +198,7 @@ class VermaLikeModule(HighestWeightModule):
                         sorted(self.rs.root_index[r]
                                for r in positive_subsystem(self.rs, J)))
         self._allowed_set = set(self.allowed)
-        self.heights = [self.rs.root_height(r) for r in alg.sc.base_order]
-        self.basis = _enum_f_labels(alg.npos, self.allowed, self.heights, depth)
+        self.basis = _enum_f_labels(alg.npos, self.allowed, self.rs.heights, depth)
         self.kind = "verma"
         self._memo: dict[tuple, dict[tuple, int]] = {}  # (R, s) -> e_R f^s v
         self._zero_h = (0,) * self.rs.rank
@@ -204,9 +216,6 @@ class VermaLikeModule(HighestWeightModule):
 
     def label_drop(self, s: tuple) -> tuple:
         return self.alg.root_sum(s)
-
-    def label_height(self, s: tuple) -> int:
-        return sum(k * self.heights[i] for i, k in enumerate(s) if k)
 
     def act_label(self, g, s: tuple) -> Vec:
         """The action of g on f^s v: ``int_action`` over lam_den."""
@@ -231,7 +240,7 @@ class VermaLikeModule(HighestWeightModule):
             pairing = self._coroot_pairing
             x = self.lam_num[i] - self.lam_den * sum(
                 n * pairing[k][i] for k, n in enumerate(s) if n)
-            return {s: x} if x and self.label_height(s) <= self.depth else {}
+            return {s: x} if x and label_height(self.rs, s) <= self.depth else {}
         if kind not in ("e", "f"):
             raise ValueError(f"{g} is not a generator: its kind must be "
                              f"'e', 'f' or 'h'")
@@ -242,11 +251,10 @@ class VermaLikeModule(HighestWeightModule):
         cached = self._memo.get((i, s))
         if cached is not None:
             return cached
-        lead = max((k for k, n in enumerate(s) if n), default=None)
+        lead, rest = _split_lead(s)
         out = {} if lead is None else _commute_past_f(  # e kills v
             self.int_action, partial(self._f_times, lead),
-            self.alg.sc.bracket(g, ("f", lead)), g,
-            s[:lead] + (s[lead] - 1,) + s[lead + 1:])
+            self.alg.sc.bracket(g, ("f", lead)), g, rest)
         self._memo[(i, s)] = out
         return out
 
@@ -254,7 +262,7 @@ class VermaLikeModule(HighestWeightModule):
         """f_i f^s v within the depth: the normal form of f_i f^s, whose
         int coefficients do not depend on lam.  All its terms have the
         height of s plus that of root i."""
-        if self.label_height(s) + self.heights[i] > self.depth:
+        if label_height(self.rs, s) + self.rs.heights[i] > self.depth:
             return {}
         out = {}
         mono = (s, self._zero_h, self._zero_e)
@@ -306,15 +314,13 @@ class QuotientModule(HighestWeightModule):
             # one f_L; the enumeration is lexicographic, so m' comes first.
             # A singular vector past the depth has no translates.
             translates: dict[tuple, Vec] = {}
-            for mono in _enum_f_labels(self.alg.npos, parent.allowed, parent.heights,
-                                       parent.depth - power * parent.heights[idx]):
-                lead = max((i for i, k in enumerate(mono) if k), default=None)
+            for mono in _enum_f_labels(self.alg.npos, parent.allowed, rs.heights,
+                                       parent.depth - power * rs.heights[idx]):
+                lead, rest = _split_lead(mono)
                 if lead is None:
-                    vec = {tuple(power if k == idx else 0
-                                 for k in range(self.alg.npos)): Fraction(1)}
+                    vec = {_bump(mono, idx, power): Fraction(1)}
                 else:
-                    below = translates[mono[:lead] + (mono[lead] - 1,)
-                                       + mono[lead + 1:]]
+                    below = translates[rest]
                     vec = parent.act(("f", lead), below) if below else {}
                 translates[mono] = vec
                 if vec:
@@ -474,18 +480,18 @@ def _gram(module: VermaLikeModule, nu: tuple) -> list[tuple]:
     columns: dict[int, list[Vec]] = {}
     rows = []
     for s in labels:
-        lead = max((i for i, k in enumerate(s) if k), default=None)
+        lead, rest = _split_lead(s)
         if lead is None:
             rows.append((1,))  # the highest-weight vector
             continue
         below = _gram(module, sub(nu, roots[lead]))
-        row_below = below[position[s[:lead] + (s[lead] - 1,) + s[lead + 1:]]]
+        row_below = below[position[rest]]
         if lead not in columns:
             columns[lead] = [module.int_action(("e", lead), t) for t in labels]
         rows.append(tuple(sum(c * row_below[position[u]] for u, c in col.items())
                           for col in columns[lead]))
     grams[nu] = rows
-    floor = sum(nu) - max(module.heights)
+    floor = sum(nu) - max(module.rs.heights)
     for old in [d for d in grams if sum(d) < floor]:
         del grams[old]
     return rows
@@ -550,6 +556,8 @@ class LeviInducedModule(HighestWeightModule):
         levi_roots = positive_subsystem(rs, I)
         self.levi_idx = [rs.root_index[r] for r in levi_roots]
         self.outside = [j for j in range(rs.rank) if j not in I]
+        if c is not None and set(c) != set(self.outside):
+            raise ValueError("c must be indexed by the simple roots outside I")
         self.c = None if c is None else {j: Fraction(c[j]) for j in self.outside}
         self.kind = ("levi_gvm" if c is None else "levi_gvm_scalar")
 
@@ -567,8 +575,6 @@ class LeviInducedModule(HighestWeightModule):
             self.inner)
         self.io_idx = self.V.parent.allowed
         self.free_idx = sorted(set(self.levi_idx) - set(self.io_idx))
-        heights = [rs.root_height(r) for r in alg.sc.base_order]
-        self.heights = heights
         n_out = len(self.outside)
         # t: every exponent vector of total degree <= depth, or only zero
         # when the dual-basis directions act by scalars
@@ -576,20 +582,14 @@ class LeviInducedModule(HighestWeightModule):
                     _enum_f_labels(n_out, list(range(n_out)), [1] * n_out, depth))
         self.basis = []
         for b in self.V.basis:
-            b_ht = sum(k * heights[i] for i, k in enumerate(b))
-            for s in _enum_f_labels(alg.npos, self.free_idx, heights,
-                                    depth - b_ht):
+            for s in _enum_f_labels(alg.npos, self.free_idx, rs.heights,
+                                    depth - label_height(rs, b)):
                 self.basis.extend((s, t, b) for t in t_labels)
         self._memo: dict[tuple, Vec] = {}
 
     def label_drop(self, label) -> tuple:
         s, _, b = label
         return add(self.alg.root_sum(s), self.V.label_drop(b))
-
-    def _label_height(self, label) -> int:
-        s, _, b = label
-        return (sum(k * self.heights[i] for i, k in enumerate(s))
-                + sum(k * self.heights[i] for i, k in enumerate(b)))
 
     def hw_label(self):
         zero_s = (0,) * self.alg.npos
@@ -622,15 +622,16 @@ class LeviInducedModule(HighestWeightModule):
     def _act_label(self, g, label) -> Vec:
         s, t, b = label
         kind = g[0]
-        lead = max((i for i in self.free_idx if s[i]), default=None)
+        # s is supported on free_idx: the basis is enumerated there and
+        # _prepend_f only ever adds a free f
+        lead, rest = _split_lead(s)
         if lead is not None:
             if kind == "f" and g[1] in self.free_idx and g[1] >= lead:
                 return self._prepend_f(g[1], label)
-            rest = (s[:lead] + (s[lead] - 1,) + s[lead + 1:], t, b)
             # [h^a, f_lead] = 0: a is outside I and f_lead is in the Levi
             bracket = {} if kind == "hd" else self.alg.sc.bracket(g, ("f", lead))
             return _commute_past_f(self.act_label, partial(self.act_label, ("f", lead)),
-                                   bracket, g, rest)
+                                   bracket, g, (rest, t, b))
         # no free f-part left
         if kind == "hd":
             j = g[1]
@@ -639,7 +640,7 @@ class LeviInducedModule(HighestWeightModule):
             pos = self.outside.index(j)
             if sum(t) + 1 > self.depth:
                 return {}
-            return {(s, t[:pos] + (t[pos] + 1,) + t[pos + 1:], b): Fraction(1)}
+            return {(s, _bump(t, pos, 1), b): Fraction(1)}
         if kind == "h":
             i = g[1]
             drop_b = self.V.label_drop(b)
@@ -667,10 +668,10 @@ class LeviInducedModule(HighestWeightModule):
 
     def _prepend_f(self, idx: int, label) -> Vec:
         s, t, b = label
-        new = (s[:idx] + (s[idx] + 1,) + s[idx + 1:], t, b)
-        if self._label_height(new) > self.depth:
+        s = _bump(s, idx, 1)
+        if label_height(self.rs, s) + label_height(self.rs, b) > self.depth:
             return {}
-        return {new: Fraction(1)}
+        return {(s, t, b): Fraction(1)}
 
 
 def levi_gvm(alg: EnvelopingAlgebra, I: SimpleSubset, lam: Weight,

@@ -153,7 +153,9 @@ PHI_A2 = ["phi-check", "--weight", "2,1/3", "--parabolic", "0", "--c", "-3"]
      "weight must be dominant integral on the subset; coordinate 0 is 1/2"),
     (["phi-check", "--weight", "2,1/3", "--parabolic", "0", "--c", "1/5"],
      "c is not admissible at p=5, n=0"),
-], ids=["classify", "character", "phi-check"])
+    # this used to read "c is not admissible at p=5, n=-1"
+    (PHI_A2 + ["--n", "-1"], "n must be nonnegative"),
+], ids=["classify", "character", "phi-check", "phi-check-negative-n"])
 def test_a_library_precondition_exits_3_with_its_message(capsys, argv, message):
     status, out, err = run(capsys, *argv)
     assert (status, out, err) == (3, "", f"error: {message}\n")

@@ -190,6 +190,27 @@ def test_every_prime_entry_point_rejects_non_odd_primes(p):
             call()
 
 
+@pytest.mark.parametrize("n", [-1, -5])
+def test_both_admissibility_checks_refuse_a_negative_level(alg_a2, n):
+    # scalars_admissible used to answer False, which the CLI reported as
+    # inadmissible c
+    with pytest.raises(ValueError, match="n must be nonnegative"):
+        weight_admissible(alg_a2.rs, Weight.of(1, 0), 5, n)
+    with pytest.raises(ValueError, match="n must be nonnegative"):
+        scalars_admissible({1: Fraction(1)}, 5, n)
+
+
+@pytest.mark.parametrize("c", [{}, {0: 1}, {1: 1, 5: 2}],
+                         ids=["empty", "inside-I", "extra-index"])
+def test_scalars_not_indexed_by_the_roots_outside_i_are_refused(source, c):
+    # the first two used to raise KeyError: 1, the third was accepted
+    message = "c must be indexed by the simple roots outside I"
+    with pytest.raises(ValueError, match=message):
+        phi_c_target(source, c)
+    with pytest.raises(ValueError, match=message):
+        phi_c_checks(source, c, 3, random.Random(0))
+
+
 @pytest.mark.parametrize("coords", [(Fraction(1, 5),), (1, 0, 2)])
 def test_admissibility_refuses_a_weight_of_the_wrong_rank(coords):
     with pytest.raises(ValueError, match=r"needs 2 coordinates \(rank 2\)"):

@@ -22,8 +22,9 @@ def test_positive_root_counts(label, count):
 
 def test_positive_roots_ordered_by_height_then_lex():
     rs = parse_type("G2")
-    keys = [(rs.root_height(r), r) for r in rs.positive_roots]
+    keys = [(sum(r), r) for r in rs.positive_roots]
     assert keys == sorted(keys)
+    assert rs.heights == [height for height, _ in keys]
 
 
 def test_parse_weight_fractions():

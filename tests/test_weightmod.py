@@ -10,8 +10,8 @@ from vermakit.rootsys import (SimpleSubset, Weight, dot_reflect, pairing,
 from vermakit.weightmod import (Character, LeviInducedModule, QuotientModule,
                                 VermaLikeModule, _drops_within, _enum_f_labels,
                                 _gram, _induced_character_check,
-                                character_to_json,
-                                kostant_partition, levi_gvm, module_to_json,
+                                character_to_json, kostant_partition,
+                                label_height, levi_gvm, module_to_json,
                                 parabolic_verma, shapovalov_gram, simple_dims,
                                 simple_dims_table, verma, weyl_dim)
 
@@ -228,6 +228,12 @@ def test_case3_additivity_small(alg_a2):
         assert lhs_ch.get(w, 0) == rhs.get(w, 0)
 
 
+def _levi_height(module, label):
+    """Height of the drop of a Levi-induced label (s, t, b)."""
+    s, _, b = label
+    return label_height(module.rs, s) + label_height(module.rs, b)
+
+
 _PARABOLIC_CASES = [  # type, J, weight dominant integral on J, depth
     ("A2", (0,), (1, Fraction(1, 2)), 6),
     ("A3", (0, 2), (1, Fraction(-1, 2), 2), 4),
@@ -244,14 +250,14 @@ def test_parabolic_verma_respects_every_bracket(request, label, J, coords, depth
     label the depth cut leaves untouched."""
     alg = request.getfixturevalue(f"alg_{label.lower()}")
     module = parabolic_verma(alg, SimpleSubset.of(*J), Weight.of(*coords), depth)
-    heights = module.heights
+    heights = alg.rs.heights
     gens = alg.sc.generators()
     checked = 0
     for n, x in enumerate(gens):
         for y in gens[n + 1:]:
             lift = sum(heights[g[1]] for g in (x, y) if g[0] == "f")
             for label_ in module.basis:
-                if module._label_height(label_) + lift > depth:
+                if _levi_height(module, label_) + lift > depth:
                     continue
                 v = {label_: Fraction(1)}
                 lhs = {}
@@ -309,7 +315,7 @@ def test_levi_module_bracket_relations(alg_a2):
     idx = module.levi_idx[0]
     for label in module.basis:
         if (sum(label[1]) + 1 > module.depth
-                or module._label_height(label) + 1 > module.depth):
+                or _levi_height(module, label) + 1 > module.depth):
             continue
         ef = module.act(("e", idx), module.act(("f", idx), {label: Fraction(1)}))
         fe = module.act(("f", idx), module.act(("e", idx), {label: Fraction(1)}))
@@ -367,7 +373,7 @@ def _rational_action(module, g, s):
     zero_h, zero_e = (0,) * module.rs.rank, (0,) * module.alg.npos
     out = {}
     for (a, b, c), coeff in module.alg.gen_mul_mono(g, (s, zero_h, zero_e)).items():
-        if any(c) or module.label_height(a) > module.depth:
+        if any(c) or label_height(module.rs, a) > module.depth:
             continue
         scalar = Fraction(coeff)
         for i, k in enumerate(b):
@@ -474,8 +480,8 @@ def _reductions_by_words(parent, singular):
     zero_h, zero_e = (0,) * parent.rs.rank, (0,) * alg.npos
     by_drop = {}
     for u in singular:
-        ht = min(parent.label_height(s) for s in u)
-        for mono in _enum_f_labels(alg.npos, parent.allowed, parent.heights,
+        ht = min(label_height(parent.rs, s) for s in u)
+        for mono in _enum_f_labels(alg.npos, parent.allowed, parent.rs.heights,
                                    parent.depth - ht):
             vec = parent.apply_word(alg.word((mono, zero_h, zero_e)), u)
             if vec:
@@ -570,7 +576,7 @@ def test_weight_of_the_wrong_rank_is_refused(alg_a2, build, coords):
 def test_levi_module_refuses_a_generator_it_does_not_have(alg_a2, g, c):
     module = LeviInducedModule(alg_a2, SimpleSubset.of(0),
                                Weight.of(3, Fraction(1, 2)), 3, c)
-    top = max(module.basis, key=module._label_height)
+    top = max(module.basis, key=lambda x: _levi_height(module, x))
     for label in (module.hw_label(), top):
         with pytest.raises(ValueError, match=re.escape(f"{g} is not a generator")):
             module.act_label(g, label)
@@ -606,7 +612,7 @@ def test_levi_module_refuses_e_and_f_outside_the_levi(request, type_label, I,
     module = levi_gvm(alg, SimpleSubset.of(*I), Weight.of(*coords), 3)
     outside = [i for i in range(alg.npos) if i not in module.levi_idx]
     assert outside
-    top = max(module.basis, key=module._label_height)
+    top = max(module.basis, key=lambda x: _levi_height(module, x))
     for g in [(kind, i) for kind in ("e", "f") for i in outside]:
         for label in (module.hw_label(), top):
             with pytest.raises(ValueError, match=re.escape(f"{g} is not a generator")):
@@ -631,3 +637,95 @@ def test_integer_action_is_scaled_rational_for_drawn_weights(request, hypothesis
                     for a, x in _rational_action(module, g, s).items()}, (g, s)
 
     check()
+
+
+def reference_enum_f_labels(npos, idxs, heights, budget):
+    """The recursive enumeration _enum_f_labels replaced: the reference for
+    its labels and their order."""
+    labels = []
+
+    def rec(pos, acc, rem):
+        if pos == len(idxs):
+            t = [0] * npos
+            for i, k in acc.items():
+                t[i] = k
+            labels.append(tuple(t))
+            return
+        i = idxs[pos]
+        for k in range(rem // heights[i] + 1):
+            if k:
+                acc[i] = k
+            rec(pos + 1, acc, rem - k * heights[i])
+            acc.pop(i, None)
+
+    rec(0, {}, budget)
+    return labels
+
+
+_ALL_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D4",
+              "F4", "G2"]
+
+
+@pytest.mark.parametrize("label", _ALL_TYPES)
+def test_verma_basis_enumeration_matches_the_reference(label):
+    rs = parse_type(label)
+    npos = len(rs.positive_roots)
+    for depth in range(4):
+        got = _enum_f_labels(npos, list(range(npos)), rs.heights, depth)
+        assert got == reference_enum_f_labels(npos, list(range(npos)),
+                                              rs.heights, depth), depth
+        assert all(label_height(rs, s) <= depth for s in got)
+
+
+@pytest.mark.parametrize("label,J", [("A3", (0, 2)), ("B3", (1, 2)),
+                                     ("G2", (1,)), ("C3", ())])
+def test_levi_enumeration_matches_the_reference(label, J):
+    rs = parse_type(label)
+    npos = len(rs.positive_roots)
+    idxs = sorted(rs.root_index[r] for r in positive_subsystem(rs, SimpleSubset.of(*J)))
+    for budget in (-2, -1, 0, 1, 5, 8):
+        assert (_enum_f_labels(npos, idxs, rs.heights, budget)
+                == reference_enum_f_labels(npos, idxs, rs.heights, budget)), budget
+
+
+def test_enumeration_edges_match_the_reference():
+    heights = [1, 1, 2]
+    cases = [([], 3), ([], 0), ([], -1), ([0, 1, 2], 0), ([2, 0], 0),
+             ([2, 0], -1), ([2, 0], 5), ([1], 4)]
+    for idxs, budget in cases:
+        assert (_enum_f_labels(3, idxs, heights, budget)
+                == reference_enum_f_labels(3, idxs, heights, budget)), (idxs, budget)
+    assert _enum_f_labels(3, [], heights, 3) == [(0, 0, 0)]
+    assert _enum_f_labels(3, [0, 1, 2], heights, 0) == [(0, 0, 0)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_unit_height_enumerations_match_the_reference(alg_a3, n):
+    for depth in range(1, 5):
+        ref = reference_enum_f_labels(n, list(range(n)), [1] * n, depth)
+        assert _drops_within(n, depth) == ref
+    # the polynomial t-labels of a free Levi-induced module, here n_out = n
+    I = SimpleSubset.of(*range(3 - n))
+    module = levi_gvm(alg_a3, I, Weight.of(1, 1, Fraction(1, 5)), 3)
+    ref = reference_enum_f_labels(n, list(range(n)), [1] * n, 3)
+    assert [t for _, t, _ in module.basis[:len(ref)]] == ref
+
+
+@pytest.mark.parametrize("label,I,inner,coords", [
+    ("A3", (0, 1), None, (2, 0, Fraction(1, 3))),
+    ("G2", (0, 1), (0,), (1, Fraction(1, 3))),
+    ("B3", (0, 1, 2), (0, 2), (1, Fraction(1, 3), 1))], ids=["A3", "G2", "B3"])
+def test_levi_f_part_stays_on_the_free_roots(request, label, I, inner, coords):
+    """Every s of a basis label or of an action's image is supported on
+    free_idx, so its leading f is a free one."""
+    alg = request.getfixturevalue(f"alg_{label.lower()}")
+    module = LeviInducedModule(alg, SimpleSubset.of(*I), Weight.of(*coords), 4,
+                               inner=None if inner is None else SimpleSubset.of(*inner))
+    free = set(module.free_idx)
+    gens = ([(kind, i) for kind in ("e", "f") for i in module.levi_idx]
+            + [("h", i) for i in range(alg.rs.rank)])
+    seen = set(module.basis)
+    for g in gens:
+        for x in module.basis:
+            seen.update(module.act_label(g, x))
+    assert all(i in free for s, _, _ in seen for i, k in enumerate(s) if k)
