@@ -35,7 +35,6 @@ class StructureConstants:
 
     def __init__(self, rs: RootSystem):
         self.rs = rs
-        self.base_order = list(rs.positive_roots)  # height, then lex
         self._table = self._build()
         self._brackets: dict[tuple, Mapping[Gen, int]] = {}  # filled by bracket
 
@@ -52,10 +51,9 @@ class StructureConstants:
 
     def _build(self) -> dict[tuple[Root, Root], int]:
         rs = self.rs
-        order = {r: i for i, r in enumerate(self.base_order)}
-        pos = set(self.base_order)
+        order = rs.root_index  # height, then lex
         norm: dict[Root, int] = {}
-        for r in self.base_order:
+        for r in rs.positive_roots:
             v = rs.inner(r, r)
             if v.denominator != 1:
                 raise RuntimeError(f"({r}, {r}) = {v} is not an integer")
@@ -78,11 +76,11 @@ class StructureConstants:
             table[(g, na)] = table[(a, ng)] = -q
             table[(na, g)] = table[(ng, a)] = q
 
-        for gamma, height in zip(self.base_order, rs.heights):
+        for gamma, height in zip(rs.positive_roots, rs.heights):
             if height < 2:
                 continue
-            pairs = [(a, b) for a in self.base_order
-                     if (b := sub(gamma, a)) in pos and order[a] < order[b]]
+            pairs = [(a, b) for a in rs.positive_roots
+                     if (b := sub(gamma, a)) in order and order[a] < order[b]]
             xi, eta = pairs[0]  # extraspecial pair: minimal first summand
             c_xe = self._string_down(xi, eta) + 1
             put(xi, eta, c_xe)
@@ -133,7 +131,7 @@ class StructureConstants:
     # -- the Lie bracket on basis generators ---------------------------------
 
     def generators(self) -> list[Gen]:
-        m, r = len(self.base_order), self.rs.rank
+        m, r = len(self.rs.positive_roots), self.rs.rank
         return ([("e", i) for i in range(m)]
                 + [("h", i) for i in range(r)]
                 + [("f", i) for i in range(m)])
@@ -141,9 +139,9 @@ class StructureConstants:
     def gen_root(self, g: Gen) -> Root | None:
         kind, i = g
         if kind == "e":
-            return self.base_order[i]
+            return self.rs.positive_roots[i]
         if kind == "f":
-            return neg(self.base_order[i])
+            return neg(self.rs.positive_roots[i])
         return None
 
     def bracket(self, g1: Gen, g2: Gen) -> Mapping[Gen, int]:
@@ -162,8 +160,7 @@ class StructureConstants:
         if k1 == "h" and k2 == "h":
             return {}
         if k1 == "h":
-            beta = self.gen_root(g2)
-            coeff = sum(beta[k] * rs.cartan[k][i1] for k in range(rs.rank))
+            coeff = rs.simple_coroot_pairings(self.gen_root(g2))[i1]
             return {g2: coeff} if coeff else {}
         if k2 == "h":
             return _negate(self.bracket(g2, g1))
@@ -171,7 +168,7 @@ class StructureConstants:
         s = add(a, b)
         if not any(s):  # [e_a, f_a] = h_a (coroot); here i1 == i2
             sign = 1 if k1 == "e" else -1
-            coeffs = rs.coroot_coefficients(self.base_order[i1])
+            coeffs = rs.coroot_coefficients(rs.positive_roots[i1])
             return {("h", i): sign * c for i, c in enumerate(coeffs) if c}
         if not rs.is_root(s):
             return {}
@@ -235,7 +232,7 @@ def verify_chevalley(sc: StructureConstants) -> dict:
 
     # bracket relations against the Cartan matrix
     bad = None
-    for i, (idx, beta) in product(range(rs.rank), enumerate(sc.base_order)):
+    for i, (idx, beta) in product(range(rs.rank), enumerate(rs.positive_roots)):
         want = sum(beta[k] * rs.cartan[k][i] for k in range(rs.rank))
         if table[("h", i), ("e", idx)] != ({("e", idx): want} if want else {}):
             bad = ("h", i, "e", idx)
@@ -246,7 +243,7 @@ def verify_chevalley(sc: StructureConstants) -> dict:
     record("cartan_action", bad is None, bad)
 
     bad = None
-    for idx, alpha in enumerate(sc.base_order):
+    for idx, alpha in enumerate(rs.positive_roots):
         got = table[("e", idx), ("f", idx)]
         want = {("h", i): c for i, c in enumerate(rs.coroot_coefficients(alpha)) if c}
         if got != want:

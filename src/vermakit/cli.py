@@ -46,9 +46,7 @@ MAX_SAMPLES = 10_000
 
 
 class _CLIError(Exception):
-    def __init__(self, status: int, message: str):
-        super().__init__(message)
-        self.status = status
+    """An argument that does not parse (exit 2)."""
 
 
 def _emit(report: dict, as_json: bool, lines: list[str]) -> None:
@@ -67,12 +65,12 @@ def _parse_subset(rs, text: str) -> SimpleSubset:
     try:
         indices = [int(t) for t in text.split(",")]
     except ValueError as e:
-        raise _CLIError(EXIT_PARSE, f"bad simple-root subset {text!r}: {e}")
+        raise _CLIError(f"bad simple-root subset {text!r}: {e}")
     subset = SimpleSubset.of(*indices)
     try:
         check_subset(rs, subset)
     except ValueError as e:
-        raise _CLIError(EXIT_PARSE, f"bad simple-root subset {text!r}: {e}")
+        raise _CLIError(f"bad simple-root subset {text!r}: {e}")
     return subset
 
 
@@ -80,14 +78,14 @@ def _parse_weight_arg(rs, text: str) -> Weight:
     try:
         return parse_weight(rs, text)
     except (ValueError, ZeroDivisionError) as e:
-        raise _CLIError(EXIT_PARSE, f"bad weight {text!r}: {e}")
+        raise _CLIError(f"bad weight {text!r}: {e}")
 
 
 def _parse_type_arg(text: str):
     try:
         return parse_type(text)
     except ValueError as e:
-        raise _CLIError(EXIT_PARSE, str(e))
+        raise _CLIError(str(e))
 
 
 # -- verbs -------------------------------------------------------------------
@@ -138,10 +136,9 @@ def _check_basis_budget(rs, depth: int) -> None:
     more than MAX_BASIS_LABELS labels."""
     size = _verma_labels(rs, depth, MAX_BASIS_LABELS)
     if size > MAX_BASIS_LABELS:
-        raise _CLIError(EXIT_PRECONDITION,
-                        f"the Verma module to depth {depth} has at least "
-                        f"{size} basis labels, over the budget of "
-                        f"{MAX_BASIS_LABELS}")
+        raise ValueError(f"the Verma module to depth {depth} has at least "
+                         f"{size} basis labels, over the budget of "
+                         f"{MAX_BASIS_LABELS}")
 
 
 def _cmd_character(args) -> int:
@@ -177,17 +174,17 @@ def _cmd_phi_check(args) -> int:
     outside = [j for j in range(rs.rank) if j not in I]
     parts = args.c.split(",") if args.c.strip() else []
     if len(parts) != len(outside):
-        raise _CLIError(EXIT_PARSE,
-                        f"need {len(outside)} scalar(s) for c, got {len(parts)}")
+        raise _CLIError(f"need {len(outside)} scalar(s) for c, "
+                        f"got {len(parts)}")
     try:
         c = {j: Fraction(t) for j, t in zip(outside, parts)}
     except (ValueError, ZeroDivisionError) as e:
-        raise _CLIError(EXIT_PARSE, f"bad scalar vector {args.c!r}: {e}")
+        raise _CLIError(f"bad scalar vector {args.c!r}: {e}")
     if args.samples < 1:
-        raise _CLIError(EXIT_PRECONDITION, "samples must be at least 1")
+        raise ValueError("samples must be at least 1")
     if args.samples > MAX_SAMPLES:
-        raise _CLIError(EXIT_PRECONDITION, f"samples must be at most "
-                        f"{MAX_SAMPLES}, got {args.samples}")
+        raise ValueError(f"samples must be at most {MAX_SAMPLES}, "
+                         f"got {args.samples}")
     _check_basis_budget(rs, args.depth)
     if not deform.scalars_admissible(c, args.prime, args.n):
         raise ValueError(f"c is not admissible at p={args.prime}, n={args.n}")
@@ -481,7 +478,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except _CLIError as e:
         print(f"error: {e}", file=sys.stderr)
-        return e.status
+        return EXIT_PARSE
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PRECONDITION

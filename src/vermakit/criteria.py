@@ -22,7 +22,7 @@ from fractions import Fraction
 from .deform import weight_admissible
 # rank is unused here but stays bound: the benchmark's tracer self-test
 # checks that a function imported into several modules is patched in each
-from .linalg import rank, span_coordinates  # noqa: F401
+from .linalg import rank  # noqa: F401
 from .rootsys import (Record, Root, RootSystem, SimpleSubset, Weight,
                       bad_primes, check_subset, check_weight, dot_reflect,
                       interior, is_singular, neg, pairing, positive_subsystem,
@@ -64,15 +64,15 @@ def condition_star(rs: RootSystem, I: SimpleSubset, lam: Weight,
     _check_dominant_on(rs, lam, I)
     phi_pos = rs.positive_roots if phi_pos is None else phi_pos
     levi = root_subsystem(rs, I)
-    levi_simples = [rs.simple_root(i) for i in I]
+    outside = [j for j in range(rs.rank) if j not in I]
     rho = rs.rho()
     phi_all = phi_pos + [neg(r) for r in phi_pos]
     witnesses: dict[Root, Root] = {}
     for beta in sorted(psi_plus(rs, I, lam, phi_pos)):
         found = None
-        _, coords = span_coordinates(levi_simples + [beta], phi_all)
-        for gamma, x in zip(phi_all, coords):
-            if x is None or pairing(rs, lam + rho, gamma) != 0:
+        for gamma in phi_all:
+            if (not _in_levi_span(beta, gamma, outside)
+                    or pairing(rs, lam + rho, gamma) != 0):
                 continue
             refl = tuple(g - rs.root_pairing(gamma, beta) * b
                          for g, b in zip(gamma, beta))
@@ -83,6 +83,14 @@ def condition_star(rs: RootSystem, I: SimpleSubset, lam: Weight,
             return False, witnesses
         witnesses[beta] = found
     return True, witnesses
+
+
+def _in_levi_span(beta: Root, gamma: Root, outside: list[int]) -> bool:
+    """Whether gamma lies in the span of beta and the simple roots not in
+    ``outside``: its coordinates on ``outside`` are proportional to beta's,
+    which are not all zero (beta is outside the Levi)."""
+    k = next(j for j in outside if beta[j])
+    return all(gamma[j] * beta[k] == gamma[k] * beta[j] for j in outside)
 
 
 def condition_star_star(rs: RootSystem, I: SimpleSubset, lam: Weight) -> bool:

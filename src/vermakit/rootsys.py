@@ -176,13 +176,13 @@ class RootSystem:
     # -- construction -----------------------------------------------------
 
     def _close_positive_roots(self) -> list[Root]:
-        n = self.rank
         simple = self._simple_roots
         roots = set(simple)
         frontier = list(simple)
         while frontier:
             new: list[Root] = []
             for beta in frontier:
+                pairings = self.simple_coroot_pairings(beta)
                 for i, alpha in enumerate(simple):
                     cand = add(beta, alpha)
                     if cand in roots:
@@ -193,8 +193,7 @@ class RootSystem:
                     while down in roots:
                         p += 1
                         down = sub(down, alpha)
-                    pairing = sum(beta[k] * self.cartan[k][i] for k in range(n))
-                    if p - pairing >= 1:
+                    if p - pairings[i] >= 1:
                         roots.add(cand)
                         new.append(cand)
             frontier = new
@@ -240,17 +239,15 @@ class RootSystem:
             coeffs.append(int(c))
         return tuple(coeffs)
 
+    def simple_coroot_pairings(self, beta: Root) -> tuple:
+        """(<beta, alpha_i^v>)_i, the values of beta on the simple coroots:
+        sum_k beta_k a_ki, read off the Cartan matrix."""
+        return tuple(sum(b * row[i] for b, row in zip(beta, self.cartan))
+                     for i in range(self.rank))
+
     def weight_of_root(self, alpha: Root) -> Weight:
         """The root alpha as a weight (values on simple coroots)."""
-        return Weight(
-            tuple(
-                Fraction(sum(alpha[i] * self.cartan[i][j] for i in range(self.rank)))
-                for j in range(self.rank)
-            )
-        )
-
-    def fundamental_weight(self, i: int) -> Weight:
-        return Weight(tuple(Fraction(int(i == j)) for j in range(self.rank)))
+        return Weight(tuple(Fraction(x) for x in self.simple_coroot_pairings(alpha)))
 
     def rho(self) -> Weight:
         return Weight((Fraction(1),) * self.rank)
@@ -342,10 +339,10 @@ def dot_orbit(rs: RootSystem, lam: Weight,
     while frontier:
         nxt = []
         for drop in frontier:
+            pairings = rs.simple_coroot_pairings(drop)
             for i in subset:
                 # s_i.(lam - drop) = lam - drop - <lam - drop + rho, a_i^v> a_i
-                x = drop[i] + shifted[i] - sum(d * rs.cartan[k][i]
-                                               for k, d in enumerate(drop))
+                x = drop[i] + shifted[i] - pairings[i]
                 x = int(x) if x.denominator == 1 else x
                 new = drop[:i] + (x,) + drop[i + 1:]
                 if new not in signs:
@@ -378,12 +375,8 @@ def check_weight(rs: RootSystem, lam: Weight) -> None:
 
 def root_subsystem(rs: RootSystem, subset: SimpleSubset) -> set[Root]:
     """All roots supported on the given simple indices (both signs)."""
-    check_subset(rs, subset)
-    out = set()
-    for r in rs.roots:
-        if all(r[i] == 0 for i in range(rs.rank) if i not in subset):
-            out.add(r)
-    return out
+    positive = positive_subsystem(rs, subset)
+    return set(positive) | {neg(r) for r in positive}
 
 
 def positive_subsystem(rs: RootSystem, subset: SimpleSubset) -> list[Root]:

@@ -1,8 +1,8 @@
 """PBW normal-form arithmetic in the universal enveloping algebra.
 
 Elements are sparse rational combinations of normal-ordered monomials
-f^a h^b e^c, where the f-block runs through the positive roots in
-descending base order, the h-block through the simple roots ascending,
+f^a h^b e^c, where the f-block runs through ``rs.positive_roots``
+descending, the h-block through the simple roots ascending,
 and the e-block through the positive roots ascending.  Products are
 rewritten into this order with the commutation relations; each rewriting
 step strictly lowers (degree, position), so the process terminates and
@@ -30,10 +30,39 @@ from .rootsys import Root, Value, Weight, sub
 Monomial = tuple[tuple, tuple, tuple]
 
 
+# The first 13 primes.  As Miller-Rabin bases they decide primality exactly
+# below _PRIME_BOUND (Sorenson and Webster, Math. Comp. 86, 2017), which
+# itself passes all 13 bases.
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def check_odd_prime(p: int) -> None:
-    """Raise ValueError unless p is an odd prime."""
-    if p < 3 or p % 2 == 0 or any(p % k == 0 for k in range(3, math.isqrt(p) + 1, 2)):
+    """Raise ValueError unless p is an odd prime below _PRIME_BOUND, by a
+    deterministic Miller-Rabin test on the bases _PRIME_BASES."""
+    if p >= _PRIME_BOUND:
+        raise ValueError(f"p must be below {_PRIME_BOUND}, got {p}")
+    if p < 3 or p % 2 == 0 or (p not in _PRIME_BASES and _has_witness(p)):
         raise ValueError(f"p must be an odd prime, got {p}")
+
+
+def _has_witness(p: int) -> bool:
+    """Whether some base proves the odd number p > 2 composite: with
+    p - 1 = d 2^r, d odd, a^d is not 1 and no a^(d 2^k), k < r, is -1."""
+    d, r = p - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return True
+    return False
 
 
 def vp(x: Fraction, p: int) -> int | float:
@@ -70,7 +99,7 @@ class EnvelopingAlgebra:
     def __init__(self, sc: StructureConstants):
         self.sc = sc
         self.rs = sc.rs
-        self.npos = len(sc.base_order)
+        self.npos = len(sc.rs.positive_roots)
         self._memo: dict[tuple[Gen, Monomial], dict[Monomial, int]] = {}
         # criteria.classify_sl3's case-3 verdicts, per (mu, gamma, depth)
         self.case3_verdicts: dict[tuple, bool] = {}
@@ -126,10 +155,10 @@ class EnvelopingAlgebra:
         return None, m
 
     def root_sum(self, exps: tuple) -> Root:
-        """Sum of k_i times the i-th positive root in base order, over an
-        exponent tuple (k_i): the weight drop of f^k, the rise of e^k."""
+        """Sum of k_i times the i-th positive root, over an exponent tuple
+        (k_i): the weight drop of f^k, the rise of e^k."""
         out = [0] * self.rs.rank
-        for k, root in zip(exps, self.sc.base_order):
+        for k, root in zip(exps, self.rs.positive_roots):
             if k:
                 for j, x in enumerate(root):
                     out[j] += k * x
@@ -276,7 +305,10 @@ def tau(x: UEAElement) -> UEAElement:
     """Transpose anti-automorphism: e and f swap, h fixed, words reverse.
 
     On a normal-ordered monomial this is just the e/f exponent swap: the
-    reversed, swapped word is already in normal order.
+    reversed, swapped word is already in normal order.  It backs the
+    statement that C[a,b] = C[-b,-a] makes the transpose an anti-automorphism
+    of U(g), so the Shapovalov form is contravariant, (x u, w) = (u, tau(x) w):
+    the recursion of ``weightmod._gram`` relies on that.
     """
     return UEAElement(x.alg, {(m[2], m[1], m[0]): c for m, c in x.terms.items()})
 

@@ -204,8 +204,8 @@ class VermaLikeModule(HighestWeightModule):
         self._zero_h = (0,) * self.rs.rank
         self._zero_e = (0,) * alg.npos
         # <beta_k, alpha_i^v> for the k-th positive root and simple index i
-        self._coroot_pairing = [[int(x) for x in self.rs.weight_of_root(root).coords]
-                                for root in alg.sc.base_order]
+        self._coroot_pairing = [self.rs.simple_coroot_pairings(root)
+                                for root in self.rs.positive_roots]
         # weight spaces: sorted labels per drop, and each label's position
         self.labels_by_drop: dict[tuple, list[tuple]] = {}
         for s in sorted(self.basis):
@@ -476,7 +476,7 @@ def _gram(module: VermaLikeModule, nu: tuple) -> list[tuple]:
         return rows
     labels = module.labels_by_drop.get(nu, [])
     position = module._position
-    roots = module.alg.sc.base_order
+    roots = module.rs.positive_roots
     columns: dict[int, list[Vec]] = {}
     rows = []
     for s in labels:

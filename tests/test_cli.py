@@ -143,6 +143,25 @@ def test_classify_prime_two_gets_odd_prime_message(capsys):
     assert "p must be an odd prime" in err
 
 
+def test_classify_at_a_61_bit_prime_ends():
+    # 2^61 - 1: trial division to its square root never ended
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "vermakit.cli", "classify", "--weight", "1/2,-1",
+         "--prime", str(2 ** 61 - 1), "--json"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["input"]["p"] == 2 ** 61 - 1
+
+
+def test_classify_refuses_a_prime_past_the_exact_bound(capsys):
+    status, _, err = run(capsys, "classify", "--weight", "1/2,-1",
+                         "--prime", str(2 ** 89 - 1))
+    assert status == 3
+    assert err == (f"error: p must be below 3317044064679887385961981, "
+                   f"got {2 ** 89 - 1}\n")
+
+
 PHI_A2 = ["phi-check", "--weight", "2,1/3", "--parabolic", "0", "--c", "-3"]
 
 

@@ -9,7 +9,8 @@ from vermakit.criteria import (case3_additivity_check, classify_sl3,
                                compute_A, condition_star, condition_star_star,
                                good_prime, gvm_region_irreducible, psi_plus,
                                reflection_step, verify_case_report)
-from vermakit.rootsys import SimpleSubset, Weight, parse_type
+from vermakit.linalg import span_coordinates
+from vermakit.rootsys import SimpleSubset, Weight, parse_type, root_subsystem
 from vermakit.uea import EnvelopingAlgebra
 
 
@@ -354,3 +355,27 @@ def test_weight_of_the_wrong_rank_is_refused(rs_a2, query, coords):
 def test_classifier_refuses_a_weight_of_the_wrong_rank(alg_a2, coords):
     with pytest.raises(ValueError, match=r"needs 2 coordinates \(rank 2\)"):
         classify_sl3(alg_a2, Weight.of(*coords), 5, 0)
+
+
+_ALL_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D4",
+              "F4", "G2"]
+
+
+@pytest.mark.parametrize("label", _ALL_TYPES)
+def test_levi_span_test_matches_span_coordinates(label):
+    """The support test of condition (*) against the linear solve it
+    replaced: gamma is in the span of beta and the simple roots of I exactly
+    when span_coordinates finds its coordinates."""
+    rs = parse_type(label)
+    for bits in range(2 ** rs.rank):
+        I = SimpleSubset.of(*[i for i in range(rs.rank) if bits >> i & 1])
+        outside = [j for j in range(rs.rank) if j not in I]
+        levi = root_subsystem(rs, I)
+        simples = [rs.simple_root(i) for i in I]
+        for beta in rs.positive_roots:
+            if beta in levi:
+                continue
+            _, coords = span_coordinates(simples + [beta], rs.roots)
+            for gamma, x in zip(rs.roots, coords):
+                assert (criteria._in_levi_span(beta, gamma, outside)
+                        == (x is not None)), (I, beta, gamma)

@@ -71,7 +71,7 @@ def test_pairing_against_cartan_matrix():
     for i in range(2):
         alpha = tuple(int(i == j) for j in range(2))
         for k in range(2):
-            fw = rs.fundamental_weight(k)
+            fw = Weight.of(*(int(k == j) for j in range(2)))
             assert pairing(rs, fw, alpha) == (1 if i == k else 0)
 
 
@@ -260,3 +260,24 @@ def test_weight_of_the_wrong_rank_is_refused(query, coords):
 def test_dot_reflection_index_outside_the_rank_is_refused(index):
     with pytest.raises(ValueError, match=f"simple-root index {index} is not"):
         dot_reflect(parse_type("A2"), index, Weight.of(1, 0))
+
+
+@pytest.mark.parametrize("label", _ALL_TYPES)
+def test_simple_coroot_pairings_match_root_pairing(label):
+    # root_pairing reads the symmetric form, an independent path
+    rs = parse_type(label)
+    for beta in rs.roots:
+        want = tuple(rs.root_pairing(beta, rs.simple_root(i))
+                     for i in range(rs.rank))
+        assert rs.simple_coroot_pairings(beta) == want, beta
+
+
+@pytest.mark.parametrize("label", _ALL_TYPES)
+def test_root_subsystem_matches_the_filter_over_all_roots(label):
+    rs = parse_type(label)
+    for bits in range(2 ** rs.rank):
+        I = SimpleSubset.of(*[i for i in range(rs.rank) if bits >> i & 1])
+        # the reference: every root, of either sign, supported on I
+        want = {r for r in rs.roots
+                if all(r[i] == 0 for i in range(rs.rank) if i not in I)}
+        assert root_subsystem(rs, I) == want, I

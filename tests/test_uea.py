@@ -1,11 +1,13 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from vermakit import uea
 from vermakit.chevalley import structure_constants
 from vermakit.rootsys import parse_type
-from vermakit.uea import (DeformationContext, EnvelopingAlgebra,
+from vermakit.uea import (DeformationContext, EnvelopingAlgebra, check_odd_prime,
                           exp_truncated, gamma_level,
                           iwasawa_generator_monomial, multiply, tau, vp,
                           weight_components, weight_of_monomial)
@@ -37,6 +39,48 @@ def test_context_validation():
         DeformationContext(5, -1, 4)
     with pytest.raises(ValueError):
         DeformationContext(5, 0, 0)
+
+
+def _is_odd_prime(p: int) -> bool:
+    try:
+        check_odd_prime(p)
+    except ValueError:
+        return False
+    return True
+
+
+def test_odd_prime_check_matches_trial_division():
+    for p in range(-5, 20_000):
+        want = p >= 3 and p % 2 == 1 and all(
+            p % k for k in range(3, math.isqrt(p) + 1, 2))
+        assert _is_odd_prime(p) == want, p
+
+
+@pytest.mark.parametrize("p", [
+    # the least strong pseudoprimes to the first k prime bases, k = 1 to 12
+    # (k = 7, 8 share one, as do k = 9, 10, 11)
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+    341550071728321, 3825123056546413051, 318665857834031151167461,
+    # Carmichael numbers
+    561, 1105, 1729])
+def test_odd_prime_check_rejects_pseudoprimes(p):
+    with pytest.raises(ValueError, match=f"p must be an odd prime, got {p}"):
+        check_odd_prime(p)
+
+
+@pytest.mark.parametrize("p", [2 ** 31 - 1, 2 ** 61 - 1])
+def test_odd_prime_check_accepts_mersenne_primes(p):
+    check_odd_prime(p)
+
+
+def test_odd_prime_check_refuses_the_bound_and_above():
+    bound = 3_317_044_064_679_887_385_961_981
+    # the bound is composite yet passes every base, so it must be refused
+    assert bound == 1_287_836_182_261 * 2_575_672_364_521
+    assert not uea._has_witness(bound)
+    for p in (bound, bound + 2, 2 ** 89 - 1):
+        with pytest.raises(ValueError, match=f"p must be below {bound}, got {p}"):
+            check_odd_prime(p)
 
 
 def test_serre_relation_sl2(alg_a1):
