@@ -36,9 +36,11 @@ EXIT_PRECONDITION = 3
 # build to their --depth.  A generalised Verma module, parabolic or
 # Levi-induced, is no larger than the Verma module of the same depth, so one
 # count bounds them all; near this size a Verma character takes about 0.1 s on
-# a 2-vCPU x86 host, a parabolic one about 0.25 s (G2, I = {0}, depth 22:
-# 8,616 Verma labels), and `verify --suite verma` about 0.7 s end to end (A2,
-# depth 46: 9,500 labels).
+# a 2-vCPU x86 host, a parabolic one about 0.2 s with I a proper subset (G2,
+# I = {0}, depth 22: 8,616 Verma labels) and 1.2-1.5 s with I every simple root
+# (G2 (5,5), same depth: L_I(lam) is then a quotient of the whole Verma
+# module), and `verify --suite verma` about 0.7 s end to end (A2, depth 46:
+# 9,500 labels).
 MAX_BASIS_LABELS = 10_000
 
 # Most homomorphism samples `phi-check` draws.

@@ -2,70 +2,71 @@
 coordinates, and integer lattices.
 
 Everything here works on lists of lists of Fractions (or ints); no floats
-anywhere.  One fraction-free Gauss-Jordan elimination on Python ints, with
-each row's denominators cleared first, supplies the rational part: the
-reduced rows and pivots of ``rref``, which ``rank``, ``invert`` and
-``span_coordinates`` read, and the last pivot that ``det_int`` reads.  The
-lattice part is the row Hermite normal form of an integer matrix, built by
-extended-gcd row operations (``hermite_form``), and membership of its row
-lattice (``in_lattice``).
+anywhere.  ``rref``, a sparse row echelon elimination on Python ints, is the
+one rational kernel: ``rank``, ``det_int``, ``invert`` and
+``span_coordinates`` read it, and ``reduce_against`` reduces a vector against
+its rows.  The lattice part is the row Hermite normal form of an integer
+matrix (``hermite_form``) and membership of its row lattice (``in_lattice``).
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from fractions import Fraction
 
 
-def _eliminate(rows: list[list[Fraction]]
-               ) -> tuple[list[list[int]], list[int], int, int]:
-    """Fraction-free (Bareiss) Gauss-Jordan elimination.
+def rref(rows: list[list[Fraction]]
+         ) -> tuple[list[dict[int, int]], list[int], tuple[int, int]]:
+    """Sparse row echelon form on Python ints: structured Gaussian
+    elimination (LaMacchia and Odlyzko, CRYPTO '90) over Z.
 
-    Each row is scaled by the lcm of its denominators; then at each pivot p
-    every other row becomes (p*row - x*top) // prev, prev being the previous
-    pivot.  Every entry stays a minor of the scaled input, so each division
-    is exact and the integers stay as small as the minors; every pivot row
-    ends up carrying the last pivot in its pivot column.
-
-    Returns the nonzero rows, their pivot columns, the signed last pivot
-    (for a square matrix of full rank, the determinant of the scaled input)
-    and the product of the row scales.
+    A row, its denominators cleared, is a dict {column: int}.  While its
+    lowest column c holds the pivot p of an echelon row top, r becomes
+    (p r - r[c] top) / gcd(p, r[c]), then r / gcd(r); at a free lowest
+    column it joins the echelon, primitive with a positive pivot.  Returns
+    the rows and pivots (those of the reduced form) in pivot order, and
+    (num, den): the product of the row scalings, signed by the permutation
+    that sorts the pivots from the order the rows took them, so a square
+    matrix of full rank has determinant den / num * prod(pivots).
     """
-    mat: list[list[int]] = []
-    scale = 1
-    for row in rows:
-        m = math.lcm(*(x.denominator for x in row))
-        mat.append([x.numerator * (m // x.denominator) for x in row])
-        scale *= m
-    ncols = len(mat[0]) if mat else 0
+    n = len(rows[0]) if rows else 0
+    echelon: dict[int, dict[int, int]] = {}
     pivots: list[int] = []
-    sign, prev = 1, 1
-    for c in range(ncols):
-        r = len(pivots)
-        if r == len(mat):
-            break
-        pivot_row = next((i for i in range(r, len(mat)) if mat[i][c]), None)
-        if pivot_row is None:
-            continue
-        if pivot_row != r:
-            mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-            sign = -sign
-        top = mat[r]
-        p = top[c]
-        for i, row in enumerate(mat):
-            if i != r:
-                x = row[c]
-                mat[i] = [(p * a - x * b) // prev for a, b in zip(row, top)]
-        prev = p
-        pivots.append(c)
-    return mat[:len(pivots)], pivots, sign * prev, scale
-
-
-def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form.  Returns (rref rows, pivot column indices)."""
-    mat, pivots, _, _ = _eliminate(rows)
-    return [[Fraction(a, row[c]) for a in row]
-            for row, c in zip(mat, pivots)], pivots
+    num = den = 1
+    for row in rows:
+        if len(row) != n:
+            raise ValueError(f"rref needs rows of equal length, got {n} and {len(row)}")
+        m = math.lcm(*(x.denominator for x in row))
+        vec = {c: x.numerator * (m // x.denominator) for c, x in enumerate(row) if x}
+        num *= m
+        while vec:
+            c = min(vec)
+            top = echelon.get(c)
+            g = math.gcd(*vec.values())
+            if top is None and vec[c] < 0:
+                g = -g
+            if g != 1:
+                vec = {k: v // g for k, v in vec.items()}
+                den *= g
+            if top is None:
+                echelon[c] = vec
+                i = bisect.bisect(pivots, c)
+                num *= (-1) ** (len(pivots) - i)
+                pivots.insert(i, c)
+                break
+            g = math.gcd(top[c], vec[c])
+            p, x = top[c] // g, vec[c] // g
+            if p != 1:
+                vec = {k: p * v for k, v in vec.items()}
+                num *= p
+            for k, t in top.items():
+                v = vec.get(k, 0) - x * t
+                if v:
+                    vec[k] = v
+                else:
+                    del vec[k]
+    return [echelon[c] for c in pivots], pivots, (num, den)
 
 
 def rank(rows: list[list[Fraction]]) -> int:
@@ -74,14 +75,16 @@ def rank(rows: list[list[Fraction]]) -> int:
     return len(rref(rows)[1])
 
 
-def reduce_against(vec: list, reduced: list[list[Fraction]],
+def reduce_against(vec: list, rows: list[dict[int, int]],
                    pivots: list[int]) -> list:
-    """What is left of vec after clearing each pivot column with its row of
-    a reduced row echelon form: zero exactly when vec lies in their span."""
-    for row, c in zip(reduced, pivots):
-        factor = vec[c]
-        if factor:
-            vec = [a - factor * b for a, b in zip(vec, row)]
+    """The one vector of vec's coset modulo the rows of ``rref`` that is zero
+    on their pivots, cleared in pivot order: zero when vec is in their span."""
+    vec = list(vec)
+    for row, c in zip(rows, pivots):
+        if vec[c]:
+            factor = Fraction(vec[c], row[c])
+            for k, a in row.items():
+                vec[k] -= factor * a
     return vec
 
 
@@ -99,12 +102,14 @@ def invert(rows: list[list[Fraction]]) -> list[list[Fraction]]:
 
 
 def det_int(rows: list[list[int]]) -> int:
-    """Determinant of an integer matrix (fraction-free result is exact)."""
+    """Determinant of a square matrix with an integer determinant, read off
+    the pivots and scale of ``rref``."""
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("det_int needs a square matrix")
-    _, pivots, last, scale = _eliminate(rows)
-    d = Fraction(last, scale) if len(pivots) == n else Fraction(0)
+    echelon, pivots, (num, den) = rref(rows)
+    d = (Fraction(den * math.prod(row[c] for row, c in zip(echelon, pivots)), num)
+         if len(pivots) == n else Fraction(0))
     if d.denominator != 1:
         raise ValueError(f"determinant {d} is not an integer: det_int needs "
                          f"an integer matrix")
@@ -116,26 +121,22 @@ def span_coordinates(spanning: list, candidates: list
     """Rank of the spanning vectors, and each candidate's coordinates over
     them, or None for a candidate outside their span over Q.
 
-    The spanning set is row-reduced once, next to an identity block that
-    records each reduced row as a combination of the spanning vectors.  A
-    candidate, padded with zeros, reduced against the rows whose pivots lie
-    left of that block, leaves zero on the left exactly when it lies in the
-    span, and minus its coordinates on the right.  The coordinates are
-    unique, so integrality decides membership of the Z-span, when the rank
-    equals the number of spanning vectors.
+    The spanning set is brought to echelon form once, next to an identity
+    block that records each row as a combination of the spanning vectors.  A
+    candidate, padded with zeros and reduced against every row (those with
+    their pivot in the block are relations), leaves zero on the left exactly
+    when it lies in the span, and minus its coordinates on the right.  The
+    coordinates are unique, so integrality decides membership of the Z-span,
+    when the rank equals the number of spanning vectors.
     """
     k = len(spanning)
-    if not k:
-        return 0, [None if any(x) else [] for x in candidates]
-    n = len(spanning[0])
-    reduced, pivots = rref([list(v) + [int(i == j) for j in range(k)]
+    rows, pivots, _ = rref([list(v) + [int(i == j) for j in range(k)]
                             for i, v in enumerate(spanning)])
-    pivots = [c for c in pivots if c < n]
     out: list[list[Fraction] | None] = []
     for x in candidates:
-        resid = reduce_against(list(x) + [Fraction(0)] * k, reduced, pivots)
-        out.append(None if any(resid[:n]) else [-a for a in resid[n:]])
-    return len(pivots), out
+        resid = reduce_against(list(x) + [Fraction(0)] * k, rows, pivots)
+        out.append(None if any(resid[:len(x)]) else [-a for a in resid[len(x):]])
+    return sum(c < len(spanning[0]) for c in pivots), out
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:

@@ -408,7 +408,7 @@ def dual_h_basis(rs: RootSystem) -> list[list[Fraction]]:
 
     h^b is the Cartan element dual to the simple roots: a(h^b) = delta_{ab}.
     """
-    return invert([[Fraction(x) for x in row] for row in rs.cartan])
+    return invert(rs.cartan)
 
 
 # -- closed subsystems and the good-prime test -------------------------------

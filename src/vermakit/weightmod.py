@@ -326,14 +326,13 @@ class QuotientModule(HighestWeightModule):
                 if vec:
                     drop = parent.label_drop(next(iter(vec)))
                     by_drop.setdefault(drop, []).append(vec)
-        # per weight space: row-reduce the submodule, keep non-pivot labels
+        # per weight space: the submodule's echelon, keep non-pivot labels
         self._reduction: dict[tuple, tuple] = {}
         self.basis = []
         for drop, labels in sorted(parent.labels_by_drop.items()):
-            rows = [[vec.get(s, Fraction(0)) for s in labels]
-                    for vec in by_drop.get(drop, [])]
-            reduced, pivots = rref(rows) if rows else ([], [])
-            self._reduction[drop] = (labels, reduced, pivots)
+            rows = [[vec.get(s, 0) for s in labels] for vec in by_drop.get(drop, [])]
+            echelon, pivots = rref(rows)[:2] if rows else ([], [])
+            self._reduction[drop] = (labels, echelon, pivots)
             self.basis.extend(labels[i] for i in range(len(labels))
                               if i not in pivots)
 
@@ -347,9 +346,8 @@ class QuotientModule(HighestWeightModule):
             by_drop.setdefault(self.parent.label_drop(s), {})[s] = c
         out: Vec = {}
         for drop, part in by_drop.items():
-            labels, reduced, pivots = self._reduction[drop]
-            coords = reduce_against([part.get(s, Fraction(0)) for s in labels],
-                                    reduced, pivots)
+            labels, echelon, pivots = self._reduction[drop]
+            coords = reduce_against([part.get(s, 0) for s in labels], echelon, pivots)
             for s, x in zip(labels, coords):
                 if x:
                     out[s] = x
@@ -501,10 +499,10 @@ def simple_dims_table(module: VermaLikeModule) -> dict[tuple, int]:
     """Weight-space dimensions of the simple quotient, keyed by root drop.
 
     Weight spaces are taken in order of height, so each Gram matrix is
-    built from ones already memoised."""
+    built from ones already memoised, and ranked on its int rows."""
     out: dict[tuple, int] = {}
     for nu in sorted(module.labels_by_drop, key=lambda d: (sum(d), d)):
-        r = rank(shapovalov_gram(module, nu))
+        r = rank(_gram(module, nu))
         if r:
             out[nu] = r
     return out

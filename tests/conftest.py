@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -100,6 +101,63 @@ def _fraction_rref(rows):
 @pytest.fixture(scope="session")
 def fraction_rref():
     return _fraction_rref
+
+
+def _bareiss_rref(rows):
+    """Reduced row echelon form by dense fraction-free (Bareiss) Gauss-Jordan
+    elimination on ints, each row's denominators cleared first: the kernel
+    that linalg.rref ran before its sparse echelon, kept as a reference.
+
+    At each pivot p every other row becomes (p*row - x*top) // prev, prev
+    being the previous pivot; every entry stays a minor of the scaled input,
+    so each division is exact.
+    """
+    mat = []
+    for row in rows:
+        m = math.lcm(*(Fraction(x).denominator for x in row))
+        mat.append([int(Fraction(x) * m) for x in row])
+    ncols = len(mat[0]) if mat else 0
+    pivots = []
+    prev = 1
+    for c in range(ncols):
+        r = len(pivots)
+        if r == len(mat):
+            break
+        pivot_row = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if pivot_row is None:
+            continue
+        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
+        top = mat[r]
+        p = top[c]
+        for i, row in enumerate(mat):
+            if i != r:
+                x = row[c]
+                mat[i] = [(p * a - x * b) // prev for a, b in zip(row, top)]
+        prev = p
+        pivots.append(c)
+    return [[Fraction(a, row[c]) for a in row]
+            for row, c in zip(mat, pivots)], pivots
+
+
+@pytest.fixture(scope="session")
+def bareiss_rref():
+    return _bareiss_rref
+
+
+def _reduced_remainder(vec, reduced, pivots):
+    """What is left of vec after clearing each pivot column with its row of
+    a reduced row echelon form (pivot entries 1)."""
+    vec = list(vec)
+    for row, c in zip(reduced, pivots):
+        factor = vec[c]
+        if factor:
+            vec = [a - factor * b for a, b in zip(vec, row)]
+    return vec
+
+
+@pytest.fixture(scope="session")
+def reduced_remainder():
+    return _reduced_remainder
 
 
 @pytest.fixture

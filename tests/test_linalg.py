@@ -1,10 +1,11 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from vermakit.linalg import (det_int, hermite_form, in_lattice, invert, rank, rref,
-                             span_coordinates)
+from vermakit.linalg import (det_int, hermite_form, in_lattice, invert, rank,
+                             reduce_against, rref, span_coordinates)
 
 
 def _combine(vectors, coords):
@@ -57,13 +58,97 @@ def _random_matrices(rng, entry):
                 yield rows
 
 
-def test_rref_matches_fraction_gauss_jordan(fraction_rref):
+def _check_echelon(rows, reference, vectors, reduced_remainder):
+    """rref(rows) against a reference reduced row echelon form of rows: the
+    same pivots, each echelon row primitive with a positive pivot and zero
+    left of it, every reference row reducing to zero (so the rows span the
+    same space), and the same remainder for each vector.  The input is left
+    alone."""
+    before = [list(row) for row in rows]
+    echelon, pivots, _ = rref(rows)
+    assert [list(row) for row in rows] == before
+    reduced, want = reference(rows)
+    assert pivots == want, rows
+    for row, c in zip(echelon, pivots):
+        assert min(row) == c and row[c] > 0, rows
+        assert all(type(x) is int and x for x in row.values())
+        assert math.gcd(*row.values()) == 1, rows
+    for row in reduced:
+        assert not any(reduce_against(row, echelon, pivots)), rows
+    for vec in vectors:
+        assert (reduce_against(vec, echelon, pivots)
+                == reduced_remainder(vec, reduced, pivots)), (rows, vec)
+
+
+def test_rref_matches_fraction_gauss_jordan(fraction_rref, bareiss_rref,
+                                            reduced_remainder):
     rng = random.Random(10)
     for entry in (_rational, lambda r: r.randint(-9, 9)):
         for rows in _random_matrices(rng, entry):
-            before = [row[:] for row in rows]
-            assert rref(rows) == fraction_rref(rows), rows
-            assert rows == before  # the input is left alone
+            width = len(rows[0]) if rows else 0
+            vectors = [[_rational(rng) for _ in range(width)] for _ in range(3)]
+            _check_echelon(rows, fraction_rref, vectors, reduced_remainder)
+            assert bareiss_rref(rows) == fraction_rref(rows), rows
+
+
+def test_rref_property_on_sparse_matrices(hypothesis, bareiss_rref,
+                                          fraction_rank_det, reduced_remainder):
+    """Random sparse integer and rational matrices up to 30x40, with integer
+    combinations of their rows mixed in: rref against the dense Bareiss
+    reference, and det_int on the leading square block against Gaussian
+    elimination over Fraction."""
+    st = hypothesis.strategies
+    integer = st.integers(-9, 9)
+    rational = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+
+    @st.composite
+    def cases(draw):
+        entry = draw(st.sampled_from([integer, rational]))
+        nrows, ncols = draw(st.integers(0, 27)), draw(st.integers(1, 40))
+        # a few entries a row, and on request a nonzero diagonal, so that
+        # the leading square block is often invertible
+        diagonal = draw(st.booleans())
+        rows = []
+        for i in range(nrows):
+            cells = draw(st.dictionaries(st.integers(0, ncols - 1), entry,
+                                         max_size=6))
+            if diagonal and i < ncols:
+                cells[i] = draw(entry.filter(bool))
+            rows.append([cells.get(j, 0) for j in range(ncols)])
+        n = min(nrows, ncols)
+        square = draw(st.permutations([row[:n] for row in rows[:n]]))
+        for coeffs in draw(st.lists(st.lists(st.integers(-3, 3), min_size=nrows,
+                                             max_size=nrows), max_size=3)):
+            rows.append([sum((c * row[j] for c, row in zip(coeffs, rows)), 0)
+                         for j in range(ncols)])
+        rows = draw(st.permutations(rows))
+        vectors = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                                max_size=2))
+        return rows, vectors, square
+
+    @hypothesis.settings(max_examples=100, deadline=None, database=None)
+    @hypothesis.given(cases())
+    def check(case):
+        rows, vectors, square = case
+        _check_echelon(rows, bareiss_rref, vectors, reduced_remainder)
+        want = fraction_rank_det(square)[1]
+        if want.denominator == 1:
+            assert det_int(square) == want, square
+        else:
+            with pytest.raises(ValueError, match="not an integer"):
+                det_int(square)
+
+    check()
+
+
+@pytest.mark.parametrize("call,rows,lengths", [
+    (rank, [[1, 2], [2, 4, 9]], (2, 3)), (rank, [[3], [1, 2]], (1, 2)),
+    (rref, [[0, 1], [1]], (2, 1))], ids=["rank-long", "rank-short", "rref-short"])
+def test_ragged_rows_are_refused(call, rows, lengths):
+    # the first two used to give rank 1 and the third an IndexError
+    with pytest.raises(ValueError, match="rref needs rows of equal length, "
+                                         "got %d and %d" % lengths):
+        call(rows)
 
 
 def test_bareiss_rank_matches_fraction_elimination(fraction_rank_det):
@@ -147,6 +232,32 @@ def test_span_coordinates_matches_fraction_rank(fraction_rank_det):
                 assert _combine(spanning, co) == tuple(x), (spanning, x)
                 inside += 1
     assert inside > 100 and outside > 20
+
+
+def test_span_coordinates_are_those_of_the_reduced_form(fraction_rref,
+                                                        reduced_remainder):
+    """For dependent spanning vectors the coordinates are not unique: they
+    stay the ones the reduced form of [spanning | identity] gives, reducing
+    by its rows with a pivot left of the identity block."""
+    rng = random.Random(16)
+    dependent = 0
+    for spanning in _random_matrices(rng, _rational):
+        if not spanning:
+            continue
+        k, ncols = len(spanning), len(spanning[0])
+        reduced, pivots = fraction_rref([list(v) + [int(i == j) for j in range(k)]
+                                         for i, v in enumerate(spanning)])
+        left = [c for c in pivots if c < ncols]
+        dependent += len(left) < k
+        candidates = [[sum((c * v[j] for c, v in zip(coeffs, spanning)), Fraction(0))
+                       for j in range(ncols)]
+                      for coeffs in ([rng.randint(-3, 3) for _ in spanning]
+                                     for _ in range(2))]
+        _, coords = span_coordinates(spanning, candidates)
+        for x, co in zip(candidates, coords):
+            resid = reduced_remainder(list(x) + [0] * k, reduced[:len(left)], left)
+            assert co == [-a for a in resid[ncols:]], (spanning, x)
+    assert dependent > 20
 
 
 def test_hermite_form_examples():

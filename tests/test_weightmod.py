@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from vermakit.linalg import rank, rref
+from vermakit.linalg import rank
 from vermakit.rootsys import (SimpleSubset, Weight, dot_reflect, pairing,
                               parse_type, positive_subsystem)
 from vermakit.weightmod import (Character, LeviInducedModule, QuotientModule,
@@ -473,9 +473,10 @@ def test_integer_action_is_scaled_rational_on_a3_and_levi_modules(
                                                    reference.items()}, (g, s)
 
 
-def _reductions_by_words(parent, singular):
+def _reductions_by_words(parent, singular, fraction_rref):
     """Reference for QuotientModule._build_reductions: each translate
-    applies its whole f-word to the singular vector."""
+    applies its whole f-word to the singular vector, and each weight space
+    of the submodule is row-reduced over Fraction."""
     alg = parent.alg
     zero_h, zero_e = (0,) * parent.rs.rank, (0,) * alg.npos
     by_drop = {}
@@ -490,7 +491,7 @@ def _reductions_by_words(parent, singular):
     for drop, labels in sorted(parent.labels_by_drop.items()):
         rows = [[vec.get(s, Fraction(0)) for s in labels]
                 for vec in by_drop.get(drop, [])]
-        reduced, pivots = rref(rows) if rows else ([], [])
+        reduced, pivots = fraction_rref(rows)
         reduction[drop] = (labels, reduced, pivots)
         basis.extend(s for i, s in enumerate(labels) if i not in pivots)
     return reduction, basis
@@ -499,8 +500,11 @@ def _reductions_by_words(parent, singular):
 @pytest.mark.parametrize("label,levi,coords,depth", [
     ("A2", (0,), (2, Fraction(1, 2)), 6), ("A3", (0, 2), (1, Fraction(1, 3), 2), 5),
     ("B2", (1,), (Fraction(-1, 2), 2), 6), ("G2", (0,), (1, Fraction(2, 3)), 7),
-    ("A3", (0, 2), (1, 0, 7), 5)], ids=["A2", "A3", "B2", "G2", "A3-beyond"])
-def test_incremental_translates_match_whole_words(request, label, levi, coords, depth):
+    ("A3", (0, 2), (1, 0, 7), 5), ("A2", (0, 1), (2, 1), 6)],
+    ids=["A2", "A3", "B2", "G2", "A3-beyond", "A2-all"])
+def test_incremental_translates_match_whole_words(request, fraction_rref,
+                                                  reduced_remainder, label, levi,
+                                                  coords, depth):
     alg = request.getfixturevalue(f"alg_{label.lower()}")
     rs = alg.rs
     parent = VermaLikeModule(alg, Weight.of(*coords), depth)
@@ -511,10 +515,15 @@ def test_incremental_translates_match_whole_words(request, label, levi, coords, 
         singular.append({tuple(power if k == idx else 0
                                for k in range(alg.npos)): Fraction(1)})
     module = QuotientModule(parent, SimpleSubset.of(*levi))
-    reduction, basis = _reductions_by_words(parent, singular)
-    assert module._reduction == reduction
+    reduction, basis = _reductions_by_words(parent, singular, fraction_rref)
     assert module.basis == basis
     assert len(basis) < len(parent.basis)
+    for s in parent.basis:
+        labels, reduced, pivots = reduction[parent.label_drop(s)]
+        unit = [Fraction(int(t == s)) for t in labels]
+        want = {t: x for t, x in zip(labels, reduced_remainder(unit, reduced, pivots))
+                if x}
+        assert module.project({s: Fraction(1)}) == want, s
 
 
 def test_shared_kostant_memo_gives_the_same_counts(alg_g2):
