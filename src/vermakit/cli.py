@@ -22,7 +22,8 @@ from .rootsys import (SimpleSubset, Weight, bad_primes, check_subset,
                       dot_orbit, parse_type, parse_weight)
 from .uea import (DeformationContext, EnvelopingAlgebra, exp_truncated,
                   iwasawa_generator_monomial, multiply, weight_components)
-from .weightmod import (character_to_json, kostant_partition, levi_gvm,
+from .weightmod import (MAX_BASIS_LABELS, _check_basis_budget,
+                        character_to_json, kostant_partition, levi_gvm,
                         parabolic_verma, verma)
 
 SCHEMA = 1
@@ -31,17 +32,6 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
-
-# Largest Verma basis that `character`, `classify`, `phi-check` and `verify`
-# build to their --depth.  A generalised Verma module, parabolic or
-# Levi-induced, is no larger than the Verma module of the same depth, so one
-# count bounds them all; near this size a Verma character takes about 0.1 s on
-# a 2-vCPU x86 host, a parabolic one about 0.2 s with I a proper subset (G2,
-# I = {0}, depth 22: 8,616 Verma labels) and 1.2-1.5 s with I every simple root
-# (G2 (5,5), same depth: L_I(lam) is then a quotient of the whole Verma
-# module), and `verify --suite verma` about 0.7 s end to end (A2, depth 46:
-# 9,500 labels).
-MAX_BASIS_LABELS = 10_000
 
 # Most homomorphism samples `phi-check` draws.
 MAX_SAMPLES = 10_000
@@ -96,7 +86,7 @@ def _parse_type_arg(text: str):
 def _cmd_classify(args) -> int:
     rs = _parse_type_arg(args.type)
     lam = _parse_weight_arg(rs, args.weight)
-    _check_basis_budget(rs, args.depth)
+    _check_basis_budget(rs, args.depth)  # before classify_sl3's type check
     alg = EnvelopingAlgebra(structure_constants(rs))
     report = criteria.classify_sl3(alg, lam, args.prime, args.n,
                                    check_depth=args.depth)
@@ -114,40 +104,10 @@ def _cmd_classify(args) -> int:
     return EXIT_OK
 
 
-def _verma_labels(rs, depth: int, stop: int) -> int:
-    """The number of Verma basis labels (f-exponent vectors over the positive
-    roots) of height at most depth, counted height by height; the count ends
-    at the first height where it passes stop."""
-    # rows[j][d]: labels of height d over the first j + 1 roots
-    rows: list[list[int]] = [[] for _ in rs.heights]
-    total = 0
-    for d in range(depth + 1):
-        count = int(d == 0)
-        for h, row in zip(rs.heights, rows):
-            if d >= h:
-                count += row[d - h]
-            row.append(count)
-        total += count
-        if total > stop:
-            break
-    return total
-
-
-def _check_basis_budget(rs, depth: int) -> None:
-    """Exit 3, before any module is built, when the Verma basis to depth has
-    more than MAX_BASIS_LABELS labels."""
-    size = _verma_labels(rs, depth, MAX_BASIS_LABELS)
-    if size > MAX_BASIS_LABELS:
-        raise ValueError(f"the Verma module to depth {depth} has at least "
-                         f"{size} basis labels, over the budget of "
-                         f"{MAX_BASIS_LABELS}")
-
-
 def _cmd_character(args) -> int:
     rs = _parse_type_arg(args.type)
     lam = _parse_weight_arg(rs, args.weight)
     I = _parse_subset(rs, args.parabolic)
-    _check_basis_budget(rs, args.depth)
     alg = EnvelopingAlgebra(structure_constants(rs))
     if len(I):
         module = parabolic_verma(alg, I, lam, args.depth)
@@ -187,7 +147,7 @@ def _cmd_phi_check(args) -> int:
     if args.samples > MAX_SAMPLES:
         raise ValueError(f"samples must be at most {MAX_SAMPLES}, "
                          f"got {args.samples}")
-    _check_basis_budget(rs, args.depth)
+    _check_basis_budget(rs, args.depth)  # before the scalars
     if not deform.scalars_admissible(c, args.prime, args.n):
         raise ValueError(f"c is not admissible at p={args.prime}, n={args.n}")
     alg = EnvelopingAlgebra(structure_constants(rs))
@@ -364,8 +324,8 @@ _SUITES = {
 
 
 def _cmd_verify(args) -> int:
-    # the verma suite builds the A2 Verma module to --depth; the other suites
-    # cap the depth they use, or build no module
+    # before any suite runs: the verma suite builds the A2 Verma module to
+    # --depth; the other suites cap the depth they use, or build no module
     _check_basis_budget(parse_type("A2"), args.depth)
     names = sorted(_SUITES) if args.suite == "all" else [args.suite]
     results = []

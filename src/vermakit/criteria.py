@@ -231,7 +231,7 @@ def classify_sl3(alg: EnvelopingAlgebra, lam: Weight, p: int, n: int,
     if (rs.type_label, rs.rank) != ("A", 2):
         raise ValueError("classifier is specific to the rank-2 type A system")
     check_weight(rs, lam)
-    _check_depth(check_depth)
+    _check_depth(rs, check_depth)
     if lam.is_dominant_integral():
         raise ValueError("dominant integral weights are excluded "
                          "(finite-dimensional simple quotient)")

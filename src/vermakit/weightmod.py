@@ -71,11 +71,11 @@ def _clean(vec: Vec) -> Vec:
     return {k: v for k, v in vec.items() if v}
 
 
-def _vec_add(acc: Vec, vec: Vec, scale: Fraction) -> None:
+def _vec_add(acc: Vec, vec: Vec, scale: Fraction | int) -> None:
     if not scale:
         return
     for k, v in vec.items():
-        acc[k] = acc.get(k, Fraction(0)) + scale * v
+        acc[k] = acc.get(k, 0) + scale * v
 
 
 def _commute_past_f(act, f_lead, bracket: dict, g, rest) -> dict:
@@ -168,9 +168,55 @@ def _enum_f_labels(npos: int, idxs: list[int], heights: list[int],
     return [s for s, _ in labels]
 
 
-def _check_depth(depth: int) -> None:
+# Largest Verma basis a module may be built to: `_check_depth` refuses a
+# deeper truncation in every module constructor, and the CLI checks --depth
+# against it before other work.  A parabolic module is no larger than the
+# Verma module of its depth d, since each of its labels (s, b) is a Verma
+# label.  A Levi-induced one with I a proper subset can be larger, since its
+# t-labels spend no height: it has at most N_I(d) C(d + |outside|, |outside|)
+# labels, N_I(d) the count for the Levi of I, which is at most 15,774 over
+# the 13 types within the budget (A4 or D4, I = {1, 2, 3}, depth 10).  Near
+# this size a Verma character takes about 0.1 s on a 2-vCPU x86 host, a
+# parabolic one about 0.2 s with I a proper subset (G2, I = {0}, depth 22:
+# 8,616 Verma labels) and 1.2-1.5 s with I every simple root (G2 (5,5), same
+# depth: L_I(lam) is then a quotient of the whole Verma module), and
+# `verify --suite verma` about 0.7 s end to end (A2, depth 46: 9,500 labels).
+MAX_BASIS_LABELS = 10_000
+
+
+def _verma_labels(rs: RootSystem, depth: int, stop: int) -> int:
+    """The number of Verma basis labels (f-exponent vectors over the positive
+    roots) of height at most depth, counted height by height; the count ends
+    at the first height where it passes stop."""
+    # rows[j][d]: labels of height d over the first j + 1 roots
+    rows: list[list[int]] = [[] for _ in rs.heights]
+    total = 0
+    for d in range(depth + 1):
+        count = int(d == 0)
+        for h, row in zip(rs.heights, rows):
+            if d >= h:
+                count += row[d - h]
+            row.append(count)
+        total += count
+        if total > stop:
+            break
+    return total
+
+
+def _check_basis_budget(rs: RootSystem, depth: int) -> None:
+    """Refuse, before any module is built, a depth to which the Verma basis
+    has more than MAX_BASIS_LABELS labels."""
+    size = _verma_labels(rs, depth, MAX_BASIS_LABELS)
+    if size > MAX_BASIS_LABELS:
+        raise ValueError(f"the Verma module to depth {depth} has at least "
+                         f"{size} basis labels, over the budget of "
+                         f"{MAX_BASIS_LABELS}")
+
+
+def _check_depth(rs: RootSystem, depth: int) -> None:
     if depth < 1:
         raise ValueError("depth must be at least 1")
+    _check_basis_budget(rs, depth)
 
 
 class VermaLikeModule(HighestWeightModule):
@@ -184,7 +230,7 @@ class VermaLikeModule(HighestWeightModule):
 
     def __init__(self, alg: EnvelopingAlgebra, lam: Weight, depth: int,
                  J: SimpleSubset | None = None):
-        _check_depth(depth)
+        _check_depth(alg.rs, depth)
         check_weight(alg.rs, lam)
         self.alg = alg
         self.rs = alg.rs
@@ -318,11 +364,12 @@ class QuotientModule(HighestWeightModule):
                                        parent.depth - power * rs.heights[idx]):
                 lead, rest = _split_lead(mono)
                 if lead is None:
-                    vec = {_bump(mono, idx, power): Fraction(1)}
-                else:
-                    below = translates[rest]
-                    vec = parent.act(("f", lead), below) if below else {}
-                translates[mono] = vec
+                    vec = {_bump(mono, idx, power): 1}
+                else:  # on ints: the f action does not depend on lam
+                    vec = {}
+                    for u, x in translates[rest].items():
+                        _vec_add(vec, parent._f_times(lead, u), x)
+                translates[mono] = vec = _clean(vec)
                 if vec:
                     drop = parent.label_drop(next(iter(vec)))
                     by_drop.setdefault(drop, []).append(vec)
@@ -373,6 +420,10 @@ def kostant_partition(rs: RootSystem, nu: tuple,
     if len(nu) != rs.rank:
         raise ValueError(f"nu {tuple(nu)} needs {rs.rank} coordinates "
                          f"(rank {rs.rank}), got {len(nu)}")
+    size = math.prod(n + 1 for n in nu)  # memo keys (pos, rem <= nu)
+    if min(nu) >= 0 and size > MAX_BASIS_LABELS:
+        raise ValueError(f"nu {tuple(nu)} has {size} remainders below it, "
+                         f"over the budget of {MAX_BASIS_LABELS}")
     roots = rs.positive_roots
     memo = {} if memo is None else memo
 
@@ -537,8 +588,8 @@ class LeviInducedModule(HighestWeightModule):
     def __init__(self, alg: EnvelopingAlgebra, I: SimpleSubset, lam: Weight,
                  depth: int, c: dict[int, Fraction] | None = None,
                  inner: SimpleSubset | None = None):
-        _check_depth(depth)
         rs = alg.rs
+        _check_depth(rs, depth)
         check_weight(rs, lam)
         check_subset(rs, I)
         self.alg = alg

@@ -10,10 +10,10 @@ import pytest
 
 from vermakit import cli
 from vermakit.chevalley import structure_constants
-from vermakit.cli import MAX_BASIS_LABELS, _verma_labels, main
+from vermakit.cli import main
 from vermakit.rootsys import Weight, parse_type
 from vermakit.uea import EnvelopingAlgebra
-from vermakit.weightmod import verma
+from vermakit.weightmod import MAX_BASIS_LABELS, _verma_labels, verma
 
 ROOT = Path(__file__).resolve().parent.parent
 
