@@ -210,7 +210,10 @@ class RootSystem:
         return r in self._root_set
 
     def inner(self, beta: Root, gamma: Root) -> Fraction:
-        """Symmetric bilinear form (beta, gamma)."""
+        """Symmetric bilinear form (beta, gamma), summed over the whole
+        symmetrised Cartan matrix.  It stays the Fraction reference behind
+        ``root_pairing`` and the ``ef_coroot`` re-check of verify_chevalley;
+        the integer norm (alpha, alpha) is ``norm``."""
         n = self.rank
         return sum(
             Fraction(beta[i] * gamma[j]) * self.symmetrizer[j] * self.cartan[i][j]
@@ -225,18 +228,26 @@ class RootSystem:
             raise ValueError(f"<{beta}, {alpha}^v> = {val} is not an integer")
         return int(val)
 
+    def norm(self, alpha: Root) -> int:
+        """(alpha, alpha) = sum_i alpha_i d_i <alpha, alpha_i^v>, on ints:
+        (alpha, alpha_i) = d_i <alpha, alpha_i^v> since (alpha_i, alpha_i) = 2 d_i."""
+        return sum(a * d * p for a, d, p in
+                   zip(alpha, self.symmetrizer, self.simple_coroot_pairings(alpha)))
+
     def coroot_coefficients(self, alpha: Root) -> tuple[int, ...]:
-        """alpha^v expressed over the simple coroots (integer coefficients)."""
+        """alpha^v = 2 alpha / (alpha, alpha) over the simple coroots
+        h_i = 2 alpha_i / (alpha_i, alpha_i): the coefficient on h_i is
+        2 alpha_i d_i / (alpha, alpha), an exact integer quotient."""
         if not self.is_root(alpha):
             raise ValueError(f"{alpha} is not a root")
-        d_alpha = self.inner(alpha, alpha) / 2
+        norm = self.norm(alpha)
         coeffs = []
-        for i in range(self.rank):
-            c = Fraction(alpha[i]) * self.symmetrizer[i] / d_alpha
-            if c.denominator != 1:
+        for i, (a, d) in enumerate(zip(alpha, self.symmetrizer)):
+            c, r = divmod(2 * a * d, norm)
+            if r:
                 raise ValueError(f"coroot of {alpha} has the non-integer "
-                                 f"coefficient {c} on h_{i}")
-            coeffs.append(int(c))
+                                 f"coefficient {2 * a * d}/{norm} on h_{i}")
+            coeffs.append(c)
         return tuple(coeffs)
 
     def simple_coroot_pairings(self, beta: Root) -> tuple:
@@ -256,7 +267,7 @@ class RootSystem:
         return f"RootSystem({self.type_label}{self.rank})"
 
 
-def _symmetrizer(cartan: list[list[int]]) -> list[Fraction]:
+def _symmetrizer(cartan: list[list[int]]) -> list[int]:
     """d_i with d_j * cartan[i][j] == d_i * cartan[j][i]; (a_i, a_i) = 2 d_i."""
     n = len(cartan)
     d: list[Fraction | None] = [None] * n
@@ -271,9 +282,10 @@ def _symmetrizer(cartan: list[list[int]]) -> list[Fraction]:
                 if i != j and cartan[i][j] != 0 and d[j] is None:
                     d[j] = d[i] * Fraction(cartan[j][i], cartan[i][j])
                     stack.append(j)
-    # rescale to the smallest integers per connected component
+    # rescale to the smallest integers per connected component; every d_i
+    # is then integral, and is returned as an int
     lcm_den = math.lcm(*(x.denominator for x in d))
-    return [x * lcm_den for x in d]
+    return [(x * lcm_den).numerator for x in d]
 
 
 def add(a: Root, b: Root) -> Root:

@@ -1,11 +1,12 @@
 import hashlib
 import json
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from pathlib import Path
 
 import pytest
 
+from vermakit import chevalley
 from vermakit.chevalley import (constants_to_json, structure_constants,
                                 verify_chevalley)
 from vermakit.deform import phi_c_homomorphism_check
@@ -57,19 +58,76 @@ def test_every_type_verifies_with_the_recorded_constants(label):
     assert assert_report_matches_the_reference(sc)["all_pass"]
 
 
+def count_jacobi_evaluations(monkeypatch) -> list[int]:
+    """Count the triples verify_chevalley evaluates from now on."""
+    evaluated, honest = [0], chevalley._jacobi_fails
+
+    def counting(*args):
+        evaluated[0] += 1
+        return honest(*args)
+
+    monkeypatch.setattr(chevalley, "_jacobi_fails", counting)
+    return evaluated
+
+
+def triple_weight(sc, triple) -> tuple:
+    zero = (0,) * sc.rs.rank
+    return add(add(sc.gen_root(triple[0]) or zero, sc.gen_root(triple[1]) or zero),
+               sc.gen_root(triple[2]) or zero)
+
+
 @pytest.mark.parametrize("label", ["A2", "B2", "G2"])
-def test_doubled_constant_quadruple_fails_only_jacobi(label):
+def test_doubled_constant_quadruple_fails_only_jacobi(label, monkeypatch):
     # doubling C[a,b], C[b,a], C[-b,-a], C[-a,-b] keeps antisymmetry, the
-    # transpose symmetry and the support, and breaks only the Jacobi identity
+    # transpose symmetry and the support, and breaks only the Jacobi identity;
+    # the table stays weight-graded, so the pruned scan runs, and the failing
+    # triple has a root weight, so it still reports it
     sc = structure_constants(parse_type(label))
     a, b = sc.rs.simple_root(0), sc.rs.simple_root(1)
     for key in ((a, b), (b, a), (neg(b), neg(a)), (neg(a), neg(b))):
         sc._table[key] *= 2
+    evaluated = count_jacobi_evaluations(monkeypatch)
     report = assert_report_matches_the_reference(sc)
     assert not report["jacobi"]["pass"]
     assert not report["all_pass"]
     assert all(v["pass"] for k, v in report.items()
                if k not in ("jacobi", "all_pass"))
+    bad = report["jacobi"]["counterexample"]
+    assert sc.rs.is_root(triple_weight(sc, bad))
+    assert evaluated[0] < list(combinations(sc.generators(), 3)).index(bad) + 1
+
+
+def test_bracket_term_of_the_wrong_weight_forces_the_full_scan(sc_a2, monkeypatch):
+    # [e_0, e_2] = 0 in A2, since alpha_2 + (alpha_1 + alpha_2) is no root;
+    # planting h_0 in both orders keeps the table antisymmetric but not
+    # weight-graded, so every sorted triple is scanned.  The first failing
+    # triple has weight 2 alpha_1 + 2 alpha_2, which a pruned scan would skip
+    planted = {(("e", 0), ("e", 2)): {("h", 0): 1},
+               (("e", 2), ("e", 0)): {("h", 0): -1}}
+    honest = sc_a2.bracket
+    monkeypatch.setattr(sc_a2, "bracket",
+                        lambda g1, g2: planted.get((g1, g2)) or honest(g1, g2))
+    evaluated = count_jacobi_evaluations(monkeypatch)
+    report = assert_report_matches_the_reference(sc_a2)
+    bad = (("e", 0), ("e", 1), ("e", 2))
+    assert report["jacobi"] == {"pass": False, "counterexample": bad}
+    assert triple_weight(sc_a2, bad) == (2, 2)
+    assert evaluated[0] == list(combinations(sc_a2.generators(), 3)).index(bad) + 1
+
+
+@pytest.mark.parametrize("label,count", [("A3", 219), ("B3", 558), ("C3", 558),
+                                         ("G2", 190), ("F4", 6212)])
+def test_graded_scan_evaluates_only_triples_of_root_or_zero_weight(
+        label, count, monkeypatch):
+    # of C(n, 3) sorted triples: 455 on A3, 1,330 on B3/C3, 364 on G2 and
+    # 22,100 on F4
+    sc = structure_constants(parse_type(label))
+    evaluated = count_jacobi_evaluations(monkeypatch)
+    assert verify_chevalley(sc)["all_pass"]
+    assert evaluated[0] == count
+    assert count == sum(1 for t in combinations(sc.generators(), 3)
+                        if not any(w := triple_weight(sc, t))
+                        or sc.rs.is_root(w))
 
 
 def test_bracket_table_that_is_not_antisymmetric_fails_jacobi(sc_a2, monkeypatch):
@@ -100,6 +158,18 @@ def test_cartan_action_reports_the_first_mismatch(sc_a2, monkeypatch):
     report = verify_chevalley(sc_a2)
     assert report["cartan_action"] == {"pass": False,
                                        "counterexample": ("h", 0, "f", 2)}
+
+
+def test_ef_coroot_is_rechecked_against_the_symmetric_form(monkeypatch):
+    # [e_a, f_a] reads coroot_coefficients; the check re-derives the coroot
+    # from inner, so a wrong coroot there is still seen
+    sc = structure_constants(parse_type("B2"))
+    rs, honest = sc.rs, sc.rs.coroot_coefficients
+    top = rs.positive_roots[-1]
+    monkeypatch.setattr(rs, "coroot_coefficients", lambda alpha: tuple(
+        2 * c for c in honest(alpha)) if alpha == top else honest(alpha))
+    report = verify_chevalley(sc)
+    assert report["ef_coroot"] == {"pass": False, "counterexample": top}
 
 
 def test_all_relations_hold_small_types():

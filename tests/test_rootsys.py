@@ -49,6 +49,7 @@ def test_symmetrizer_symmetrises_the_cartan_matrix(label):
     # d_j a_ij = d_i a_ji is what makes inner symmetric; (a_i, a_i) = 2 d_i
     rs = parse_type(label)
     d, a = rs.symmetrizer, rs.cartan
+    assert all(type(x) is int and x > 0 for x in d), d
     for i in range(rs.rank):
         for j in range(rs.rank):
             assert d[j] * a[i][j] == d[i] * a[j][i]
@@ -59,11 +60,31 @@ def test_symmetrizer_symmetrises_the_cartan_matrix(label):
 @pytest.mark.parametrize("label", ["A1", "A2", "A3", "A4", "B2", "B3", "B4",
                                    "C2", "C3", "C4", "D4", "F4", "G2"])
 def test_root_norms_are_even_positive_integers(label):
-    # the Chevalley constants are built on these norms as Python ints
+    # the Chevalley constants are built on these norms as Python ints; the
+    # integer norm agrees with the Fraction form summed over the whole matrix
     rs = parse_type(label)
     for r in rs.roots:
         norm = rs.inner(r, r)
         assert norm.denominator == 1 and norm > 0 and norm % 2 == 0, (r, norm)
+        assert type(rs.norm(r)) is int and rs.norm(r) == norm, r
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "A4", "B2", "B3", "B4",
+                                   "C2", "C3", "C4", "D4", "F4", "G2"])
+def test_coroot_coefficients_match_the_symmetric_form(label):
+    # alpha^v = sum_i 2 alpha_i d_i / (alpha, alpha) h_i, with the norm read
+    # from the Fraction form: the exact integer quotient must agree
+    rs = parse_type(label)
+    for r in rs.roots:
+        got = rs.coroot_coefficients(r)
+        want = tuple(Fraction(2 * a * d) / rs.inner(r, r)
+                     for a, d in zip(r, rs.symmetrizer))
+        assert got == want and all(type(c) is int for c in got), r
+    zero = (0,) * rs.rank
+    with pytest.raises(ValueError, match="is not a root"):
+        rs.coroot_coefficients(zero)
+    with pytest.raises(ValueError, match="is not a root"):
+        rs.coroot_coefficients(tuple(2 * c for c in rs.positive_roots[-1]))
 
 
 def test_pairing_against_cartan_matrix():
