@@ -9,16 +9,17 @@ identity.  This yields integer constants with C[a,b] = C[-b,-a], the symmetry
 that makes the transpose map an anti-automorphism.  The layer is all-int: it
 reads the integer root norms ``RootSystem.norm`` and coroots, and each
 extraspecial Jacobi step carries one integer numerator and denominator to a
-single exact division.
+single exact division.  The build, the bracket and the checks add roots as
+their packed keys ``RootSystem.keys``; the table is keyed by root tuples.
 
 verify_chevalley checks the bracket table for antisymmetry and then the
 Jacobi identity on unordered generator triples only: on an antisymmetric
 bracket the cyclic Jacobi sum is alternating.  When the table is also
 weight-graded it evaluates only the triples whose total weight is a root or
 0, since no generator has any other weight; this keeps 6,212 of F4's 22,100
-sorted triples.  Its [e_a, f_a] check re-derives each coroot from the
-symmetric form ``RootSystem.inner``, not from the integer coroots that built
-the bracket.
+sorted triples.  Its [e_a, f_a] check re-derives each coroot from its own
+integer double sum over the symmetrised Cartan matrix, not from the integer
+coroots that built the bracket.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from collections.abc import Mapping
 from itertools import combinations, combinations_with_replacement, product
 from types import MappingProxyType
 
-from .rootsys import Root, RootSystem, add, neg, sub
+from .rootsys import Root, RootSystem, neg
 
 Gen = tuple  # ('e', pos_root_index) | ('f', pos_root_index) | ('h', simple_index)
 
@@ -45,44 +46,43 @@ class StructureConstants:
 
     # -- construction -------------------------------------------------------
 
-    def _string_down(self, alpha: Root, beta: Root) -> int:
-        """Largest k with beta - k*alpha a root."""
+    def _string_down(self, alpha: int, beta: int) -> int:
+        """Largest k with beta - k*alpha a root, on root keys."""
+        roots = self.rs.key_root
         k = 0
-        cur = sub(beta, alpha)
-        while self.rs.is_root(cur):
+        cur = beta - alpha
+        while cur in roots:
             k += 1
-            cur = sub(cur, alpha)
+            cur -= alpha
         return k
 
     def _build(self) -> dict[tuple[Root, Root], int]:
         rs = self.rs
-        order = rs.root_index  # height, then lex
-        norm: dict[Root, int] = {}
-        for r in rs.positive_roots:
-            norm[r] = norm[neg(r)] = rs.norm(r)
-        table: dict[tuple[Root, Root], int] = {}
+        order = rs.key_index  # positive keys, height then lex
+        root = rs.key_root
+        norm = {k: rs.norm(r) for k, r in zip(rs.keys, rs.roots)}
+        table: dict[tuple[int, int], int] = {}  # on root keys
 
-        def put(a: Root, b: Root, v: int) -> None:
+        def put(a: int, b: int, v: int) -> None:
             """Record C[a,b] = v for positive a, b, and the five constants it
             fixes: C[-a,-b] = -v, and, with g = a + b and the rule
             C[x,y]/(z,z) = C[y,z]/(x,x) = C[z,x]/(y,y) for x + y + z = 0,
             C[g,-a] = C[a,-g] = -v(b,b)/(g,g) = -C[-a,g] = -C[-g,a]."""
-            g = add(a, b)
+            g = a + b
             q, r = divmod(v * norm[b], norm[g])
             if r:
-                raise RuntimeError(f"C[{g}, {neg(a)}] = {-v * norm[b]}/{norm[g]} "
-                                   f"is not an integer")
-            na, ng = neg(a), neg(g)
+                raise RuntimeError(f"C[{root[g]}, {root[-a]}] = {-v * norm[b]}/"
+                                   f"{norm[g]} is not an integer")
             table[(a, b)] = v
-            table[(na, neg(b))] = -v
-            table[(g, na)] = table[(a, ng)] = -q
-            table[(na, g)] = table[(ng, a)] = q
+            table[(-a, -b)] = -v
+            table[(g, -a)] = table[(a, -g)] = -q
+            table[(-a, g)] = table[(-g, a)] = q
 
-        for gamma, height in zip(rs.positive_roots, rs.heights):
+        for gamma, height in zip(order, rs.heights):
             if height < 2:
                 continue
-            pairs = [(a, b) for a in rs.positive_roots
-                     if (b := sub(gamma, a)) in order and order[a] < order[b]]
+            pairs = [(a, b) for a in order
+                     if (b := gamma - a) in order and order[a] < order[b]]
             xi, eta = pairs[0]  # extraspecial pair: minimal first summand
             c_xe = self._string_down(xi, eta) + 1
             put(xi, eta, c_xe)
@@ -97,32 +97,33 @@ class StructureConstants:
                 # the sum as one fraction num/den, then C[a,b] by one exact
                 # division: (g,g) * num / (den * C[xi,eta])
                 num, den = 0, 1
-                if rs.is_root(d := sub(eta, alpha)):
-                    num, den = (num * norm[d] + den * table[(eta, neg(alpha))]
-                                * table[(xi, neg(beta))], den * norm[d])
-                if rs.is_root(d := sub(xi, alpha)):
-                    num, den = (num * norm[d] + den * table[(neg(alpha), xi)]
-                                * table[(eta, neg(beta))], den * norm[d])
+                if (d := eta - alpha) in norm:
+                    num, den = (num * norm[d] + den * table[(eta, -alpha)]
+                                * table[(xi, -beta)], den * norm[d])
+                if (d := xi - alpha) in norm:
+                    num, den = (num * norm[d] + den * table[(-alpha, xi)]
+                                * table[(eta, -beta)], den * norm[d])
                 n_ab, r = divmod(num * norm[gamma], den * c_xe)
                 if r or not n_ab:
-                    raise RuntimeError(f"Jacobi gives C[{alpha}, {beta}] = "
-                                       f"{num * norm[gamma]}/{den * c_xe}, "
-                                       f"not a nonzero integer")
+                    raise RuntimeError(f"Jacobi gives C[{root[alpha]}, "
+                                       f"{root[beta]}] = {num * norm[gamma]}/"
+                                       f"{den * c_xe}, not a nonzero integer")
                 put(alpha, beta, n_ab)
                 put(beta, alpha, -n_ab)
 
         # every root pair with root sum, ordered by the pair's positions in
         # rs.roots, the order in which verify_chevalley meets them
-        where = {r: i for i, r in enumerate(rs.roots)}
+        where = {k: i for i, k in enumerate(rs.keys)}
         full = dict(sorted(table.items(),
                            key=lambda kv: (where[kv[0][0]], where[kv[0][1]])))
 
         # classical magnitude cross-check: |C[a,b]| = (string length) + 1
         for (x, y), v in full.items():
             if abs(v) != self._string_down(x, y) + 1:
-                raise RuntimeError(f"|C[{x}, {y}]| = {abs(v)}, but the root "
-                                   f"string gives {self._string_down(x, y) + 1}")
-        return full
+                raise RuntimeError(f"|C[{root[x]}, {root[y]}]| = {abs(v)}, but "
+                                   f"the root string gives "
+                                   f"{self._string_down(x, y) + 1}")
+        return {(root[x], root[y]): v for (x, y), v in full.items()}
 
     # -- queries -------------------------------------------------------------
 
@@ -141,13 +142,14 @@ class StructureConstants:
                 + [("h", i) for i in range(r)]
                 + [("f", i) for i in range(m)])
 
-    def gen_root(self, g: Gen) -> Root | None:
+    def _position(self, g: Gen) -> int:
+        """The position of the root of e or f generator g in rs.roots and
+        rs.keys."""
         kind, i = g
-        if kind == "e":
-            return self.rs.positive_roots[i]
-        if kind == "f":
-            return neg(self.rs.positive_roots[i])
-        return None
+        return i if kind == "e" else i + len(self.rs.positive_roots)
+
+    def gen_root(self, g: Gen) -> Root | None:
+        return None if g[0] == "h" else self.rs.roots[self._position(g)]
 
     def bracket(self, g1: Gen, g2: Gen) -> Mapping[Gen, int]:
         """[g1, g2] as an integer combination of basis generators, memoised
@@ -169,18 +171,17 @@ class StructureConstants:
             return {g2: coeff} if coeff else {}
         if k2 == "h":
             return _negate(self.bracket(g2, g1))
-        a, b = self.gen_root(g1), self.gen_root(g2)
-        s = add(a, b)
-        if not any(s):  # [e_a, f_a] = h_a (coroot); here i1 == i2
+        if i1 == i2 and k1 != k2:  # [e_a, f_a] = h_a (coroot)
             sign = 1 if k1 == "e" else -1
             coeffs = rs.coroot_coefficients(rs.positive_roots[i1])
             return {("h", i): sign * c for i, c in enumerate(coeffs) if c}
-        if not rs.is_root(s):
+        j1, j2 = self._position(g1), self._position(g2)
+        # the table holds exactly the pairs whose sum is a root
+        cval = self._table.get((rs.roots[j1], rs.roots[j2]))
+        if cval is None:
             return {}
-        cval = self.c(a, b)
-        if sum(s) > 0:
-            return {("e", rs.root_index[s]): cval}
-        return {("f", rs.root_index[neg(s)]): cval}
+        s = rs.keys[j1] + rs.keys[j2]
+        return {("e" if s > 0 else "f", rs.key_index[abs(s)]): cval}
 
 
 def _negate(d: dict) -> dict:
@@ -220,13 +221,11 @@ def verify_chevalley(sc: StructureConstants) -> dict:
     bad = next(((x, y) for (x, y), v in sc.pairs() if sc.c(neg(y), neg(x)) != v), None)
     record("transpose_symmetry", bad is None, bad)
 
-    # nonzero exactly on root sums
+    # nonzero exactly on root sums; no root has the key 0
     bad = None
-    for x in rs.roots:
-        for y in rs.roots:
-            s = add(x, y)
-            expected = any(s) and rs.is_root(s)
-            if (sc.c(x, y) != 0) != expected:
+    for x, kx in zip(rs.roots, rs.keys):
+        for y, ky in zip(rs.roots, rs.keys):
+            if (sc.c(x, y) != 0) != (kx + ky in rs.key_root):
                 bad = (x, y)
                 break
         if bad:
@@ -249,15 +248,18 @@ def verify_chevalley(sc: StructureConstants) -> dict:
             break
     record("cartan_action", bad is None, bad)
 
-    # [e_a, f_a] against the coroot re-derived from the symmetric form,
-    # 2 a_i d_i / (a, a), and not from coroot_coefficients, which built the
-    # bracket; the table's int coefficients equal it only where it is integral
+    # [e_a, f_a] against the coroot 2 a_i d_i / (a, a) re-derived with its own
+    # double sum (a, a) = sum_ij a_i a_j d_j a_ij, and not from rs.norm or
+    # coroot_coefficients, which built the bracket; a coroot that is not
+    # integral fails, since every bracket coefficient is an int
     bad = None
+    span = range(rs.rank)
     for idx, alpha in enumerate(rs.positive_roots):
-        norm = rs.inner(alpha, alpha)
-        want = {("h", i): c for i, (a, d) in enumerate(zip(alpha, rs.symmetrizer))
-                if (c := 2 * a * d / norm)}
-        if table[("e", idx), ("f", idx)] != want:
+        norm = sum(alpha[i] * alpha[j] * rs.symmetrizer[j] * rs.cartan[i][j]
+                   for i in span for j in span)
+        coroot = [divmod(2 * a * d, norm) for a, d in zip(alpha, rs.symmetrizer)]
+        want = {("h", i): c for i, (c, _) in enumerate(coroot) if c}
+        if any(r for _, r in coroot) or table[("e", idx), ("f", idx)] != want:
             bad = alpha
             break
     record("ef_coroot", bad is None, bad)
@@ -281,12 +283,9 @@ def _jacobi_triples(sc: StructureConstants, gens: list[Gen], table: dict):
     space of wt(g1) + wt(g2) + wt(g3), which holds no generator unless that
     weight is a root or 0; on any other table, every sorted triple."""
     rs = sc.rs
-    # a weight w as the one int sum_i w_i B^i: linear, and one to one on
-    # sums of up to three roots, whose coordinates are at most 3m = (B - 1)/2
-    # in absolute value, m the largest coordinate of a root
-    base = 6 * max(max(r) for r in rs.positive_roots) + 1
-    wt = {g: sum(c * base ** i for i, c in enumerate(sc.gen_root(g) or ()))
-          for g in gens}
+    # a weight as its root key, 0 for h: linear, and one to one on sums of up
+    # to three roots
+    wt = {g: rs.key(sc.gen_root(g) or ()) for g in gens}
     if not all(wt[g] == wt[g1] + wt[g2]
                for (g1, g2), out in table.items() for g in out):
         yield from combinations(gens, 3)

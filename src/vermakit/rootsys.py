@@ -3,6 +3,11 @@
 Roots are integer coefficient vectors over the simple roots.  Weights live in
 fundamental-weight coordinates: ``coords[i]`` is the value of the weight on
 the simple coroot ``h_i``.  All arithmetic is exact (Fraction), no floats.
+
+Each root also has one packed integer key, ``RootSystem.key``: sum_i r_i B^i,
+linear in the root and one to one on sums of up to three roots, so a root
+sum, difference or string step is one int add and one lookup.  The root
+closure and the Chevalley layer run on keys; tuples stay the public type.
 """
 
 from __future__ import annotations
@@ -28,6 +33,12 @@ _POSITIVE_COUNTS = {
 }
 
 _MAX_RANK = 4
+
+# the base B of the root keys.  Every coordinate of a root of a supported type
+# is at most 4 in absolute value (F4's highest root is 2342), so a sum of up
+# to three roots has coordinates in -12..12 = -(B - 1)/2..(B - 1)/2, where
+# sum_i v_i B^i is one to one
+_KEY_BASE = 25
 
 
 def cartan_matrix(type_label: str, rank_: int) -> list[list[int]]:
@@ -172,32 +183,46 @@ class RootSystem:
         self.root_index = {r: i for i, r in enumerate(self.positive_roots)}
         self.roots = self.positive_roots + [neg(r) for r in self.positive_roots]
         self._root_set = set(self.roots)
+        # keys[i] is the key of roots[i]; key_root inverts it, and key_index
+        # maps the key of a positive root to its index in positive_roots
+        positive_keys = [self.key(r) for r in self.positive_roots]
+        self.keys = positive_keys + [-k for k in positive_keys]
+        self.key_root = dict(zip(self.keys, self.roots))
+        self.key_index = {k: i for i, k in enumerate(positive_keys)}
 
     # -- construction -----------------------------------------------------
 
     def _close_positive_roots(self) -> list[Root]:
-        simple = self._simple_roots
-        roots = set(simple)
-        frontier = list(simple)
+        """The positive roots, height then lex: from the simple roots, add
+        alpha_i to beta whenever the alpha_i-string through beta reaches
+        past it.  Sums, differences and string steps run on keys."""
+        roots = {self.key(alpha): alpha for alpha in self._simple_roots}
+        steps = list(roots)  # steps[i]: the key of alpha_i
+        frontier = steps
         while frontier:
-            new: list[Root] = []
+            new: list[int] = []
             for beta in frontier:
-                pairings = self.simple_coroot_pairings(beta)
-                for i, alpha in enumerate(simple):
-                    cand = add(beta, alpha)
-                    if cand in roots:
+                r = roots[beta]
+                pairings = self.simple_coroot_pairings(r)
+                for i, step in enumerate(steps):
+                    if beta + step in roots:
                         continue
                     # string through beta in direction alpha: q = p - <beta, a_i^v>
                     p = 0
-                    down = sub(beta, alpha)
+                    down = beta - step
                     while down in roots:
                         p += 1
-                        down = sub(down, alpha)
+                        down -= step
                     if p - pairings[i] >= 1:
-                        roots.add(cand)
-                        new.append(cand)
+                        roots[beta + step] = r[:i] + (r[i] + 1,) + r[i + 1:]
+                        new.append(beta + step)
             frontier = new
-        return sorted(roots, key=lambda r: (sum(r), r))
+        return sorted(roots.values(), key=lambda r: (sum(r), r))
+
+    def key(self, v: Root) -> int:
+        """The packed key sum_i v_i B^i of an integer vector: linear in v, and
+        one to one on the roots and on sums of up to three of them."""
+        return sum(c * _KEY_BASE ** i for i, c in enumerate(v))
 
     # -- pairings ----------------------------------------------------------
 
@@ -211,9 +236,8 @@ class RootSystem:
 
     def inner(self, beta: Root, gamma: Root) -> Fraction:
         """Symmetric bilinear form (beta, gamma), summed over the whole
-        symmetrised Cartan matrix.  It stays the Fraction reference behind
-        ``root_pairing`` and the ``ef_coroot`` re-check of verify_chevalley;
-        the integer norm (alpha, alpha) is ``norm``."""
+        symmetrised Cartan matrix.  Its only reader is ``root_pairing``; the
+        integer norm (alpha, alpha) is ``norm``."""
         n = self.rank
         return sum(
             Fraction(beta[i] * gamma[j]) * self.symmetrizer[j] * self.cartan[i][j]
@@ -270,22 +294,25 @@ class RootSystem:
 def _symmetrizer(cartan: list[list[int]]) -> list[int]:
     """d_i with d_j * cartan[i][j] == d_i * cartan[j][i]; (a_i, a_i) = 2 d_i."""
     n = len(cartan)
-    d: list[Fraction | None] = [None] * n
+    # d_i = num[i] / den[i] in lowest terms, den[i] == 0 while unset
+    num, den = [0] * n, [0] * n
     for start in range(n):
-        if d[start] is not None:
+        if den[start]:
             continue
-        d[start] = Fraction(1)
+        num[start] = den[start] = 1
         stack = [start]
         while stack:
             i = stack.pop()
             for j in range(n):
-                if i != j and cartan[i][j] != 0 and d[j] is None:
-                    d[j] = d[i] * Fraction(cartan[j][i], cartan[i][j])
+                if i != j and cartan[i][j] != 0 and not den[j]:
+                    # d_j = d_i * a_ji / a_ij, both entries negative
+                    a, b = num[i] * -cartan[j][i], den[i] * -cartan[i][j]
+                    g = math.gcd(a, b)
+                    num[j], den[j] = a // g, b // g
                     stack.append(j)
-    # rescale to the smallest integers per connected component; every d_i
-    # is then integral, and is returned as an int
-    lcm_den = math.lcm(*(x.denominator for x in d))
-    return [(x * lcm_den).numerator for x in d]
+    # rescale by the lcm of the denominators; every d_i is then an integer
+    lcm_den = math.lcm(*den)
+    return [x * (lcm_den // y) for x, y in zip(num, den)]
 
 
 def add(a: Root, b: Root) -> Root:

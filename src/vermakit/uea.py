@@ -29,6 +29,12 @@ from .rootsys import Root, Value, Weight, sub
 # monomial: (f_exponents over pos roots, h_exponents over simple, e_exponents)
 Monomial = tuple[tuple, tuple, tuple]
 
+# the largest truncation depth of a DeformationContext.  The work of
+# exp_truncated grows with the number of monomials of degree up to the
+# depth (on A2, 0.12 s at depth 20, 1.3 s at 40 and 5.9 s at 60); 50 leaves
+# room above 46, the largest --depth the CLI's verify accepts
+MAX_DEFORMATION_DEPTH = 50
+
 
 # The first 13 primes.  As Miller-Rabin bases they decide primality exactly
 # below _PRIME_BOUND (Sorenson and Webster, Math. Comp. 86, 2017), which
@@ -90,6 +96,9 @@ class DeformationContext(Value):
             raise ValueError("n must be nonnegative")
         if depth < 1:
             raise ValueError("depth must be at least 1")
+        if depth > MAX_DEFORMATION_DEPTH:
+            raise ValueError(f"deformation depth {depth} is over the bound "
+                             f"of {MAX_DEFORMATION_DEPTH}")
         self.__dict__.update(p=p, n=n, depth=depth)
 
 

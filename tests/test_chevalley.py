@@ -10,7 +10,7 @@ from vermakit import chevalley
 from vermakit.chevalley import (constants_to_json, structure_constants,
                                 verify_chevalley)
 from vermakit.deform import phi_c_homomorphism_check
-from vermakit.rootsys import SimpleSubset, Weight, add, neg, parse_type
+from vermakit.rootsys import SimpleSubset, Weight, add, neg, parse_type, sub
 from vermakit.uea import EnvelopingAlgebra
 from vermakit.weightmod import levi_gvm, simple_dims
 
@@ -24,6 +24,12 @@ def sc_a2():
 # layer cached its root norms and bracket table
 CONSTANT_DIGESTS = json.loads(
     (Path(__file__).with_name("data") / "chevalley_constants_sha256.json").read_text())
+
+# repr of each type's verify_chevalley report, on the built table and on the
+# three mutations of mutated_tables, recorded when the build, the bracket and
+# the checks still ran on root tuples
+RECORDED_REPORTS = json.loads(
+    (Path(__file__).with_name("data") / "chevalley_reports.json").read_text())
 
 
 def reference_jacobi(sc) -> dict:
@@ -56,6 +62,52 @@ def test_every_type_verifies_with_the_recorded_constants(label):
     records = json.dumps(constants_to_json(sc), sort_keys=True).encode()
     assert hashlib.sha256(records).hexdigest() == CONSTANT_DIGESTS[label]
     assert assert_report_matches_the_reference(sc)["all_pass"]
+
+
+def mutated_tables(label):
+    """(name, StructureConstants) for the built table and, where a pair
+    (a, b) of positive roots has a root sum (the first in table order), three
+    corruptions of it: C[a,b], C[b,a], C[-b,-a], C[-a,-b] doubled; C[a,b]
+    alone negated; C[a,b] deleted."""
+    yield "honest", structure_constants(parse_type(label))
+    first = structure_constants(parse_type(label))
+    pair = next(((a, b) for a, b in first._table
+                 if sum(a) > 0 and sum(b) > 0), None)
+    if pair is None:
+        return
+    a, b = pair
+    for key in ((a, b), (b, a), (neg(b), neg(a)), (neg(a), neg(b))):
+        first._table[key] *= 2
+    yield "doubled", first
+    sc = structure_constants(parse_type(label))
+    sc._table[a, b] *= -1
+    yield "negated", sc
+    sc = structure_constants(parse_type(label))
+    del sc._table[a, b]
+    yield "deleted", sc
+
+
+@pytest.mark.parametrize("label", sorted(RECORDED_REPORTS))
+def test_reports_match_the_recorded_ones(label):
+    got = {name: repr(verify_chevalley(sc)) for name, sc in mutated_tables(label)}
+    assert got == RECORDED_REPORTS[label]
+
+
+def tuple_string_down(rs, alpha, beta) -> int:
+    """Largest k with beta - k*alpha a root, by tuple arithmetic."""
+    k, cur = 0, sub(beta, alpha)
+    while rs.is_root(cur):
+        k += 1
+        cur = sub(cur, alpha)
+    return k
+
+
+@pytest.mark.parametrize("label", sorted(CONSTANT_DIGESTS))
+def test_key_string_down_matches_the_tuple_walk(label):
+    sc = structure_constants(parse_type(label))
+    rs = sc.rs
+    for (a, ka), (b, kb) in product(zip(rs.roots, rs.keys), repeat=2):
+        assert sc._string_down(ka, kb) == tuple_string_down(rs, a, b), (a, b)
 
 
 def count_jacobi_evaluations(monkeypatch) -> list[int]:
@@ -162,7 +214,7 @@ def test_cartan_action_reports_the_first_mismatch(sc_a2, monkeypatch):
 
 def test_ef_coroot_is_rechecked_against_the_symmetric_form(monkeypatch):
     # [e_a, f_a] reads coroot_coefficients; the check re-derives the coroot
-    # from inner, so a wrong coroot there is still seen
+    # with its own double sum, so a wrong coroot there is still seen
     sc = structure_constants(parse_type("B2"))
     rs, honest = sc.rs, sc.rs.coroot_coefficients
     top = rs.positive_roots[-1]
@@ -170,6 +222,27 @@ def test_ef_coroot_is_rechecked_against_the_symmetric_form(monkeypatch):
         2 * c for c in honest(alpha)) if alpha == top else honest(alpha))
     report = verify_chevalley(sc)
     assert report["ef_coroot"] == {"pass": False, "counterexample": top}
+
+
+def test_ef_coroot_reads_neither_norm_nor_coroot_coefficients(monkeypatch):
+    # once the brackets are memoised, the check runs with both gone; a
+    # symmetrizer under which the coroot of a1 + a2 is 2 h_1 + 2/3 h_2 fails
+    # it there, though every bracket is unchanged
+    sc = structure_constants(parse_type("B2"))
+    rs = sc.rs
+    assert verify_chevalley(sc)["all_pass"]
+
+    def gone(alpha):
+        raise AssertionError("ef_coroot read the code that built the bracket")
+
+    monkeypatch.setattr(rs, "norm", gone)
+    monkeypatch.setattr(rs, "coroot_coefficients", gone)
+    assert verify_chevalley(sc)["all_pass"]
+    monkeypatch.setattr(rs, "symmetrizer", [3, 1])
+    report = verify_chevalley(sc)
+    assert report["ef_coroot"] == {"pass": False, "counterexample": (1, 1)}
+    assert all(v["pass"] for k, v in report.items()
+               if k not in ("ef_coroot", "all_pass"))
 
 
 def test_all_relations_hold_small_types():

@@ -101,6 +101,20 @@ def test_verify_single_suite(capsys):
     assert "reflection" in out
 
 
+def test_iwasawa_suite_passes_at_the_largest_verify_depth(capsys):
+    # the deformation depth bound must not refuse any depth verify accepts
+    rs = parse_type("A2")
+    depth = 1
+    while _verma_labels(rs, depth + 1, MAX_BASIS_LABELS) <= MAX_BASIS_LABELS:
+        depth += 1
+    status, out, _ = run(capsys, "verify", "--suite", "iwasawa", "--depth",
+                         str(depth), "--json")
+    assert status == 0 and json.loads(out)["pass"] is True
+    status, _, err = run(capsys, "verify", "--suite", "iwasawa", "--depth",
+                         str(depth + 1))
+    assert status == 3 and "over the budget" in err
+
+
 def test_phi_check_verb(capsys):
     status, out, _ = run(capsys, "phi-check", "--weight", "2,1/3",
                          "--parabolic", "0", "--c", "-3", "--depth", "3",

@@ -1,14 +1,16 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
-from vermakit.rootsys import (RootSystem, SimpleSubset, Weight, bad_primes,
-                              check_weight, dot_orbit, dot_reflect,
+from vermakit import rootsys
+from vermakit.rootsys import (RootSystem, SimpleSubset, Weight, add,
+                              bad_primes, check_weight, dot_orbit, dot_reflect,
                               dual_h_basis, interior, is_singular,
                               is_totally_proper, pairing, parse_type,
                               parse_weight, positive_subsystem,
-                              root_subsystem)
+                              root_subsystem, sub)
 
 EXPECTED_POSITIVE = {"A1": 1, "A2": 3, "A3": 6, "B2": 4, "C3": 9,
                      "G2": 6, "F4": 24, "D4": 12}
@@ -43,11 +45,26 @@ def test_cartan_symmetrization_is_symmetric():
                 assert rs.inner(a, b) == rs.inner(b, a)
 
 
-@pytest.mark.parametrize("label", ["A1", "A2", "A3", "A4", "B2", "B3", "B4",
-                                   "C2", "C3", "C4", "D4", "F4", "G2"])
-def test_symmetrizer_symmetrises_the_cartan_matrix(label):
-    # d_j a_ij = d_i a_ji is what makes inner symmetric; (a_i, a_i) = 2 d_i
-    rs = parse_type(label)
+# the values of the symmetrizer when it walked the Dynkin diagram on Fractions
+_SYMMETRIZERS = {"A1": [1], "A2": [1, 1], "A3": [1, 1, 1], "A4": [1, 1, 1, 1],
+                 "B2": [2, 1], "B3": [2, 2, 1], "B4": [2, 2, 2, 1],
+                 "C2": [1, 2], "C3": [1, 1, 2], "C4": [1, 1, 1, 2],
+                 "D4": [1, 1, 1, 1], "F4": [2, 2, 1, 1], "G2": [1, 3]}
+
+
+def _no_fraction(*args):
+    raise AssertionError("RootSystem.__init__ built a Fraction")
+
+
+@pytest.mark.parametrize("label", sorted(_SYMMETRIZERS))
+def test_symmetrizer_symmetrises_the_cartan_matrix(label, monkeypatch):
+    # d_j a_ij = d_i a_ji is what makes inner symmetric; (a_i, a_i) = 2 d_i.
+    # The integer walk gives the values the Fraction walk gave, and no part
+    # of RootSystem.__init__ builds a Fraction
+    with monkeypatch.context() as m:
+        m.setattr(rootsys, "Fraction", _no_fraction)
+        rs = parse_type(label)
+    assert rs.symmetrizer == _SYMMETRIZERS[label]
     d, a = rs.symmetrizer, rs.cartan
     assert all(type(x) is int and x > 0 for x in d), d
     for i in range(rs.rank):
@@ -200,15 +217,67 @@ def test_unsupported_type_rejected():
         parse_type("Q5")
 
 
-def test_positive_root_count_mismatch_raises_runtime_error(monkeypatch):
-    from vermakit import rootsys
-    monkeypatch.setitem(rootsys._POSITIVE_COUNTS, "A", lambda n: 0)
-    with pytest.raises(RuntimeError, match="closure produced 3 positive roots"):
-        RootSystem("A", 2)
-
-
 _ALL_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D4",
               "F4", "G2"]
+
+
+def test_positive_root_count_mismatch_raises_runtime_error(monkeypatch):
+    for label in _ALL_TYPES:
+        count = len(parse_type(label).positive_roots)
+        with monkeypatch.context() as m:
+            m.setitem(rootsys._POSITIVE_COUNTS, label[0], lambda n: 0)
+            with pytest.raises(RuntimeError) as err:
+                parse_type(label)
+        assert str(err.value) == (f"closure produced {count} positive roots, "
+                                  f"expected 0 for {label}")
+
+
+def reference_closure(rs) -> list:
+    """The positive roots by tuple arithmetic: the closure as it ran before
+    root keys, kept as the reference for the key closure."""
+    simple = [rs.simple_root(i) for i in range(rs.rank)]
+    roots = set(simple)
+    frontier = list(simple)
+    while frontier:
+        new = []
+        for beta in frontier:
+            pairings = rs.simple_coroot_pairings(beta)
+            for i, alpha in enumerate(simple):
+                cand = add(beta, alpha)
+                if cand in roots:
+                    continue
+                p = 0
+                down = sub(beta, alpha)
+                while down in roots:
+                    p += 1
+                    down = sub(down, alpha)
+                if p - pairings[i] >= 1:
+                    roots.add(cand)
+                    new.append(cand)
+        frontier = new
+    return sorted(roots, key=lambda r: (sum(r), r))
+
+
+@pytest.mark.parametrize("label", _ALL_TYPES)
+def test_key_closure_matches_the_tuple_closure(label):
+    rs = parse_type(label)
+    assert rs.positive_roots == reference_closure(rs)
+
+
+@pytest.mark.parametrize("label", _ALL_TYPES)
+def test_keys_are_one_to_one_on_sums_of_up_to_three_roots(label):
+    rs = parse_type(label)
+    terms = [(0,) * rs.rank] + rs.roots
+    sums = {add(add(a, b), c) for a, b in product(terms, terms)
+            for c in terms}
+    assert len({rs.key(s) for s in sums}) == len(sums)
+    assert rs.keys == [rs.key(r) for r in rs.roots]
+    assert rs.key_root == dict(zip(rs.keys, rs.roots))
+    assert rs.key_index == {rs.key(r): i for i, r in enumerate(rs.positive_roots)}
+    # linear, so a root sum is a key sum; a positive root has a positive key
+    for a, b in product(rs.roots, rs.roots):
+        assert rs.key(add(a, b)) == rs.key(a) + rs.key(b)
+    assert all(rs.key(r) > 0 for r in rs.positive_roots)
 
 
 def _dynkin_components(rs) -> list[set[int]]:

@@ -7,8 +7,8 @@ import pytest
 from vermakit import uea
 from vermakit.chevalley import structure_constants
 from vermakit.rootsys import parse_type
-from vermakit.uea import (DeformationContext, EnvelopingAlgebra, check_odd_prime,
-                          exp_truncated, gamma_level,
+from vermakit.uea import (MAX_DEFORMATION_DEPTH, DeformationContext,
+                          EnvelopingAlgebra, check_odd_prime, exp_truncated, gamma_level,
                           iwasawa_generator_monomial, multiply, tau, vp,
                           weight_components, weight_of_monomial)
 
@@ -39,6 +39,16 @@ def test_context_validation():
         DeformationContext(5, -1, 4)
     with pytest.raises(ValueError):
         DeformationContext(5, 0, 0)
+
+
+def test_context_depth_over_the_bound_is_refused_at_once():
+    # exp_truncated's work grows with the depth; a context past the bound
+    # is refused before any element is built
+    DeformationContext(5, 0, MAX_DEFORMATION_DEPTH)
+    for depth in (MAX_DEFORMATION_DEPTH + 1, 10 ** 6):
+        with pytest.raises(ValueError, match=f"deformation depth {depth} is "
+                           f"over the bound of {MAX_DEFORMATION_DEPTH}"):
+            DeformationContext(5, 0, depth)
 
 
 def _is_odd_prime(p: int) -> bool:
