@@ -7,10 +7,15 @@ each non-simple positive root the decomposition with smallest first summand
 gets a positive constant, and all remaining constants follow from the Jacobi
 identity.  This yields integer constants with C[a,b] = C[-b,-a], the symmetry
 that makes the transpose map an anti-automorphism.  The layer is all-int: it
-reads the integer root norms ``RootSystem.norm`` and coroots, and each
-extraspecial Jacobi step carries one integer numerator and denominator to a
-single exact division.  The build, the bracket and the checks add roots as
-their packed keys ``RootSystem.keys``; the table is keyed by root tuples.
+reads the integer root norms ``RootSystem.norm``, coroots
+``coroot_coefficients`` and pairings ``simple_coroot_pairings``, which the
+root system computes once, and each extraspecial Jacobi step carries one
+integer numerator and denominator to a single exact division.  The build,
+the bracket and the checks add roots as their packed keys
+``RootSystem.keys``.  The table is keyed by root tuples; the build emits it in
+one pass over ``rs.roots`` x ``rs.roots``, the order in which
+verify_chevalley meets the pairs, checking each |C[a,b]| against its root
+string as it goes.
 
 verify_chevalley checks the bracket table for antisymmetry and then the
 Jacobi identity on unordered generator triples only: on an antisymmetric
@@ -111,19 +116,21 @@ class StructureConstants:
                 put(alpha, beta, n_ab)
                 put(beta, alpha, -n_ab)
 
-        # every root pair with root sum, ordered by the pair's positions in
-        # rs.roots, the order in which verify_chevalley meets them
-        where = {k: i for i, k in enumerate(rs.keys)}
-        full = dict(sorted(table.items(),
-                           key=lambda kv: (where[kv[0][0]], where[kv[0][1]])))
-
-        # classical magnitude cross-check: |C[a,b]| = (string length) + 1
-        for (x, y), v in full.items():
-            if abs(v) != self._string_down(x, y) + 1:
-                raise RuntimeError(f"|C[{root[x]}, {root[y]}]| = {abs(v)}, but "
-                                   f"the root string gives "
-                                   f"{self._string_down(x, y) + 1}")
-        return {(root[x], root[y]): v for (x, y), v in full.items()}
+        # the table by root tuples, every root pair with root sum in the order
+        # of the pair's positions in rs.roots, the order in which
+        # verify_chevalley meets them; each constant passes the classical
+        # magnitude cross-check |C[a,b]| = (string length) + 1
+        out: dict[tuple[Root, Root], int] = {}
+        for x, kx in zip(rs.roots, rs.keys):
+            for y, ky in zip(rs.roots, rs.keys):
+                v = table.get((kx, ky))
+                if v is None:
+                    continue
+                if abs(v) != (want := self._string_down(kx, ky) + 1):
+                    raise RuntimeError(f"|C[{x}, {y}]| = {abs(v)}, but the "
+                                       f"root string gives {want}")
+                out[(x, y)] = v
+        return out
 
     # -- queries -------------------------------------------------------------
 

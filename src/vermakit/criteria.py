@@ -46,12 +46,16 @@ def psi_plus(rs: RootSystem, I: SimpleSubset, lam: Weight,
     lam is a positive integer.  The optional positive roots restrict the
     search to a sub-root-system."""
     check_weight(rs, lam)
-    phi_pos = rs.positive_roots if phi_pos is None else phi_pos
-    levi = root_subsystem(rs, I)
-    rho = rs.rho()
+    return _psi_plus(rs, root_subsystem(rs, I), lam + rs.rho(),
+                     rs.positive_roots if phi_pos is None else phi_pos)
+
+
+def _psi_plus(rs: RootSystem, levi: set[Root], shifted: Weight,
+              phi_pos: list[Root]) -> set[Root]:
+    """psi_plus from the Levi roots and shifted = lam + rho."""
     return {beta for beta in phi_pos
             if beta not in levi
-            and _is_positive_integer(pairing(rs, lam + rho, beta))}
+            and _is_positive_integer(pairing(rs, shifted, beta))}
 
 
 def condition_star(rs: RootSystem, I: SimpleSubset, lam: Weight,
@@ -65,14 +69,14 @@ def condition_star(rs: RootSystem, I: SimpleSubset, lam: Weight,
     phi_pos = rs.positive_roots if phi_pos is None else phi_pos
     levi = root_subsystem(rs, I)
     outside = [j for j in range(rs.rank) if j not in I]
-    rho = rs.rho()
+    shifted = lam + rs.rho()
     phi_all = phi_pos + [neg(r) for r in phi_pos]
     witnesses: dict[Root, Root] = {}
-    for beta in sorted(psi_plus(rs, I, lam, phi_pos)):
+    for beta in sorted(_psi_plus(rs, levi, shifted, phi_pos)):
         found = None
         for gamma in phi_all:
             if (not _in_levi_span(beta, gamma, outside)
-                    or pairing(rs, lam + rho, gamma) != 0):
+                    or pairing(rs, shifted, gamma) != 0):
                 continue
             refl = tuple(g - rs.root_pairing(gamma, beta) * b
                          for g, b in zip(gamma, beta))
@@ -101,10 +105,10 @@ def compute_A(rs: RootSystem, I: SimpleSubset, lam: Weight) -> int:
     """Minimal positive integer A with <lam+rho, a^v> - A never a positive
     integer, over all roots a of the parabolic subsystem."""
     check_weight(rs, lam)
-    rho = rs.rho()
+    shifted = lam + rs.rho()
     best = 1
     for alpha in root_subsystem(rs, I):
-        q = pairing(rs, lam + rho, alpha)
+        q = pairing(rs, shifted, alpha)
         if q.denominator == 1 and q > best:
             best = int(q)
     return best

@@ -2,7 +2,17 @@
 
 Roots are integer coefficient vectors over the simple roots.  Weights live in
 fundamental-weight coordinates: ``coords[i]`` is the value of the weight on
-the simple coroot ``h_i``.  All arithmetic is exact (Fraction), no floats.
+the simple coroot ``h_i``.  All arithmetic is exact, no floats: root data are
+ints, weights are Fractions.
+
+``RootSystem`` computes each root's integer data once, in the root closure:
+its simple-coroot pairings (those of beta + alpha_i are beta's plus row i of
+the Cartan matrix), its norm (alpha, alpha) and, when first asked for, its
+coroot.  ``simple_coroot_pairings``, ``norm``, ``coroot_coefficients``,
+``weight_of_root`` and ``pairing`` read these tables for roots; the general
+formulas stay for other vectors, such as the zero vector or a dot-orbit drop.
+``inner`` and ``root_pairing`` stay a separate ``Fraction`` path over the
+symmetrised Cartan matrix.
 
 Each root also has one packed integer key, ``RootSystem.key``: sum_i r_i B^i,
 linear in the root and one to one on sums of up to three roots, so a root
@@ -170,7 +180,8 @@ class RootSystem:
         self.symmetrizer = _symmetrizer(self.cartan)
         self._simple_roots = [tuple(int(i == j) for j in range(rank_))
                               for i in range(rank_)]
-        self.positive_roots = self._close_positive_roots()
+        closure = self._close_positive_roots()
+        self.positive_roots = [r for _, r, _, _ in closure]
         expected = _POSITIVE_COUNTS[type_label](rank_)
         if len(self.positive_roots) != expected:
             raise RuntimeError(
@@ -181,31 +192,44 @@ class RootSystem:
         # f in the height of a PBW label
         self.heights = [sum(r) for r in self.positive_roots]
         self.root_index = {r: i for i, r in enumerate(self.positive_roots)}
-        self.roots = self.positive_roots + [neg(r) for r in self.positive_roots]
+        negatives = [neg(r) for r in self.positive_roots]
+        self.roots = self.positive_roots + negatives
         self._root_set = set(self.roots)
         # keys[i] is the key of roots[i]; key_root inverts it, and key_index
         # maps the key of a positive root to its index in positive_roots
-        positive_keys = [self.key(r) for r in self.positive_roots]
+        positive_keys = [k for k, _, _, _ in closure]
         self.keys = positive_keys + [-k for k in positive_keys]
         self.key_root = dict(zip(self.keys, self.roots))
         self.key_index = {k: i for i, k in enumerate(positive_keys)}
+        # root -> (pairings, norm), read by simple_coroot_pairings and norm:
+        # the closure's, and for -r the negated pairings and the same norm;
+        # the coroots are kept as coroot_coefficients first computes them
+        self._root_data: dict[Root, tuple[tuple[int, ...], int]] = {}
+        for (_, r, p, n), m in zip(closure, negatives):
+            self._root_data[r], self._root_data[m] = (p, n), (neg(p), n)
+        self._coroots: dict[Root, tuple[int, ...]] = {}
 
     # -- construction -----------------------------------------------------
 
-    def _close_positive_roots(self) -> list[Root]:
-        """The positive roots, height then lex: from the simple roots, add
-        alpha_i to beta whenever the alpha_i-string through beta reaches
-        past it.  Sums, differences and string steps run on keys."""
+    def _close_positive_roots(self) -> list[tuple[int, Root, tuple[int, ...], int]]:
+        """(key, root, simple-coroot pairings, norm) for each positive root,
+        height then lex: from the simple roots, add alpha_i to beta whenever
+        the alpha_i-string through beta reaches past it.  Sums, differences
+        and string steps run on keys.  The pairings of alpha_i are row i of
+        the Cartan matrix and those of beta + alpha_i are beta's plus row i;
+        the norm is sum_i beta_i d_i <beta, alpha_i^v>, as ``norm`` says."""
         roots = {self.key(alpha): alpha for alpha in self._simple_roots}
         steps = list(roots)  # steps[i]: the key of alpha_i
+        rows = [tuple(row) for row in self.cartan]
+        pairings = dict(zip(steps, rows))
         frontier = steps
         while frontier:
             new: list[int] = []
             for beta in frontier:
-                r = roots[beta]
-                pairings = self.simple_coroot_pairings(r)
+                r, pb = roots[beta], pairings[beta]
                 for i, step in enumerate(steps):
-                    if beta + step in roots:
+                    up = beta + step
+                    if up in roots:
                         continue
                     # string through beta in direction alpha: q = p - <beta, a_i^v>
                     p = 0
@@ -213,11 +237,17 @@ class RootSystem:
                     while down in roots:
                         p += 1
                         down -= step
-                    if p - pairings[i] >= 1:
-                        roots[beta + step] = r[:i] + (r[i] + 1,) + r[i + 1:]
-                        new.append(beta + step)
+                    if p - pb[i] >= 1:
+                        roots[up] = r[:i] + (r[i] + 1,) + r[i + 1:]
+                        pairings[up] = add(pb, rows[i])
+                        new.append(up)
             frontier = new
-        return sorted(roots.values(), key=lambda r: (sum(r), r))
+        out = []
+        for k, r in roots.items():
+            p = pairings[k]
+            out.append((k, r, p, sum(a * d * x for a, d, x in
+                                     zip(r, self.symmetrizer, p))))
+        return sorted(out, key=lambda t: (sum(t[1]), t[1]))
 
     def key(self, v: Root) -> int:
         """The packed key sum_i v_i B^i of an integer vector: linear in v, and
@@ -254,14 +284,22 @@ class RootSystem:
 
     def norm(self, alpha: Root) -> int:
         """(alpha, alpha) = sum_i alpha_i d_i <alpha, alpha_i^v>, on ints:
-        (alpha, alpha_i) = d_i <alpha, alpha_i^v> since (alpha_i, alpha_i) = 2 d_i."""
-        return sum(a * d * p for a, d, p in
-                   zip(alpha, self.symmetrizer, self.simple_coroot_pairings(alpha)))
+        (alpha, alpha_i) = d_i <alpha, alpha_i^v> since (alpha_i, alpha_i) = 2 d_i.
+        Read from the table for a root."""
+        data = self._root_data.get(alpha)
+        if data is None:
+            return sum(a * d * p for a, d, p in zip(
+                alpha, self.symmetrizer, self.simple_coroot_pairings(alpha)))
+        return data[1]
 
     def coroot_coefficients(self, alpha: Root) -> tuple[int, ...]:
         """alpha^v = 2 alpha / (alpha, alpha) over the simple coroots
         h_i = 2 alpha_i / (alpha_i, alpha_i): the coefficient on h_i is
-        2 alpha_i d_i / (alpha, alpha), an exact integer quotient."""
+        2 alpha_i d_i / (alpha, alpha), an exact integer quotient, kept on
+        the instance once computed."""
+        coeffs = self._coroots.get(alpha)
+        if coeffs is not None:
+            return coeffs
         if not self.is_root(alpha):
             raise ValueError(f"{alpha} is not a root")
         norm = self.norm(alpha)
@@ -272,13 +310,18 @@ class RootSystem:
                 raise ValueError(f"coroot of {alpha} has the non-integer "
                                  f"coefficient {2 * a * d}/{norm} on h_{i}")
             coeffs.append(c)
-        return tuple(coeffs)
+        coeffs = self._coroots[alpha] = tuple(coeffs)
+        return coeffs
 
     def simple_coroot_pairings(self, beta: Root) -> tuple:
         """(<beta, alpha_i^v>)_i, the values of beta on the simple coroots:
-        sum_k beta_k a_ki, read off the Cartan matrix."""
-        return tuple(sum(b * row[i] for b, row in zip(beta, self.cartan))
-                     for i in range(self.rank))
+        sum_k beta_k a_ki, read off the Cartan matrix.  Read from the table
+        for a root; summed for any other vector."""
+        data = self._root_data.get(beta)
+        if data is None:
+            return tuple(sum(b * row[i] for b, row in zip(beta, self.cartan))
+                         for i in range(self.rank))
+        return data[0]
 
     def weight_of_root(self, alpha: Root) -> Weight:
         """The root alpha as a weight (values on simple coroots)."""

@@ -371,3 +371,51 @@ def test_root_subsystem_matches_the_filter_over_all_roots(label):
         want = {r for r in rs.roots
                 if all(r[i] == 0 for i in range(rs.rank) if i not in I)}
         assert root_subsystem(rs, I) == want, I
+
+
+def cartan_pairings(rs, v) -> tuple:
+    """(sum_k v_k a_ki)_i for any vector v, the reference for the tables."""
+    n = rs.rank
+    return tuple(sum(v[k] * rs.cartan[k][i] for k in range(n)) for i in range(n))
+
+
+def symmetric_norm(rs, v):
+    """(v, v) = sum_ij v_i v_j d_j a_ij, the symmetrised double sum."""
+    n, a, d = rs.rank, rs.cartan, rs.symmetrizer
+    return sum(v[i] * v[j] * d[j] * a[i][j] for i in range(n) for j in range(n))
+
+
+@pytest.mark.parametrize("label", _ALL_TYPES)
+def test_root_norms_and_coroots_match_their_formulas(label):
+    # the closure derives each root's norm from its carried pairings (which
+    # test_simple_coroot_pairings_match_root_pairing checks); the coroot is
+    # kept once computed.  Each must equal its direct formula
+    rs = parse_type(label)
+    for r in rs.roots:
+        minus = tuple(-x for x in r)
+        assert rs.norm(r) == symmetric_norm(rs, r) == rs.norm(minus), r
+        for _ in range(2):  # computed, then read back
+            got = rs.coroot_coefficients(r)
+            assert got == tuple(Fraction(2 * x * d, rs.norm(r))
+                                for x, d in zip(r, rs.symmetrizer)), r
+            assert all(type(c) is int for c in got), r
+
+
+@pytest.mark.parametrize("label", _ALL_TYPES)
+def test_vectors_that_are_not_roots_use_the_general_formulas(label):
+    # the zero vector, twice the highest root and a Fraction drop of the dot
+    # orbit are no roots: their pairings and norms are summed, not looked up
+    rs = parse_type(label)
+    lam = Weight.of(Fraction(1, 2), *[0] * (rs.rank - 1))
+    drop = (Fraction(3, 2),) + (0,) * (rs.rank - 1)  # lam - s_0.lam
+    twice_top = tuple(2 * x for x in rs.positive_roots[-1])
+    for v in ((0,) * rs.rank, twice_top, drop):
+        assert not rs.is_root(v)
+        assert rs.simple_coroot_pairings(v) == cartan_pairings(rs, v), v
+        assert rs.norm(v) == symmetric_norm(rs, v), v
+        with pytest.raises(ValueError, match="is not a root"):
+            rs.coroot_coefficients(v)
+    assert rs.simple_coroot_pairings(twice_top) == tuple(
+        2 * x for x in rs.simple_coroot_pairings(rs.positive_roots[-1]))
+    assert rs.norm(twice_top) == 4 * rs.norm(rs.positive_roots[-1])
+    assert drop in dot_orbit(rs, lam)
