@@ -40,14 +40,11 @@ def _in_n0(q: Fraction) -> bool:
     return q.denominator == 1 and q >= 0
 
 
-def psi_plus(rs: RootSystem, I: SimpleSubset, lam: Weight,
-             phi_pos: list[Root] | None = None) -> set[Root]:
+def psi_plus(rs: RootSystem, I: SimpleSubset, lam: Weight) -> set[Root]:
     """Positive roots outside the parabolic whose rho-shifted pairing with
-    lam is a positive integer.  The optional positive roots restrict the
-    search to a sub-root-system."""
+    lam is a positive integer."""
     check_weight(rs, lam)
-    return _psi_plus(rs, root_subsystem(rs, I), lam + rs.rho(),
-                     rs.positive_roots if phi_pos is None else phi_pos)
+    return _psi_plus(rs, root_subsystem(rs, I), lam + rs.rho(), rs.positive_roots)
 
 
 def _psi_plus(rs: RootSystem, levi: set[Root], shifted: Weight,

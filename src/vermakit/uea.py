@@ -317,7 +317,8 @@ def tau(x: UEAElement) -> UEAElement:
     reversed, swapped word is already in normal order.  It backs the
     statement that C[a,b] = C[-b,-a] makes the transpose an anti-automorphism
     of U(g), so the Shapovalov form is contravariant, (x u, w) = (u, tau(x) w):
-    the recursion of ``weightmod._gram`` relies on that.
+    ``weightmod.simple_dims_table`` relies on that, since the radical of the
+    form is the largest submodule missing the highest weight.
     """
     return UEAElement(x.alg, {(m[2], m[1], m[0]): c for m, c in x.terms.items()})
 

@@ -7,7 +7,7 @@ the finite-dimensional L_J(lam), the Verma module of the Levi of J modulo
 the singular vectors f_a^(lam(h_a)+1) v, a in J.  Levi-induced
 modules carry extra central polynomial directions along the dual Cartan
 basis.  All actions are exact, so weight-space dimensions of simple
-quotients come out of Gram-matrix ranks over Q.
+quotients come out of ranks over Q of the simple-root e maps.
 
 Actions are computed in the module, by recursion on the leading f of a
 label, not through normal forms in U(g): g f_L r = f_L (g r) + [g, f_L] r
@@ -17,10 +17,9 @@ in U(n-).  No term with an e or an h is ever formed.
 
 On the Verma path the arithmetic is on Python ints.  With lam = N/D over
 one common denominator D, D times the action of g on f^s v is an integer
-vector; row s of the Gram matrix, built from these by contravariance, is
-D^|s| times the rational row and has the same rank.  Fractions appear only
-at the public edges: ``act_label``, ``shapovalov_gram`` and the module
-vectors.
+vector, and the simple quotient's weight spaces are ranked on these.
+Fractions appear only at the public edges: ``act_label``, the module
+vectors and ``shapovalov_gram``, the Gram matrix entry by entry.
 
 Depth semantics: a statement "within depth d" quantifies over weights
 lam - nu with the height of nu at most d.
@@ -33,7 +32,9 @@ from collections import Counter
 from fractions import Fraction
 from functools import partial
 
-from .linalg import rank, reduce_against, rref
+# rank is unused here but stays bound: the benchmark's tracer self-test
+# checks that a function imported into several modules is patched in each
+from .linalg import rank, reduce_against, rref  # noqa: F401
 from .rootsys import (RootSystem, SimpleSubset, Value, Weight, add,
                       check_subset, check_weight, dot_orbit, dual_h_basis,
                       interior, pairing, positive_subsystem, sub)
@@ -252,13 +253,10 @@ class VermaLikeModule(HighestWeightModule):
         # <beta_k, alpha_i^v> for the k-th positive root and simple index i
         self._coroot_pairing = [self.rs.simple_coroot_pairings(root)
                                 for root in self.rs.positive_roots]
-        # weight spaces: sorted labels per drop, and each label's position
+        # weight spaces: sorted labels per drop
         self.labels_by_drop: dict[tuple, list[tuple]] = {}
         for s in sorted(self.basis):
             self.labels_by_drop.setdefault(alg.root_sum(s), []).append(s)
-        self._position = {s: i for labels in self.labels_by_drop.values()
-                          for i, s in enumerate(labels)}
-        self._grams: dict[tuple, list[tuple]] = {}
 
     def label_drop(self, s: tuple) -> tuple:
         return self.alg.root_sum(s)
@@ -495,67 +493,62 @@ def _induced_character_check(module: LeviInducedModule) -> None:
                                f"{got.get(w, 0)} != {expect}")
 
 
-# -- contravariant form ----------------------------------------------------------
+# -- contravariant form and simple quotients -----------------------------------
 
 
 def shapovalov_gram(module: VermaLikeModule, nu: tuple) -> list[list[Fraction]]:
     """Gram matrix of the contravariant form on the (lam - nu) weight space,
-    in the sorted f-monomial basis."""
-    den = module.lam_den
-    return [[Fraction(x, den ** sum(s)) for x in row]
-            for s, row in zip(module.labels_by_drop.get(nu, []), _gram(module, nu))]
-
-
-def _gram(module: VermaLikeModule, nu: tuple) -> list[tuple]:
-    """The Gram matrix from the one a root below, on ints, with row s scaled
-    by lam_den^|s|; memoised on the module.
-
-    Entry (s, t) is the coefficient of v in e^s f^t v.  The e-word of s
-    applies e_R first, R the last index with s_R > 0, so by contravariance
-    G_nu(s, t) = sum_u c_u G_{nu - alpha_R}(s', u), where
-    e_R f^t v = sum_u c_u f^u v and s' is s with one fewer f_R.  With the
-    integer action lam_den c_u in place of c_u, each step scales the row by
-    one more lam_den.  Only the matrices within one highest-root height
-    below nu are kept: no weight space at nu or above reads the ones
-    further down.
-    """
-    grams = module._grams
-    rows = grams.get(nu)
-    if rows is not None:
-        return rows
+    in the sorted f-monomial basis: entry (s, t) is the coefficient of v in
+    e^s f^t v, the e-word of s applied factor by factor."""
     labels = module.labels_by_drop.get(nu, [])
-    position = module._position
-    roots = module.rs.positive_roots
-    columns: dict[int, list[Vec]] = {}
-    rows = []
-    for s in labels:
-        lead, rest = _split_lead(s)
-        if lead is None:
-            rows.append((1,))  # the highest-weight vector
-            continue
-        below = _gram(module, sub(nu, roots[lead]))
-        row_below = below[position[rest]]
-        if lead not in columns:
-            columns[lead] = [module.int_action(("e", lead), t) for t in labels]
-        rows.append(tuple(sum(c * row_below[position[u]] for u, c in col.items())
-                          for col in columns[lead]))
-    grams[nu] = rows
-    floor = sum(nu) - max(module.rs.heights)
-    for old in [d for d in grams if sum(d) < floor]:
-        del grams[old]
-    return rows
+    zero, zero_h = (0,) * module.alg.npos, (0,) * module.rs.rank
+    return [[module.apply_word(module.alg.word((zero, zero_h, s)),
+                               {t: Fraction(1)}).get(zero, Fraction(0))
+             for t in labels] for s in labels]
 
 
 def simple_dims_table(module: VermaLikeModule) -> dict[tuple, int]:
-    """Weight-space dimensions of the simple quotient, keyed by root drop.
+    """Weight-space dimensions of the simple quotient L, keyed by root drop.
 
-    Weight spaces are taken in order of height, so each Gram matrix is
-    built from ones already memoised, and ranked on its int rows."""
+    At nu != 0 a vector of M_nu lies in the radical exactly when every
+    simple e_i sends it into the radical, so dim L_nu is the rank of
+    M_nu -> (+)_i L_{nu - alpha_i}.  Weight spaces are taken in order of
+    height, and each label's image in L_nu is its row of that map read on
+    the pivot columns, a sparse int vector (the int e actions scale every
+    image of one height alike).  Only the levels one height below are kept.
+    On a Levi Verma module only J's simple roots lead to a drop below."""
+    rs = module.rs
+    simple = [(r, rs.root_index[r]) for r in map(rs.simple_root, range(rs.rank))]
     out: dict[tuple, int] = {}
+    below: dict[tuple, dict] = {}  # drop -> label -> image, one height down
+    level: dict[tuple, dict] = {}
+    height = 0
     for nu in sorted(module.labels_by_drop, key=lambda d: (sum(d), d)):
-        r = rank(_gram(module, nu))
-        if r:
-            out[nu] = r
+        labels = module.labels_by_drop[nu]
+        if not any(nu):  # v spans L_0
+            out[nu], level[nu] = 1, {labels[0]: {0: 1}}
+            continue
+        if sum(nu) > height:
+            below, level, height = level, {}, sum(nu)
+        blocks, width = [], 0
+        for root, idx in simple:
+            images = below.get(drop := sub(nu, root))
+            if images:
+                blocks.append((idx, images, width))
+                width += out[drop]
+        rows = []
+        for s in labels:
+            row = [0] * width
+            for idx, images, offset in blocks:
+                for u, x in module.int_action(("e", idx), s).items():
+                    for k, y in images[u].items():
+                        row[offset + k] += x * y
+            rows.append(row)
+        pivots = rref(rows)[1]
+        if pivots:
+            out[nu] = len(pivots)
+            level[nu] = {s: {k: row[c] for k, c in enumerate(pivots) if row[c]}
+                         for s, row in zip(labels, rows)}
     return out
 
 

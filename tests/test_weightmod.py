@@ -4,12 +4,14 @@ from fractions import Fraction
 
 import pytest
 
+from vermakit.chevalley import structure_constants
 from vermakit.linalg import rank
-from vermakit.rootsys import (SimpleSubset, Weight, dot_reflect, pairing,
-                              parse_type, positive_subsystem)
+from vermakit.rootsys import (SimpleSubset, Weight, dot_orbit, dot_reflect,
+                              pairing, parse_type, positive_subsystem, sub)
+from vermakit.uea import EnvelopingAlgebra
 from vermakit.weightmod import (Character, LeviInducedModule, QuotientModule,
                                 VermaLikeModule, _drops_within, _enum_f_labels,
-                                _gram, _induced_character_check,
+                                _induced_character_check,
                                 character_to_json, kostant_partition,
                                 label_height, levi_gvm, module_to_json,
                                 parabolic_verma, shapovalov_gram, simple_dims,
@@ -139,16 +141,6 @@ def test_quotient_refuses_a_simple_root_outside_its_parent(alg_a2):
         QuotientModule(parent, SimpleSubset.of(0, 1))
 
 
-def _gram_by_entries(module, nu):
-    """Reference Gram matrix: each entry applies the whole e-word of its
-    row label to its column label."""
-    labels = sorted(s for s in module.basis if module.label_drop(s) == nu)
-    zero, zero_h = (0,) * module.alg.npos, (0,) * module.rs.rank
-    return [[module.apply_word(module.alg.word((zero, zero_h, s)),
-                               {t: Fraction(1)}).get(zero, Fraction(0))
-             for t in labels] for s in labels]
-
-
 _GRAM_WEIGHTS = {  # rank -> generic, dominant integral, singular
     1: [(Fraction(2, 7),), (2,), (-1,)],
     2: [(Fraction(1, 2), Fraction(-1, 3)), (1, 2), (Fraction(2, 5), -1)],
@@ -162,23 +154,20 @@ _GRAM_WEIGHTS = {  # rank -> generic, dominant integral, singular
     ("G2", 5, None), ("A3", 5, (0, 1)), ("G2", 6, (1,))])
 def test_shapovalov_gram_matches_entrywise_reference(request, fraction_rank_det,
                                                      label, depth, levi):
+    """On Verma and Levi Verma modules the simple quotient's dimensions are
+    the ranks of the entrywise Gram matrices, taken by rref and by plain
+    Gaussian elimination alike."""
     alg = request.getfixturevalue(f"alg_{label.lower()}")
     rs = alg.rs
     J = None if levi is None else SimpleSubset.of(*levi)
     for coords in _GRAM_WEIGHTS[rs.rank]:
-        lam = Weight.of(*coords)
-        module = VermaLikeModule(alg, lam, depth, J)
-        reference = VermaLikeModule(alg, lam, depth, J)
-        # highest drops first: each call recurses down through the memo
-        drops = sorted({module.label_drop(s) for s in module.basis},
-                       key=lambda nu: (-sum(nu), nu))
-        for nu in drops:
+        module = VermaLikeModule(alg, Weight.of(*coords), depth, J)
+        ranks = {}
+        for nu in module.labels_by_drop:
             gram = shapovalov_gram(module, nu)
-            assert gram == _gram_by_entries(reference, nu), (label, coords, nu)
-            assert rank(gram) == fraction_rank_det(gram)[0]
-        table = simple_dims_table(module)
-        assert table == {nu: r for nu in drops
-                         if (r := fraction_rank_det(_gram_by_entries(reference, nu))[0])}
+            ranks[nu] = fraction_rank_det(gram)[0]
+            assert rank(gram) == ranks[nu], (label, coords, nu)
+        assert simple_dims_table(module) == {nu: r for nu, r in ranks.items() if r}
 
 
 @pytest.mark.parametrize("label", ["A2", "B2", "G2"])
@@ -209,6 +198,50 @@ def test_shapovalov_determinant_formula(request, fraction_rank_det, label):
             constants = ratios
         assert ratios == constants, coords
     assert len(constants) == 21
+
+
+# type -> depth of the all-type checks below
+_TYPE_DEPTHS = {"A1": 12, "A2": 10, "B2": 9, "C2": 9, "G2": 8, "A3": 6,
+                "B3": 5, "C3": 5, "A4": 5, "B4": 4, "C4": 4, "D4": 4, "F4": 4}
+_DOMINANT = (1, 2, 0, 1)
+_KIND_WEIGHTS = [  # generic, dominant integral, half-integral, singular
+    (Fraction(2, 7), Fraction(-3, 5), Fraction(1, 3), Fraction(3, 4)), _DOMINANT,
+    (Fraction(1, 2), Fraction(-3, 2), Fraction(1, 2), Fraction(-1, 2)),
+    (-1, 1, 0, 2)]  # <lam + rho, alpha_0^v> = 0
+
+
+def _algebra(label):
+    return EnvelopingAlgebra(structure_constants(parse_type(label)))
+
+
+@pytest.mark.parametrize("label,depth", _TYPE_DEPTHS.items())
+def test_simple_dims_are_the_shapovalov_ranks_on_every_type(fraction_rank_det,
+                                                            label, depth):
+    alg = _algebra(label)
+    for coords in _KIND_WEIGHTS:
+        module = verma(alg, Weight.of(*coords[:alg.rs.rank]), depth)
+        ranks = {nu: fraction_rank_det(shapovalov_gram(module, nu))[0]
+                 for nu in module.labels_by_drop}
+        assert simple_dims_table(module) == {nu: r for nu, r in ranks.items()
+                                             if r}, coords
+
+
+@pytest.mark.parametrize("label,depth", _TYPE_DEPTHS.items())
+def test_simple_dims_at_dominant_weights_are_signed_kostant_sums(label, depth):
+    """At dominant integral lam, dim L(lam)_(lam - nu) is
+    sum_w (-1)^l(w) P(nu - (lam - w.lam)) (Weyl's character formula in
+    Kostant's form), with no Gram matrix."""
+    alg = _algebra(label)
+    rs = alg.rs
+    memo: dict[tuple, int] = {}
+    for coords in (_DOMINANT, (0, 0, 0, 0)):
+        lam = Weight.of(*coords[:rs.rank])
+        got = simple_dims(alg, lam, depth).as_dict()
+        orbit = dot_orbit(rs, lam).items()
+        for nu in _drops_within(rs.rank, depth):
+            want = sum(sign * kostant_partition(rs, rem, memo)
+                       for shift, sign in orbit if min(rem := sub(nu, shift)) >= 0)
+            assert got.get(lam - rs.weight_of_root(nu), 0) == want, (coords, nu)
 
 
 def test_full_parabolic_gives_finite_module(alg_a2):
@@ -398,15 +431,6 @@ def test_integer_action_and_gram_rows_are_scaled_rationals(request, label):
                 action = module.act_label(g, s)
                 assert action == reference
                 assert all(type(x) is Fraction for x in action.values())
-        reference = verma(alg, module.lam, 5)
-        for nu, labels in sorted(module.labels_by_drop.items(),
-                                 key=lambda kv: sum(kv[0])):
-            rows = _gram(module, nu)
-            want = _gram_by_entries(reference, nu)
-            assert all(type(x) is int for row in rows for x in row)
-            assert [list(row) for row in rows] == [
-                [den ** sum(s) * x for x in row] for s, row in zip(labels, want)]
-            assert shapovalov_gram(module, nu) == want
 
 
 def test_f_action_refuses_terms_outside_u_n_minus(alg_a2, monkeypatch):
