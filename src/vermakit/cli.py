@@ -22,7 +22,7 @@ from .rootsys import (SimpleSubset, Weight, bad_primes, check_subset,
                       dot_orbit, parse_type, parse_weight)
 from .uea import (DeformationContext, EnvelopingAlgebra, exp_truncated,
                   iwasawa_generator_monomial, multiply, weight_components)
-from .weightmod import (MAX_BASIS_LABELS, _check_basis_budget,
+from .weightmod import (MAX_BASIS_LABELS, _check_basis_budget, _check_depth,
                         character_to_json, kostant_partition, levi_gvm,
                         parabolic_verma, verma)
 
@@ -326,7 +326,7 @@ _SUITES = {
 def _cmd_verify(args) -> int:
     # before any suite runs: the verma suite builds the A2 Verma module to
     # --depth; the other suites cap the depth they use, or build no module
-    _check_basis_budget(parse_type("A2"), args.depth)
+    _check_depth(parse_type("A2"), args.depth)
     names = sorted(_SUITES) if args.suite == "all" else [args.suite]
     results = []
     for name in names:

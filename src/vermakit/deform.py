@@ -62,15 +62,13 @@ def phi_c_target(source: LeviInducedModule, c: dict) -> LeviInducedModule:
 
 
 def phi_c(source: LeviInducedModule, vec: Vec, c: dict,
-          target: LeviInducedModule | None = None
-          ) -> tuple[LeviInducedModule, Vec]:
-    """Project f^s h^t v to (lam(h) - c)^t f^s v."""
+          target: LeviInducedModule) -> Vec:
+    """Project f^s h^t v to (lam(h) - c)^t f^s v in target, the module
+    ``phi_c_target(source, c)``."""
     if source.c is not None:
         raise ValueError("source already has scalar dual-Cartan action")
     if set(c) != set(source.outside):
         raise ValueError("c must be indexed by the simple roots outside I")
-    if target is None:
-        target = phi_c_target(source, c)
     if (target.depth != source.depth or target.I != source.I
             or target.lam != source.lam or target.c is None
             or any(target.c[j] != Fraction(c[j]) for j in source.outside)):
@@ -83,54 +81,44 @@ def phi_c(source: LeviInducedModule, vec: Vec, c: dict,
             scalar *= (source.lam_dual[j] - Fraction(c[j])) ** t[pos]
         if scalar:
             out[(s, zero_t, b)] = out.get((s, zero_t, b), Fraction(0)) + scalar
-    return target, _clean(out)
+    return _clean(out)
 
 
 def phi_c_homomorphism_check(source: LeviInducedModule, x: UEAElement,
                              vec: Vec, c: dict,
-                             target: LeviInducedModule | None = None) -> bool:
+                             target: LeviInducedModule) -> bool:
     """phi_c(x . m) == x . phi_c(m), exactly.
 
     Needs headroom in the truncation: the polynomial directions of the
     source are cut at the module depth, and acting past that cut would
     discard terms the scalar target keeps.
     """
-    if target is None:
-        target = phi_c_target(source, c)
     t_max = max((sum(lab[1]) for lab in vec), default=0)
     if t_max + x.degree() > source.depth:
         raise ValueError("depth exhausted: the action overflows the "
                          "polynomial truncation")
-    _, lhs = phi_c(source, source.apply_element(x, vec), c, target)
-    rhs = target.apply_element(x, phi_c(source, vec, c, target)[1])
-    return lhs == rhs
+    lhs = phi_c(source, source.apply_element(x, vec), c, target)
+    return lhs == target.apply_element(x, phi_c(source, vec, c, target))
 
 
 def phi_c_surjective(source: LeviInducedModule, c: dict,
-                     target: LeviInducedModule | None = None) -> bool:
+                     target: LeviInducedModule) -> bool:
     """The projected source basis spans the whole target basis."""
-    if target is None:
-        target = phi_c_target(source, c)
     hit = set()
     for label in source.basis:
-        _, img = phi_c(source, {label: Fraction(1)}, c, target)
-        hit.update(img)
+        hit.update(phi_c(source, {label: Fraction(1)}, c, target))
     return hit == set(target.basis)
 
 
-def hw_scalar_check(source_or_target: LeviInducedModule, c: dict, i: int
-                    ) -> bool:
+def hw_scalar_check(target: LeviInducedModule, c: dict, i: int) -> bool:
     """On the scalar-action module, lam(h^a_i) - h^a_i acts on the
     generator by exactly c_i."""
-    module = source_or_target
-    if module.c is None:
-        module = phi_c_target(module, c)
-    v = {module.hw_label(): Fraction(1)}
-    acted = module.act(("hd", i), v)
-    lhs = _clean({lab: module.lam_dual[i] * co for lab, co in v.items()})
-    _vec_add(lhs, acted, Fraction(-1))
-    want = _clean({lab: Fraction(c[i]) * co for lab, co in v.items()})
-    return _clean(lhs) == want
+    if target.c is None:
+        raise ValueError("hw_scalar_check needs the scalar-action module")
+    hw = target.hw_label()
+    lhs = {hw: target.lam_dual[i]}
+    _vec_add(lhs, target.act_label(("hd", i), hw), -1)
+    return _clean(lhs) == _clean({hw: Fraction(c[i])})
 
 
 def phi_c_checks(source: LeviInducedModule, c: dict, samples: int,
@@ -167,17 +155,15 @@ def phi_c_level_check(source: LeviInducedModule, vec: Vec, c: dict,
     if not scalars_admissible(c, p, n):
         raise ValueError("scalars are not admissible at this (p, n)")
 
-    def level(module, v):
-        if not v:
-            return math.inf
+    def level(v):
         out = math.inf
         for (s, t, b), coeff in v.items():
-            deg = label_height(module.rs, s) + label_height(module.rs, b) + sum(t)
+            deg = label_height(source.rs, s) + label_height(source.rs, b) + sum(t)
             out = min(out, vp(coeff, p) - n * deg)
         return out
 
-    target, img = phi_c(source, vec, c)
-    return level(target, img) >= level(source, vec)
+    img = phi_c(source, vec, c, phi_c_target(source, c))
+    return level(img) >= level(vec)
 
 
 def vanishing_test(poly: dict[tuple, Fraction], degree: int,

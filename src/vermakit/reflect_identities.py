@@ -55,6 +55,8 @@ def nonvanishing_check(alg: EnvelopingAlgebra, lam: Weight, i: int,
 
     It backs the sl2 step of the irreducibility criteria: no power f_a^s v
     is singular unless lam(h_a) is a nonnegative integer."""
+    if s < 0:
+        raise ValueError("the divided-power exponent must be nonnegative")
     module = verma(alg, lam, max(s, 1))
     idx = alg.rs.root_index[alg.rs.simple_root(i)]
     hw: Vec = {tuple([0] * alg.npos): Fraction(1)}

@@ -109,6 +109,7 @@ class EnvelopingAlgebra:
         self.sc = sc
         self.rs = sc.rs
         self.npos = len(sc.rs.positive_roots)
+        self._one = ((0,) * self.npos, (0,) * self.rs.rank, (0,) * self.npos)
         self._memo: dict[tuple[Gen, Monomial], dict[Monomial, int]] = {}
         # criteria.classify_sl3's case-3 verdicts, per (mu, gamma, depth)
         self.case3_verdicts: dict[tuple, bool] = {}
@@ -136,7 +137,7 @@ class EnvelopingAlgebra:
         return out
 
     def mono_one(self) -> Monomial:
-        return ((0,) * self.npos, (0,) * self.rs.rank, (0,) * self.npos)
+        return self._one
 
     def mono_of_gen(self, g: Gen) -> Monomial:
         return self._prepend(g, self.mono_one())
@@ -221,11 +222,26 @@ class EnvelopingAlgebra:
     def one(self) -> "UEAElement":
         return UEAElement(self, {self.mono_one(): Fraction(1)})
 
+    def _check_gen(self, kind: str, i: int) -> None:
+        """Refuse a generator the algebra does not have: e and f take a
+        positive-root index, h a simple index."""
+        if kind not in ("e", "f", "h"):
+            raise ValueError(f"generator kind must be 'e', 'f' or 'h', "
+                             f"got {kind!r}")
+        size = self.rs.rank if kind == "h" else self.npos
+        if not 0 <= i < size:
+            raise ValueError(f"{kind} takes an index in 0..{size - 1}, got {i}")
+
     def gen(self, kind: str, i: int) -> "UEAElement":
+        self._check_gen(kind, i)
         return UEAElement(self, {self.mono_of_gen((kind, i)): Fraction(1)})
 
     def divided_power(self, kind: str, i: int, s: int) -> "UEAElement":
         """x^s / s! for a single generator, stored expanded."""
+        self._check_gen(kind, i)
+        if s < 0:
+            raise ValueError(f"the divided-power exponent must be "
+                             f"nonnegative, got {s}")
         m = self.mono_one()
         for _ in range(s):
             m = self._prepend((kind, i), m)

@@ -9,17 +9,23 @@ modules carry extra central polynomial directions along the dual Cartan
 basis.  All actions are exact, so weight-space dimensions of simple
 quotients come out of ranks over Q of the simple-root e maps.
 
-Actions are computed in the module, by recursion on the leading f of a
-label, not through normal forms in U(g): g f_L r = f_L (g r) + [g, f_L] r
-is one step shared by all modules.  On the Verma path h acts by a scalar,
-and the PBW rewriting engine is asked only for products of f's, which stay
-in U(n-).  No term with an e or an h is ever formed.
+Actions are computed in the module, not through normal forms in U(g).
+Every module acts by the same rules.  The Cartan generators read their
+action off the label: h acts by a scalar, and on a Levi-induced module
+also through the dual-basis directions h^a, which raise t or act by a
+scalar.  An f whose root the label's f-part runs over is multiplied into
+it by the PBW rewriting engine (``_f_product``), a product of f's that
+stays in U(n-).  Any other generator g takes one commutation step past
+the leading f of the label, g f_L r = f_L (g r) + [g, f_L] r
+(``_commute_past_f``).  No term with an e or an h is ever formed.
 
 On the Verma path the arithmetic is on Python ints.  With lam = N/D over
 one common denominator D, D times the action of g on f^s v is an integer
-vector, and the simple quotient's weight spaces are ranked on these.
-Fractions appear only at the public edges: ``act_label``, the module
-vectors and ``shapovalov_gram``, the Gram matrix entry by entry.
+vector, and the simple quotient's weight spaces are ranked on these;
+Fractions appear only at its public edges, ``act_label``, the module
+vectors and ``shapovalov_gram``.  The quotient L_J(lam) and the
+Levi-induced modules act on Fractions, as their reductions and their
+scalars lam(h^a) - c_a are rational.
 
 Depth semantics: a statement "within depth d" quantifies over weights
 lam - nu with the height of nu at most d.
@@ -157,6 +163,24 @@ def _split_lead(s: tuple) -> tuple[int | None, tuple]:
     return None, s
 
 
+def _f_product(alg: EnvelopingAlgebra, budget: int, i: int,
+               s: tuple) -> dict[tuple, int]:
+    """f_i f^s as {label: int}, the normal form from the rewriting engine,
+    or {} when its height passes budget.  Its coefficients depend on no
+    weight, and all its terms have the height of s plus that of root i."""
+    rs = alg.rs
+    if label_height(rs, s) + rs.heights[i] > budget:
+        return {}
+    _, zero_h, zero_e = alg.mono_one()
+    out = {}
+    for (a, b, c), coeff in alg.gen_mul_mono(("f", i), (s, zero_h, zero_e)).items():
+        if b != zero_h or c != zero_e:
+            raise RuntimeError(f"normal form of f_{i} f^{s} has the term "
+                               f"{(a, b, c)} outside U(n-)")
+        out[a] = coeff
+    return out
+
+
 def _enum_f_labels(npos: int, idxs: list[int], heights: list[int],
                    budget: int) -> list[tuple]:
     """All exponent tuples supported on idxs with weighted height <= budget,
@@ -248,8 +272,6 @@ class VermaLikeModule(HighestWeightModule):
         self.basis = _enum_f_labels(alg.npos, self.allowed, self.rs.heights, depth)
         self.kind = "verma"
         self._memo: dict[tuple, dict[tuple, int]] = {}  # (R, s) -> e_R f^s v
-        self._zero_h = (0,) * self.rs.rank
-        self._zero_e = (0,) * alg.npos
         # <beta_k, alpha_i^v> for the k-th positive root and simple index i
         self._coroot_pairing = [self.rs.simple_coroot_pairings(root)
                                 for root in self.rs.positive_roots]
@@ -291,30 +313,16 @@ class VermaLikeModule(HighestWeightModule):
         if i not in self._allowed_set:
             raise ValueError(f"{g} is outside the allowed roots {self.allowed}")
         if kind == "f":  # the rewriting engine memoises f f^s
-            return {a: self.lam_den * c for a, c in self._f_times(i, s).items()}
+            return {a: self.lam_den * c
+                    for a, c in _f_product(self.alg, self.depth, i, s).items()}
         cached = self._memo.get((i, s))
         if cached is not None:
             return cached
         lead, rest = _split_lead(s)
         out = {} if lead is None else _commute_past_f(  # e kills v
-            self.int_action, partial(self._f_times, lead),
+            self.int_action, partial(_f_product, self.alg, self.depth, lead),
             self.alg.sc.bracket(g, ("f", lead)), g, rest)
         self._memo[(i, s)] = out
-        return out
-
-    def _f_times(self, i: int, s: tuple) -> dict[tuple, int]:
-        """f_i f^s v within the depth: the normal form of f_i f^s, whose
-        int coefficients do not depend on lam.  All its terms have the
-        height of s plus that of root i."""
-        if label_height(self.rs, s) + self.rs.heights[i] > self.depth:
-            return {}
-        out = {}
-        mono = (s, self._zero_h, self._zero_e)
-        for (a, b, c), coeff in self.alg.gen_mul_mono(("f", i), mono).items():
-            if b != self._zero_h or c != self._zero_e:
-                raise RuntimeError(f"normal form of f_{i} f^{s} has the term "
-                                   f"{(a, b, c)} outside U(n-)")
-            out[a] = coeff
         return out
 
 
@@ -366,7 +374,7 @@ class QuotientModule(HighestWeightModule):
                 else:  # on ints: the f action does not depend on lam
                     vec = {}
                     for u, x in translates[rest].items():
-                        _vec_add(vec, parent._f_times(lead, u), x)
+                        _vec_add(vec, _f_product(self.alg, parent.depth, lead, u), x)
                 translates[mono] = vec = _clean(vec)
                 if vec:
                     drop = parent.label_drop(next(iter(vec)))
@@ -639,8 +647,9 @@ class LeviInducedModule(HighestWeightModule):
         b0 = (0,) * self.alg.npos
         return (zero_s, zero_t, b0)
 
-    # generators: ('e', idx) / ('f', idx) over Levi positive roots,
-    # ('h', i) for any simple index, ('hd', j) for dual-basis elements, j not in I
+    # generators: ('e', idx) and ('f', idx) for a positive root of the Levi
+    # of I, ('h', i) for a simple index, ('hd', j) for the dual-basis
+    # element h^j, j outside I
 
     def act_label(self, g, label) -> Vec:
         cached = self._memo.get((g, label))
@@ -662,58 +671,35 @@ class LeviInducedModule(HighestWeightModule):
                 f"in {self.outside}")
 
     def _act_label(self, g, label) -> Vec:
+        """hd and h read the label, a free f multiplies into s in U(n-),
+        and an e or an inner f commutes past the leading free f of s."""
         s, t, b = label
-        kind = g[0]
-        # s is supported on free_idx: the basis is enumerated there and
-        # _prepend_f only ever adds a free f
-        lead, rest = _split_lead(s)
-        if lead is not None:
-            if kind == "f" and g[1] in self.free_idx and g[1] >= lead:
-                return self._prepend_f(g[1], label)
-            # [h^a, f_lead] = 0: a is outside I and f_lead is in the Levi
-            bracket = {} if kind == "hd" else self.alg.sc.bracket(g, ("f", lead))
-            return _commute_past_f(self.act_label, partial(self.act_label, ("f", lead)),
-                                   bracket, g, (rest, t, b))
-        # no free f-part left
-        if kind == "hd":
-            j = g[1]
+        kind, i = g
+        if kind == "hd":  # [h^i, f_R] = 0 for every root R of the Levi of I
             if self.c is not None:
-                return {label: self.lam_dual[j] - self.c[j]}
-            pos = self.outside.index(j)
-            if sum(t) + 1 > self.depth:
+                return {label: self.lam_dual[i] - self.c[i]}
+            if sum(t) >= self.depth:
                 return {}
-            return {(s, _bump(t, pos, 1), b): Fraction(1)}
-        if kind == "h":
-            i = g[1]
-            drop_b = self.V.label_drop(b)
-            scalar = Fraction(0)
-            for beta in self.I:
-                coeff = self.rs.cartan[beta][i]
-                if coeff:
-                    scalar += coeff * (self.lam_dual[beta] - drop_b[beta])
+            return {(s, _bump(t, self.outside.index(i), 1), b): Fraction(1)}
+        if kind == "h":  # h_i = sum_k a_ki h^k
+            drop = self.label_drop(label)
+            scalar = sum(self.rs.cartan[k][i] * (self.lam_dual[k] - drop[k])
+                         for k in self.I)
             out = {label: scalar} if scalar else {}
             for j in self.outside:
-                coeff = self.rs.cartan[j][i]
-                if coeff:
-                    _vec_add(out, self.act_label(("hd", j), label),
-                             Fraction(coeff))
+                _vec_add(out, self.act_label(("hd", j), label), self.rs.cartan[j][i])
             return _clean(out)
-        idx = g[1]
-        if idx in self.io_idx:
-            out = {}
-            for b2, co in self.V.act_label(g, b).items():
-                out[(s, t, b2)] = co
-            return out
-        if kind == "e":
-            return {}  # raises out of the induced vacuum
-        return self._prepend_f(idx, label)  # idx is a free Levi root
-
-    def _prepend_f(self, idx: int, label) -> Vec:
-        s, t, b = label
-        s = _bump(s, idx, 1)
-        if label_height(self.rs, s) + label_height(self.rs, b) > self.depth:
-            return {}
-        return {(s, t, b): Fraction(1)}
+        if kind == "f" and i in self.free_idx:  # stays among the free roots
+            budget = self.depth - label_height(self.rs, b)
+            return {(a, t, b): Fraction(x)
+                    for a, x in _f_product(self.alg, budget, i, s).items()}
+        lead, rest = _split_lead(s)
+        if lead is not None:
+            return _commute_past_f(self.act_label, partial(self.act_label, ("f", lead)),
+                                   self.alg.sc.bracket(g, ("f", lead)), g, (rest, t, b))
+        if i in self.io_idx:
+            return {(s, t, b2): x for b2, x in self.V.act_label(g, b).items()}
+        return {}  # e of a free root kills the induced vacuum
 
 
 def levi_gvm(alg: EnvelopingAlgebra, I: SimpleSubset, lam: Weight,

@@ -14,7 +14,8 @@ from vermakit.criteria import (case3_additivity_check, classify_sl3,
                                compute_A, condition_star, condition_star_star,
                                gvm_region_irreducible, verify_case_report)
 from vermakit.deform import (hw_scalar_check, phi_c_homomorphism_check,
-                             phi_c_surjective, weight_admissible)
+                             phi_c_surjective, phi_c_target,
+                             weight_admissible)
 from vermakit.reflect_identities import reflection_formula_check
 from vermakit.rootsys import (SimpleSubset, Weight, bad_primes, dot_orbit,
                               neg, parse_type)
@@ -164,14 +165,16 @@ def test_criterion_09_phi_c(alg_a2, alg_a3):
             c = {j: Fraction(rng.randint(-6, 6), rng.choice([1, 2, 3]))
                  for j in outside}
             vec = {rng.choice(roomy): Fraction(rng.randint(1, 9))}
-            assert phi_c_homomorphism_check(source, alg.gen(*g), vec, c)
+            assert phi_c_homomorphism_check(source, alg.gen(*g), vec, c,
+                                            phi_c_target(source, c))
         for depth in (1, 2, 3, 4):
             shallow = levi_gvm(alg, I, lam, depth)
-            assert phi_c_surjective(shallow, {j: Fraction(-2) for j in outside})
+            c = {j: Fraction(-2) for j in outside}
+            assert phi_c_surjective(shallow, c, phi_c_target(shallow, c))
         for scalar in (Fraction(0), Fraction(-3), Fraction(1, 5)):
             # 1/5 is admissible once n = 1
-            assert hw_scalar_check(source, {j: scalar for j in outside},
-                                   outside[0])
+            c = {j: scalar for j in outside}
+            assert hw_scalar_check(phi_c_target(source, c), c, outside[0])
 
 
 def test_criterion_10_bad_primes():

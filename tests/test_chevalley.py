@@ -9,7 +9,7 @@ import pytest
 from vermakit import chevalley
 from vermakit.chevalley import (constants_to_json, structure_constants,
                                 verify_chevalley)
-from vermakit.deform import phi_c_homomorphism_check
+from vermakit.deform import phi_c_homomorphism_check, phi_c_target
 from vermakit.rootsys import SimpleSubset, Weight, add, neg, parse_type, sub
 from vermakit.uea import EnvelopingAlgebra
 from vermakit.weightmod import levi_gvm, simple_dims
@@ -337,8 +337,9 @@ def test_memoised_brackets_match_a_fresh_computation(label):
     c = {j: Fraction(-2) for j in source.outside}
     vec = {lab: Fraction(1) for lab in source.basis if not any(lab[1])}
     idx = rs.root_index[rs.simple_root(0)]
+    target = phi_c_target(source, c)
     for g in (("e", idx), ("f", idx), ("h", 0)):
-        assert phi_c_homomorphism_check(source, alg.gen(*g), vec, c)
+        assert phi_c_homomorphism_check(source, alg.gen(*g), vec, c, target)
     fresh = structure_constants(rs)
     assert len(sc._brackets) >= len(sc.generators()) ** 2
     for (g1, g2), value in sc._brackets.items():

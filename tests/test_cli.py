@@ -212,6 +212,12 @@ def test_phi_suite_names_the_failing_check(monkeypatch):
     (["classify", "--weight", "-2,3", "--depth", "-1"],
      "depth must be at least 1"),
     (PHI_A2 + ["--samples", "0"], "samples must be at least 1"),
+    # these suites cap or ignore the depth, so they used to pass having
+    # checked nothing (reflection's loop ran over range(depth + 1))
+    *[(["verify", "--suite", suite, "--depth", depth], "depth must be at least 1")
+      for suite, depth in [("reflection", "-2"), ("chevalley", "0"),
+                           ("pbw", "0"), ("jantzen", "-1"), ("iwasawa", "0"),
+                           ("linkage", "0")]],
 ])
 def test_counts_below_one_are_refused(capsys, argv, message):
     status, out, err = run(capsys, *argv)

@@ -43,17 +43,18 @@ def test_admissibility_monotone_in_n(alg_a2):
 def test_phi_c_basis_formulas(source):
     c = {1: Fraction(-3)}
     scalar = source.lam_dual[1] - c[1]
+    target = phi_c_target(source, c)
     zero = (0,) * source.alg.npos
     # t = 0 passes through
     lab = ((0, 1, 0), (0,), zero)
-    _, img = phi_c(source, {lab: Fraction(1)}, c)
+    img = phi_c(source, {lab: Fraction(1)}, c, target)
     assert img == {lab: Fraction(1)}
     # one h-factor becomes one scalar factor
-    _, img = phi_c(source, {(zero, (1,), zero): Fraction(1)}, c)
+    img = phi_c(source, {(zero, (1,), zero): Fraction(1)}, c, target)
     assert img == {(zero, (0,), zero): scalar}
     # f^2 h^2 v picks up the square
     lab = ((0, 2, 0), (2,), zero)
-    _, img = phi_c(source, {lab: Fraction(1)}, c)
+    img = phi_c(source, {lab: Fraction(1)}, c, target)
     assert img == {((0, 2, 0), (0,), zero): scalar ** 2}
 
 
@@ -62,9 +63,9 @@ def test_phi_c_target_validation(source, alg_a2):
     other = levi_gvm(alg_a2, SimpleSubset.of(0), Weight.of(3, Fraction(1, 2)), 3)
     with pytest.raises(ValueError):
         phi_c(source, {}, c, phi_c_target(other, c))  # depth mismatch
-    with pytest.raises(ValueError):
-        phi_c(source, {}, {0: Fraction(1)})  # wrong index set
     tgt = phi_c_target(source, c)
+    with pytest.raises(ValueError):
+        phi_c(source, {}, {0: Fraction(1)}, tgt)  # wrong index set
     with pytest.raises(ValueError):
         phi_c_target(tgt, c)  # already scalar
 
@@ -78,7 +79,8 @@ def test_phi_c_homomorphism_random(source, alg_a2):
         g = rng.choice(gens)
         c = {1: Fraction(rng.randint(-6, 6), rng.choice([1, 2, 3]))}
         vec = {rng.choice(roomy): Fraction(rng.randint(1, 9))}
-        assert phi_c_homomorphism_check(source, alg_a2.gen(*g), vec, c)
+        assert phi_c_homomorphism_check(source, alg_a2.gen(*g), vec, c,
+                                        phi_c_target(source, c))
 
 
 def test_phi_c_checks_pass_in_a_fixed_order(source):
@@ -111,21 +113,26 @@ def test_phi_c_checks_draw_each_sample_in_order_and_stop_at_a_failure(
 
 def test_phi_c_depth_guard(source, alg_a2):
     deep = max(source.basis, key=lambda m: sum(m[1]))
+    c = {1: Fraction(0)}
     with pytest.raises(ValueError):
         phi_c_homomorphism_check(source, alg_a2.gen("h", 1),
-                                 {deep: Fraction(1)}, {1: Fraction(0)})
+                                 {deep: Fraction(1)}, c, phi_c_target(source, c))
 
 
 def test_phi_c_surjective_at_small_depths(alg_a2):
     for depth in (1, 2, 3):
         src = levi_gvm(alg_a2, SimpleSubset.of(0), Weight.of(2, Fraction(1, 3)),
                        depth)
-        assert phi_c_surjective(src, {1: Fraction(-2)})
+        c = {1: Fraction(-2)}
+        assert phi_c_surjective(src, c, phi_c_target(src, c))
 
 
 def test_hw_scalar_values(source):
     for c1 in (Fraction(0), Fraction(-3), Fraction(1, 5)):
-        assert hw_scalar_check(source, {1: c1}, 1)
+        c = {1: c1}
+        assert hw_scalar_check(phi_c_target(source, c), c, 1)
+    with pytest.raises(ValueError, match="needs the scalar-action module"):
+        hw_scalar_check(source, {1: Fraction(0)}, 1)
 
 
 def test_phi_c_level_preserved(source):

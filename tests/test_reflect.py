@@ -59,3 +59,13 @@ def test_simple_index_outside_the_rank_is_refused(alg_a2, index):
     for check in (reflection_formula_check, nonvanishing_check):
         with pytest.raises(ValueError, match=message):
             check(alg_a2, lam, index, 3)
+
+
+@pytest.mark.parametrize("s", [-1, -3])
+def test_a_negative_exponent_is_refused(alg_a2, s):
+    # nonvanishing_check used to fail inside math.factorial
+    lam = Weight.of(Fraction(1, 2), Fraction(1, 3))
+    message = "the divided-power exponent must be nonnegative"
+    for check in (reflection_formula_check, nonvanishing_check):
+        with pytest.raises(ValueError, match=message):
+            check(alg_a2, lam, 0, s)

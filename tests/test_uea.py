@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -148,6 +149,29 @@ def test_divided_power(alg_a1):
     f3 = alg_a1.divided_power("f", 0, 3)
     f1 = alg_a1.gen("f", 0)
     assert multiply(multiply(f1, f1), f1).scale(Fraction(1, 6)) == f3
+
+
+@pytest.mark.parametrize("kind,i,message", [
+    ("x", 0, "generator kind must be 'e', 'f' or 'h', got 'x'"),
+    ("f", -1, "f takes an index in 0..2, got -1"),
+    ("e", 3, "e takes an index in 0..2, got 3"),
+    ("h", 5, "h takes an index in 0..1, got 5")])
+def test_gen_refuses_a_generator_the_algebra_lacks(alg_a2, kind, i, message):
+    # on A2 "x" used to give e_0, f -1 a monomial with a six-entry f-block
+    # and h 5 a bare IndexError
+    with pytest.raises(ValueError, match=re.escape(message)):
+        alg_a2.gen(kind, i)
+
+
+@pytest.mark.parametrize("kind,i,s,message", [
+    ("f", 0, -2, "the divided-power exponent must be nonnegative, got -2"),
+    ("x", 0, 2, "generator kind must be 'e', 'f' or 'h', got 'x'"),
+    ("e", 3, 2, "e takes an index in 0..2, got 3")])
+def test_divided_power_refuses_a_bad_generator_or_exponent(alg_a2, kind, i, s,
+                                                           message):
+    # a negative exponent used to fail inside math.factorial
+    with pytest.raises(ValueError, match=re.escape(message)):
+        alg_a2.divided_power(kind, i, s)
 
 
 def test_gamma_level(alg_a1):

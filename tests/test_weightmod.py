@@ -276,25 +276,26 @@ _PARABOLIC_CASES = [  # type, J, weight dominant integral on J, depth
     ("G2", (0,), (1, Fraction(1, 3)), 7)]
 
 
-@pytest.mark.parametrize("label,J,coords,depth", _PARABOLIC_CASES,
-                         ids=[case[0] for case in _PARABOLIC_CASES])
-def test_parabolic_verma_respects_every_bracket(request, label, J, coords, depth):
-    """[x, y] v = x (y v) - y (x v) for every pair of generators and every
-    label the depth cut leaves untouched."""
-    alg = request.getfixturevalue(f"alg_{label.lower()}")
-    module = parabolic_verma(alg, SimpleSubset.of(*J), Weight.of(*coords), depth)
+def _check_every_bracket(module, gens) -> int:
+    """[x, y] m = x (y m) - y (x m) for every pair of gens, on every label
+    with room for both actions in its height and in its t-part (h acts
+    through the dual-basis directions, which raise t); [h^j, x] = 0 on the
+    Levi of I.  Returns the number of (pair, label) checks."""
+    alg, depth = module.alg, module.depth
     heights = alg.rs.heights
-    gens = alg.sc.generators()
     checked = 0
     for n, x in enumerate(gens):
         for y in gens[n + 1:]:
             lift = sum(heights[g[1]] for g in (x, y) if g[0] == "f")
+            t_lift = sum(g[0] in ("h", "hd") for g in (x, y))
+            bracket = {} if "hd" in (x[0], y[0]) else alg.sc.bracket(x, y)
             for label_ in module.basis:
-                if _levi_height(module, label_) + lift > depth:
+                if (_levi_height(module, label_) + lift > depth
+                        or sum(label_[1]) + t_lift > depth):
                     continue
                 v = {label_: Fraction(1)}
                 lhs = {}
-                for g, c in alg.sc.bracket(x, y).items():
+                for g, c in bracket.items():
                     for k, d in module.act(g, v).items():
                         lhs[k] = lhs.get(k, 0) + c * d
                 xy = module.act(x, module.act(y, v))
@@ -303,7 +304,17 @@ def test_parabolic_verma_respects_every_bracket(request, label, J, coords, depth
                 assert ({k: c for k, c in lhs.items() if c}
                         == {k: c for k, c in rhs.items() if c}), (x, y, label_)
                 checked += 1
-    assert checked
+    return checked
+
+
+@pytest.mark.parametrize("label,J,coords,depth", _PARABOLIC_CASES,
+                         ids=[case[0] for case in _PARABOLIC_CASES])
+def test_parabolic_verma_respects_every_bracket(request, label, J, coords, depth):
+    """[x, y] v = x (y v) - y (x v) for every pair of generators and every
+    label the depth cut leaves untouched."""
+    alg = request.getfixturevalue(f"alg_{label.lower()}")
+    module = parabolic_verma(alg, SimpleSubset.of(*J), Weight.of(*coords), depth)
+    assert _check_every_bracket(module, alg.sc.generators())
 
 
 @pytest.mark.parametrize("label,J,depth", [
@@ -358,6 +369,50 @@ def test_levi_module_bracket_relations(alg_a2):
             diff[lab] = diff.get(lab, Fraction(0)) - c
         diff = {k: v for k, v in diff.items() if v}
         assert diff == h
+
+
+_LEVI_CASES = [  # type, proper I, weight dominant integral on interior(I), depth
+    ("A2", (0,), (3, Fraction(1, 2)), 4),
+    ("A3", (0, 1), (2, Fraction(1, 2), Fraction(1, 3)), 4),
+    ("B3", (0, 1), (1, Fraction(1, 2), Fraction(1, 3)), 4),
+    ("C3", (0, 1), (1, Fraction(2, 3), Fraction(-1, 2)), 4),
+    ("G2", (1,), (Fraction(1, 3), 2), 5),
+    ("D4", (0, 1, 2), (1, Fraction(1, 2), 1, Fraction(1, 3)), 3),
+    ("F4", (0, 1, 2), (1, 1, Fraction(1, 3), Fraction(1, 2)), 3),
+    ("B4", (0, 1, 2), (1, 1, Fraction(1, 2), Fraction(1, 3)), 3)]
+
+
+@pytest.mark.parametrize("label,I,coords,depth", _LEVI_CASES,
+                         ids=[case[0] for case in _LEVI_CASES])
+def test_scalar_levi_module_labels_are_h_weight_vectors(label, I, coords, depth):
+    """At c = 0 every dual-basis direction h^j acts by lam(h^j), so each
+    label (s, t, b) has the weight lam - drop: h_i acts on it by the scalar
+    lam_i - <drop, alpha_i^v>."""
+    alg = _algebra(label)
+    rs, lam = alg.rs, Weight.of(*coords)
+    source = levi_gvm(alg, SimpleSubset.of(*I), lam, depth)
+    module = LeviInducedModule(alg, source.I, lam, depth,
+                               c={j: 0 for j in source.outside})
+    for label_ in module.basis:
+        pairings = rs.simple_coroot_pairings(module.label_drop(label_))
+        for i in range(rs.rank):
+            want = lam.coords[i] - pairings[i]
+            got = module.act_label(("h", i), label_)
+            assert got == ({label_: want} if want else {}), (i, label_)
+
+
+@pytest.mark.parametrize("label,I,coords,depth", _LEVI_CASES[:6],
+                         ids=[case[0] for case in _LEVI_CASES[:6]])
+def test_levi_module_respects_every_bracket(label, I, coords, depth):
+    """[x, y] m = x (y m) - y (x m) on Levi-induced modules with I proper,
+    for every pair among the e and f of the Levi of I, every h and every
+    dual-basis direction h^j."""
+    alg = _algebra(label)
+    module = levi_gvm(alg, SimpleSubset.of(*I), Weight.of(*coords), depth)
+    gens = ([(kind, i) for kind in ("e", "f") for i in module.levi_idx]
+            + [("h", i) for i in range(alg.rs.rank)]
+            + [("hd", j) for j in module.outside])
+    assert _check_every_bracket(module, gens)
 
 
 def test_character_json_sorted(alg_a2):
