@@ -19,7 +19,7 @@ from fractions import Fraction
 from . import criteria, deform, reflect_identities
 from .chevalley import structure_constants, verify_chevalley
 from .rootsys import (SimpleSubset, Weight, bad_primes, check_subset,
-                      dot_orbit, parse_type, parse_weight)
+                      dot_orbit, parse_rational, parse_type, parse_weight)
 from .uea import (DeformationContext, EnvelopingAlgebra, exp_truncated,
                   iwasawa_generator_monomial, multiply, weight_components)
 from .weightmod import (MAX_BASIS_LABELS, _check_basis_budget, _check_depth,
@@ -139,7 +139,7 @@ def _cmd_phi_check(args) -> int:
         raise _CLIError(f"need {len(outside)} scalar(s) for c, "
                         f"got {len(parts)}")
     try:
-        c = {j: Fraction(t) for j, t in zip(outside, parts)}
+        c = {j: parse_rational(t) for j, t in zip(outside, parts)}
     except (ValueError, ZeroDivisionError) as e:
         raise _CLIError(f"bad scalar vector {args.c!r}: {e}")
     if args.samples < 1:

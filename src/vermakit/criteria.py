@@ -8,16 +8,19 @@ beta-reflection lands back in the parabolic roots.  Condition (**) is the
 stronger statement that no such beta exists at all.  Both are sufficient
 for irreducibility; neither ever certifies reducibility.
 
-The classifier walks the sl3 proof tree: singular weights terminate in a
-(*) or (**) certificate, possibly after one licensed dot reflection;
-regular non-integral weights likewise; regular integral weights chain
-licensed reflections down to s_gamma applied to a dominant weight and
-attach a finite-depth character-additivity certificate there.
+The classifier walks the sl3 proof tree once for every case: while the
+terminal test of the weight's case fails, it dot-reflects in simple root 0
+when <cur+rho, a_0^v> is not a nonnegative integer and otherwise in root 1.
+Singular and regular non-integral weights stop at a (*) or (**)
+certificate; regular integral weights stop at s_gamma applied to a
+dominant weight and attach a finite-depth character-additivity
+certificate there.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 
 from .deform import weight_admissible
 # rank is unused here but stays bound: the benchmark's tracer self-test
@@ -182,29 +185,21 @@ class CaseReport(Record):
         }
 
 
-def _star_certificate(rs: RootSystem, I: SimpleSubset, lam: Weight) -> dict:
-    ok, witnesses = condition_star(rs, I, lam)
+def _terminal_certificate(rs: RootSystem, I: SimpleSubset, lam: Weight,
+                          starstar: bool) -> dict:
+    """The (**) certificate on I when starstar, else the (*) one."""
+    ok, witnesses = ((condition_star_star(rs, I, lam), {}) if starstar
+                     else condition_star(rs, I, lam))
     if not ok:
         raise RuntimeError(f"classifier reached the terminal weight {lam} "
-                           f"without condition (*) on I={sorted(I)}")
-    return {
-        "kind": "condition_star",
-        "weight": [str(x) for x in lam.coords],
-        "I": sorted(I),
-        "witnesses": [{"beta": list(b), "gamma": list(g)}
-                      for b, g in sorted(witnesses.items())],
-    }
-
-
-def _starstar_certificate(rs: RootSystem, I: SimpleSubset, lam: Weight) -> dict:
-    if not condition_star_star(rs, I, lam):
-        raise RuntimeError(f"classifier reached the terminal weight {lam} "
-                           f"without condition (**) on I={sorted(I)}")
-    return {
-        "kind": "condition_star_star",
-        "weight": [str(x) for x in lam.coords],
-        "I": sorted(I),
-    }
+                           f"without condition {'(**)' if starstar else '(*)'} "
+                           f"on I={sorted(I)}")
+    cert = {"kind": "condition_star_star" if starstar else "condition_star",
+            "weight": [str(x) for x in lam.coords], "I": sorted(I)}
+    if not starstar:
+        cert["witnesses"] = [{"beta": list(b), "gamma": list(g)}
+                             for b, g in sorted(witnesses.items())]
+    return cert
 
 
 def case3_additivity_check(alg: EnvelopingAlgebra, mu: Weight, gamma: int,
@@ -242,71 +237,53 @@ def classify_sl3(alg: EnvelopingAlgebra, lam: Weight, p: int, n: int,
     if not weight_admissible(rs, lam, p, n).admissible:
         raise ValueError(f"weight {lam} is not admissible at p={p}, n={n}")
 
+    terminal = _terminal_subset
     if is_singular(rs, lam):
         case = "singular"
     elif not lam.is_integral():
         case = "regular_nonintegral"
     else:
-        case = "regular_integral"
-
+        case, terminal = "regular_integral", partial(_dominant_reflection, rs)
     report = CaseReport(
         input={"type": "A2", "weight": [str(x) for x in lam.coords],
                "p": p, "n": n, "check_depth": check_depth},
         case=case, chain=[lam])
     cur = lam
-
-    if case == "regular_integral":
-        while True:
-            base = None
-            for i in (0, 1):
-                mu = dot_reflect(rs, i, cur)
-                if mu.is_dominant_integral():
-                    base = (i, mu)
-                    break
-            if base is not None:
-                break
-            i = next(j for j in (0, 1) if cur.coords[j] + 1 < 0)
-            cur, cert = reflection_step(rs, cur, i)
-            report.certificates.append(cert)
-            report.chain.append(cur)
-        gamma, mu = base
-        verdicts = alg.case3_verdicts
-        key = (mu.coords, gamma, check_depth)
-        if key not in verdicts:
-            verdicts[key] = case3_additivity_check(alg, mu, gamma, check_depth)
-        ok = verdicts[key]
-        report.certificates.append({
-            "kind": "case3_extension",
-            "base": [str(x) for x in cur.coords],
-            "mu": [str(x) for x in mu.coords],
-            "gamma": gamma,
-            "parabolic": 1 - gamma,
-            "depth": check_depth,
-        })
-        report.checks["case3_character_additivity"] = ok
-        report.checks["all_certificates_hold"] = ok
-        return report
-
-    # singular and regular non-integral weights: walk to a terminal weight
-    while True:
-        a, b = cur.coords
-        terminal = _terminal_subset(cur)
-        if terminal is not None:
-            I, starstar = terminal
-            if starstar:
-                report.certificates.append(_starstar_certificate(rs, I, cur))
-            else:
-                report.certificates.append(_star_certificate(rs, I, cur))
-            break
-        if not _in_n0(a + 1):
-            i = 0
-        else:
-            i = 1
+    while (end := terminal(cur)) is None:
+        i = 1 if _in_n0(cur.coords[0] + 1) else 0  # root 0 whenever licensed
         cur, cert = reflection_step(rs, cur, i)
         report.certificates.append(cert)
         report.chain.append(cur)
-    report.checks["all_certificates_hold"] = True
+    if case != "regular_integral":
+        report.certificates.append(_terminal_certificate(rs, end[0], cur, end[1]))
+        report.checks["all_certificates_hold"] = True
+        return report
+    gamma, mu = end
+    verdicts, key = alg.case3_verdicts, (mu.coords, gamma, check_depth)
+    if key not in verdicts:
+        verdicts[key] = case3_additivity_check(alg, mu, gamma, check_depth)
+    ok = verdicts[key]
+    report.certificates.append({
+        "kind": "case3_extension",
+        "base": [str(x) for x in cur.coords],
+        "mu": [str(x) for x in mu.coords],
+        "gamma": gamma,
+        "parabolic": 1 - gamma,
+        "depth": check_depth,
+    })
+    report.checks["case3_character_additivity"] = ok
+    report.checks["all_certificates_hold"] = ok
     return report
+
+
+def _dominant_reflection(rs: RootSystem, cur: Weight) -> tuple[int, Weight] | None:
+    """Terminal (gamma, mu) for a regular integral weight: the first simple
+    dot reflection mu = s_gamma . cur that is dominant integral, or None."""
+    for gamma in (0, 1):
+        mu = dot_reflect(rs, gamma, cur)
+        if mu.is_dominant_integral():
+            return gamma, mu
+    return None
 
 
 def _terminal_subset(cur: Weight) -> tuple[SimpleSubset, bool] | None:

@@ -14,6 +14,7 @@ distinct points is identically zero, by exact interpolation.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -145,8 +146,9 @@ def phi_c_checks(source: LeviInducedModule, c: dict, samples: int,
 
 
 def phi_c_level_check(source: LeviInducedModule, vec: Vec, c: dict,
-                      p: int, n: int) -> bool:
-    """Filtration spot check: projecting never lowers the level
+                      target: LeviInducedModule, p: int, n: int) -> bool:
+    """Filtration spot check: projecting into target, the module
+    ``phi_c_target(source, c)``, never lowers the level
     v_p(coefficient) - n * (label degree) when the scalars are admissible.
 
     It backs the statement that phi_c respects the p-adic filtrations for
@@ -162,7 +164,7 @@ def phi_c_level_check(source: LeviInducedModule, vec: Vec, c: dict,
             out = min(out, vp(coeff, p) - n * deg)
         return out
 
-    img = phi_c(source, vec, c, phi_c_target(source, c))
+    img = phi_c(source, vec, c, target)
     return level(img) >= level(vec)
 
 
@@ -171,9 +173,9 @@ def vanishing_test(poly: dict[tuple, Fraction], degree: int,
     """Exact zero test for a multivariate polynomial of bounded total degree.
 
     poly maps exponent tuples to coefficients.  The sample set must contain
-    a (degree+1)^r tensor grid of distinct values per variable; under that
-    precondition, vanishing on the samples is equivalent to being the zero
-    polynomial.
+    a (degree+1)^r tensor grid of distinct values per variable, walked lazily
+    (a missing point shows within len(samples) + 1); then vanishing on the
+    samples is equivalent to being the zero polynomial.
 
     It backs the density step of the faithfulness argument: what kills the
     scalar-action module for every admissible c is a polynomial in c that
@@ -202,10 +204,8 @@ def vanishing_test(poly: dict[tuple, Fraction], degree: int,
         per_var.append(seen[: degree + 1])
 
     sample_set = set(samples)
-    grid = [()]
-    for values in per_var:
-        grid = [g + (v,) for g in grid for v in values]
-    missing = next((pt for pt in grid if pt not in sample_set), None)
+    missing = next((pt for pt in itertools.product(*per_var)
+                    if pt not in sample_set), None)
     if missing is not None:
         raise ValueError(f"sample set is missing the grid point {missing}")
 

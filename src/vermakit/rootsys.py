@@ -381,11 +381,31 @@ def parse_type(label: str) -> RootSystem:
     return RootSystem(label[0].upper(), int(label[1:]))
 
 
+MAX_RATIONAL_DIGITS = 4300  # the interpreter's default int-to-str limit
+_RATIONAL_BOUND = 10 ** MAX_RATIONAL_DIGITS
+
+
+def parse_rational(text: str) -> Fraction:
+    """Fraction(text), refused when its numerator or denominator would have
+    more than MAX_RATIONAL_DIGITS digits.  An exponent past that plus the
+    mantissa's length always would, so it is refused before it expands."""
+    mantissa, _, exponent = text.upper().partition("E")
+    try:
+        shift = abs(int(exponent or 0))
+    except ValueError:
+        shift = 0  # not an exponent: Fraction names the bad literal
+    q = Fraction(text) if shift <= MAX_RATIONAL_DIGITS + len(mantissa) else None
+    if q is None or max(abs(q.numerator), q.denominator) >= _RATIONAL_BOUND:
+        raise ValueError(f"{text.strip()!r} is too large: numerators and "
+                         f"denominators have at most {MAX_RATIONAL_DIGITS} digits")
+    return q
+
+
 def parse_weight(rs: RootSystem, text: str) -> Weight:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != rs.rank:
         raise ValueError(f"weight needs {rs.rank} coordinates, got {len(parts)}")
-    return Weight(tuple(Fraction(p) for p in parts))
+    return Weight(tuple(parse_rational(p) for p in parts))
 
 
 def pairing(rs: RootSystem, lam: Weight, alpha: Root) -> Fraction:
@@ -508,7 +528,7 @@ def _simple_system_of(rs: RootSystem, subsystem: frozenset[Root]) -> list[Root]:
     return sorted(simple, key=lambda r: (sum(r), r))
 
 
-def enumerate_closed_subsystems(rs: RootSystem, rng=None) -> list[dict]:
+def enumerate_closed_subsystems(rs: RootSystem) -> list[dict]:
     """All nonempty subsystems ZS n Phi, with a simple system and Cartan det each.
 
     Every such subsystem Psi is ZS n Phi for a linearly independent set S of
@@ -518,16 +538,12 @@ def enumerate_closed_subsystems(rs: RootSystem, rng=None) -> list[dict]:
     rows than the set is dependent; a lattice already seen is skipped before
     any root is tested; Psi is the set of roots that lie in the lattice.  All
     of it is integer arithmetic.  The result is sorted canonically and does
-    not depend on enumeration order (the optional rng, a random.Random, only
-    shuffles the candidate order, for order-independence checks).
+    not depend on the order of ``rs.positive_roots``.
     """
-    candidates = list(rs.positive_roots)
-    if rng is not None:
-        rng.shuffle(candidates)
     seen: set[tuple[tuple[int, ...], ...]] = set()
     out = []
     for size in range(1, rs.rank + 1):
-        for combo in itertools.combinations(candidates, size):
+        for combo in itertools.combinations(rs.positive_roots, size):
             form = hermite_form(combo)
             if len(form) != size or form in seen:
                 continue
@@ -546,10 +562,10 @@ def enumerate_closed_subsystems(rs: RootSystem, rng=None) -> list[dict]:
     return out
 
 
-def bad_primes(rs: RootSystem, rng=None) -> set[int]:
+def bad_primes(rs: RootSystem) -> set[int]:
     """Primes dividing the Cartan determinant of some closed root subsystem."""
     primes: set[int] = set()
-    for rec in enumerate_closed_subsystems(rs, rng=rng):
+    for rec in enumerate_closed_subsystems(rs):
         primes |= _prime_divisors(abs(rec["det"]))
     return primes
 

@@ -72,19 +72,25 @@ def _has_witness(p: int) -> bool:
 
 
 def vp(x: Fraction, p: int) -> int | float:
-    """p-adic valuation of a rational, +inf for zero."""
+    """p-adic valuation of a rational, +inf for zero.  p divides at most one
+    of numerator and denominator, m, and bisection finds its exponent: p^e,
+    e halfway through the range left, is divided out if it divides, else m
+    becomes m mod p^e, which has m's exponent; few divisions in all."""
     check_odd_prime(p)
     if x == 0:
         return math.inf
-    v = 0
-    num, den = x.numerator, x.denominator
-    while num % p == 0:
-        num //= p
-        v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v
+    sign, m = (-1, x.denominator) if x.numerator % p else (1, x.numerator)
+    if m % p:
+        return 0
+    v, span = 0, m.bit_length() // (p.bit_length() - 1) + 1  # p^span > |m|
+    while span > 1:
+        e = span // 2
+        quotient, r = divmod(m, p ** e)
+        if r:
+            m, span = r, e
+        else:
+            m, v, span = quotient, v + e, span - e
+    return sign * v
 
 
 class DeformationContext(Value):

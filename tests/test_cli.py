@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -177,6 +178,32 @@ def test_classify_refuses_a_prime_past_the_exact_bound(capsys):
 
 
 PHI_A2 = ["phi-check", "--weight", "2,1/3", "--parabolic", "0", "--c", "-3"]
+
+_TOO_LARGE = "is too large: numerators and denominators have at most 4300 digits"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["classify", "--weight", "1e9999999,1/2"],
+     f"bad weight '1e9999999,1/2': '1e9999999' {_TOO_LARGE}"),
+    (["classify", "--weight", "1e100000,1/2"],
+     f"bad weight '1e100000,1/2': '1e100000' {_TOO_LARGE}"),
+    (["character", "--weight", "1e9999999,1", "--depth", "2"],
+     f"bad weight '1e9999999,1': '1e9999999' {_TOO_LARGE}"),
+    (PHI_A2[:-1] + ["1e100000"],
+     f"bad scalar vector '1e100000': '1e100000' {_TOO_LARGE}")],
+    ids=["classify", "classify-1e100000", "character", "phi-check-c"])
+def test_an_oversized_coordinate_exits_2_before_any_work(capsys, argv, message):
+    # these ran 7.7-12 s and exited 3, or did not end in 120 s
+    start = time.perf_counter()
+    status, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert (status, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_a_coordinate_within_the_digit_limit_keeps_its_output(capsys):
+    status, out, _ = run(capsys, "classify", "--weight", "1e4000,1/2", "--json")
+    assert status == 0
+    assert json.loads(out)["input"]["weight"] == [str(10 ** 4000), "1/2"]
 
 
 @pytest.mark.parametrize("argv,message", [

@@ -1,4 +1,7 @@
+import hashlib
+import json
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -198,6 +201,33 @@ def test_classifier_singular_long_root(alg_a2):
     assert report.case == "singular"
     assert report.certificates[0]["kind"] == "reflection_step"
     assert verify_case_report(alg_a2, report)
+
+
+# sha256 over one JSON line per weight of the walk grid below, recorded
+# with the classifier's earlier two-loop walk
+_WALK_GRID_DIGEST = \
+    "504d0c6e8b66b062a277d69a60f4a5db57b88989006c267618081c25c5393de1"
+
+
+def test_walk_grid_digest(alg_a2):
+    """Every report and re-check on a 729-weight grid, or the refusal, is
+    what the classifier gave when each case walked in its own loop."""
+    values = sorted({Fraction(n, d) for n in range(-6, 7) for d in (1, 2, 3)})
+    digest = hashlib.sha256()
+    cases = Counter()
+    for a in values:
+        for b in values:
+            try:
+                report = classify_sl3(alg_a2, Weight.of(a, b), 5, 0)
+                record = [report.to_json(), verify_case_report(alg_a2, report)]
+                cases[report.case] += 1
+            except ValueError as e:
+                record = ["refused", str(e)]
+                cases["refused"] += 1
+            digest.update(json.dumps(record).encode() + b"\n")
+    assert cases == {"regular_integral": 85, "regular_nonintegral": 524,
+                     "singular": 71, "refused": 49}
+    assert digest.hexdigest() == _WALK_GRID_DIGEST
 
 
 def test_verify_rejects_tampered_report(alg_a2):

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -138,9 +139,14 @@ def test_hw_scalar_values(source):
 def test_phi_c_level_preserved(source):
     zero = (0,) * source.alg.npos
     vec = {((0, 1, 0), (2,), zero): Fraction(25), (zero, (1,), zero): Fraction(1, 5)}
-    assert phi_c_level_check(source, vec, {1: Fraction(1, 5)}, 5, 1)
-    with pytest.raises(ValueError):
-        phi_c_level_check(source, vec, {1: Fraction(1, 25)}, 5, 1)
+    c = {1: Fraction(1, 5)}
+    assert phi_c_level_check(source, vec, c, phi_c_target(source, c), 5, 1)
+    c = {1: Fraction(1, 25)}
+    with pytest.raises(ValueError, match="not admissible"):
+        phi_c_level_check(source, vec, c, phi_c_target(source, c), 5, 1)
+    with pytest.raises(ValueError, match="does not match"):
+        phi_c_level_check(source, vec, {1: Fraction(1, 5)},
+                          phi_c_target(source, {1: Fraction(2, 5)}), 5, 1)
 
 
 def test_scalars_admissible():
@@ -182,6 +188,18 @@ def test_vanishing_test_grid_guards():
         # two variables but no full tensor grid
         vanishing_test({(1, 0): Fraction(1)}, 1,
                        [(Fraction(0), Fraction(0)), (Fraction(1), Fraction(1))])
+
+
+def test_vanishing_test_finds_a_missing_point_without_the_whole_grid():
+    # ten points on the diagonal against a degree-9 grid of 10^12 points in
+    # 12 variables: the lazy walk meets the missing (0, ..., 0, 1) at once
+    samples = [(Fraction(k),) * 12 for k in range(10)]
+    start = time.perf_counter()
+    with pytest.raises(ValueError) as err:
+        vanishing_test({}, 9, samples)
+    assert time.perf_counter() - start < 1
+    first = (Fraction(0),) * 11 + (Fraction(1),)
+    assert str(err.value) == f"sample set is missing the grid point {first}"
 
 
 @pytest.mark.parametrize("p", [0, 1, 2, 4, 9, -3])

@@ -1,6 +1,7 @@
 import math
 import random
 import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -30,6 +31,37 @@ def test_vp_basic():
     assert vp(Fraction(1, 25), 5) == -2
     assert vp(Fraction(0), 5) == float("inf")
     assert vp(Fraction(3, 7), 5) == 0
+
+
+def test_vp_matches_division_one_factor_at_a_time():
+    def one_at_a_time(m, p):
+        v = 0
+        while m % p == 0:
+            m //= p
+            v += 1
+        return v
+
+    rng = random.Random(7)
+    for _ in range(2000):
+        p = rng.choice([3, 5, 7, 2 ** 61 - 1])
+        x = Fraction(rng.choice([1, -1]) * rng.randint(1, 10 ** 12)
+                     * p ** rng.randint(0, 90),
+                     rng.randint(1, 10 ** 6) * p ** rng.randint(0, 90))
+        assert vp(x, p) == (one_at_a_time(x.numerator, p)
+                            - one_at_a_time(x.denominator, p)), (x, p)
+    for e in range(200):
+        for u in (1, -1, 2, 4, 6, 24):
+            assert vp(Fraction(u * 5 ** e), 5) == e
+            assert vp(Fraction(u, 5 ** e), 5) == -e
+
+
+def test_vp_of_a_huge_power_is_quick():
+    # dividing out one factor of 5 at a time took about 10 s
+    x = Fraction(10) ** 100000
+    start = time.perf_counter()
+    assert vp(x, 5) == 100000
+    assert vp(1 / x, 5) == -100000
+    assert time.perf_counter() - start < 1
 
 
 def test_context_validation():
