@@ -33,8 +33,7 @@ EXIT_VERIFY = 1
 EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
 
-# Most homomorphism samples `phi-check` draws.
-MAX_SAMPLES = 10_000
+MAX_SAMPLES = deform.MAX_SAMPLES  # most homomorphism samples `phi-check` draws
 
 
 class _CLIError(Exception):
@@ -142,11 +141,7 @@ def _cmd_phi_check(args) -> int:
         c = {j: parse_rational(t) for j, t in zip(outside, parts)}
     except (ValueError, ZeroDivisionError) as e:
         raise _CLIError(f"bad scalar vector {args.c!r}: {e}")
-    if args.samples < 1:
-        raise ValueError("samples must be at least 1")
-    if args.samples > MAX_SAMPLES:
-        raise ValueError(f"samples must be at most {MAX_SAMPLES}, "
-                         f"got {args.samples}")
+    deform.check_samples(args.samples)
     _check_basis_budget(rs, args.depth)  # before the scalars
     if not deform.scalars_admissible(c, args.prime, args.n):
         raise ValueError(f"c is not admissible at p={args.prime}, n={args.n}")

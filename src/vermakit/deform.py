@@ -122,13 +122,25 @@ def hw_scalar_check(target: LeviInducedModule, c: dict, i: int) -> bool:
     return _clean(lhs) == _clean({hw: Fraction(c[i])})
 
 
+MAX_SAMPLES = 10_000  # most homomorphism samples the phi_c battery draws
+
+
+def check_samples(samples: int) -> None:
+    """Raise ValueError unless samples is in 1..MAX_SAMPLES."""
+    if samples < 1:
+        raise ValueError("samples must be at least 1")
+    if samples > MAX_SAMPLES:
+        raise ValueError(f"samples must be at most {MAX_SAMPLES}, got {samples}")
+
+
 def phi_c_checks(source: LeviInducedModule, c: dict, samples: int,
                  rng) -> dict[str, bool]:
     """The phi_c battery: surjectivity, the scalar identity for every
     dual-basis direction outside I, and the homomorphism identity on
-    samples.  Each sample draws from rng a generator, a label with room for
-    one more degree in the truncation and a coefficient in 1..9; the
-    samples stop at the first failure."""
+    samples, 1..MAX_SAMPLES of them.  Each sample draws from rng a
+    generator, a label with room for one more degree in the truncation and
+    a coefficient in 1..9; the samples stop at the first failure."""
+    check_samples(samples)
     target = phi_c_target(source, c)
     checks = {"surjective": phi_c_surjective(source, c, target),
               "hw_scalars": all(hw_scalar_check(target, c, j)

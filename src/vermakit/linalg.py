@@ -1,12 +1,12 @@
-"""Exact linear algebra over Fraction: echelon forms, rank, inverses, span
-coordinates, and integer lattices.
+"""Exact linear algebra over Fraction: echelon forms, rank, determinants,
+span coordinates, and integer lattices.
 
 Everything here works on lists of lists of Fractions (or ints); no floats
 anywhere.  ``rref``, a sparse row echelon elimination on Python ints, is the
-one rational kernel: ``rank``, ``det_int``, ``invert`` and
-``span_coordinates`` read it, and ``reduce_against`` reduces a vector against
-its rows.  The lattice part is the row Hermite normal form of an integer
-matrix (``hermite_form``) and membership of its row lattice (``in_lattice``).
+one rational kernel: ``rank``, ``det_int`` and ``span_coordinates`` read it,
+and ``reduce_against`` reduces a vector against its rows.  The lattice part
+is the row Hermite normal form of an integer matrix (``hermite_form``) and
+membership of its row lattice (``in_lattice``).
 """
 
 from __future__ import annotations
@@ -86,19 +86,6 @@ def reduce_against(vec: list, rows: list[dict[int, int]],
             for k, a in row.items():
                 vec[k] -= factor * a
     return vec
-
-
-def invert(rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Inverse of a square matrix over Q, whose j-th row holds the coordinates
-    of the j-th unit vector over the rows.  Raises ValueError if singular."""
-    n = len(rows)
-    if any(len(row) != n for row in rows):
-        raise ValueError("invert needs a square matrix")
-    r, coords = span_coordinates(rows, [[int(i == j) for j in range(n)]
-                                        for i in range(n)])
-    if r < n:
-        raise ValueError("matrix is singular")
-    return coords
 
 
 def det_int(rows: list[list[int]]) -> int:

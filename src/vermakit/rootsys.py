@@ -24,11 +24,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from fractions import Fraction
 
 # rank is unused here but stays bound: the benchmark's tracer self-test
 # checks that a function imported into several modules is patched in each
-from .linalg import det_int, hermite_form, in_lattice, invert, rank  # noqa: F401
+from .linalg import det_int, hermite_form, in_lattice, rank  # noqa: F401
 
 Root = tuple[int, ...]
 
@@ -194,15 +195,14 @@ class RootSystem:
         self.root_index = {r: i for i, r in enumerate(self.positive_roots)}
         negatives = [neg(r) for r in self.positive_roots]
         self.roots = self.positive_roots + negatives
-        self._root_set = set(self.roots)
         # keys[i] is the key of roots[i]; key_root inverts it, and key_index
         # maps the key of a positive root to its index in positive_roots
         positive_keys = [k for k, _, _, _ in closure]
         self.keys = positive_keys + [-k for k in positive_keys]
         self.key_root = dict(zip(self.keys, self.roots))
         self.key_index = {k: i for i, k in enumerate(positive_keys)}
-        # root -> (pairings, norm), read by simple_coroot_pairings and norm:
-        # the closure's, and for -r the negated pairings and the same norm;
+        # every root -> (pairings, norm), read by is_root, norm and
+        # simple_coroot_pairings: -r has the negated pairings, the same norm;
         # the coroots are kept as coroot_coefficients first computes them
         self._root_data: dict[Root, tuple[tuple[int, ...], int]] = {}
         for (_, r, p, n), m in zip(closure, negatives):
@@ -262,7 +262,7 @@ class RootSystem:
         return self._simple_roots[i]
 
     def is_root(self, r: Root) -> bool:
-        return r in self._root_set
+        return r in self._root_data
 
     def inner(self, beta: Root, gamma: Root) -> Fraction:
         """Symmetric bilinear form (beta, gamma), summed over the whole
@@ -383,19 +383,32 @@ def parse_type(label: str) -> RootSystem:
 
 MAX_RATIONAL_DIGITS = 4300  # the interpreter's default int-to-str limit
 _RATIONAL_BOUND = 10 ** MAX_RATIONAL_DIGITS
+_LONG_DIGIT_RUN = r"\d{%d}" % (MAX_RATIONAL_DIGITS + 1)  # compiled at first use
+
+
+def _oversized(values) -> int | None:
+    """The index of the first value with more than MAX_RATIONAL_DIGITS digits
+    above or below the line, or None; every weight check runs it."""
+    for i, x in enumerate(values):
+        if abs(x.numerator) >= _RATIONAL_BOUND or x.denominator >= _RATIONAL_BOUND:
+            return i
+    return None
 
 
 def parse_rational(text: str) -> Fraction:
     """Fraction(text), refused when its numerator or denominator would have
-    more than MAX_RATIONAL_DIGITS digits.  An exponent past that plus the
-    mantissa's length always would, so it is refused before it expands."""
+    more than MAX_RATIONAL_DIGITS digits.  A longer run of digits (underscores
+    dropped), or an exponent past that plus the mantissa's length, always
+    would, so either is refused before it is converted or expanded."""
     mantissa, _, exponent = text.upper().partition("E")
     try:
         shift = abs(int(exponent or 0))
     except ValueError:
-        shift = 0  # not an exponent: Fraction names the bad literal
-    q = Fraction(text) if shift <= MAX_RATIONAL_DIGITS + len(mantissa) else None
-    if q is None or max(abs(q.numerator), q.denominator) >= _RATIONAL_BOUND:
+        shift = 0  # not an exponent (Fraction names the bad literal) or too long
+    fits = (shift <= MAX_RATIONAL_DIGITS + len(mantissa)
+            and not re.search(_LONG_DIGIT_RUN, text.replace("_", "")))
+    q = Fraction(text) if fits else None
+    if q is None or _oversized((q,)) is not None:
         raise ValueError(f"{text.strip()!r} is too large: numerators and "
                          f"denominators have at most {MAX_RATIONAL_DIGITS} digits")
     return q
@@ -469,7 +482,11 @@ def check_subset(rs: RootSystem, subset: SimpleSubset) -> None:
 
 
 def check_weight(rs: RootSystem, lam: Weight) -> None:
-    """Raise ValueError unless lam has one coordinate per simple root of rs."""
+    """Raise ValueError unless lam has one coordinate per simple root of rs,
+    each with at most MAX_RATIONAL_DIGITS digits above and below the line."""
+    if (i := _oversized(lam.coords)) is not None:
+        raise ValueError(f"weight coordinate {i} is too large: numerators and "
+                         f"denominators have at most {MAX_RATIONAL_DIGITS} digits")
     if len(lam.coords) != rs.rank:
         raise ValueError(f"weight ({lam}) needs {rs.rank} coordinates "
                          f"(rank {rs.rank}), got {len(lam.coords)}")
@@ -503,14 +520,6 @@ def is_totally_proper(rs: RootSystem, subset: SimpleSubset) -> bool:
     Cartan matrix is connected, so this says I is not every simple root."""
     check_subset(rs, subset)
     return len(subset) < rs.rank
-
-
-def dual_h_basis(rs: RootSystem) -> list[list[Fraction]]:
-    """Matrix whose column b gives the coefficients of h^b over the simple coroots.
-
-    h^b is the Cartan element dual to the simple roots: a(h^b) = delta_{ab}.
-    """
-    return invert(rs.cartan)
 
 
 # -- closed subsystems and the good-prime test -------------------------------

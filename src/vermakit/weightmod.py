@@ -40,10 +40,10 @@ from functools import partial
 
 # rank is unused here but stays bound: the benchmark's tracer self-test
 # checks that a function imported into several modules is patched in each
-from .linalg import rank, reduce_against, rref  # noqa: F401
+from .linalg import rank, reduce_against, rref, span_coordinates  # noqa: F401
 from .rootsys import (RootSystem, SimpleSubset, Value, Weight, add,
-                      check_subset, check_weight, dot_orbit, dual_h_basis,
-                      interior, pairing, positive_subsystem, sub)
+                      check_subset, check_weight, dot_orbit, interior,
+                      pairing, positive_subsystem, sub)
 from .uea import EnvelopingAlgebra, UEAElement
 
 Vec = dict  # basis label -> Fraction
@@ -272,9 +272,6 @@ class VermaLikeModule(HighestWeightModule):
         self.basis = _enum_f_labels(alg.npos, self.allowed, self.rs.heights, depth)
         self.kind = "verma"
         self._memo: dict[tuple, dict[tuple, int]] = {}  # (R, s) -> e_R f^s v
-        # <beta_k, alpha_i^v> for the k-th positive root and simple index i
-        self._coroot_pairing = [self.rs.simple_coroot_pairings(root)
-                                for root in self.rs.positive_roots]
         # weight spaces: sorted labels per drop
         self.labels_by_drop: dict[tuple, list[tuple]] = {}
         for s in sorted(self.basis):
@@ -303,9 +300,8 @@ class VermaLikeModule(HighestWeightModule):
             if not 0 <= i < self.rs.rank:
                 raise ValueError(f"{g} is not a generator: the Cartan index "
                                  f"must be in 0..{self.rs.rank - 1}")
-            pairing = self._coroot_pairing
-            x = self.lam_num[i] - self.lam_den * sum(
-                n * pairing[k][i] for k, n in enumerate(s) if n)
+            x = (self.lam_num[i] - self.lam_den
+                 * self.rs.simple_coroot_pairings(self.label_drop(s))[i])
             return {s: x} if x and label_height(self.rs, s) <= self.depth else {}
         if kind not in ("e", "f"):
             raise ValueError(f"{g} is not a generator: its kind must be "
@@ -611,10 +607,9 @@ class LeviInducedModule(HighestWeightModule):
         self.c = None if c is None else {j: Fraction(c[j]) for j in self.outside}
         self.kind = ("levi_gvm" if c is None else "levi_gvm_scalar")
 
-        # lam evaluated on the dual Cartan basis
-        dual = dual_h_basis(rs)
-        self.lam_dual = [sum((dual[k][j] * lam.coords[k] for k in range(rs.rank)),
-                             Fraction(0)) for j in range(rs.rank)]
+        # lam(h^a), h^a dual to the simple roots: lam's coordinate on alpha_a,
+        # solved against the Cartan rows (the alpha_a on the simple coroots)
+        self.lam_dual = span_coordinates(rs.cartan, [lam.coords])[1][0]
 
         # V: the finite-dimensional simple module of J, whose lowest weight
         # lies sum_beta <lam, beta^v> below lam; cut at the depth, so that

@@ -180,6 +180,7 @@ def test_classify_refuses_a_prime_past_the_exact_bound(capsys):
 PHI_A2 = ["phi-check", "--weight", "2,1/3", "--parabolic", "0", "--c", "-3"]
 
 _TOO_LARGE = "is too large: numerators and denominators have at most 4300 digits"
+_LONG_RUN = "1" + "0" * 4300  # a run of 4,301 digits, no exponent
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -190,8 +191,11 @@ _TOO_LARGE = "is too large: numerators and denominators have at most 4300 digits
     (["character", "--weight", "1e9999999,1", "--depth", "2"],
      f"bad weight '1e9999999,1': '1e9999999' {_TOO_LARGE}"),
     (PHI_A2[:-1] + ["1e100000"],
-     f"bad scalar vector '1e100000': '1e100000' {_TOO_LARGE}")],
-    ids=["classify", "classify-1e100000", "character", "phi-check-c"])
+     f"bad scalar vector '1e100000': '1e100000' {_TOO_LARGE}"),
+    (["classify", "--weight", f"{_LONG_RUN},1/2"],
+     f"bad weight '{_LONG_RUN},1/2': '{_LONG_RUN}' {_TOO_LARGE}")],
+    ids=["classify", "classify-1e100000", "character", "phi-check-c",
+         "classify-digit-run"])
 def test_an_oversized_coordinate_exits_2_before_any_work(capsys, argv, message):
     # these ran 7.7-12 s and exited 3, or did not end in 120 s
     start = time.perf_counter()

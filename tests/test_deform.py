@@ -225,6 +225,22 @@ def test_both_admissibility_checks_refuse_a_negative_level(alg_a2, n):
         scalars_admissible({1: Fraction(1)}, 5, n)
 
 
+@pytest.mark.parametrize("samples,message", [
+    (0, "samples must be at least 1"), (-5, "samples must be at least 1"),
+    (deform.MAX_SAMPLES + 1,
+     f"samples must be at most {deform.MAX_SAMPLES}, got {deform.MAX_SAMPLES + 1}")])
+def test_phi_c_checks_refuse_a_sample_count_out_of_range_before_any_work(
+        source, monkeypatch, samples, message):
+    # with 0 or fewer samples the battery reported homomorphism: True
+    # without drawing one; only the CLI refused
+    def no_work(*args):
+        raise AssertionError("phi_c_target called")
+
+    monkeypatch.setattr(deform, "phi_c_target", no_work)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        phi_c_checks(source, {1: Fraction(-3)}, samples, random.Random(0))
+
+
 @pytest.mark.parametrize("c", [{}, {0: 1}, {1: 1, 5: 2}],
                          ids=["empty", "inside-I", "extra-index"])
 def test_scalars_not_indexed_by_the_roots_outside_i_are_refused(source, c):

@@ -5,12 +5,13 @@ from itertools import product
 import pytest
 
 from vermakit import rootsys
+from vermakit.criteria import classify_sl3
 from vermakit.rootsys import (RootSystem, SimpleSubset, Weight, add,
                               bad_primes, check_weight, dot_orbit, dot_reflect,
-                              dual_h_basis, interior, is_singular,
-                              is_totally_proper, pairing, parse_type,
-                              parse_weight, positive_subsystem,
-                              root_subsystem, sub)
+                              interior, is_singular, is_totally_proper,
+                              pairing, parse_type, parse_weight,
+                              positive_subsystem, root_subsystem, sub)
+from vermakit.weightmod import levi_gvm, simple_dims
 
 EXPECTED_POSITIVE = {"A1": 1, "A2": 3, "A3": 6, "B2": 4, "C3": 9,
                      "G2": 6, "F4": 24, "D4": 12}
@@ -37,19 +38,30 @@ def test_parse_weight_fractions():
         parse_weight(rs, "1")
 
 
+_LIMIT = rootsys.MAX_RATIONAL_DIGITS
+
+
 @pytest.mark.parametrize("text,value", [
     ("1e5", Fraction(10 ** 5)), ("-3/4", Fraction(-3, 4)), (" 2.5e-3 ", Fraction(1, 400)),
     ("1e4299", Fraction(10 ** 4299)), ("-1e-4299", Fraction(-1, 10 ** 4299)),
-    ("25e-4301", Fraction(1, 4 * 10 ** 4299)), ("0e4000", Fraction(0))])
+    ("25e-4301", Fraction(1, 4 * 10 ** 4299)), ("0e4000", Fraction(0)),
+    pytest.param("1" * _LIMIT, Fraction(int("1" * _LIMIT)), id="4300-ones"),
+    pytest.param("1" + "0" * (_LIMIT - 1), Fraction(10 ** 4299), id="4300-digits")])
 def test_parse_rational_keeps_values_within_the_digit_limit(text, value):
     assert rootsys.parse_rational(text) == value
 
 
-@pytest.mark.parametrize("text", ["1e4300", "-1e-4300", "1e9999999", "1e-9999999",
-                                  "3E100000", "0e9999999"])
+@pytest.mark.parametrize("text", [
+    "1e4300", "-1e-4300", "1e9999999", "1e-9999999", "3E100000", "0e9999999",
+    # digit runs past the limit, refused before Fraction's own int() names
+    # sys.set_int_max_str_digits() instead of the bound on coordinates
+    pytest.param("1" + "0" * _LIMIT, id="numerator-run"),
+    pytest.param("1e" + "9" * 5000, id="exponent-run"),
+    pytest.param("1/" + "1" * (_LIMIT + 1), id="denominator-run"),
+    pytest.param("1." + "0" * 4400 + "1", id="decimals-run"),
+    pytest.param("1" + "_0" * _LIMIT, id="underscored-run")])
 def test_parse_rational_refuses_past_the_digit_limit(text):
-    limit = rootsys.MAX_RATIONAL_DIGITS
-    with pytest.raises(ValueError, match=f"at most {limit} digits"):
+    with pytest.raises(ValueError, match=f"is too large: .* at most {_LIMIT} digits"):
         rootsys.parse_rational(text)
 
 
@@ -213,16 +225,6 @@ def test_subsystem_and_interior():
     assert not is_totally_proper(rs, SimpleSubset.of(0, 1, 2))
 
 
-def test_dual_h_basis_is_inverse_cartan():
-    rs = parse_type("B2")
-    dual = dual_h_basis(rs)
-    n = rs.rank
-    for a in range(n):
-        for b in range(n):
-            got = sum(rs.cartan[a][k] * dual[k][b] for k in range(n))
-            assert got == (1 if a == b else 0)
-
-
 def test_bad_primes_reference_values():
     assert bad_primes(parse_type("A1")) == {2}
     assert bad_primes(parse_type("A2")) == {2, 3}
@@ -373,6 +375,39 @@ def test_weight_of_the_wrong_rank_is_refused(query, coords):
     message = rf"needs 2 coordinates \(rank 2\), got {len(coords)}"
     with pytest.raises(ValueError, match=message):
         query(parse_type("A2"), Weight.of(*coords))
+
+
+_HUGE = Fraction(10) ** 5000
+
+
+@pytest.mark.parametrize("coords,index", [((_HUGE, Fraction(1, 2)), 0),
+                                          ((1, Fraction(1, 10 ** _LIMIT)), 1),
+                                          ((1, -_HUGE, 0), 1)],
+                         ids=["numerator", "denominator", "wrong-rank"])
+def test_check_weight_refuses_an_oversized_coordinate(coords, index):
+    message = (f"weight coordinate {index} is too large: numerators and "
+               f"denominators have at most {_LIMIT} digits")
+    with pytest.raises(ValueError, match=message):
+        check_weight(parse_type("A2"), Weight.of(*coords))
+
+
+def test_check_weight_keeps_a_coordinate_at_the_digit_limit():
+    check_weight(parse_type("A2"),
+                 Weight.of(10 ** _LIMIT - 1, Fraction(1, 10 ** (_LIMIT - 1))))
+
+
+@pytest.mark.parametrize("entry", [
+    lambda alg, lam: classify_sl3(alg, lam, 5, 0),
+    lambda alg, lam: simple_dims(alg, lam, 3),
+    lambda alg, lam: levi_gvm(alg, SimpleSubset.of(0), lam, 3)],
+    ids=["classify_sl3", "simple_dims", "levi_gvm"])
+def test_library_entries_refuse_an_oversized_weight_at_once(alg_a2, entry):
+    # classify_sl3 used to run every check and then fail formatting its
+    # report, with the interpreter's int-to-string message
+    with pytest.raises(ValueError, match="weight coordinate 0 is too large"):
+        entry(alg_a2, Weight.of(_HUGE, Fraction(1, 2)))
+    big = Fraction(10) ** (_LIMIT - 1) + Fraction(1, 2)  # 4,300 digits on top
+    assert entry(alg_a2, Weight.of(big, Fraction(1, 2))) is not None
 
 
 @pytest.mark.parametrize("index", [-1, 2])

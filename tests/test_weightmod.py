@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from vermakit.chevalley import structure_constants
+from vermakit.deform import phi_c_target
 from vermakit.linalg import rank
 from vermakit.rootsys import (SimpleSubset, Weight, dot_orbit, dot_reflect,
                               pairing, parse_type, positive_subsystem, sub)
@@ -763,6 +764,28 @@ def test_verma_basis_enumeration_matches_the_reference(label):
         assert got == reference_enum_f_labels(npos, list(range(npos)),
                                               rs.heights, depth), depth
         assert all(label_height(rs, s) <= depth for s in got)
+
+
+@pytest.mark.parametrize("label", _ALL_TYPES)
+def test_lam_dual_is_lam_on_the_dual_cartan_basis(label):
+    """lam(h^a), h^a dual to the simple roots, is lam's coordinate on
+    alpha_a, whose values on the simple coroots are row a of the Cartan
+    matrix; on the scalar-action module h^a acts by lam(h^a) - c_a.  A
+    solve against the columns instead differs wherever the Cartan matrix
+    is not symmetric."""
+    alg = _algebra(label)
+    rs = alg.rs
+    lam = Weight.of(*(Fraction((-1) ** k * (k + 1), k + 2) for k in range(rs.rank)))
+    I = SimpleSubset.of(0) if rs.rank > 1 else SimpleSubset.of()
+    source = levi_gvm(alg, I, lam, 2)
+    assert all(isinstance(x, Fraction) for x in source.lam_dual)
+    assert tuple(sum(source.lam_dual[a] * rs.cartan[a][i] for a in range(rs.rank))
+                 for i in range(rs.rank)) == lam.coords
+    c = {j: Fraction(j - 2, 3) for j in source.outside}
+    target = phi_c_target(source, c)
+    hw = target.hw_label()
+    for a in source.outside:
+        assert target.act_label(("hd", a), hw) == {hw: source.lam_dual[a] - c[a]}
 
 
 @pytest.mark.parametrize("label,J", [("A3", (0, 2)), ("B3", (1, 2)),
