@@ -23,8 +23,8 @@ from .rootsys import (SimpleSubset, Weight, bad_primes, check_subset,
 from .uea import (DeformationContext, EnvelopingAlgebra, exp_truncated,
                   iwasawa_generator_monomial, multiply, weight_components)
 from .weightmod import (MAX_BASIS_LABELS, _check_basis_budget, _check_depth,
-                        character_to_json, kostant_partition, levi_gvm,
-                        parabolic_verma, verma)
+                        _drops_within, _kostant_table, character_to_json,
+                        levi_gvm, parabolic_verma, verma)
 
 SCHEMA = 1
 
@@ -33,7 +33,7 @@ EXIT_VERIFY = 1
 EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
 
-MAX_SAMPLES = deform.MAX_SAMPLES  # most homomorphism samples `phi-check` draws
+MAX_ECHO = 80  # longest argument an error message quotes
 
 
 class _CLIError(Exception):
@@ -49,6 +49,12 @@ def _emit(report: dict, as_json: bool, lines: list[str]) -> None:
             print(line)
 
 
+def _quoted(text: str) -> str:
+    """An argument as an error message shows it: quoted, or by its length
+    when it is too long to echo."""
+    return repr(text) if len(text) <= MAX_ECHO else f"({len(text)} characters)"
+
+
 def _parse_subset(rs, text: str) -> SimpleSubset:
     text = text.strip()
     if not text:
@@ -56,12 +62,12 @@ def _parse_subset(rs, text: str) -> SimpleSubset:
     try:
         indices = [int(t) for t in text.split(",")]
     except ValueError as e:
-        raise _CLIError(f"bad simple-root subset {text!r}: {e}")
+        raise _CLIError(f"bad simple-root subset {_quoted(text)}: {e}")
     subset = SimpleSubset.of(*indices)
     try:
         check_subset(rs, subset)
     except ValueError as e:
-        raise _CLIError(f"bad simple-root subset {text!r}: {e}")
+        raise _CLIError(f"bad simple-root subset {_quoted(text)}: {e}")
     return subset
 
 
@@ -69,7 +75,7 @@ def _parse_weight_arg(rs, text: str) -> Weight:
     try:
         return parse_weight(rs, text)
     except (ValueError, ZeroDivisionError) as e:
-        raise _CLIError(f"bad weight {text!r}: {e}")
+        raise _CLIError(f"bad weight {_quoted(text)}: {e}")
 
 
 def _parse_type_arg(text: str):
@@ -138,9 +144,10 @@ def _cmd_phi_check(args) -> int:
         raise _CLIError(f"need {len(outside)} scalar(s) for c, "
                         f"got {len(parts)}")
     try:
-        c = {j: parse_rational(t) for j, t in zip(outside, parts)}
+        c = {j: parse_rational(t, f"c coordinate {j}")
+             for j, t in zip(outside, parts)}
     except (ValueError, ZeroDivisionError) as e:
-        raise _CLIError(f"bad scalar vector {args.c!r}: {e}")
+        raise _CLIError(f"bad scalar vector {_quoted(args.c)}: {e}")
     deform.check_samples(args.samples)
     _check_basis_budget(rs, args.depth)  # before the scalars
     if not deform.scalars_admissible(c, args.prime, args.n):
@@ -199,11 +206,8 @@ def _suite_verma(depth: int, rng) -> tuple[bool, str]:
     lam = Weight.of(Fraction(2, 7), Fraction(-3, 5))
     module = verma(alg, lam, depth)
     ch = module.character().as_dict()
-    memo: dict = {}
-    # each drop once, in the order of its first basis label
-    for nu in dict.fromkeys(module.label_drop(s) for s in module.basis):
-        w = lam - rs.weight_of_root(nu)
-        if ch[w] != kostant_partition(rs, nu, memo=memo):
+    for nu, count in _kostant_table(rs, _drops_within(rs.rank, depth)).items():
+        if ch.get(lam - rs.weight_of_root(nu), 0) != count:
             return False, f"multiplicity mismatch at drop {nu}"
     return True, f"Verma character matches the partition count to depth {depth}"
 

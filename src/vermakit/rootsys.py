@@ -395,11 +395,13 @@ def _oversized(values) -> int | None:
     return None
 
 
-def parse_rational(text: str) -> Fraction:
+def parse_rational(text: str, name: str = "the literal") -> Fraction:
     """Fraction(text), refused when its numerator or denominator would have
     more than MAX_RATIONAL_DIGITS digits.  A longer run of digits (underscores
     dropped), or an exponent past that plus the mantissa's length, always
-    would, so either is refused before it is converted or expanded."""
+    would, so either is refused before it is converted or expanded.  The
+    refusal names the value as name, with the literal's length, and does
+    not echo the literal."""
     mantissa, _, exponent = text.upper().partition("E")
     try:
         shift = abs(int(exponent or 0))
@@ -409,8 +411,9 @@ def parse_rational(text: str) -> Fraction:
             and not re.search(_LONG_DIGIT_RUN, text.replace("_", "")))
     q = Fraction(text) if fits else None
     if q is None or _oversized((q,)) is not None:
-        raise ValueError(f"{text.strip()!r} is too large: numerators and "
-                         f"denominators have at most {MAX_RATIONAL_DIGITS} digits")
+        raise ValueError(f"{name} ({len(text.strip())} characters) is too large: "
+                         f"numerators and denominators have at most "
+                         f"{MAX_RATIONAL_DIGITS} digits")
     return q
 
 
@@ -418,7 +421,8 @@ def parse_weight(rs: RootSystem, text: str) -> Weight:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != rs.rank:
         raise ValueError(f"weight needs {rs.rank} coordinates, got {len(parts)}")
-    return Weight(tuple(parse_rational(p) for p in parts))
+    return Weight(tuple(parse_rational(p, f"weight coordinate {i}")
+                        for i, p in enumerate(parts)))
 
 
 def pairing(rs: RootSystem, lam: Weight, alpha: Root) -> Fraction:

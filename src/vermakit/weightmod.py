@@ -33,6 +33,7 @@ lam - nu with the height of nu at most d.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from fractions import Fraction
@@ -201,11 +202,11 @@ def _enum_f_labels(npos: int, idxs: list[int], heights: list[int],
 # t-labels spend no height: it has at most N_I(d) C(d + |outside|, |outside|)
 # labels, N_I(d) the count for the Levi of I, which is at most 15,774 over
 # the 13 types within the budget (A4 or D4, I = {1, 2, 3}, depth 10).  Near
-# this size a Verma character takes about 0.1 s on a 2-vCPU x86 host, a
-# parabolic one about 0.2 s with I a proper subset (G2, I = {0}, depth 22:
-# 8,616 Verma labels) and 1.2-1.5 s with I every simple root (G2 (5,5), same
-# depth: L_I(lam) is then a quotient of the whole Verma module), and
-# `verify --suite verma` about 0.7 s end to end (A2, depth 46: 9,500 labels).
+# this size, end to end on a 2-vCPU x86 host, a Verma character takes about
+# 0.09 s, a parabolic one about 0.08 s with I a proper subset (G2, I = {0},
+# depth 22: 8,616 Verma labels) and about 0.63 s with I every simple root
+# (G2 (5,5), same depth: L_I(lam) is then a quotient of the whole Verma
+# module), and `verify --suite verma` about 0.11 s (A2, depth 46: 9,500 labels).
 MAX_BASIS_LABELS = 10_000
 
 
@@ -300,9 +301,11 @@ class VermaLikeModule(HighestWeightModule):
             if not 0 <= i < self.rs.rank:
                 raise ValueError(f"{g} is not a generator: the Cartan index "
                                  f"must be in 0..{self.rs.rank - 1}")
-            x = (self.lam_num[i] - self.lam_den
-                 * self.rs.simple_coroot_pairings(self.label_drop(s))[i])
-            return {s: x} if x and label_height(self.rs, s) <= self.depth else {}
+            rs = self.rs
+            x = self.lam_num[i] - self.lam_den * sum(
+                n * rs.simple_coroot_pairings(root)[i]
+                for n, root in zip(s, rs.positive_roots) if n)
+            return {s: x} if x and label_height(rs, s) <= self.depth else {}
         if kind not in ("e", "f"):
             raise ValueError(f"{g} is not a generator: its kind must be "
                              f"'e', 'f' or 'h'")
@@ -413,40 +416,40 @@ class QuotientModule(HighestWeightModule):
 # -- oracles -----------------------------------------------------------------
 
 
-def kostant_partition(rs: RootSystem, nu: tuple,
-                      memo: dict | None = None) -> int:
-    """Number of ways to write nu as an N0-combination of positive roots.
+def _kostant_table(rs: RootSystem, drops: list[tuple]) -> dict[tuple, int]:
+    """Kostant's partition function P(nu), the number of ways to write nu
+    as an N0-combination of positive roots, at every nu in drops: a set
+    closed under subtracting a positive root while no coordinate goes
+    negative, listed so that nu - beta comes before nu, as lexicographic
+    order does.  One pass per positive root beta, P[nu] += P[nu - beta] in
+    that order, so P[nu - beta] has already counted beta any number of
+    times."""
+    table = dict.fromkeys(drops, 0)
+    table[(0,) * rs.rank] = 1
+    for beta in rs.positive_roots:
+        for nu in drops:
+            below = table.get(sub(nu, beta))
+            if below:
+                table[nu] += below
+    return table
 
-    The memo's keys do not depend on nu: calls on one root system may
-    share one dict."""
+
+def kostant_partition(rs: RootSystem, nu: tuple) -> int:
+    """Number of ways to write nu as an N0-combination of positive roots:
+    0 for nu with a negative coordinate, else read from the Kostant table
+    filled over the box of drops below nu, which is refused past
+    MAX_BASIS_LABELS entries."""
     if len(nu) != rs.rank:
         raise ValueError(f"nu {tuple(nu)} needs {rs.rank} coordinates "
                          f"(rank {rs.rank}), got {len(nu)}")
-    size = math.prod(n + 1 for n in nu)  # memo keys (pos, rem <= nu)
-    if min(nu) >= 0 and size > MAX_BASIS_LABELS:
+    if min(nu) < 0:
+        return 0
+    size = math.prod(n + 1 for n in nu)  # the box's entries
+    if size > MAX_BASIS_LABELS:
         raise ValueError(f"nu {tuple(nu)} has {size} remainders below it, "
                          f"over the budget of {MAX_BASIS_LABELS}")
-    roots = rs.positive_roots
-    memo = {} if memo is None else memo
-
-    def rec(pos: int, rem: tuple) -> int:
-        if not any(rem):
-            return 1
-        if pos == len(roots) or min(rem) < 0:
-            return 0
-        key = (pos, rem)
-        if key in memo:
-            return memo[key]
-        root = roots[pos]
-        total = 0
-        cur = rem
-        while min(cur) >= 0:
-            total += rec(pos + 1, cur)
-            cur = tuple(a - b for a, b in zip(cur, root))
-        memo[key] = total
-        return total
-
-    return rec(0, tuple(nu))
+    box = list(itertools.product(*(range(n + 1) for n in nu)))  # lexicographic
+    return _kostant_table(rs, box)[tuple(nu)]
 
 
 def weyl_dim(rs: RootSystem, lam: Weight) -> int:
@@ -477,24 +480,22 @@ def _drops_within(rank: int, depth: int) -> list[tuple]:
 
 
 def _induced_character_check(module: LeviInducedModule) -> None:
-    """At every drop within the depth, the character must be the signed
-    sum of Kostant partitions over the dot orbit of lam under the inner
-    subset J: ch M_J(lam) = sum_{w in W_J} (-1)^l(w) ch M(w.lam).  This
-    checks the quotient V and the free f-part without building a module."""
+    """At every drop within the depth, the number of basis labels must be
+    the signed sum of Kostant partitions over the dot orbit of lam under the
+    inner subset J: ch M_J(lam) = sum_{w in W_J} (-1)^l(w) ch M(w.lam).
+    This checks the quotient V and the free f-part without building a
+    module; every count is read from one Kostant table."""
     rs = module.rs
     orbit = dot_orbit(rs, module.lam, module.inner).items()
-    got = module.character().as_dict()
-    memo: dict[tuple, int] = {}
-    for drop in _drops_within(rs.rank, module.depth):
-        expect = 0
-        for shift, sign in orbit:
-            rem = sub(drop, shift)
-            if min(rem) >= 0:
-                expect += sign * kostant_partition(rs, rem, memo)
-        w = module.lam - rs.weight_of_root(drop)
-        if got.get(w, 0) != expect:
+    drops = _drops_within(rs.rank, module.depth)
+    partitions = _kostant_table(rs, drops)
+    counts = Counter(map(module.label_drop, module.basis))
+    for drop in drops:
+        expect = sum(sign * partitions.get(sub(drop, shift), 0)
+                     for shift, sign in orbit)
+        if counts[drop] != expect:
             raise RuntimeError(f"induced-basis count mismatch at drop {drop}: "
-                               f"{got.get(w, 0)} != {expect}")
+                               f"{counts[drop]} != {expect}")
 
 
 # -- contravariant form and simple quotients -----------------------------------

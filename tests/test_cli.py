@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from vermakit import cli
+from vermakit import cli, deform
 from vermakit.chevalley import structure_constants
 from vermakit.cli import main
 from vermakit.rootsys import Weight, parse_type
@@ -185,15 +185,16 @@ _LONG_RUN = "1" + "0" * 4300  # a run of 4,301 digits, no exponent
 
 @pytest.mark.parametrize("argv,message", [
     (["classify", "--weight", "1e9999999,1/2"],
-     f"bad weight '1e9999999,1/2': '1e9999999' {_TOO_LARGE}"),
+     f"bad weight '1e9999999,1/2': weight coordinate 0 (9 characters) {_TOO_LARGE}"),
     (["classify", "--weight", "1e100000,1/2"],
-     f"bad weight '1e100000,1/2': '1e100000' {_TOO_LARGE}"),
+     f"bad weight '1e100000,1/2': weight coordinate 0 (8 characters) {_TOO_LARGE}"),
     (["character", "--weight", "1e9999999,1", "--depth", "2"],
-     f"bad weight '1e9999999,1': '1e9999999' {_TOO_LARGE}"),
+     f"bad weight '1e9999999,1': weight coordinate 0 (9 characters) {_TOO_LARGE}"),
     (PHI_A2[:-1] + ["1e100000"],
-     f"bad scalar vector '1e100000': '1e100000' {_TOO_LARGE}"),
+     f"bad scalar vector '1e100000': c coordinate 1 (8 characters) {_TOO_LARGE}"),
     (["classify", "--weight", f"{_LONG_RUN},1/2"],
-     f"bad weight '{_LONG_RUN},1/2': '{_LONG_RUN}' {_TOO_LARGE}")],
+     f"bad weight (4305 characters): weight coordinate 0 (4301 characters) "
+     f"{_TOO_LARGE}")],
     ids=["classify", "classify-1e100000", "character", "phi-check-c",
          "classify-digit-run"])
 def test_an_oversized_coordinate_exits_2_before_any_work(capsys, argv, message):
@@ -202,6 +203,18 @@ def test_an_oversized_coordinate_exits_2_before_any_work(capsys, argv, message):
     status, out, err = run(capsys, *argv)
     assert time.perf_counter() - start < 1
     assert (status, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--weight", "1/2," + "7" * 100_000],
+    ["character", "--weight", "1" * 100_000 + ",1", "--parabolic", "0"],
+    PHI_A2[:-1] + ["1/" + "3" * 100_000]], ids=["classify", "character", "phi-check-c"])
+def test_a_100000_digit_coordinate_is_named_not_echoed(capsys, argv):
+    # the literal was echoed twice: by parse_rational and by the CLI
+    status, out, err = run(capsys, *argv)
+    assert (status, out) == (2, "")
+    assert len(err.encode()) < 300
+    assert "coordinate" in err and "characters) is too large" in err
 
 
 def test_a_coordinate_within_the_digit_limit_keeps_its_output(capsys):
@@ -276,12 +289,12 @@ def test_phi_check_refuses_samples_over_the_bound_before_any_work():
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
         [sys.executable, "-m", "vermakit.cli", *PHI_A2, "--samples",
-         str(cli.MAX_SAMPLES + 1)],
+         str(deform.MAX_SAMPLES + 1)],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=10)
     assert proc.returncode == 3
     assert proc.stdout == ""
-    assert (f"samples must be at most {cli.MAX_SAMPLES}, "
-            f"got {cli.MAX_SAMPLES + 1}") in proc.stderr
+    assert (f"samples must be at most {deform.MAX_SAMPLES}, "
+            f"got {deform.MAX_SAMPLES + 1}") in proc.stderr
 
 
 @pytest.mark.parametrize("argv", [

@@ -12,7 +12,7 @@ from vermakit.rootsys import (SimpleSubset, Weight, dot_orbit, dot_reflect,
 from vermakit.uea import EnvelopingAlgebra
 from vermakit.weightmod import (Character, LeviInducedModule, QuotientModule,
                                 VermaLikeModule, _drops_within, _enum_f_labels,
-                                _induced_character_check,
+                                _induced_character_check, _kostant_table,
                                 character_to_json, kostant_partition,
                                 label_height, levi_gvm, module_to_json,
                                 parabolic_verma, shapovalov_gram, simple_dims,
@@ -234,14 +234,15 @@ def test_simple_dims_at_dominant_weights_are_signed_kostant_sums(label, depth):
     Kostant's form), with no Gram matrix."""
     alg = _algebra(label)
     rs = alg.rs
-    memo: dict[tuple, int] = {}
+    drops = _drops_within(rs.rank, depth)
+    partitions = _kostant_table(rs, drops)
     for coords in (_DOMINANT, (0, 0, 0, 0)):
         lam = Weight.of(*coords[:rs.rank])
         got = simple_dims(alg, lam, depth).as_dict()
         orbit = dot_orbit(rs, lam).items()
-        for nu in _drops_within(rs.rank, depth):
-            want = sum(sign * kostant_partition(rs, rem, memo)
-                       for shift, sign in orbit if min(rem := sub(nu, shift)) >= 0)
+        for nu in drops:
+            want = sum(sign * partitions.get(sub(nu, shift), 0)
+                       for shift, sign in orbit)
             assert got.get(lam - rs.weight_of_root(nu), 0) == want, (coords, nu)
 
 
@@ -606,11 +607,45 @@ def test_incremental_translates_match_whole_words(request, fraction_rref,
         assert module.project({s: Fraction(1)}) == want, s
 
 
-def test_shared_kostant_memo_gives_the_same_counts(alg_g2):
-    rs = alg_g2.rs
-    memo = {}
-    for nu in [(a, b) for a in range(6) for b in range(6)]:
-        assert kostant_partition(rs, nu, memo) == kostant_partition(rs, nu), nu
+@pytest.mark.parametrize("label", _TYPE_DEPTHS)
+def test_verma_h_scalar_is_lam_less_the_drop_on_every_label(label):
+    # h_i f^s v = (lam_i - <drop(s), alpha_i^v>) f^s v, the drop summed in full
+    alg = _algebra(label)
+    rs = alg.rs
+    lam = Weight.of(*_KIND_WEIGHTS[0][:rs.rank])
+    module = verma(alg, lam, 4)
+    for s in module.basis:
+        pairings = rs.simple_coroot_pairings(module.label_drop(s))
+        for i in range(rs.rank):
+            want = lam.coords[i] - pairings[i]
+            assert module.act_label(("h", i), s) == ({s: want} if want else {})
+
+
+@pytest.mark.parametrize("label,depth", _TYPE_DEPTHS.items())
+def test_kostant_table_counts_the_verma_labels_of_each_drop(label, depth):
+    # a Verma label of f-exponents is one partition of its drop into
+    # positive roots, and _enum_f_labels lists the labels with no table
+    rs = parse_type(label)
+    npos = len(rs.positive_roots)
+    counts = {}
+    for s in _enum_f_labels(npos, list(range(npos)), rs.heights, depth):
+        drop = tuple(sum(k * root[j] for k, root in zip(s, rs.positive_roots))
+                     for j in range(rs.rank))
+        counts[drop] = counts.get(drop, 0) + 1
+    table = _kostant_table(rs, _drops_within(rs.rank, depth))
+    assert table == counts
+    # the box below nu is another set the table is filled on
+    for nu in _drops_within(rs.rank, min(depth, 4)):
+        assert kostant_partition(rs, nu) == table[nu], nu
+
+
+def test_kostant_table_hand_values():
+    a2 = _kostant_table(parse_type("A2"), _drops_within(2, 4))
+    # (2, 2): a1+a1+a2+a2, a1+a2+(a1+a2), (a1+a2)+(a1+a2)
+    assert [a2[nu] for nu in [(0, 0), (1, 0), (1, 1), (2, 1), (2, 2)]] == [1, 1, 2, 2, 3]
+    # G2: positive roots a1, a2, a1+a2, 2a1+a2, 3a1+a2, 3a1+2a2
+    g2 = _kostant_table(parse_type("G2"), _drops_within(2, 5))
+    assert [g2[nu] for nu in [(2, 0), (2, 1), (3, 1), (3, 2)]] == [1, 3, 4, 7]
 
 
 @pytest.mark.parametrize("index", [-1, 5])

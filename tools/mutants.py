@@ -59,6 +59,12 @@ MUTANTS = {
         "if (i := _oversized(lam.coords)) is not None:",
         "if (i := None) is not None:",
         ["tests/test_rootsys.py::test_check_weight_refuses_an_oversized_coordinate"]),
+    "kostant-table-counts-each-root-once": (
+        "weightmod.py",
+        "for nu in drops:",
+        "for nu in reversed(drops):",
+        ["tests/test_weightmod.py::"
+         "test_kostant_table_counts_the_verma_labels_of_each_drop"]),
     "phi-c-checks-take-zero-samples": (
         "deform.py",
         "if samples < 1:",
