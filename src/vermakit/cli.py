@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from . import criteria, deform, reflect_identities
 from .chevalley import structure_constants, verify_chevalley
-from .rootsys import (SimpleSubset, Weight, bad_primes, check_subset,
+from .rootsys import (SimpleSubset, Weight, _quoted, bad_primes, check_subset,
                       dot_orbit, parse_rational, parse_type, parse_weight)
 from .uea import (DeformationContext, EnvelopingAlgebra, exp_truncated,
                   iwasawa_generator_monomial, multiply, weight_components)
@@ -32,8 +32,6 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
-
-MAX_ECHO = 80  # longest argument an error message quotes
 
 
 class _CLIError(Exception):
@@ -49,10 +47,14 @@ def _emit(report: dict, as_json: bool, lines: list[str]) -> None:
             print(line)
 
 
-def _quoted(text: str) -> str:
-    """An argument as an error message shows it: quoted, or by its length
-    when it is too long to echo."""
-    return repr(text) if len(text) <= MAX_ECHO else f"({len(text)} characters)"
+def _int(text: str) -> int:
+    """An integer option: an invalid value is quoted as argparse quotes it,
+    or named by its length when it is too long to echo."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {_quoted(text)}") from None
 
 
 def _parse_subset(rs, text: str) -> SimpleSubset:
@@ -60,11 +62,7 @@ def _parse_subset(rs, text: str) -> SimpleSubset:
     if not text:
         return SimpleSubset.of()
     try:
-        indices = [int(t) for t in text.split(",")]
-    except ValueError as e:
-        raise _CLIError(f"bad simple-root subset {_quoted(text)}: {e}")
-    subset = SimpleSubset.of(*indices)
-    try:
+        subset = SimpleSubset.of(*(int(t) for t in text.split(",")))
         check_subset(rs, subset)
     except ValueError as e:
         raise _CLIError(f"bad simple-root subset {_quoted(text)}: {e}")
@@ -360,9 +358,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="case report for an sl3 weight")
     common(p)
-    p.add_argument("--prime", type=int, default=5)
-    p.add_argument("--n", type=int, default=0)
-    p.add_argument("--depth", type=int, default=4,
+    p.add_argument("--prime", type=_int, default=5)
+    p.add_argument("--n", type=_int, default=0)
+    p.add_argument("--depth", type=_int, default=4,
                    help=f"character-check depth for integral-case "
                         f"certificates; refused when the Verma basis has "
                         f"more than {MAX_BASIS_LABELS} labels")
@@ -370,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("character", help="highest-weight character table")
     common(p)
-    p.add_argument("--depth", type=int, default=5,
+    p.add_argument("--depth", type=_int, default=5,
                    help=f"truncation height; refused when the Verma basis "
                         f"has more than {MAX_BASIS_LABELS} labels")
     p.add_argument("--parabolic", default="",
@@ -384,10 +382,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run property suites")
     p.add_argument("--suite", default="all",
                    choices=["all"] + sorted(_SUITES))
-    p.add_argument("--depth", type=int, default=5,
+    p.add_argument("--depth", type=_int, default=5,
                    help=f"suite depth; refused when the A2 Verma basis has "
                         f"more than {MAX_BASIS_LABELS} labels")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int, default=0)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_verify)
 
@@ -397,13 +395,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--parabolic", required=True)
     p.add_argument("--c", required=True,
                    help="comma-separated scalars for the outside directions")
-    p.add_argument("--prime", type=int, default=5)
-    p.add_argument("--n", type=int, default=0)
-    p.add_argument("--depth", type=int, default=3,
+    p.add_argument("--prime", type=_int, default=5)
+    p.add_argument("--n", type=_int, default=0)
+    p.add_argument("--depth", type=_int, default=3,
                    help=f"truncation height; refused when the Verma basis "
                         f"has more than {MAX_BASIS_LABELS} labels")
-    p.add_argument("--samples", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=_int, default=20)
+    p.add_argument("--seed", type=_int, default=0)
     p.set_defaults(func=_cmd_phi_check)
 
     return parser

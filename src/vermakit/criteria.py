@@ -6,7 +6,8 @@ with <lam+rho, beta^v> a positive integer, for a root gamma in the span
 of the parabolic roots and beta with <lam+rho, gamma^v> = 0 whose
 beta-reflection lands back in the parabolic roots.  Condition (**) is the
 stronger statement that no such beta exists at all.  Both are sufficient
-for irreducibility; neither ever certifies reducibility.
+for irreducibility; neither ever certifies reducibility.  (*), (**) and
+``compute_A`` read one table of lam's pairings, ``rootsys.shifted_pairings``.
 
 The classifier walks the sl3 proof tree once for every case: while the
 terminal test of the weight's case fails, it dot-reflects in simple root 0
@@ -28,8 +29,8 @@ from .deform import weight_admissible
 from .linalg import rank  # noqa: F401
 from .rootsys import (Record, Root, RootSystem, SimpleSubset, Weight,
                       bad_primes, check_subset, check_weight, dot_reflect,
-                      interior, is_singular, neg, pairing, positive_subsystem,
-                      root_subsystem)
+                      interior, is_singular, positive_subsystem,
+                      root_subsystem, shifted_pairings)
 from .uea import EnvelopingAlgebra, check_odd_prime
 from .weightmod import (_check_depth, _check_dominant_on, _drops_within,
                         parabolic_verma, simple_dims)
@@ -46,43 +47,34 @@ def _in_n0(q: Fraction) -> bool:
 def psi_plus(rs: RootSystem, I: SimpleSubset, lam: Weight) -> set[Root]:
     """Positive roots outside the parabolic whose rho-shifted pairing with
     lam is a positive integer."""
-    check_weight(rs, lam)
-    return _psi_plus(rs, root_subsystem(rs, I), lam + rs.rho(), rs.positive_roots)
+    return _psi_plus(shifted_pairings(rs, lam), root_subsystem(rs, I))
 
 
-def _psi_plus(rs: RootSystem, levi: set[Root], shifted: Weight,
-              phi_pos: list[Root]) -> set[Root]:
-    """psi_plus from the Levi roots and shifted = lam + rho."""
-    return {beta for beta in phi_pos
-            if beta not in levi
-            and _is_positive_integer(pairing(rs, shifted, beta))}
+def _psi_plus(pairings: dict[Root, Fraction], levi: set[Root]) -> set[Root]:
+    """psi_plus over the roots of a shifted_pairings table."""
+    return {beta for beta, q in pairings.items()
+            if beta not in levi and _is_positive_integer(q)}
 
 
 def condition_star(rs: RootSystem, I: SimpleSubset, lam: Weight,
                    phi_pos: list[Root] | None = None
                    ) -> tuple[bool, dict[Root, Root]]:
     """Returns (holds, witness per offending root).  The optional positive
-    roots restrict the search to a sub-root-system."""
-    check_weight(rs, lam)
+    roots restrict the search to a sub-root-system.  The witnesses gamma
+    are positive: -gamma passes each test exactly when gamma does."""
+    pairings = shifted_pairings(rs, lam)
     check_subset(rs, I)
     _check_dominant_on(rs, lam, I)
-    phi_pos = rs.positive_roots if phi_pos is None else phi_pos
+    if phi_pos is not None:
+        pairings = {beta: pairings[beta] for beta in phi_pos}
     levi = root_subsystem(rs, I)
     outside = [j for j in range(rs.rank) if j not in I]
-    shifted = lam + rs.rho()
-    phi_all = phi_pos + [neg(r) for r in phi_pos]
     witnesses: dict[Root, Root] = {}
-    for beta in sorted(_psi_plus(rs, levi, shifted, phi_pos)):
-        found = None
-        for gamma in phi_all:
-            if (not _in_levi_span(beta, gamma, outside)
-                    or pairing(rs, shifted, gamma) != 0):
-                continue
-            refl = tuple(g - rs.root_pairing(gamma, beta) * b
-                         for g, b in zip(gamma, beta))
-            if refl in levi:
-                found = gamma
-                break
+    for beta in sorted(_psi_plus(pairings, levi)):
+        found = next((gamma for gamma, q in pairings.items()
+                      if q == 0 and _in_levi_span(beta, gamma, outside)
+                      and tuple(g - rs.root_pairing(gamma, beta) * b
+                                for g, b in zip(gamma, beta)) in levi), None)
         if found is None:
             return False, witnesses
         witnesses[beta] = found
@@ -103,15 +95,11 @@ def condition_star_star(rs: RootSystem, I: SimpleSubset, lam: Weight) -> bool:
 
 def compute_A(rs: RootSystem, I: SimpleSubset, lam: Weight) -> int:
     """Minimal positive integer A with <lam+rho, a^v> - A never a positive
-    integer, over all roots a of the parabolic subsystem."""
-    check_weight(rs, lam)
-    shifted = lam + rs.rho()
-    best = 1
-    for alpha in root_subsystem(rs, I):
-        q = pairing(rs, shifted, alpha)
-        if q.denominator == 1 and q > best:
-            best = int(q)
-    return best
+    integer, over all roots a of the parabolic subsystem (both signs, so
+    the absolute value of each positive root's pairing)."""
+    pairings = shifted_pairings(rs, lam)
+    return max([1] + [int(abs(pairings[a])) for a in positive_subsystem(rs, I)
+                      if pairings[a].denominator == 1])
 
 
 def good_prime(p: int, rs: RootSystem) -> bool:
@@ -128,10 +116,8 @@ def gvm_region_irreducible(rs: RootSystem, I: SimpleSubset, lam: Weight,
     """Irreducibility of the interior generalised Verma module at
     lam - sum c_j a_j, certified by condition (*) inside the Levi
     subsystem.  Requires integer c_j <= -A."""
-    check_weight(rs, lam)
-    check_subset(rs, I)
+    A = compute_A(rs, I, lam)  # checks lam, then I
     _check_dominant_on(rs, lam, I)
-    A = compute_A(rs, I, lam)
     outside = [j for j in range(rs.rank) if j not in I]
     if set(c) != set(outside):
         raise ValueError("c must be indexed by the simple roots outside I")

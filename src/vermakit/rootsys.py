@@ -9,10 +9,10 @@ ints, weights are Fractions.
 its simple-coroot pairings (those of beta + alpha_i are beta's plus row i of
 the Cartan matrix), its norm (alpha, alpha) and, when first asked for, its
 coroot.  ``simple_coroot_pairings``, ``norm``, ``coroot_coefficients``,
-``weight_of_root`` and ``pairing`` read these tables for roots; the general
-formulas stay for other vectors, such as the zero vector or a dot-orbit drop.
-``inner`` and ``root_pairing`` stay a separate ``Fraction`` path over the
-symmetrised Cartan matrix.
+``weight_of_root`` and ``shifted_pairings`` read these tables for roots;
+the general formulas stay for other vectors, such as the zero vector or a
+dot-orbit drop.  ``inner`` and ``root_pairing`` stay a separate
+``Fraction`` path over the symmetrised Cartan matrix.
 
 Each root also has one packed integer key, ``RootSystem.key``: sum_i r_i B^i,
 linear in the root and one to one on sums of up to three roots, so a root
@@ -377,13 +377,20 @@ def parse_type(label: str) -> RootSystem:
     """Parse a label like 'A2' or 'G2' into a root system."""
     label = label.strip()
     if len(label) < 2 or not label[0].isalpha() or not label[1:].isdigit():
-        raise ValueError(f"bad root system label {label!r}")
+        raise ValueError(f"bad root system label {_quoted(label)}")
     return RootSystem(label[0].upper(), int(label[1:]))
 
 
 MAX_RATIONAL_DIGITS = 4300  # the interpreter's default int-to-str limit
 _RATIONAL_BOUND = 10 ** MAX_RATIONAL_DIGITS
 _LONG_DIGIT_RUN = r"\d{%d}" % (MAX_RATIONAL_DIGITS + 1)  # compiled at first use
+MAX_ECHO = 80  # longest literal an error message quotes
+
+
+def _quoted(text: str) -> str:
+    """A literal as an error message shows it: quoted, or by its length
+    when it is too long to echo."""
+    return repr(text) if len(text) <= MAX_ECHO else f"({len(text)} characters)"
 
 
 def _oversized(values) -> int | None:
@@ -399,9 +406,9 @@ def parse_rational(text: str, name: str = "the literal") -> Fraction:
     """Fraction(text), refused when its numerator or denominator would have
     more than MAX_RATIONAL_DIGITS digits.  A longer run of digits (underscores
     dropped), or an exponent past that plus the mantissa's length, always
-    would, so either is refused before it is converted or expanded.  The
-    refusal names the value as name, with the literal's length, and does
-    not echo the literal."""
+    would, so either is refused before it is converted or expanded.  This
+    refusal, and that of an invalid literal over MAX_ECHO characters, names
+    the value as name with the literal's length instead of echoing it."""
     mantissa, _, exponent = text.upper().partition("E")
     try:
         shift = abs(int(exponent or 0))
@@ -409,7 +416,13 @@ def parse_rational(text: str, name: str = "the literal") -> Fraction:
         shift = 0  # not an exponent (Fraction names the bad literal) or too long
     fits = (shift <= MAX_RATIONAL_DIGITS + len(mantissa)
             and not re.search(_LONG_DIGIT_RUN, text.replace("_", "")))
-    q = Fraction(text) if fits else None
+    try:
+        q = Fraction(text) if fits else None
+    except ValueError:
+        if len(text) <= MAX_ECHO:
+            raise  # Fraction's message quotes the literal
+        raise ValueError(f"{name} ({len(text)} characters) is not a rational "
+                         f"literal") from None
     if q is None or _oversized((q,)) is not None:
         raise ValueError(f"{name} ({len(text.strip())} characters) is too large: "
                          f"numerators and denominators have at most "
@@ -425,11 +438,14 @@ def parse_weight(rs: RootSystem, text: str) -> Weight:
                         for i, p in enumerate(parts)))
 
 
-def pairing(rs: RootSystem, lam: Weight, alpha: Root) -> Fraction:
-    """<lam, alpha^v> for any root alpha."""
+def shifted_pairings(rs: RootSystem, lam: Weight) -> dict[Root, Fraction]:
+    """{beta: <lam + rho, beta^v>} over the positive roots, from the coroot
+    table; lam is checked first, since a sum of weights zips coordinates."""
     check_weight(rs, lam)
-    coeffs = rs.coroot_coefficients(alpha)
-    return sum((c * x for c, x in zip(coeffs, lam.coords)), Fraction(0))
+    shifted = [x + 1 for x in lam.coords]  # <lam + rho, a_i^v>
+    return {beta: sum((c * x for c, x in zip(rs.coroot_coefficients(beta),
+                                             shifted)), Fraction(0))
+            for beta in rs.positive_roots}
 
 
 def dot_reflect(rs: RootSystem, i: int, lam: Weight) -> Weight:
@@ -472,9 +488,7 @@ def dot_orbit(rs: RootSystem, lam: Weight,
 
 
 def is_singular(rs: RootSystem, lam: Weight) -> bool:
-    check_weight(rs, lam)
-    shifted = lam + rs.rho()
-    return any(pairing(rs, shifted, a) == 0 for a in rs.positive_roots)
+    return 0 in shifted_pairings(rs, lam).values()
 
 
 def check_subset(rs: RootSystem, subset: SimpleSubset) -> None:

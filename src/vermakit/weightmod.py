@@ -44,7 +44,7 @@ from functools import partial
 from .linalg import rank, reduce_against, rref, span_coordinates  # noqa: F401
 from .rootsys import (RootSystem, SimpleSubset, Value, Weight, add,
                       check_subset, check_weight, dot_orbit, interior,
-                      pairing, positive_subsystem, sub)
+                      positive_subsystem, shifted_pairings, sub)
 from .uea import EnvelopingAlgebra, UEAElement
 
 Vec = dict  # basis label -> Fraction
@@ -454,13 +454,11 @@ def kostant_partition(rs: RootSystem, nu: tuple) -> int:
 
 def weyl_dim(rs: RootSystem, lam: Weight) -> int:
     """Finite-dimensional simple dimension by the product formula."""
-    check_weight(rs, lam)
+    shifted = shifted_pairings(rs, lam)
     if not lam.is_dominant_integral():
         raise ValueError("weyl_dim needs a dominant integral weight")
-    num = Fraction(1)
-    rho = rs.rho()
-    for alpha in rs.positive_roots:
-        num *= pairing(rs, lam + rho, alpha) / pairing(rs, rho, alpha)
+    rho = shifted_pairings(rs, Weight.of(*[0] * rs.rank))  # <rho, alpha^v>
+    num = math.prod(q / rho[alpha] for alpha, q in shifted.items())
     if num.denominator != 1:
         raise RuntimeError(f"Weyl product {num} at {lam} is not an integer")
     return int(num)
@@ -615,7 +613,9 @@ class LeviInducedModule(HighestWeightModule):
         # V: the finite-dimensional simple module of J, whose lowest weight
         # lies sum_beta <lam, beta^v> below lam; cut at the depth, so that
         # no action leaves the basis.  V refuses lam not dominant integral on J.
-        v_depth = sum(int(pairing(rs, lam, r)) for r in io_roots)
+        shifted = shifted_pairings(rs, lam)
+        rho = shifted_pairings(rs, Weight.of(*[0] * rs.rank))  # <rho, beta^v>
+        v_depth = sum(int(shifted[r] - rho[r]) for r in io_roots)
         self.V = QuotientModule(
             VermaLikeModule(alg, lam, max(min(v_depth, depth), 1), self.inner),
             self.inner)

@@ -217,6 +217,30 @@ def test_a_100000_digit_coordinate_is_named_not_echoed(capsys, argv):
     assert "coordinate" in err and "characters) is too large" in err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["classify", "--weight", "x" * 100_000 + ",1/2"],
+     "weight coordinate 0 (100000 characters) is not a rational literal"),
+    (["classify", "--weight", "1/2,-1", "--depth", "9" * 5_000],
+     "argument --depth: invalid int value: (5000 characters)"),
+    (["classify", "--type", "Q" * 50_000, "--weight", "1,1"],
+     "error: bad root system label (50000 characters)"),
+    (["classify", "--weight", "x,1/2"],
+     "error: bad weight 'x,1/2': Invalid literal for Fraction: 'x'"),
+    (["classify", "--weight", "1/2,-1", "--depth", "abc"],
+     "argument --depth: invalid int value: 'abc'"),
+    (["classify", "--type", "QQ", "--weight", "1,1"],
+     "error: bad root system label 'QQ'")],
+    ids=["invalid-literal", "int-option", "type-label",
+         "short-invalid-literal", "short-int-option", "short-type-label"])
+def test_an_invalid_argument_is_quoted_only_when_short(capsys, argv, message):
+    # the long ones wrote 100,072, 5,200 and 50,032 bytes: Fraction,
+    # argparse and parse_type quoted the whole literal
+    status, out, err = run(capsys, *argv)
+    assert (status, out) == (2, "")
+    assert len(err.encode()) < 1000
+    assert err.endswith(f"{message}\n")
+
+
 def test_a_coordinate_within_the_digit_limit_keeps_its_output(capsys):
     status, out, _ = run(capsys, "classify", "--weight", "1e4000,1/2", "--json")
     assert status == 0

@@ -77,6 +77,10 @@ def test_compute_A_values(rs_a2):
     assert compute_A(rs_a2, SimpleSubset.of(0), Weight.of(2, 5)) == 3
     assert compute_A(parse_type("A1"), SimpleSubset.of(0), Weight.of(0)) == 1
     assert compute_A(rs_a2, SimpleSubset.of(0), Weight.of(Fraction(1, 2), 0)) == 1
+    # not dominant on I: the negative roots of the parabolic set A
+    assert compute_A(rs_a2, SimpleSubset.of(0), Weight.of(-7, 0)) == 6
+    assert compute_A(rs_a2, SimpleSubset.of(0, 1), Weight.of(-3, -4)) == 5
+    assert compute_A(parse_type("B2"), SimpleSubset.of(0, 1), Weight.of(-5, 1)) == 6
 
 
 def test_gvm_region_accepts_and_rejects(rs_a2):

@@ -9,8 +9,8 @@ from vermakit.criteria import classify_sl3
 from vermakit.rootsys import (RootSystem, SimpleSubset, Weight, add,
                               bad_primes, check_weight, dot_orbit, dot_reflect,
                               interior, is_singular, is_totally_proper,
-                              pairing, parse_type, parse_weight,
-                              positive_subsystem, root_subsystem, sub)
+                              parse_type, parse_weight, positive_subsystem,
+                              root_subsystem, shifted_pairings, sub)
 from vermakit.weightmod import levi_gvm, simple_dims
 
 EXPECTED_POSITIVE = {"A1": 1, "A2": 3, "A3": 6, "B2": 4, "C3": 9,
@@ -147,12 +147,28 @@ def test_coroot_coefficients_match_the_symmetric_form(label):
 
 
 def test_pairing_against_cartan_matrix():
-    rs = parse_type("B2")
-    for i in range(2):
-        alpha = tuple(int(i == j) for j in range(2))
-        for k in range(2):
-            fw = Weight.of(*(int(k == j) for j in range(2)))
-            assert pairing(rs, fw, alpha) == (1 if i == k else 0)
+    # <lam + rho, beta^v> = 2 (lam + rho, beta) / (beta, beta), where
+    # (lam + rho, beta) = sum_i (lam_i + 1) d_i beta_i and (beta, beta) comes
+    # from the symmetrised Cartan matrix, not from the coroot table
+    rng = random.Random(11)
+    for label in _ALL_TYPES:
+        rs = parse_type(label)
+        weights = [Weight.of(*(int(k == j) - 1 for j in range(rs.rank)))
+                   for k in range(rs.rank)]  # fundamental weights less rho
+        weights += [Weight.of(*(Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                                for _ in range(rs.rank))) for _ in range(5)]
+        for lam in weights:
+            got = shifted_pairings(rs, lam)
+            assert list(got) == rs.positive_roots, label
+            for beta, q in got.items():
+                dot = sum((x + 1) * d * b for x, d, b in
+                          zip(lam.coords, rs.symmetrizer, beta))
+                assert q == 2 * dot / rs.inner(beta, beta), (label, lam, beta)
+                assert type(q) is Fraction
+        for k in range(rs.rank):  # <omega_k, a_i^v> = delta_ik
+            got = shifted_pairings(rs, weights[k])
+            assert [got[rs.simple_root(i)] for i in range(rs.rank)] == [
+                int(i == k) for i in range(rs.rank)], label
 
 
 def test_root_pairing_integrality():
@@ -369,9 +385,9 @@ def test_subset_index_outside_the_rank_is_refused(index):
                      lam.is_integral()),
     dot_orbit,
     lambda rs, lam: dot_reflect(rs, 0, lam),
-    lambda rs, lam: pairing(rs, lam, (1, 1))],
+    shifted_pairings],
     ids=["check_weight", "is_singular", "classify_weight", "dot_orbit",
-         "dot_reflect", "pairing"])
+         "dot_reflect", "shifted_pairings"])
 @pytest.mark.parametrize("coords", [(Fraction(1, 2),), (1, 0, 2)])
 def test_weight_of_the_wrong_rank_is_refused(query, coords):
     message = rf"needs 2 coordinates \(rank 2\), got {len(coords)}"

@@ -65,6 +65,11 @@ MUTANTS = {
         "for nu in reversed(drops):",
         ["tests/test_weightmod.py::"
          "test_kostant_table_counts_the_verma_labels_of_each_drop"]),
+    "compute-a-reads-signed-pairings": (
+        "criteria.py",
+        "int(abs(pairings[a]))",
+        "int(pairings[a])",
+        ["tests/test_criteria.py::test_compute_A_values"]),
     "phi-c-checks-take-zero-samples": (
         "deform.py",
         "if samples < 1:",
