@@ -20,6 +20,7 @@ certificate there.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import partial
 
@@ -30,10 +31,10 @@ from .linalg import rank  # noqa: F401
 from .rootsys import (Record, Root, RootSystem, SimpleSubset, Weight,
                       bad_primes, check_subset, check_weight, dot_reflect,
                       interior, is_singular, positive_subsystem,
-                      root_subsystem, shifted_pairings)
+                      root_subsystem, shifted_pairings, sub)
 from .uea import EnvelopingAlgebra, check_odd_prime
-from .weightmod import (_check_depth, _check_dominant_on, _drops_within,
-                        parabolic_verma, simple_dims)
+from .weightmod import (VermaLikeModule, _check_depth, _check_dominant_on,
+                        _drops_within, parabolic_verma, simple_dims_table)
 
 
 def _is_positive_integer(q: Fraction) -> bool:
@@ -193,18 +194,19 @@ def case3_additivity_check(alg: EnvelopingAlgebra, mu: Weight, gamma: int,
     """Character additivity at finite depth: the generalised Verma module
     for the simple root other than gamma, at dominant mu, matches the sum
     of the simple characters of mu and of its gamma-dot-reflection at every
-    weight within the depth."""
+    weight within the depth.  Weights are compared as root drops: mu - nu
+    is s_gamma.mu - (nu - (mu_gamma + 1) alpha_gamma)."""
     rs = alg.rs
-    other = 1 - gamma
-    lhs = parabolic_verma(alg, SimpleSubset.of(other), mu, depth)
-    lhs_ch = lhs.character().as_dict()
-    rhs = (simple_dims(alg, mu, depth)
-           + simple_dims(alg, dot_reflect(rs, gamma, mu), depth)).as_dict()
-    for drop in _drops_within(rs.rank, depth):
-        w = mu - rs.weight_of_root(drop)
-        if lhs_ch.get(w, 0) != rhs.get(w, 0):
-            return False
-    return True
+    lhs = parabolic_verma(alg, SimpleSubset.of(1 - gamma), mu, depth)
+    counts = Counter(map(lhs.label_drop, lhs.basis))
+    top = simple_dims_table(VermaLikeModule(alg, mu, depth))
+    reflected = simple_dims_table(
+        VermaLikeModule(alg, dot_reflect(rs, gamma, mu), depth))
+    shift = tuple(int(mu.coords[gamma]) + 1 if i == gamma else 0
+                  for i in range(rs.rank))
+    return all(counts[drop] == top.get(drop, 0)
+               + reflected.get(sub(drop, shift), 0)
+               for drop in _drops_within(rs.rank, depth))
 
 
 def classify_sl3(alg: EnvelopingAlgebra, lam: Weight, p: int, n: int,

@@ -18,7 +18,8 @@ import itertools
 import math
 from fractions import Fraction
 
-from .rootsys import RootSystem, SimpleSubset, Value, Weight, check_weight
+from .rootsys import (RootSystem, SimpleSubset, Value, Weight, _shown,
+                      check_weight)
 from .uea import UEAElement, check_odd_prime, vp
 from .weightmod import LeviInducedModule, Vec, _clean, _vec_add, label_height
 
@@ -130,7 +131,8 @@ def check_samples(samples: int) -> None:
     if samples < 1:
         raise ValueError("samples must be at least 1")
     if samples > MAX_SAMPLES:
-        raise ValueError(f"samples must be at most {MAX_SAMPLES}, got {samples}")
+        raise ValueError(f"samples must be at most {MAX_SAMPLES}, "
+                         f"got {_shown(samples)}")
 
 
 def phi_c_checks(source: LeviInducedModule, c: dict, samples: int,

@@ -63,7 +63,8 @@ def cartan_matrix(type_label: str, rank_: int) -> list[list[int]]:
         or (type_label == "G" and n == 2)
     )
     if not ok:
-        raise ValueError(f"unsupported root system type {type_label}{rank_}")
+        raise ValueError(f"unsupported root system type "
+                         f"{type_label}{_shown(rank_)}")
     a = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
 
     def link(i, j, vij=-1, vji=-1):
@@ -393,6 +394,15 @@ def _quoted(text: str) -> str:
     return repr(text) if len(text) <= MAX_ECHO else f"({len(text)} characters)"
 
 
+def _shown(n: int) -> str:
+    """An integer as an error message shows it: written out, or by its
+    length when it is too long to echo (or to write out at all)."""
+    if abs(n) >= _RATIONAL_BOUND:
+        return f"(over {MAX_RATIONAL_DIGITS} digits)"
+    text = str(n)
+    return text if len(text) <= MAX_ECHO else _quoted(text)
+
+
 def _oversized(values) -> int | None:
     """The index of the first value with more than MAX_RATIONAL_DIGITS digits
     above or below the line, or None; every weight check runs it."""
@@ -495,8 +505,8 @@ def check_subset(rs: RootSystem, subset: SimpleSubset) -> None:
     """Raise ValueError unless every member is a simple-root index of rs."""
     for i in subset:
         if not 0 <= i < rs.rank:
-            raise ValueError(f"simple-root index {i} is not in 0..{rs.rank - 1} "
-                             f"(rank {rs.rank})")
+            raise ValueError(f"simple-root index {_shown(i)} is not in "
+                             f"0..{rs.rank - 1} (rank {rs.rank})")
 
 
 def check_weight(rs: RootSystem, lam: Weight) -> None:

@@ -24,7 +24,7 @@ import math
 from fractions import Fraction
 
 from .chevalley import Gen, StructureConstants
-from .rootsys import Root, Value, Weight, sub
+from .rootsys import Root, Value, Weight, _shown, sub
 
 # monomial: (f_exponents over pos roots, h_exponents over simple, e_exponents)
 Monomial = tuple[tuple, tuple, tuple]
@@ -47,9 +47,9 @@ def check_odd_prime(p: int) -> None:
     """Raise ValueError unless p is an odd prime below _PRIME_BOUND, by a
     deterministic Miller-Rabin test on the bases _PRIME_BASES."""
     if p >= _PRIME_BOUND:
-        raise ValueError(f"p must be below {_PRIME_BOUND}, got {p}")
+        raise ValueError(f"p must be below {_PRIME_BOUND}, got {_shown(p)}")
     if p < 3 or p % 2 == 0 or (p not in _PRIME_BASES and _has_witness(p)):
-        raise ValueError(f"p must be an odd prime, got {p}")
+        raise ValueError(f"p must be an odd prime, got {_shown(p)}")
 
 
 def _has_witness(p: int) -> bool:

@@ -42,7 +42,7 @@ from functools import partial
 # rank is unused here but stays bound: the benchmark's tracer self-test
 # checks that a function imported into several modules is patched in each
 from .linalg import rank, reduce_against, rref, span_coordinates  # noqa: F401
-from .rootsys import (RootSystem, SimpleSubset, Value, Weight, add,
+from .rootsys import (RootSystem, SimpleSubset, Value, Weight, _shown, add,
                       check_subset, check_weight, dot_orbit, interior,
                       positive_subsystem, shifted_pairings, sub)
 from .uea import EnvelopingAlgebra, UEAElement
@@ -234,8 +234,8 @@ def _check_basis_budget(rs: RootSystem, depth: int) -> None:
     has more than MAX_BASIS_LABELS labels."""
     size = _verma_labels(rs, depth, MAX_BASIS_LABELS)
     if size > MAX_BASIS_LABELS:
-        raise ValueError(f"the Verma module to depth {depth} has at least "
-                         f"{size} basis labels, over the budget of "
+        raise ValueError(f"the Verma module to depth {_shown(depth)} has at "
+                         f"least {size} basis labels, over the budget of "
                          f"{MAX_BASIS_LABELS}")
 
 
@@ -516,10 +516,13 @@ def simple_dims_table(module: VermaLikeModule) -> dict[tuple, int]:
     At nu != 0 a vector of M_nu lies in the radical exactly when every
     simple e_i sends it into the radical, so dim L_nu is the rank of
     M_nu -> (+)_i L_{nu - alpha_i}.  Weight spaces are taken in order of
-    height, and each label's image in L_nu is its row of that map read on
-    the pivot columns, a sparse int vector (the int e actions scale every
-    image of one height alike).  Only the levels one height below are kept.
-    On a Levi Verma module only J's simple roots lead to a drop below."""
+    height.  Where the map has full rank, L_nu = M_nu (as at every nu off
+    the Shapovalov walls) and each label's image in L_nu is its unit
+    vector; elsewhere it is its row of that map read on the pivot columns,
+    a sparse int vector.  The rank reads each L_{nu - alpha_i} in its own
+    coordinates, so the two kinds mix freely.  Only the levels one height
+    below are kept.  On a Levi Verma module only J's simple roots lead to
+    a drop below."""
     rs = module.rs
     simple = [(r, rs.root_index[r]) for r in map(rs.simple_root, range(rs.rank))]
     out: dict[tuple, int] = {}
@@ -550,8 +553,11 @@ def simple_dims_table(module: VermaLikeModule) -> dict[tuple, int]:
         pivots = rref(rows)[1]
         if pivots:
             out[nu] = len(pivots)
-            level[nu] = {s: {k: row[c] for k, c in enumerate(pivots) if row[c]}
-                         for s, row in zip(labels, rows)}
+            if len(pivots) == len(labels):  # L_nu = M_nu: identity coordinates
+                level[nu] = {s: {k: 1} for k, s in enumerate(labels)}
+            else:
+                level[nu] = {s: {k: row[c] for k, c in enumerate(pivots) if row[c]}
+                             for s, row in zip(labels, rows)}
     return out
 
 

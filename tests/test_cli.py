@@ -241,6 +241,42 @@ def test_an_invalid_argument_is_quoted_only_when_short(capsys, argv, message):
     assert err.endswith(f"{message}\n")
 
 
+_NINES = "9" * 4_000  # an int option argparse accepts (at most 4,300 digits)
+
+
+@pytest.mark.parametrize("argv,status,message", [
+    (["classify", "--weight", "1/2,-1", "--depth", _NINES], 3,
+     "the Verma module to depth (4000 characters) has at least 10100 basis "
+     "labels, over the budget of 10000"),
+    (["classify", "--weight", "1/2,-1", "--prime", _NINES], 3,
+     "p must be below 3317044064679887385961981, got (4000 characters)"),
+    (["classify", "--type", "A" + _NINES, "--weight", "1/2,-1"], 2,
+     "unsupported root system type A(4000 characters)"),
+    (["character", "--weight", "1,1", "--parabolic", _NINES], 2,
+     "bad simple-root subset (4000 characters): simple-root index "
+     "(4000 characters) is not in 0..1 (rank 2)"),
+    (PHI_A2 + ["--samples", _NINES], 3,
+     "samples must be at most 10000, got (4000 characters)"),
+    (["classify", "--weight", "1/2,-1", "--depth", "100000"], 3,
+     "the Verma module to depth 100000 has at least 10100 basis labels, "
+     "over the budget of 10000"),
+    (["classify", "--weight", "1/2,-1", "--prime", "9"], 3,
+     "p must be an odd prime, got 9"),
+    (["classify", "--type", "A9", "--weight", "1/2,-1"], 2,
+     "unsupported root system type A9"),
+    (["character", "--weight", "1,1", "--parabolic", "5"], 2,
+     "bad simple-root subset '5': simple-root index 5 is not in 0..1 (rank 2)"),
+    (PHI_A2 + ["--samples", "100000"], 3,
+     "samples must be at most 10000, got 100000")],
+    ids=["depth", "prime", "type", "parabolic", "samples", "short-depth",
+         "short-prime", "short-type", "short-parabolic", "short-samples"])
+def test_an_int_argument_is_echoed_only_when_short(capsys, argv, status, message):
+    # the long ones wrote 4,038-4,092 bytes: each message echoed the whole int
+    got = run(capsys, *argv)
+    assert got == (status, "", f"error: {message}\n")
+    assert len(got[2].encode()) < 300
+
+
 def test_a_coordinate_within_the_digit_limit_keeps_its_output(capsys):
     status, out, _ = run(capsys, "classify", "--weight", "1e4000,1/2", "--json")
     assert status == 0

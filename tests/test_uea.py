@@ -126,6 +126,17 @@ def test_odd_prime_check_refuses_the_bound_and_above():
             check_odd_prime(p)
 
 
+@pytest.mark.parametrize("p,shown", [
+    (10 ** 4000 - 1, "(4000 characters)"), (-10 ** 4000, "(4002 characters)"),
+    (10 ** 5000, "(over 4300 digits)")],
+    ids=["4000-nines", "minus", "5001-digits"])
+def test_odd_prime_check_names_a_long_p_by_its_length(p, shown):
+    # the whole p was echoed; past 4,300 digits writing it out raised
+    # the interpreter's int-to-str ValueError instead of the message
+    with pytest.raises(ValueError, match=re.escape(f"got {shown}")):
+        check_odd_prime(p)
+
+
 def test_serre_relation_sl2(alg_a1):
     e, f, h = alg_a1.gen("e", 0), alg_a1.gen("f", 0), alg_a1.gen("h", 0)
     assert multiply(e, f) - multiply(f, e) == h

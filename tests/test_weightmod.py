@@ -246,6 +246,23 @@ def test_simple_dims_at_dominant_weights_are_signed_kostant_sums(label, depth):
             assert got.get(lam - rs.weight_of_root(nu), 0) == want, (coords, nu)
 
 
+@pytest.mark.parametrize("label,depth", _TYPE_DEPTHS.items())
+def test_simple_dims_at_generic_weights_are_kostant_partitions(label, depth):
+    """Off every Jantzen wall the Shapovalov determinant has no zero, so
+    L(lam) = M(lam) and dim L(lam)_(lam - nu) = P(nu) at every drop: the
+    path on which every weight space has full rank.  Each coordinate is
+    n + 1/13, and every coroot of the 13 types has height at most 11, so
+    no <lam + rho, beta^v> is an integer."""
+    alg = _algebra(label)
+    rs = alg.rs
+    lam = Weight.of(*(n + Fraction(1, 13) for n in (1, -2, 0, 3)[:rs.rank]))
+    assert all(q.denominator != 1 for q in shifted_pairings(rs, lam).values())
+    got = simple_dims(alg, lam, depth).as_dict()
+    partitions = _kostant_table(rs, _drops_within(rs.rank, depth))
+    for nu, p in partitions.items():
+        assert got.get(lam - rs.weight_of_root(nu), 0) == p, nu
+
+
 def test_full_parabolic_gives_finite_module(alg_a2):
     module = parabolic_verma(alg_a2, SimpleSubset.of(0, 1), Weight.of(1, 0), 6)
     assert module.character().total() == 3

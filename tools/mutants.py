@@ -44,6 +44,13 @@ MUTANTS = {
         "if images:\n                blocks.append(",
         "if images and not blocks:\n                blocks.append(",
         ["tests/test_weightmod.py::test_simple_dims_are_the_shapovalov_ranks_on_every_type"]),
+    "simple-dims-identity-at-a-rank-deficient-level": (
+        "weightmod.py",
+        "len(pivots) == len(labels)",
+        "len(pivots) + 1 >= len(labels)",
+        ["tests/test_weightmod.py::"
+         "test_simple_dims_at_dominant_weights_are_signed_kostant_sums",
+         "tests/test_criteria.py::test_walk_grid_digest"]),
     "rref-drops-the-permutation-sign": (
         "linalg.py",
         "num *= (-1) ** (len(pivots) - i)",
