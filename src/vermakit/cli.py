@@ -16,7 +16,7 @@ import random
 import sys
 from fractions import Fraction
 
-from . import criteria, deform, reflect_identities
+from . import criteria, deform
 from .chevalley import structure_constants, verify_chevalley
 from .rootsys import (SimpleSubset, Weight, _quoted, bad_primes, check_subset,
                       dot_orbit, parse_rational, parse_type, parse_weight)
@@ -24,7 +24,8 @@ from .uea import (DeformationContext, EnvelopingAlgebra, exp_truncated,
                   iwasawa_generator_monomial, multiply, weight_components)
 from .weightmod import (MAX_BASIS_LABELS, _check_basis_budget, _check_depth,
                         _drops_within, _kostant_table, character_to_json,
-                        levi_gvm, parabolic_verma, verma)
+                        levi_gvm, parabolic_verma, reflection_formula_check,
+                        verma)
 
 SCHEMA = 1
 
@@ -251,10 +252,9 @@ def _suite_reflection(depth: int, rng) -> tuple[bool, str]:
     alg2 = EnvelopingAlgebra(structure_constants(parse_type("A2")))
     for a in (Fraction(5), Fraction(1, 2), Fraction(-3, 4), Fraction(-2)):
         for s in range(min(depth, 6) + 1):
-            if not reflect_identities.reflection_formula_check(
-                    alg1, Weight.of(a), 0, s):
+            if not reflection_formula_check(alg1, Weight.of(a), 0, s):
                 return False, f"sl2 identity fails at a={a}, s={s}"
-            if not reflect_identities.reflection_formula_check(
+            if not reflection_formula_check(
                     alg2, Weight.of(a, Fraction(1, 3)), 0, s):
                 return False, f"embedded identity fails at a={a}, s={s}"
     return True, "divided-power identity in sl2 and embedded"

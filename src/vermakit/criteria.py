@@ -195,15 +195,17 @@ def case3_additivity_check(alg: EnvelopingAlgebra, mu: Weight, gamma: int,
     for the simple root other than gamma, at dominant mu, matches the sum
     of the simple characters of mu and of its gamma-dot-reflection at every
     weight within the depth.  Weights are compared as root drops: mu - nu
-    is s_gamma.mu - (nu - (mu_gamma + 1) alpha_gamma)."""
+    is s_gamma.mu - (nu - (mu_gamma + 1) alpha_gamma), so the reflected
+    module is read, and built, only to depth - (mu_gamma + 1): drop 0 alone
+    when that is not positive."""
     rs = alg.rs
     lhs = parabolic_verma(alg, SimpleSubset.of(1 - gamma), mu, depth)
     counts = Counter(map(lhs.label_drop, lhs.basis))
     top = simple_dims_table(VermaLikeModule(alg, mu, depth))
-    reflected = simple_dims_table(
-        VermaLikeModule(alg, dot_reflect(rs, gamma, mu), depth))
-    shift = tuple(int(mu.coords[gamma]) + 1 if i == gamma else 0
-                  for i in range(rs.rank))
+    height = int(mu.coords[gamma]) + 1
+    reflected = simple_dims_table(VermaLikeModule(
+        alg, dot_reflect(rs, gamma, mu), max(depth - height, 1)))
+    shift = tuple(height if i == gamma else 0 for i in range(rs.rank))
     return all(counts[drop] == top.get(drop, 0)
                + reflected.get(sub(drop, shift), 0)
                for drop in _drops_within(rs.rank, depth))
@@ -222,7 +224,7 @@ def classify_sl3(alg: EnvelopingAlgebra, lam: Weight, p: int, n: int,
     check_odd_prime(p)
     if not good_prime(p, rs):
         raise ValueError(f"{p} is not a good prime here")
-    if not weight_admissible(rs, lam, p, n).admissible:
+    if not weight_admissible(rs, lam, p, n):
         raise ValueError(f"weight {lam} is not admissible at p={p}, n={n}")
 
     terminal = _terminal_subset

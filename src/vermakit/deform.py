@@ -6,53 +6,36 @@ phi_c collapses the free polynomial directions of a Levi-induced module to
 scalars: f^s h^t v goes to (lam(h) - c)^t f^s v.  It is a surjective module
 homomorphism onto the scalar-action variant of the same module, and it does
 not lower p-adic filtration levels when the scalars c are admissible.
-
-The vanishing test is the finite-degree stand-in for density arguments: a
-polynomial of bounded total degree that vanishes on a full tensor grid of
-distinct points is identically zero, by exact interpolation.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 
-from .rootsys import (RootSystem, SimpleSubset, Value, Weight, _shown,
-                      check_weight)
+from .rootsys import RootSystem, Weight, _shown, check_weight
 from .uea import UEAElement, check_odd_prime, vp
 from .weightmod import LeviInducedModule, Vec, _clean, _vec_add, label_height
 
 
-class AdmissibilityReport(Value):
-    """Valuations of a weight on the Cartan generators, against a bound."""
-
-    def __init__(self, weight: Weight, p: int, n: int, per_generator: tuple,
-                 admissible: bool):
-        self.__dict__.update(weight=weight, p=p, n=n,
-                             per_generator=per_generator, admissible=admissible)
-
-
-def _valuations_at_least(values, p: int, n: int) -> tuple[tuple, bool]:
-    """The p-adic valuations of values, and whether each is at least -n,
-    for an odd prime p and a level n >= 0."""
+def _valuations_at_least(values, p: int, n: int) -> bool:
+    """Whether each value has p-adic valuation at least -n, for an odd
+    prime p and a level n >= 0."""
     check_odd_prime(p)
     if n < 0:
         raise ValueError("n must be nonnegative")
-    vals = tuple(vp(Fraction(x), p) for x in values)
-    return vals, all(v >= -n for v in vals)
+    return all(vp(Fraction(x), p) >= -n for x in values)
 
 
-def weight_admissible(rs: RootSystem, lam: Weight, p: int, n: int
-                      ) -> AdmissibilityReport:
+def weight_admissible(rs: RootSystem, lam: Weight, p: int, n: int) -> bool:
     """Admissible iff v_p(lam(h_a)) >= -n for every simple root a."""
     check_weight(rs, lam)
-    return AdmissibilityReport(lam, p, n, *_valuations_at_least(lam.coords, p, n))
+    return _valuations_at_least(lam.coords, p, n)
 
 
 def scalars_admissible(c: dict[int, Fraction], p: int, n: int) -> bool:
     """Admissible iff v_p(c_j) >= -n for every scalar c_j."""
-    return _valuations_at_least(c.values(), p, n)[1]
+    return _valuations_at_least(c.values(), p, n)
 
 
 def phi_c_target(source: LeviInducedModule, c: dict) -> LeviInducedModule:
@@ -181,55 +164,3 @@ def phi_c_level_check(source: LeviInducedModule, vec: Vec, c: dict,
     img = phi_c(source, vec, c, target)
     return level(img) >= level(vec)
 
-
-def vanishing_test(poly: dict[tuple, Fraction], degree: int,
-                   samples: list[tuple]) -> bool:
-    """Exact zero test for a multivariate polynomial of bounded total degree.
-
-    poly maps exponent tuples to coefficients.  The sample set must contain
-    a (degree+1)^r tensor grid of distinct values per variable, walked lazily
-    (a missing point shows within len(samples) + 1); then vanishing on the
-    samples is equivalent to being the zero polynomial.
-
-    It backs the density step of the faithfulness argument: what kills the
-    scalar-action module for every admissible c is a polynomial in c that
-    vanishes on a dense set of scalars, hence is zero.
-    """
-    if not samples:
-        raise ValueError("empty sample set")
-    nvars = len(samples[0])
-    for exps in poly:
-        if len(exps) != nvars:
-            raise ValueError("exponent arity does not match the samples")
-        if sum(exps) > degree:
-            raise ValueError(
-                f"monomial degree {sum(exps)} exceeds the claimed bound {degree}")
-
-    per_var = []
-    for i in range(nvars):
-        seen = []
-        for pt in samples:
-            if pt[i] not in seen:
-                seen.append(pt[i])
-        if len(seen) < degree + 1:
-            raise ValueError(
-                f"variable {i} takes only {len(seen)} distinct values; "
-                f"{degree + 1} are needed for degree {degree}")
-        per_var.append(seen[: degree + 1])
-
-    sample_set = set(samples)
-    missing = next((pt for pt in itertools.product(*per_var)
-                    if pt not in sample_set), None)
-    if missing is not None:
-        raise ValueError(f"sample set is missing the grid point {missing}")
-
-    def evaluate(pt):
-        total = Fraction(0)
-        for exps, coeff in poly.items():
-            term = coeff
-            for x, e in zip(pt, exps):
-                term *= Fraction(x) ** e
-            total += term
-        return total
-
-    return all(evaluate(pt) == 0 for pt in samples)

@@ -63,8 +63,8 @@ def cartan_matrix(type_label: str, rank_: int) -> list[list[int]]:
         or (type_label == "G" and n == 2)
     )
     if not ok:
-        raise ValueError(f"unsupported root system type "
-                         f"{type_label}{_shown(rank_)}")
+        label = type_label if len(type_label) <= MAX_ECHO else _quoted(type_label)
+        raise ValueError(f"unsupported root system type {label}{_shown(rank_)}")
     a = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
 
     def link(i, j, vij=-1, vji=-1):
@@ -539,15 +539,6 @@ def interior(rs: RootSystem, subset: SimpleSubset) -> SimpleSubset:
     return SimpleSubset(frozenset(
         b for b in subset if all(rs.cartan[a][b] == 0 for a in outside)
     ))
-
-
-def is_totally_proper(rs: RootSystem, subset: SimpleSubset) -> bool:
-    """True iff no Dynkin component lies inside the subset: the hypothesis
-    of the paper's faithfulness theorem for the generalised Verma module
-    M_I(lam), under which it is infinite-dimensional.  Every supported
-    Cartan matrix is connected, so this says I is not every simple root."""
-    check_subset(rs, subset)
-    return len(subset) < rs.rank
 
 
 # -- closed subsystems and the good-prime test -------------------------------

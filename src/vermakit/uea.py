@@ -13,9 +13,6 @@ monomial product has integer coefficients (Kostant's Z-form of U(g)):
 ``gen_mul_mono`` and ``mono_mul`` work on Python ints.  ``UEAElement``
 stores Fractions, because elements such as divided powers and truncated
 exponentials carry rational coefficients.
-
-The transpose map swaps e and f blocks; with the sign convention used by
-the structure-constant table it is an anti-automorphism.
 """
 
 from __future__ import annotations
@@ -330,19 +327,6 @@ def weight_components(x: UEAElement) -> dict[Weight, UEAElement]:
         w = weight_of_monomial(x.alg, m)
         buckets.setdefault(w, {})[m] = c
     return {w: UEAElement(x.alg, t) for w, t in buckets.items()}
-
-
-def tau(x: UEAElement) -> UEAElement:
-    """Transpose anti-automorphism: e and f swap, h fixed, words reverse.
-
-    On a normal-ordered monomial this is just the e/f exponent swap: the
-    reversed, swapped word is already in normal order.  It backs the
-    statement that C[a,b] = C[-b,-a] makes the transpose an anti-automorphism
-    of U(g), so the Shapovalov form is contravariant, (x u, w) = (u, tau(x) w):
-    ``weightmod.simple_dims_table`` relies on that, since the radical of the
-    form is the largest submodule missing the highest weight.
-    """
-    return UEAElement(x.alg, {(m[2], m[1], m[0]): c for m, c in x.terms.items()})
 
 
 def gamma_level(x: UEAElement, ctx: DeformationContext) -> int | float:

@@ -471,6 +471,31 @@ def verma(alg: EnvelopingAlgebra, lam: Weight, depth: int) -> VermaLikeModule:
     return VermaLikeModule(alg, lam, depth)
 
 
+def reflection_formula_check(alg: EnvelopingAlgebra, lam: Weight, i: int,
+                             s: int) -> bool:
+    """The divided-power reflection identity in the Verma module M(lam):
+    for the simple root alpha_i, with a = lam(h_i) and f^[s] = f^s / s!,
+
+        e_i . f_i^[s] v = (a + 1 - s) f_i^[s-1] v,
+
+    engine value against closed form, exactly.  Applied at k = 1..s it gives
+    e_i^s . f_i^[s] v = a(a - 1)...(a + 1 - s) v, nonzero unless a is a
+    nonnegative integer: the sl2 step of the irreducibility criteria."""
+    if s < 0:
+        raise ValueError("the divided-power exponent must be nonnegative")
+    module = verma(alg, lam, max(s, 1))
+    idx = alg.rs.root_index[alg.rs.simple_root(i)]
+    hw: Vec = {tuple([0] * alg.npos): Fraction(1)}
+    a = lam.coords[i]
+    lhs = module.act(("e", idx),
+                     module.apply_element(alg.divided_power("f", idx, s), hw))
+    if s == 0:
+        return lhs == {}
+    rhs = module.apply_element(alg.divided_power("f", idx, s - 1), hw)
+    rhs = _clean({lab: (a + 1 - s) * c for lab, c in rhs.items()})
+    return lhs == rhs
+
+
 def _drops_within(rank: int, depth: int) -> list[tuple]:
     """Every root drop nu of height at most depth: the weights lam - nu
     a statement "within depth" quantifies over."""

@@ -16,15 +16,14 @@ from vermakit.criteria import (case3_additivity_check, classify_sl3,
 from vermakit.deform import (hw_scalar_check, phi_c_homomorphism_check,
                              phi_c_surjective, phi_c_target,
                              weight_admissible)
-from vermakit.reflect_identities import reflection_formula_check
 from vermakit.rootsys import (SimpleSubset, Weight, bad_primes, dot_orbit,
                               neg, parse_type)
 from vermakit.uea import (DeformationContext, exp_truncated,
                           iwasawa_generator_monomial, multiply,
                           weight_components, weight_of_monomial)
 from vermakit.weightmod import (VermaLikeModule, kostant_partition, levi_gvm,
-                                simple_dims, simple_dims_table, verma,
-                                weyl_dim)
+                                reflection_formula_check, simple_dims,
+                                simple_dims_table, verma, weyl_dim)
 
 
 def test_criterion_01_chevalley_relations_and_transpose_symmetry():
@@ -206,7 +205,7 @@ def test_criterion_12_linkage_unique_dominant():
     for a in vals:
         for b in vals:
             lam = Weight.of(a, b)
-            assert weight_admissible(rs, lam, 5, 0).admissible
+            assert weight_admissible(rs, lam, 5, 0)
             dominant = [drop for drop in dot_orbit(rs, lam)
                         if (lam - rs.weight_of_root(drop)).is_dominant_integral()]
             assert len(dominant) <= 1, lam
@@ -219,7 +218,7 @@ def test_criterion_13_classifier_totality(alg_a2):
     grid = [(a, b) for a in vals for b in vals]
     eligible = [Weight.of(a, b) for a, b in grid
                 if not Weight.of(a, b).is_dominant_integral()
-                and weight_admissible(alg_a2.rs, Weight.of(a, b), 5, 0).admissible]
+                and weight_admissible(alg_a2.rs, Weight.of(a, b), 5, 0)]
     stride = len(eligible) // 400
     sample = eligible[::stride][:400]
     assert len(sample) == 400

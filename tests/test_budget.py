@@ -11,13 +11,12 @@ import pytest
 
 from vermakit.chevalley import structure_constants
 from vermakit.criteria import case3_additivity_check, classify_sl3
-from vermakit.reflect_identities import reflection_formula_check
 from vermakit.rootsys import SimpleSubset, Weight, parse_type, positive_subsystem
 from vermakit.uea import EnvelopingAlgebra
 from vermakit.weightmod import (MAX_BASIS_LABELS, _drops_within,
                                 _enum_f_labels, _verma_labels,
                                 kostant_partition, levi_gvm, parabolic_verma,
-                                simple_dims, verma)
+                                reflection_formula_check, simple_dims, verma)
 
 _ALL_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D4",
               "F4", "G2"]

@@ -13,7 +13,8 @@ from vermakit.criteria import (case3_additivity_check, classify_sl3,
                                good_prime, gvm_region_irreducible, psi_plus,
                                reflection_step, verify_case_report)
 from vermakit.linalg import span_coordinates
-from vermakit.rootsys import SimpleSubset, Weight, parse_type, root_subsystem
+from vermakit.rootsys import (SimpleSubset, Weight, dot_reflect, parse_type,
+                              root_subsystem)
 from vermakit.uea import EnvelopingAlgebra
 
 
@@ -340,6 +341,27 @@ def test_verify_builds_no_module(monkeypatch):
 def test_case3_additivity_direct(alg_a2):
     assert case3_additivity_check(alg_a2, Weight.of(1, 0), 1, 4)
     assert case3_additivity_check(alg_a2, Weight.of(0, 0), 0, 4)
+
+
+@pytest.mark.parametrize("mu,gamma,depth,reflected_depth", [
+    ((2, 0), 0, 4, 1), ((0, 0), 0, 4, 3), ((1, 0), 1, 4, 3), ((1, 2), 1, 6, 3),
+    ((5, 0), 0, 4, 1), ((0, 1), 0, 9, 8)])
+def test_case3_builds_the_reflected_module_only_to_the_drops_it_reads(
+        alg_a2, monkeypatch, mu, gamma, depth, reflected_depth):
+    # drop nu of M(s_gamma.mu) is read at nu + (mu_gamma + 1) alpha_gamma, so
+    # heights past depth - (mu_gamma + 1) were built and ranked for nothing
+    built = []
+
+    class Recording(weightmod.VermaLikeModule):
+        def __init__(self, alg, lam, depth):
+            built.append((lam, depth))
+            super().__init__(alg, lam, depth)
+
+    monkeypatch.setattr(criteria, "VermaLikeModule", Recording)
+    mu = Weight.of(*mu)
+    assert case3_additivity_check(alg_a2, mu, gamma, depth)
+    assert built == [(mu, depth),
+                     (dot_reflect(alg_a2.rs, gamma, mu), reflected_depth)]
 
 
 def test_report_json_stable(alg_a2):

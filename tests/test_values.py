@@ -12,7 +12,6 @@ from pathlib import Path
 import pytest
 
 from vermakit.criteria import CaseReport
-from vermakit.deform import AdmissibilityReport
 from vermakit.rootsys import SimpleSubset, Weight
 from vermakit.uea import DeformationContext
 from vermakit.weightmod import Character
@@ -47,12 +46,6 @@ VALUES = [
      Character(((Weight.of(1, 0), 2),)), Character.of({Weight.of(1, 0): 1}),
      (((Weight.of(1, 0), 2),),),
      "Character(dims=((Weight(coords=(Fraction(1, 1), Fraction(0, 1))), 2),))"),
-    (AdmissibilityReport(Weight.of(Fraction(1, 5)), 5, 0, (-1,), False),
-     AdmissibilityReport(Weight.of(Fraction(1, 5)), 5, 0, (-1,), False),
-     AdmissibilityReport(Weight.of(Fraction(1, 5)), 5, 1, (-1,), True),
-     (Weight.of(Fraction(1, 5)), 5, 0, (-1,), False),
-     "AdmissibilityReport(weight=Weight(coords=(Fraction(1, 5),)), p=5, n=0, "
-     "per_generator=(-1,), admissible=False)"),
 ]
 IDS = [type(v[0]).__name__ for v in VALUES]
 

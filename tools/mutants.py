@@ -83,6 +83,19 @@ MUTANTS = {
         "if samples < 0:",
         ["tests/test_deform.py::"
          "test_phi_c_checks_refuse_a_sample_count_out_of_range_before_any_work"]),
+    "case3-reflected-module-one-level-short": (
+        "criteria.py",
+        "max(depth - height, 1)",
+        "max(depth - height - 1, 1)",
+        ["tests/test_criteria.py::test_case3_additivity_direct",
+         "tests/test_criteria.py::test_walk_grid_digest"]),
+    "dot-orbit-sign-unflipped": (
+        "rootsys.py",
+        "signs[new] = -signs[drop]",
+        "signs[new] = signs[drop]",
+        ["tests/test_weightmod.py::test_parabolic_verma_character_cross_check",
+         "tests/test_weightmod.py::"
+         "test_simple_dims_at_dominant_weights_are_signed_kostant_sums"]),
 }
 
 
