@@ -1,12 +1,14 @@
-"""Exact linear algebra over Fraction: echelon forms, rank, determinants,
-span coordinates, and integer lattices.
+"""Exact linear algebra over Fraction: echelon forms, rank, span
+coordinates, and integer lattices.
 
 Everything here works on lists of lists of Fractions (or ints); no floats
 anywhere.  ``rref``, a sparse row echelon elimination on Python ints, is the
-one rational kernel: ``rank``, ``det_int`` and ``span_coordinates`` read it,
-and ``reduce_against`` reduces a vector against its rows.  The lattice part
-is the row Hermite normal form of an integer matrix (``hermite_form``) and
-membership of its row lattice (``in_lattice``).
+one rational kernel: ``rank`` and ``span_coordinates`` read it, and
+``reduce_against`` reduces a vector against its rows.  The lattice part is
+the row Hermite normal form of an integer matrix (``hermite_form``) and
+membership of its row lattice (``in_lattice``); the Hermite form also gives
+the Cartan determinants of the closed root subsystems, as the product of its
+pivots.
 """
 
 from __future__ import annotations
@@ -16,8 +18,7 @@ import math
 from fractions import Fraction
 
 
-def rref(rows: list[list[Fraction]]
-         ) -> tuple[list[dict[int, int]], list[int], tuple[int, int]]:
+def rref(rows: list[list[Fraction]]) -> tuple[list[dict[int, int]], list[int]]:
     """Sparse row echelon form on Python ints: structured Gaussian
     elimination (LaMacchia and Odlyzko, CRYPTO '90) over Z.
 
@@ -25,21 +26,16 @@ def rref(rows: list[list[Fraction]]
     lowest column c holds the pivot p of an echelon row top, r becomes
     (p r - r[c] top) / gcd(p, r[c]), then r / gcd(r); at a free lowest
     column it joins the echelon, primitive with a positive pivot.  Returns
-    the rows and pivots (those of the reduced form) in pivot order, and
-    (num, den): the product of the row scalings, signed by the permutation
-    that sorts the pivots from the order the rows took them, so a square
-    matrix of full rank has determinant den / num * prod(pivots).
+    the rows and pivots (those of the reduced form) in pivot order.
     """
     n = len(rows[0]) if rows else 0
     echelon: dict[int, dict[int, int]] = {}
     pivots: list[int] = []
-    num = den = 1
     for row in rows:
         if len(row) != n:
             raise ValueError(f"rref needs rows of equal length, got {n} and {len(row)}")
         m = math.lcm(*(x.denominator for x in row))
         vec = {c: x.numerator * (m // x.denominator) for c, x in enumerate(row) if x}
-        num *= m
         while vec:
             c = min(vec)
             top = echelon.get(c)
@@ -48,25 +44,21 @@ def rref(rows: list[list[Fraction]]
                 g = -g
             if g != 1:
                 vec = {k: v // g for k, v in vec.items()}
-                den *= g
             if top is None:
                 echelon[c] = vec
-                i = bisect.bisect(pivots, c)
-                num *= (-1) ** (len(pivots) - i)
-                pivots.insert(i, c)
+                bisect.insort(pivots, c)
                 break
             g = math.gcd(top[c], vec[c])
             p, x = top[c] // g, vec[c] // g
             if p != 1:
                 vec = {k: p * v for k, v in vec.items()}
-                num *= p
             for k, t in top.items():
                 v = vec.get(k, 0) - x * t
                 if v:
                     vec[k] = v
                 else:
                     del vec[k]
-    return [echelon[c] for c in pivots], pivots, (num, den)
+    return [echelon[c] for c in pivots], pivots
 
 
 def rank(rows: list[list[Fraction]]) -> int:
@@ -88,25 +80,9 @@ def reduce_against(vec: list, rows: list[dict[int, int]],
     return vec
 
 
-def det_int(rows: list[list[int]]) -> int:
-    """Determinant of a square matrix with an integer determinant, read off
-    the pivots and scale of ``rref``."""
-    n = len(rows)
-    if any(len(row) != n for row in rows):
-        raise ValueError("det_int needs a square matrix")
-    echelon, pivots, (num, den) = rref(rows)
-    d = (Fraction(den * math.prod(row[c] for row, c in zip(echelon, pivots)), num)
-         if len(pivots) == n else Fraction(0))
-    if d.denominator != 1:
-        raise ValueError(f"determinant {d} is not an integer: det_int needs "
-                         f"an integer matrix")
-    return int(d)
-
-
-def span_coordinates(spanning: list, candidates: list
-                     ) -> tuple[int, list[list[Fraction] | None]]:
-    """Rank of the spanning vectors, and each candidate's coordinates over
-    them, or None for a candidate outside their span over Q.
+def span_coordinates(spanning: list, candidates: list) -> list[list[Fraction] | None]:
+    """Each candidate's coordinates over the spanning vectors, or None for a
+    candidate outside their span over Q.
 
     The spanning set is brought to echelon form once, next to an identity
     block that records each row as a combination of the spanning vectors.  A
@@ -114,16 +90,16 @@ def span_coordinates(spanning: list, candidates: list
     their pivot in the block are relations), leaves zero on the left exactly
     when it lies in the span, and minus its coordinates on the right.  The
     coordinates are unique, so integrality decides membership of the Z-span,
-    when the rank equals the number of spanning vectors.
+    when the spanning vectors are linearly independent.
     """
     k = len(spanning)
-    rows, pivots, _ = rref([list(v) + [int(i == j) for j in range(k)]
-                            for i, v in enumerate(spanning)])
+    rows, pivots = rref([list(v) + [int(i == j) for j in range(k)]
+                         for i, v in enumerate(spanning)])
     out: list[list[Fraction] | None] = []
     for x in candidates:
         resid = reduce_against(list(x) + [Fraction(0)] * k, rows, pivots)
         out.append(None if any(resid[:len(x)]) else [-a for a in resid[len(x):]])
-    return sum(c < len(spanning[0]) for c in pivots), out
+    return out
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:

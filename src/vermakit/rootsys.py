@@ -29,7 +29,7 @@ from fractions import Fraction
 
 # rank is unused here but stays bound: the benchmark's tracer self-test
 # checks that a function imported into several modules is patched in each
-from .linalg import det_int, hermite_form, in_lattice, rank  # noqa: F401
+from .linalg import hermite_form, in_lattice, rank  # noqa: F401
 
 Root = tuple[int, ...]
 
@@ -328,9 +328,6 @@ class RootSystem:
         """The root alpha as a weight (values on simple coroots)."""
         return Weight(tuple(Fraction(x) for x in self.simple_coroot_pairings(alpha)))
 
-    def rho(self) -> Weight:
-        return Weight((Fraction(1),) * self.rank)
-
     def __repr__(self) -> str:
         return f"RootSystem({self.type_label}{self.rank})"
 
@@ -564,9 +561,11 @@ def enumerate_closed_subsystems(rs: RootSystem) -> list[dict]:
     ZS, so ZPsi = ZS: the row Hermite normal form of S, which is canonical
     for its lattice, is a one-to-one key for Psi.  A set whose form has fewer
     rows than the set is dependent; a lattice already seen is skipped before
-    any root is tested; Psi is the set of roots that lie in the lattice.  All
-    of it is integer arithmetic.  The result is sorted canonically and does
-    not depend on the order of ``rs.positive_roots``.
+    any root is tested; Psi is the set of roots that lie in the lattice.  A
+    Cartan matrix of finite type is nonsingular with a positive determinant,
+    so its determinant is the product of the pivots of its Hermite form.
+    All of it is integer arithmetic.  The result is sorted canonically and
+    does not depend on the order of ``rs.positive_roots``.
     """
     seen: set[tuple[tuple[int, ...], ...]] = set()
     out = []
@@ -580,10 +579,14 @@ def enumerate_closed_subsystems(rs: RootSystem) -> list[dict]:
                                   if in_lattice(gamma, form))
             simple = _simple_system_of(rs, subsystem)
             cmat = [[rs.root_pairing(b, a) for a in simple] for b in simple]
+            pivot_rows = hermite_form(cmat)
+            if len(pivot_rows) != len(cmat):
+                raise RuntimeError(f"the Cartan matrix {cmat} of the closed "
+                                   f"subsystem on {simple} is singular")
             out.append({
                 "simple_system": simple,
                 "cartan": cmat,
-                "det": det_int(cmat),
+                "det": math.prod(row[i] for i, row in enumerate(pivot_rows)),
                 "size": len(subsystem),
             })
     out.sort(key=lambda rec: (rec["size"], rec["simple_system"]))
@@ -594,7 +597,7 @@ def bad_primes(rs: RootSystem) -> set[int]:
     """Primes dividing the Cartan determinant of some closed root subsystem."""
     primes: set[int] = set()
     for rec in enumerate_closed_subsystems(rs):
-        primes |= _prime_divisors(abs(rec["det"]))
+        primes |= _prime_divisors(rec["det"])
     return primes
 
 

@@ -383,7 +383,7 @@ class QuotientModule(HighestWeightModule):
         self.basis = []
         for drop, labels in sorted(parent.labels_by_drop.items()):
             rows = [[vec.get(s, 0) for s in labels] for vec in by_drop.get(drop, [])]
-            echelon, pivots = rref(rows)[:2] if rows else ([], [])
+            echelon, pivots = rref(rows)
             self._reduction[drop] = (labels, echelon, pivots)
             self.basis.extend(labels[i] for i in range(len(labels))
                               if i not in pivots)
@@ -639,7 +639,7 @@ class LeviInducedModule(HighestWeightModule):
 
         # lam(h^a), h^a dual to the simple roots: lam's coordinate on alpha_a,
         # solved against the Cartan rows (the alpha_a on the simple coroots)
-        self.lam_dual = span_coordinates(rs.cartan, [lam.coords])[1][0]
+        self.lam_dual = span_coordinates(rs.cartan, [lam.coords])[0]
 
         # V: the finite-dimensional simple module of J, whose lowest weight
         # lies sum_beta <lam, beta^v> below lam; cut at the depth, so that

@@ -431,7 +431,7 @@ def test_levi_span_test_matches_span_coordinates(label):
         for beta in rs.positive_roots:
             if beta in levi:
                 continue
-            _, coords = span_coordinates(simples + [beta], rs.roots)
+            coords = span_coordinates(simples + [beta], rs.roots)
             for gamma, x in zip(rs.roots, coords):
                 assert (criteria._in_levi_span(beta, gamma, outside)
                         == (x is not None)), (I, beta, gamma)

@@ -8,7 +8,8 @@ from vermakit import rootsys
 from vermakit.criteria import classify_sl3
 from vermakit.rootsys import (RootSystem, SimpleSubset, Weight, add,
                               bad_primes, check_weight, dot_orbit, dot_reflect,
-                              interior, is_singular, parse_type, parse_weight,
+                              enumerate_closed_subsystems, interior,
+                              is_singular, parse_type, parse_weight,
                               positive_subsystem, root_subsystem,
                               shifted_pairings, sub)
 from vermakit.weightmod import levi_gvm, simple_dims
@@ -288,6 +289,26 @@ def test_positive_root_count_mismatch_raises_runtime_error(monkeypatch):
                 parse_type(label)
         assert str(err.value) == (f"closure produced {count} positive roots, "
                                   f"expected 0 for {label}")
+
+
+@pytest.mark.parametrize("label", _ALL_TYPES)
+def test_closed_subsystem_determinants_match_fraction_elimination(
+        label, fraction_rank_det):
+    """Each "det", the product of the Hermite pivots of the subsystem's
+    Cartan matrix, is positive and is the determinant that Gaussian
+    elimination over Fraction gives."""
+    for rec in enumerate_closed_subsystems(parse_type(label)):
+        assert rec["det"] == fraction_rank_det(rec["cartan"])[1] > 0, rec
+
+
+def test_a_singular_closed_subsystem_cartan_matrix_raises_runtime_error(
+        monkeypatch):
+    rs = parse_type("A2")
+    monkeypatch.setattr(rs, "root_pairing", lambda beta, alpha: 0)
+    with pytest.raises(RuntimeError) as err:
+        enumerate_closed_subsystems(rs)
+    assert str(err.value) == ("the Cartan matrix [[0]] of the closed "
+                              "subsystem on [(0, 1)] is singular")
 
 
 def reference_closure(rs) -> list:

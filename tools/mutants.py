@@ -51,11 +51,13 @@ MUTANTS = {
         ["tests/test_weightmod.py::"
          "test_simple_dims_at_dominant_weights_are_signed_kostant_sums",
          "tests/test_criteria.py::test_walk_grid_digest"]),
-    "rref-drops-the-permutation-sign": (
-        "linalg.py",
-        "num *= (-1) ** (len(pivots) - i)",
-        "num *= 1",
-        ["tests/test_linalg.py::test_det_int_matches_fraction_elimination"]),
+    "closed-subsystem-det-reads-the-last-column": (
+        "rootsys.py",
+        "math.prod(row[i] for i, row in enumerate(pivot_rows))",
+        "math.prod(row[-1] for row in pivot_rows)",
+        ["tests/test_golden.py::test_closed_subsystems_replay",
+         "tests/test_rootsys.py::"
+         "test_closed_subsystem_determinants_match_fraction_elimination"]),
     "lam-dual-solved-against-the-cartan-columns": (
         "weightmod.py",
         "span_coordinates(rs.cartan, [lam.coords])",
