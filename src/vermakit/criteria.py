@@ -20,7 +20,6 @@ certificate there.
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from functools import partial
 
@@ -200,13 +199,13 @@ def case3_additivity_check(alg: EnvelopingAlgebra, mu: Weight, gamma: int,
     when that is not positive."""
     rs = alg.rs
     lhs = parabolic_verma(alg, SimpleSubset.of(1 - gamma), mu, depth)
-    counts = Counter(map(lhs.label_drop, lhs.basis))
+    counts = lhs.drop_counts()
     top = simple_dims_table(VermaLikeModule(alg, mu, depth))
     height = int(mu.coords[gamma]) + 1
     reflected = simple_dims_table(VermaLikeModule(
         alg, dot_reflect(rs, gamma, mu), max(depth - height, 1)))
     shift = tuple(height if i == gamma else 0 for i in range(rs.rank))
-    return all(counts[drop] == top.get(drop, 0)
+    return all(counts.get(drop, 0) == top.get(drop, 0)
                + reflected.get(sub(drop, shift), 0)
                for drop in _drops_within(rs.rank, depth))
 

@@ -27,6 +27,10 @@ vectors and ``shapovalov_gram``.  The quotient L_J(lam) and the
 Levi-induced modules act on Fractions, as their reductions and their
 scalars lam(h^a) - c_a are rational.
 
+Every module files its basis labels by weight drop once, as it enumerates
+them (``labels_by_drop``), and reads a label's drop there.  A character is
+built from such counts, one weight per drop, on integer pairings.
+
 Depth semantics: a statement "within depth d" quantifies over weights
 lam - nu with the height of nu at most d.
 """
@@ -35,7 +39,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from fractions import Fraction
 from functools import partial
 
@@ -51,7 +54,9 @@ Vec = dict  # basis label -> Fraction
 
 
 class Character(Value):
-    """Weight-space dimension table of a truncated module."""
+    """Weight-space dimension table of a truncated module: (weight, dim)
+    pairs with dim nonzero, sorted on the weights' coordinates, so that two
+    equal tables are equal Characters."""
 
     def __init__(self, dims: tuple):  # sorted tuple of (Weight, int) pairs
         self.__dict__["dims"] = dims
@@ -73,6 +78,18 @@ class Character(Value):
 
     def total(self) -> int:
         return sum(d for _, d in self.dims)
+
+
+def _character(rs: RootSystem, lam: Weight, counts: dict[tuple, int]) -> Character:
+    """The Character with counts[nu] at lam - nu.  Each weight is built
+    once, from the integer pairings <nu, alpha_i^v>, and the weights are
+    sorted on the negated pairings: every weight is lam less its pairings,
+    so this is the order of ``Character.of`` on coordinates."""
+    pairs = sorted(((rs.simple_coroot_pairings(nu), n)
+                    for nu, n in counts.items() if n),
+                   key=lambda pn: tuple(-x for x in pn[0]))
+    return Character(tuple((Weight(tuple(c - x for c, x in zip(lam.coords, p))), n)
+                           for p, n in pairs))
 
 
 def _clean(vec: Vec) -> Vec:
@@ -107,6 +124,7 @@ class HighestWeightModule:
     lam: Weight
     depth: int
     basis: list
+    labels_by_drop: dict  # drop -> the basis labels of weight lam - drop
 
     def act_label(self, g, label) -> Vec:
         raise NotImplementedError
@@ -131,13 +149,25 @@ class HighestWeightModule:
             _vec_add(out, self.apply_word(self.alg.word(mono), vec), coeff)
         return _clean(out)
 
-    def label_drop(self, label):
-        raise NotImplementedError
+    def _file_by_drop(self, labelled) -> None:
+        """The basis, in order, from (label, drop) pairs, and its one table
+        of labels by drop, with each label's drop indexed back."""
+        self.basis, self.labels_by_drop = [], {}
+        for label, drop in labelled:
+            self.basis.append(label)
+            self.labels_by_drop.setdefault(drop, []).append(label)
+        self._drop_of = {label: nu for nu, labels in self.labels_by_drop.items()
+                         for label in labels}
+
+    def label_drop(self, label) -> tuple:
+        return self._drop_of[label]
+
+    def drop_counts(self) -> dict[tuple, int]:
+        """The number of basis labels at each drop, read off the table."""
+        return {nu: len(labels) for nu, labels in self.labels_by_drop.items()}
 
     def character(self) -> Character:
-        counts = Counter(map(self.label_drop, self.basis))
-        return Character.of({self.lam - self.rs.weight_of_root(drop): n
-                             for drop, n in counts.items()})
+        return _character(self.rs, self.lam, self.drop_counts())
 
 
 # -- PBW labels ------------------------------------------------------------------
@@ -270,16 +300,11 @@ class VermaLikeModule(HighestWeightModule):
                         sorted(self.rs.root_index[r]
                                for r in positive_subsystem(self.rs, J)))
         self._allowed_set = set(self.allowed)
-        self.basis = _enum_f_labels(alg.npos, self.allowed, self.rs.heights, depth)
+        # lexicographic, so each weight space's labels come sorted
+        self._file_by_drop((s, alg.root_sum(s)) for s in _enum_f_labels(
+            alg.npos, self.allowed, self.rs.heights, depth))
         self.kind = "verma"
         self._memo: dict[tuple, dict[tuple, int]] = {}  # (R, s) -> e_R f^s v
-        # weight spaces: sorted labels per drop
-        self.labels_by_drop: dict[tuple, list[tuple]] = {}
-        for s in sorted(self.basis):
-            self.labels_by_drop.setdefault(alg.root_sum(s), []).append(s)
-
-    def label_drop(self, s: tuple) -> tuple:
-        return self.alg.root_sum(s)
 
     def act_label(self, g, s: tuple) -> Vec:
         """The action of g on f^s v: ``int_action`` over lam_den."""
@@ -349,6 +374,7 @@ class QuotientModule(HighestWeightModule):
         self.rs = parent.rs
         self.lam = parent.lam
         self.depth = parent.depth
+        self._drop_of = parent._drop_of  # its labels are the parent's
         self._build_reductions(J)
         self._memo: dict[tuple, Vec] = {}
 
@@ -380,16 +406,15 @@ class QuotientModule(HighestWeightModule):
                     by_drop.setdefault(drop, []).append(vec)
         # per weight space: the submodule's echelon, keep non-pivot labels
         self._reduction: dict[tuple, tuple] = {}
-        self.basis = []
+        self.basis, self.labels_by_drop = [], {}
         for drop, labels in sorted(parent.labels_by_drop.items()):
             rows = [[vec.get(s, 0) for s in labels] for vec in by_drop.get(drop, [])]
             echelon, pivots = rref(rows)
             self._reduction[drop] = (labels, echelon, pivots)
-            self.basis.extend(labels[i] for i in range(len(labels))
-                              if i not in pivots)
-
-    def label_drop(self, s: tuple) -> tuple:
-        return self.parent.label_drop(s)
+            kept = [s for i, s in enumerate(labels) if i not in pivots]
+            if kept:
+                self.labels_by_drop[drop] = kept
+                self.basis.extend(kept)
 
     def project(self, vec: Vec) -> Vec:
         """Reduce a parent-module vector modulo the submodule."""
@@ -503,22 +528,23 @@ def _drops_within(rank: int, depth: int) -> list[tuple]:
 
 
 def _induced_character_check(module: LeviInducedModule) -> None:
-    """At every drop within the depth, the number of basis labels must be
-    the signed sum of Kostant partitions over the dot orbit of lam under the
-    inner subset J: ch M_J(lam) = sum_{w in W_J} (-1)^l(w) ch M(w.lam).
+    """At every drop within the depth, the number of basis labels in the
+    drop table must be the signed sum of Kostant partitions over the dot
+    orbit of lam under the inner subset J:
+    ch M_J(lam) = sum_{w in W_J} (-1)^l(w) ch M(w.lam).
     This checks the quotient V and the free f-part without building a
     module; every count is read from one Kostant table."""
     rs = module.rs
     orbit = dot_orbit(rs, module.lam, module.inner).items()
     drops = _drops_within(rs.rank, module.depth)
     partitions = _kostant_table(rs, drops)
-    counts = Counter(map(module.label_drop, module.basis))
+    counts = module.drop_counts()
     for drop in drops:
         expect = sum(sign * partitions.get(sub(drop, shift), 0)
                      for shift, sign in orbit)
-        if counts[drop] != expect:
+        if counts.get(drop, 0) != expect:
             raise RuntimeError(f"induced-basis count mismatch at drop {drop}: "
-                               f"{counts[drop]} != {expect}")
+                               f"{counts.get(drop, 0)} != {expect}")
 
 
 # -- contravariant form and simple quotients -----------------------------------
@@ -588,10 +614,7 @@ def simple_dims_table(module: VermaLikeModule) -> dict[tuple, int]:
 
 def simple_dims(alg: EnvelopingAlgebra, lam: Weight, depth: int) -> Character:
     """Character of the simple highest-weight module, truncated at depth."""
-    module = VermaLikeModule(alg, lam, depth)
-    rs = alg.rs
-    return Character.of({lam - rs.weight_of_root(nu): d
-                         for nu, d in simple_dims_table(module).items()})
+    return _character(alg.rs, lam, simple_dims_table(VermaLikeModule(alg, lam, depth)))
 
 
 # -- generalised Verma modules as induced modules --------------------------------
@@ -657,16 +680,16 @@ class LeviInducedModule(HighestWeightModule):
         # when the dual-basis directions act by scalars
         t_labels = ([(0,) * n_out] if self.c is not None else
                     _enum_f_labels(n_out, list(range(n_out)), [1] * n_out, depth))
-        self.basis = []
-        for b in self.V.basis:
-            for s in _enum_f_labels(alg.npos, self.free_idx, rs.heights,
-                                    depth - label_height(rs, b)):
-                self.basis.extend((s, t, b) for t in t_labels)
-        self._memo: dict[tuple, Vec] = {}
 
-    def label_drop(self, label) -> tuple:
-        s, _, b = label
-        return add(self.alg.root_sum(s), self.V.label_drop(b))
+        def labelled():
+            for b in self.V.basis:
+                v_drop = self.V.label_drop(b)
+                for s in _enum_f_labels(alg.npos, self.free_idx, rs.heights,
+                                        depth - label_height(rs, b)):
+                    drop = add(alg.root_sum(s), v_drop)
+                    yield from (((s, t, b), drop) for t in t_labels)
+        self._file_by_drop(labelled())
+        self._memo: dict[tuple, Vec] = {}
 
     def hw_label(self):
         zero_s = (0,) * self.alg.npos

@@ -368,7 +368,9 @@ def test_parabolic_verma_on_every_simple_root_is_the_finite_simple_module(
                                       ((0, 1), (1, 1))])
 def test_induced_character_check_catches_a_missing_label(alg_a2, J, coords):
     module = parabolic_verma(alg_a2, SimpleSubset.of(*J), Weight.of(*coords), 4)
-    del module.basis[len(module.basis) // 2]
+    # the check reads the drop table: the label leaves its weight space
+    label_ = module.basis.pop(len(module.basis) // 2)
+    module.labels_by_drop[module.label_drop(label_)].remove(label_)
     with pytest.raises(RuntimeError, match="induced-basis count mismatch"):
         _induced_character_check(module)
 
@@ -892,3 +894,75 @@ def test_levi_f_part_stays_on_the_free_roots(request, label, I, inner, coords):
         for x in module.basis:
             seen.update(module.act_label(g, x))
     assert all(i in free for s, _, _ in seen for i, k in enumerate(s) if k)
+
+
+# -- the drop table and the character constructor against the old formulas --
+
+_ORACLE_DEPTHS = {"A1": 10, "A2": 8, "B2": 8, "C2": 8, "G2": 8, "A3": 5, "B3": 5,
+                  "C3": 5, "A4": 4, "B4": 4, "C4": 4, "D4": 4, "F4": 4}
+
+
+def _old_drop(module, label):
+    """A label's drop summed in full, as label_drop computed it before the
+    table: root_sum(s), plus that of b for a Levi-induced label (s, t, b)."""
+    if isinstance(module, LeviInducedModule):
+        s, _, b = label
+        return tuple(x + y for x, y in zip(module.alg.root_sum(s),
+                                           module.alg.root_sum(b)))
+    return module.alg.root_sum(label)
+
+
+def _old_character(rs, lam, counts):
+    """The character as it was built before: one Fraction weight
+    lam - nu per drop, sorted by Character.of."""
+    return Character.of({lam - rs.weight_of_root(nu): n for nu, n in counts.items()})
+
+
+def _oracle_modules(label):
+    """A Verma module, and with J every simple root but the last (all of
+    them on A1): L_J, the Levi-induced modules over J, free and with
+    scalars c, and the parabolic Verma module of J; the weight is dominant
+    integral on J and rational off it."""
+    alg = _algebra(label)
+    rank_, depth = alg.rs.rank, _ORACLE_DEPTHS[label]
+    lam = Weight.of(*(1 if i < max(rank_ - 1, 1) else Fraction(2, 7)
+                      for i in range(rank_)))
+    J = SimpleSubset.of(*range(max(rank_ - 1, 1)))
+    c = {j: Fraction(-2) for j in range(rank_) if j not in J}
+    return {"verma": verma(alg, lam, depth),
+            "L_J": QuotientModule(VermaLikeModule(alg, lam, depth, J), J),
+            "levi": levi_gvm(alg, J, lam, depth),
+            "levi_c": LeviInducedModule(alg, J, lam, depth, c=c),
+            "parabolic": parabolic_verma(alg, J, lam, depth)}
+
+
+@pytest.mark.parametrize("label", _ALL_TYPES)
+def test_drop_table_matches_the_summed_drops(label):
+    """The table files every basis label once, under the drop summed in
+    full, and label_drop reads it."""
+    for kind, module in _oracle_modules(label).items():
+        filed = [x for labels in module.labels_by_drop.values() for x in labels]
+        assert sorted(filed) == sorted(module.basis), kind
+        for drop, labels in module.labels_by_drop.items():
+            assert labels, (kind, drop)
+            for x in labels:
+                assert module.label_drop(x) == _old_drop(module, x) == drop, (kind, x)
+
+
+@pytest.mark.parametrize("label", _ALL_TYPES)
+def test_characters_match_the_fraction_construction(label):
+    """character() and simple_dims equal the Characters built from
+    Fraction weights, the order of dims included."""
+    for kind, module in _oracle_modules(label).items():
+        counts = {}
+        for x in module.basis:
+            drop = _old_drop(module, x)
+            counts[drop] = counts.get(drop, 0) + 1
+        old = _old_character(module.rs, module.lam, counts)
+        assert module.character().dims == old.dims, kind
+    alg = _algebra(label)
+    for coords in _KIND_WEIGHTS:
+        lam = Weight.of(*coords[:alg.rs.rank])
+        depth = _ORACLE_DEPTHS[label]
+        old = _old_character(alg.rs, lam, simple_dims_table(verma(alg, lam, depth)))
+        assert simple_dims(alg, lam, depth).dims == old.dims, coords

@@ -91,6 +91,18 @@ MUTANTS = {
         "max(depth - height - 1, 1)",
         ["tests/test_criteria.py::test_case3_additivity_direct",
          "tests/test_criteria.py::test_walk_grid_digest"]),
+    "induced-character-check-skipped": (
+        "weightmod.py",
+        "    rs = module.rs\n    orbit = dot_orbit(",
+        "    return\n    rs = module.rs\n    orbit = dot_orbit(",
+        ["tests/test_weightmod.py::"
+         "test_induced_character_check_catches_a_missing_label"]),
+    "character-order-key-unnegated": (
+        "weightmod.py",
+        "key=lambda pn: tuple(-x for x in pn[0])",
+        "key=lambda pn: tuple(x for x in pn[0])",
+        ["tests/test_weightmod.py::"
+         "test_characters_match_the_fraction_construction"]),
     "dot-orbit-sign-unflipped": (
         "rootsys.py",
         "signs[new] = -signs[drop]",
