@@ -7,7 +7,11 @@ the finite-dimensional L_J(lam), the Verma module of the Levi of J modulo
 the singular vectors f_a^(lam(h_a)+1) v, a in J.  Levi-induced
 modules carry extra central polynomial directions along the dual Cartan
 basis.  All actions are exact, so weight-space dimensions of simple
-quotients come out of ranks over Q of the simple-root e maps.
+quotients come out of ranks over Q of the simple-root e maps.  At a
+dominant integral weight they come from Weyl's formula in Kostant's form
+instead, a signed sum of Kostant partitions over a dot orbit
+(``_orbit_counts``, which also checks the parabolic modules), with no
+module built.
 
 Actions are computed in the module, not through normal forms in U(g).
 Every module acts by the same rules.  The Cartan generators read their
@@ -527,24 +531,43 @@ def _drops_within(rank: int, depth: int) -> list[tuple]:
     return _enum_f_labels(rank, list(range(rank)), [1] * rank, depth)
 
 
+def _orbit_counts(rs: RootSystem, lam: Weight, subset: SimpleSubset,
+                  depth: int) -> dict[tuple, int]:
+    """{drop: count} within the depth of the signed Kostant sum over the dot
+    orbit of lam under the subset, on which lam is dominant integral:
+    sum_{w in W_subset} (-1)^l(w) ch M(w.lam), which is ch M_subset(lam),
+    and ch L(lam) when the subset is every simple root (Weyl's formula in
+    Kostant's form).  Only the orbit shifts of height at most the depth are
+    summed: every shift is a drop with nonnegative integer coordinates, so
+    P(nu - shift) is 0 unless shift <= nu.  Every count is read from one
+    Kostant table over the drops within the depth, the identity's term
+    P(nu) directly."""
+    orbit = [(shift, sign) for shift, sign in dot_orbit(rs, lam, subset).items()
+             if any(shift) and sum(shift) <= depth]
+    drops = _drops_within(rs.rank, depth)
+    partitions = _kostant_table(rs, drops)
+    counts = {}
+    for drop in drops:
+        n = partitions[drop] + sum(sign * partitions.get(sub(drop, shift), 0)
+                                   for shift, sign in orbit)
+        if n:
+            counts[drop] = n
+    return counts
+
+
 def _induced_character_check(module: LeviInducedModule) -> None:
-    """At every drop within the depth, the number of basis labels in the
-    drop table must be the signed sum of Kostant partitions over the dot
-    orbit of lam under the inner subset J:
+    """The drop table must count, at every drop within the depth, the
+    signed Kostant sum over the dot orbit of lam under the inner subset J:
     ch M_J(lam) = sum_{w in W_J} (-1)^l(w) ch M(w.lam).
     This checks the quotient V and the free f-part without building a
-    module; every count is read from one Kostant table."""
-    rs = module.rs
-    orbit = dot_orbit(rs, module.lam, module.inner).items()
-    drops = _drops_within(rs.rank, module.depth)
-    partitions = _kostant_table(rs, drops)
+    module."""
     counts = module.drop_counts()
-    for drop in drops:
-        expect = sum(sign * partitions.get(sub(drop, shift), 0)
-                     for shift, sign in orbit)
-        if counts.get(drop, 0) != expect:
-            raise RuntimeError(f"induced-basis count mismatch at drop {drop}: "
-                               f"{counts.get(drop, 0)} != {expect}")
+    expect = _orbit_counts(module.rs, module.lam, module.inner, module.depth)
+    if counts != expect:
+        drop = min(d for d in counts.keys() | expect.keys()
+                   if counts.get(d, 0) != expect.get(d, 0))
+        raise RuntimeError(f"induced-basis count mismatch at drop {drop}: "
+                           f"{counts.get(drop, 0)} != {expect.get(drop, 0)}")
 
 
 # -- contravariant form and simple quotients -----------------------------------
@@ -613,8 +636,18 @@ def simple_dims_table(module: VermaLikeModule) -> dict[tuple, int]:
 
 
 def simple_dims(alg: EnvelopingAlgebra, lam: Weight, depth: int) -> Character:
-    """Character of the simple highest-weight module, truncated at depth."""
-    return _character(alg.rs, lam, simple_dims_table(VermaLikeModule(alg, lam, depth)))
+    """Character of the simple highest-weight module, truncated at depth.
+    At dominant integral lam it is Weyl's, the signed Kostant sum over the
+    dot orbit of lam under the whole Weyl group, and no module is built;
+    at every other lam it is ``simple_dims_table`` of the Verma module."""
+    rs = alg.rs
+    _check_depth(rs, depth)
+    check_weight(rs, lam)
+    if lam.is_dominant_integral():
+        counts = _orbit_counts(rs, lam, SimpleSubset.of(*range(rs.rank)), depth)
+    else:
+        counts = simple_dims_table(VermaLikeModule(alg, lam, depth))
+    return _character(rs, lam, counts)
 
 
 # -- generalised Verma modules as induced modules --------------------------------

@@ -11,13 +11,15 @@ from vermakit.rootsys import (SimpleSubset, Weight, dot_orbit, dot_reflect,
                               parse_type, positive_subsystem, shifted_pairings,
                               sub)
 from vermakit.uea import EnvelopingAlgebra
-from vermakit.weightmod import (Character, LeviInducedModule, QuotientModule,
-                                VermaLikeModule, _drops_within, _enum_f_labels,
+from vermakit.weightmod import (MAX_BASIS_LABELS, Character, LeviInducedModule,
+                                QuotientModule, VermaLikeModule, _character,
+                                _drops_within, _enum_f_labels,
                                 _induced_character_check, _kostant_table,
-                                character_to_json, kostant_partition,
-                                label_height, levi_gvm, module_to_json,
-                                parabolic_verma, shapovalov_gram, simple_dims,
-                                simple_dims_table, verma, weyl_dim)
+                                _verma_labels, character_to_json,
+                                kostant_partition, label_height, levi_gvm,
+                                module_to_json, parabolic_verma,
+                                shapovalov_gram, simple_dims, simple_dims_table,
+                                verma, weyl_dim)
 
 
 def test_kostant_partition_a2(alg_a2):
@@ -69,8 +71,8 @@ def test_shapovalov_gram_sl2(alg_a1):
 
 def test_simple_dims_sl2_finite(alg_a1):
     for m in range(4):
-        ch = simple_dims(alg_a1, Weight.of(m), 6)
-        assert ch.total() == m + 1
+        table = simple_dims_table(verma(alg_a1, Weight.of(m), 6))
+        assert sum(table.values()) == m + 1
 
 
 def test_simple_dims_generic_verma_is_simple(alg_a1):
@@ -229,21 +231,22 @@ def test_simple_dims_are_the_shapovalov_ranks_on_every_type(fraction_rank_det,
 
 @pytest.mark.parametrize("label,depth", _TYPE_DEPTHS.items())
 def test_simple_dims_at_dominant_weights_are_signed_kostant_sums(label, depth):
-    """At dominant integral lam, dim L(lam)_(lam - nu) is
-    sum_w (-1)^l(w) P(nu - (lam - w.lam)) (Weyl's character formula in
-    Kostant's form), with no Gram matrix."""
+    """At dominant integral lam, the ranks of the simple-root e maps give
+    dim L(lam)_(lam - nu) = sum_w (-1)^l(w) P(nu - (lam - w.lam)) (Weyl's
+    character formula in Kostant's form), summed here over the whole
+    orbit."""
     alg = _algebra(label)
     rs = alg.rs
     drops = _drops_within(rs.rank, depth)
     partitions = _kostant_table(rs, drops)
     for coords in (_DOMINANT, (0, 0, 0, 0)):
         lam = Weight.of(*coords[:rs.rank])
-        got = simple_dims(alg, lam, depth).as_dict()
+        got = simple_dims_table(verma(alg, lam, depth))
         orbit = dot_orbit(rs, lam).items()
         for nu in drops:
             want = sum(sign * partitions.get(sub(nu, shift), 0)
                        for shift, sign in orbit)
-            assert got.get(lam - rs.weight_of_root(nu), 0) == want, (coords, nu)
+            assert got.get(nu, 0) == want, (coords, nu)
 
 
 @pytest.mark.parametrize("label,depth", _TYPE_DEPTHS.items())
@@ -546,7 +549,7 @@ def test_simple_dims_rewrites_only_f_generators(request, monkeypatch, label):
 
     monkeypatch.setattr(alg, "gen_mul_mono", spy)
     simple_dims(alg, Weight.of(Fraction(1, 2), Fraction(-1, 3)), 8)
-    simple_dims(alg, Weight.of(1, 2), 8)
+    simple_dims_table(verma(alg, Weight.of(1, 2), 8))
     assert seen == {("f", False)}
 
 
@@ -966,3 +969,44 @@ def test_characters_match_the_fraction_construction(label):
         depth = _ORACLE_DEPTHS[label]
         old = _old_character(alg.rs, lam, simple_dims_table(verma(alg, lam, depth)))
         assert simple_dims(alg, lam, depth).dims == old.dims, coords
+
+
+def _covering_depths(rs):
+    """(lam, the least depth that covers L(lam)) for lam = 0 and each
+    fundamental weight whose Verma module to that depth fits the budget.
+    The lowest drop of L(lam) is lam - w0 lam, the highest dot-orbit shift
+    of lam less that of 0, since w0.lam = w0 lam - 2 rho."""
+    top = max(map(sum, dot_orbit(rs, Weight.of(*[0] * rs.rank))))
+    out = [(Weight.of(*[0] * rs.rank), 1)]
+    for i in range(rs.rank):
+        lam = Weight.of(*(int(j == i) for j in range(rs.rank)))
+        depth = max(map(sum, dot_orbit(rs, lam))) - top
+        if _verma_labels(rs, depth, MAX_BASIS_LABELS) <= MAX_BASIS_LABELS:
+            out.append((lam, depth))
+    return out
+
+
+@pytest.mark.parametrize("label", _ALL_TYPES)
+def test_dominant_simple_dims_match_the_rank_path_and_weyl_dim(monkeypatch, label):
+    """At dominant integral lam, simple_dims sums Weyl's formula over the
+    dot orbit and builds no module.  It equals the ranks of the simple-root
+    e maps, the order of dims included, at 0, at a weight with zeros, and
+    at a weight so large that only the identity shift lies within the
+    depth; over a depth that covers L(lam) its total is weyl_dim."""
+    alg = _algebra(label)
+    rs, depth = alg.rs, _TYPE_DEPTHS[label]
+    large = Weight.of(*[depth] * rs.rank)
+    assert [s for s in dot_orbit(rs, large) if sum(s) <= depth] == [(0,) * rs.rank]
+    weights = [Weight.of(*[0] * rs.rank), Weight.of(*_DOMINANT[:rs.rank]), large]
+    covered = _covering_depths(rs)
+    want = [_character(rs, lam, simple_dims_table(verma(alg, lam, depth)))
+            for lam in weights]
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("simple_dims built a module at a dominant weight")
+
+    monkeypatch.setattr(VermaLikeModule, "__init__", refuse)
+    for lam, ch in zip(weights, want):
+        assert simple_dims(alg, lam, depth).dims == ch.dims, lam
+    for lam, cover in covered:
+        assert simple_dims(alg, lam, cover).total() == weyl_dim(rs, lam), lam

@@ -93,10 +93,22 @@ MUTANTS = {
          "tests/test_criteria.py::test_walk_grid_digest"]),
     "induced-character-check-skipped": (
         "weightmod.py",
-        "    rs = module.rs\n    orbit = dot_orbit(",
-        "    return\n    rs = module.rs\n    orbit = dot_orbit(",
+        "    counts = module.drop_counts()\n    expect = _orbit_counts(",
+        "    return\n    counts = module.drop_counts()\n    expect = _orbit_counts(",
         ["tests/test_weightmod.py::"
          "test_induced_character_check_catches_a_missing_label"]),
+    "orbit-shift-pruned-one-short": (
+        "weightmod.py",
+        "and sum(shift) <= depth]",
+        "and sum(shift) < depth]",
+        ["tests/test_weightmod.py::"
+         "test_dominant_simple_dims_match_the_rank_path_and_weyl_dim"]),
+    "weyl-path-on-integral-weights": (
+        "weightmod.py",
+        "if lam.is_dominant_integral():",
+        "if lam.is_integral():",
+        ["tests/test_weightmod.py::"
+         "test_characters_match_the_fraction_construction"]),
     "character-order-key-unnegated": (
         "weightmod.py",
         "key=lambda pn: tuple(-x for x in pn[0])",
