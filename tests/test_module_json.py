@@ -2,7 +2,9 @@
 output.  The Levi records were made before the module layer shared one
 commutation step and one bracket memo.  The parabolic records were made
 anew when parabolic_verma became an induced module, whose basis is not the
-old quotient's; the isomorphism test below ties the two.  Rerun this file
+old quotient's; the isomorphism test below ties the two.  The phi_c_target
+records were made while the scalar-action module was still built from
+scratch, before it was derived from its source.  Rerun this file
 as a script (PYTHONPATH=src python tests/test_module_json.py) only to
 record anew."""
 
@@ -13,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from vermakit.chevalley import structure_constants
+from vermakit.deform import phi_c, phi_c_target
 from vermakit.linalg import rank
 from vermakit.rootsys import SimpleSubset, Weight, parse_type
 from vermakit.uea import EnvelopingAlgebra
@@ -21,17 +24,37 @@ from vermakit.weightmod import (QuotientModule, VermaLikeModule, levi_gvm,
 
 DATA = Path(__file__).with_name("data") / "module_json.json"
 
-# (constructor, type, I, weight, depth)
+# (constructor, type, I, weight, depth), then for phi_c_target the scalars
+# c over the simple roots outside I, in order
 CASES = [
     ("levi_gvm", "A2", (0,), ("1", "1/2"), 3),
     ("levi_gvm", "A3", (0, 1), ("2", "0", "1/3"), 3),
     ("levi_gvm", "G2", (1,), ("1/2", "1"), 3),
     ("parabolic_verma", "A3", (0, 2), ("1", "-1/2", "0"), 4),
     ("parabolic_verma", "B2", (1,), ("2/3", "1"), 5),
+    ("phi_c_target", "A2", (0,), ("1", "1/2"), 3, ("-3",)),
+    # lam(h^1) = 2/3 here, so the scalar h^1 acts by is 0
+    ("phi_c_target", "A2", (0,), ("1", "1/2"), 3, ("2/3",)),
+    ("phi_c_target", "A3", (0, 1), ("2", "0", "1/3"), 3, ("5",)),
+    ("phi_c_target", "A3", (0, 1), ("2", "0", "1/3"), 3, ("-1/2",)),
+    ("phi_c_target", "G2", (1,), ("1/2", "1"), 3, ("-2",)),
+    ("phi_c_target", "G2", (1,), ("1/2", "1"), 3, ("1/3",)),
 ]
 
+_TARGETS = [i for i, case in enumerate(CASES) if case[0] == "phi_c_target"]
 
-def _module_json(ctor, label, I, weight, depth):
+
+def _source_and_c(label, I, weight, depth, c):
+    """The Levi-induced source of a phi_c_target case and its scalars."""
+    alg = EnvelopingAlgebra(structure_constants(parse_type(label)))
+    source = levi_gvm(alg, SimpleSubset.of(*I), Weight.of(*weight), depth)
+    return source, dict(zip(source.outside, map(Fraction, c)))
+
+
+def _module_json(ctor, label, I, weight, depth, c=None):
+    if ctor == "phi_c_target":
+        return module_to_json(phi_c_target(*_source_and_c(label, I, weight,
+                                                          depth, c)))
     alg = EnvelopingAlgebra(structure_constants(parse_type(label)))
     build = {"levi_gvm": levi_gvm, "parabolic_verma": parabolic_verma}[ctor]
     return module_to_json(build(alg, SimpleSubset.of(*I), Weight.of(*weight),
@@ -85,6 +108,25 @@ def test_parabolic_record_is_isomorphic_to_the_verma_quotient(index):
                 for s, d in phi[y].items():
                     mapped[s] = mapped.get(s, Fraction(0)) + c * d
             assert {s: c for s, c in mapped.items() if c} == old.act(g, phi[x]), (g, x)
+
+
+@pytest.mark.parametrize("index", _TARGETS)
+def test_target_action_is_the_projected_source_action(index):
+    """On every target label (a source label with t = 0) each generator,
+    the Levi e and f, every h and every h^a outside I, acts as phi_c of
+    its action in the source.  The scalar module once kept a zero
+    coefficient where h^a acts by lam(h^a) - c_a = 0, and phi_c drops it,
+    so the target's action is compared without zero coefficients."""
+    source, c = _source_and_c(*CASES[index][1:])
+    target = phi_c_target(source, c)
+    gens = ([(kind, i) for kind in ("e", "f") for i in source.levi_idx]
+            + [("h", i) for i in range(source.rs.rank)]
+            + [("hd", j) for j in source.outside])
+    assert target.basis == [x for x in source.basis if not any(x[1])]
+    for g in gens:
+        for x in target.basis:
+            got = {y: v for y, v in target.act_label(g, x).items() if v}
+            assert got == phi_c(source, source.act_label(g, x), c, target), (g, x)
 
 
 if __name__ == "__main__":

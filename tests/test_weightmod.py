@@ -415,8 +415,7 @@ def test_scalar_levi_module_labels_are_h_weight_vectors(label, I, coords, depth)
     alg = _algebra(label)
     rs, lam = alg.rs, Weight.of(*coords)
     source = levi_gvm(alg, SimpleSubset.of(*I), lam, depth)
-    module = LeviInducedModule(alg, source.I, lam, depth,
-                               c={j: 0 for j in source.outside})
+    module = phi_c_target(source, {j: 0 for j in source.outside})
     for label_ in module.basis:
         pairings = rs.simple_coroot_pairings(module.label_drop(label_))
         for i in range(rs.rank):
@@ -932,10 +931,11 @@ def _oracle_modules(label):
                       for i in range(rank_)))
     J = SimpleSubset.of(*range(max(rank_ - 1, 1)))
     c = {j: Fraction(-2) for j in range(rank_) if j not in J}
+    levi = levi_gvm(alg, J, lam, depth)
     return {"verma": verma(alg, lam, depth),
             "L_J": QuotientModule(VermaLikeModule(alg, lam, depth, J), J),
-            "levi": levi_gvm(alg, J, lam, depth),
-            "levi_c": LeviInducedModule(alg, J, lam, depth, c=c),
+            "levi": levi,
+            "levi_c": phi_c_target(levi, c),
             "parabolic": parabolic_verma(alg, J, lam, depth)}
 
 
