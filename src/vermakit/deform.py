@@ -15,7 +15,8 @@ from fractions import Fraction
 
 from .rootsys import RootSystem, Weight, _shown, check_weight
 from .uea import UEAElement, check_odd_prime, vp
-from .weightmod import LeviInducedModule, Vec, _clean, _vec_add, label_height
+from .weightmod import (LeviInducedModule, ScalarLeviModule, Vec, _clean,
+                        _vec_add, label_height)
 
 
 def _valuations_at_least(values, p: int, n: int) -> bool:
@@ -38,40 +39,52 @@ def scalars_admissible(c: dict[int, Fraction], p: int, n: int) -> bool:
     return _valuations_at_least(c.values(), p, n)
 
 
-def phi_c_target(source: LeviInducedModule, c: dict) -> LeviInducedModule:
-    """The scalar-action module the projection lands in."""
-    if source.c is not None:
-        raise ValueError("source already has scalar dual-Cartan action")
-    return LeviInducedModule(source.alg, source.I, source.lam, source.depth,
-                             c=c)
+def phi_c_target(source: LeviInducedModule, c: dict) -> ScalarLeviModule:
+    """The scalar-action module the projection lands in, derived from the
+    source: it shares the source's V, and its basis is the source's labels
+    with t = 0, so no module is built anew."""
+    return ScalarLeviModule(source, c)
 
 
-def phi_c(source: LeviInducedModule, vec: Vec, c: dict,
-          target: LeviInducedModule) -> Vec:
-    """Project f^s h^t v to (lam(h) - c)^t f^s v in target, the module
-    ``phi_c_target(source, c)``."""
-    if source.c is not None:
+def _projection_bases(source: LeviInducedModule, c: dict,
+                      target: ScalarLeviModule) -> list[Fraction]:
+    """The bases lam(h^a) - c_a over the simple roots a outside I, in
+    order, once the source, c and target are checked to fit together."""
+    if isinstance(source, ScalarLeviModule):
         raise ValueError("source already has scalar dual-Cartan action")
     if set(c) != set(source.outside):
         raise ValueError("c must be indexed by the simple roots outside I")
-    if (target.depth != source.depth or target.I != source.I
-            or target.lam != source.lam or target.c is None
+    if (not isinstance(target, ScalarLeviModule) or target.depth != source.depth
+            or target.I != source.I or target.inner != source.inner
+            or target.lam != source.lam
             or any(target.c[j] != Fraction(c[j]) for j in source.outside)):
         raise ValueError("target module does not match the projection data")
-    zero_t = (0,) * len(source.outside)
+    return [source.lam_dual[j] - target.c[j] for j in source.outside]
+
+
+def phi_c(source: LeviInducedModule, vec: Vec, c: dict,
+          target: ScalarLeviModule) -> Vec:
+    """Project f^s h^t v to (lam(h) - c)^t f^s v in target, the module
+    ``phi_c_target(source, c)``.  The bases lam(h^a) - c_a are formed once
+    per call, and each distinct t's scalar once."""
+    bases = _projection_bases(source, c, target)
+    zero_t = (0,) * len(bases)
+    scalars: dict[tuple, Fraction] = {}  # t -> prod_a base_a^t_a
     out: Vec = {}
     for (s, t, b), coeff in vec.items():
-        scalar = coeff
-        for pos, j in enumerate(source.outside):
-            scalar *= (source.lam_dual[j] - Fraction(c[j])) ** t[pos]
+        scalar = scalars.get(t)
+        if scalar is None:
+            scalar = scalars[t] = math.prod(
+                (base ** k for base, k in zip(bases, t)), start=Fraction(1))
         if scalar:
-            out[(s, zero_t, b)] = out.get((s, zero_t, b), Fraction(0)) + scalar
+            key = (s, zero_t, b)
+            out[key] = out.get(key, Fraction(0)) + coeff * scalar
     return _clean(out)
 
 
 def phi_c_homomorphism_check(source: LeviInducedModule, x: UEAElement,
                              vec: Vec, c: dict,
-                             target: LeviInducedModule) -> bool:
+                             target: ScalarLeviModule) -> bool:
     """phi_c(x . m) == x . phi_c(m), exactly.
 
     Needs headroom in the truncation: the polynomial directions of the
@@ -87,18 +100,23 @@ def phi_c_homomorphism_check(source: LeviInducedModule, x: UEAElement,
 
 
 def phi_c_surjective(source: LeviInducedModule, c: dict,
-                     target: LeviInducedModule) -> bool:
-    """The projected source basis spans the whole target basis."""
-    hit = set()
-    for label in source.basis:
-        hit.update(phi_c(source, {label: Fraction(1)}, c, target))
+                     target: ScalarLeviModule) -> bool:
+    """The projected source basis spans the whole target basis.  phi_c
+    sends the label (s, t, b) to (s, 0, b) times prod_a base_a^t_a, with
+    base_a = lam(h^a) - c_a, a scalar that is 0 exactly when some base_a
+    is 0 with t_a > 0; so the labels are read directly, with no
+    projection."""
+    bases = _projection_bases(source, c, target)
+    zero_t = (0,) * len(bases)
+    hit = {(s, zero_t, b) for s, t, b in source.basis
+           if all(base or not k for base, k in zip(bases, t))}
     return hit == set(target.basis)
 
 
-def hw_scalar_check(target: LeviInducedModule, c: dict, i: int) -> bool:
+def hw_scalar_check(target: ScalarLeviModule, c: dict, i: int) -> bool:
     """On the scalar-action module, lam(h^a_i) - h^a_i acts on the
     generator by exactly c_i."""
-    if target.c is None:
+    if not isinstance(target, ScalarLeviModule):
         raise ValueError("hw_scalar_check needs the scalar-action module")
     hw = target.hw_label()
     lhs = {hw: target.lam_dual[i]}
@@ -143,7 +161,7 @@ def phi_c_checks(source: LeviInducedModule, c: dict, samples: int,
 
 
 def phi_c_level_check(source: LeviInducedModule, vec: Vec, c: dict,
-                      target: LeviInducedModule, p: int, n: int) -> bool:
+                      target: ScalarLeviModule, p: int, n: int) -> bool:
     """Filtration spot check: projecting into target, the module
     ``phi_c_target(source, c)``, never lowers the level
     v_p(coefficient) - n * (label degree) when the scalars are admissible.

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import re
 from fractions import Fraction
 
@@ -357,11 +358,11 @@ def _symmetrizer(cartan: list[list[int]]) -> list[int]:
 
 
 def add(a: Root, b: Root) -> Root:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(operator.add, a, b))
 
 
 def sub(a: Root, b: Root) -> Root:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(operator.sub, a, b))
 
 
 def neg(a: Root) -> Root:

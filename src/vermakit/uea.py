@@ -302,17 +302,31 @@ class UEAElement:
 
 def multiply(a: UEAElement, b: UEAElement,
              ctx: DeformationContext | None = None) -> UEAElement:
-    """Normal-ordered product; truncated by total degree when ctx is given."""
+    """Normal-ordered product; truncated by total degree when ctx is given.
+    With each factor over its common denominator, the products n1 n2 cc
+    of numerators and int normal-form coefficients are summed as ints, and
+    each output term is one Fraction over the product of the two
+    denominators."""
     alg = a.alg
-    out: dict[Monomial, Fraction] = {}
-    for m1, c1 in a.terms.items():
-        for m2, c2 in b.terms.items():
+    den_a, nums_a = _over_common_denominator(a)
+    den_b, nums_b = _over_common_denominator(b)
+    out: dict[Monomial, int] = {}
+    for m1, n1 in nums_a:
+        for m2, n2 in nums_b:
+            n12 = n1 * n2
             for mm, cc in alg.mono_mul(m1, m2).items():
-                out[mm] = out.get(mm, Fraction(0)) + c1 * c2 * cc
-    result = UEAElement(alg, out)
+                out[mm] = out.get(mm, 0) + n12 * cc
+    den = den_a * den_b
+    result = UEAElement(alg, {m: Fraction(n, den) for m, n in out.items() if n})
     if ctx is not None:
         result = result.truncate(ctx.depth)
     return result
+
+
+def _over_common_denominator(x: UEAElement) -> tuple[int, list]:
+    """(D, [(monomial, n)]) with x = sum of n / D times the monomial."""
+    den = math.lcm(*(c.denominator for c in x.terms.values()))
+    return den, [(m, c.numerator * (den // c.denominator)) for m, c in x.terms.items()]
 
 
 def weight_of_monomial(alg: EnvelopingAlgebra, m: Monomial) -> Weight:

@@ -29,7 +29,10 @@ vector, and the simple quotient's weight spaces are ranked on these;
 Fractions appear only at its public edges, ``act_label``, the module
 vectors and ``shapovalov_gram``.  The quotient L_J(lam) and the
 Levi-induced modules act on Fractions, as their reductions and their
-scalars lam(h^a) - c_a are rational.
+scalars lam(h^a) - c_a are rational.  The scalar-action module
+(``ScalarLeviModule``) is derived from its Levi-induced source: it shares
+the source's V and takes the source's labels with t = 0, so it builds no V
+and walks no labels of its own.
 
 Every module files its basis labels by weight drop once, as it enumerates
 them (``labels_by_drop``), and reads a label's drop there.  A character is
@@ -88,11 +91,17 @@ def _character(rs: RootSystem, lam: Weight, counts: dict[tuple, int]) -> Charact
     """The Character with counts[nu] at lam - nu.  Each weight is built
     once, from the integer pairings <nu, alpha_i^v>, and the weights are
     sorted on the negated pairings: every weight is lam less its pairings,
-    so this is the order of ``Character.of`` on coordinates."""
+    so this is the order of ``Character.of`` on coordinates.  Each
+    coordinate lam_i - x is built once per (i, x), so the weights share
+    their Fractions."""
     pairs = sorted(((rs.simple_coroot_pairings(nu), n)
                     for nu, n in counts.items() if n),
                    key=lambda pn: tuple(-x for x in pn[0]))
-    return Character(tuple((Weight(tuple(c - x for c, x in zip(lam.coords, p))), n)
+    columns = [dict.fromkeys(col) for col in zip(*(p for p, _ in pairs))]
+    for c, col in zip(lam.coords, columns):
+        for x in col:
+            col[x] = c - x
+    return Character(tuple((Weight(tuple(col[x] for col, x in zip(columns, p))), n)
                            for p, n in pairs))
 
 
@@ -662,15 +671,12 @@ class LeviInducedModule(HighestWeightModule):
 
     Labels are triples (s, t, b): f-exponents over the positive Levi roots
     outside the Levi of J, exponents over the dual-basis elements h^a for
-    a outside I, and a basis label of V.  When the scalar vector c is
-    given, the dual-basis directions act by the scalars lam(h^a) - c_a
-    instead of freely (t stays zero), which is the target of the
-    projection maps.
+    a outside I, and a basis label of V.  ``ScalarLeviModule`` is the same
+    module with the dual-basis directions acting by scalars.
     """
 
     def __init__(self, alg: EnvelopingAlgebra, I: SimpleSubset, lam: Weight,
-                 depth: int, c: dict[int, Fraction] | None = None,
-                 inner: SimpleSubset | None = None):
+                 depth: int, inner: SimpleSubset | None = None):
         rs = alg.rs
         _check_depth(rs, depth)
         check_weight(rs, lam)
@@ -688,10 +694,7 @@ class LeviInducedModule(HighestWeightModule):
         levi_roots = positive_subsystem(rs, I)
         self.levi_idx = [rs.root_index[r] for r in levi_roots]
         self.outside = [j for j in range(rs.rank) if j not in I]
-        if c is not None and set(c) != set(self.outside):
-            raise ValueError("c must be indexed by the simple roots outside I")
-        self.c = None if c is None else {j: Fraction(c[j]) for j in self.outside}
-        self.kind = ("levi_gvm" if c is None else "levi_gvm_scalar")
+        self.kind = "levi_gvm"
 
         # lam(h^a), h^a dual to the simple roots: lam's coordinate on alpha_a,
         # solved against the Cartan rows (the alpha_a on the simple coroots)
@@ -700,27 +703,32 @@ class LeviInducedModule(HighestWeightModule):
         # V: the finite-dimensional simple module of J, whose lowest weight
         # lies sum_beta <lam, beta^v> below lam; cut at the depth, so that
         # no action leaves the basis.  V refuses lam not dominant integral on J.
+        # <rho, beta^v> is the height of the coroot beta^v.
         shifted = shifted_pairings(rs, lam)
-        rho = shifted_pairings(rs, Weight.of(*[0] * rs.rank))  # <rho, beta^v>
-        v_depth = sum(int(shifted[r] - rho[r]) for r in io_roots)
+        v_depth = sum(int(shifted[r] - sum(rs.coroot_coefficients(r)))
+                      for r in io_roots)
         self.V = QuotientModule(
             VermaLikeModule(alg, lam, max(min(v_depth, depth), 1), self.inner),
             self.inner)
         self.io_idx = self.V.parent.allowed
         self.free_idx = sorted(set(self.levi_idx) - set(self.io_idx))
         n_out = len(self.outside)
-        # t: every exponent vector of total degree <= depth, or only zero
-        # when the dual-basis directions act by scalars
-        t_labels = ([(0,) * n_out] if self.c is not None else
-                    _enum_f_labels(n_out, list(range(n_out)), [1] * n_out, depth))
+        # t: every exponent vector of total degree <= depth
+        t_labels = _enum_f_labels(n_out, list(range(n_out)), [1] * n_out, depth)
+        # the free f-parts once, at the full depth and in lexicographic
+        # order, each with its height and drop; a V label b keeps those
+        # within depth - height(b), still in that order
+        free = [(s, label_height(rs, s), alg.root_sum(s)) for s in
+                _enum_f_labels(alg.npos, self.free_idx, rs.heights, depth)]
 
         def labelled():
             for b in self.V.basis:
                 v_drop = self.V.label_drop(b)
-                for s in _enum_f_labels(alg.npos, self.free_idx, rs.heights,
-                                        depth - label_height(rs, b)):
-                    drop = add(alg.root_sum(s), v_drop)
-                    yield from (((s, t, b), drop) for t in t_labels)
+                room = depth - label_height(rs, b)
+                for s, height, s_drop in free:
+                    if height <= room:
+                        drop = add(s_drop, v_drop)
+                        yield from (((s, t, b), drop) for t in t_labels)
         self._file_by_drop(labelled())
         self._memo: dict[tuple, Vec] = {}
 
@@ -759,8 +767,6 @@ class LeviInducedModule(HighestWeightModule):
         s, t, b = label
         kind, i = g
         if kind == "hd":  # [h^i, f_R] = 0 for every root R of the Levi of I
-            if self.c is not None:
-                return {label: self.lam_dual[i] - self.c[i]}
             if sum(t) >= self.depth:
                 return {}
             return {(s, _bump(t, self.outside.index(i), 1), b): Fraction(1)}
@@ -783,6 +789,35 @@ class LeviInducedModule(HighestWeightModule):
         if i in self.io_idx:
             return {(s, t, b2): x for b2, x in self.V.act_label(g, b).items()}
         return {}  # e of a free root kills the induced vacuum
+
+
+class ScalarLeviModule(LeviInducedModule):
+    """The scalar-action variant of a Levi-induced source, the target of
+    the projection maps: each dual-basis direction h^a acts by the scalar
+    lam(h^a) - c_a instead of freely, so t stays zero.  It shares the
+    source's V, lam_dual and index lists, and its basis is the source's
+    labels with t = 0, in source order, filed under the source's drops."""
+
+    def __init__(self, source: LeviInducedModule, c: dict):
+        if isinstance(source, ScalarLeviModule):
+            raise ValueError("source already has scalar dual-Cartan action")
+        if set(c) != set(source.outside):
+            raise ValueError("c must be indexed by the simple roots outside I")
+        for name in ("alg", "rs", "I", "lam", "depth", "inner", "levi_idx",
+                     "outside", "lam_dual", "V", "io_idx", "free_idx"):
+            setattr(self, name, getattr(source, name))
+        self.c = {j: Fraction(c[j]) for j in self.outside}
+        self.kind = "levi_gvm_scalar"
+        self._file_by_drop((x, source.label_drop(x)) for x in source.basis
+                           if not any(x[1]))
+        self._memo: dict[tuple, Vec] = {}
+
+    def _act_label(self, g, label) -> Vec:
+        kind, i = g
+        if kind != "hd":
+            return super()._act_label(g, label)
+        scalar = self.lam_dual[i] - self.c[i]
+        return {label: scalar} if scalar else {}
 
 
 def levi_gvm(alg: EnvelopingAlgebra, I: SimpleSubset, lam: Weight,

@@ -1,10 +1,11 @@
+import copy
 import random
 from fractions import Fraction
 
 import pytest
 
 from vermakit.criteria import compute_A, gvm_region_irreducible
-from vermakit import deform
+from vermakit import deform, weightmod
 from vermakit.deform import (hw_scalar_check, phi_c, phi_c_checks,
                              phi_c_homomorphism_check,
                              phi_c_level_check, phi_c_surjective,
@@ -219,3 +220,142 @@ def test_scalars_not_indexed_by_the_roots_outside_i_are_refused(source, c):
 def test_admissibility_refuses_a_weight_of_the_wrong_rank(coords):
     with pytest.raises(ValueError, match=r"needs 2 coordinates \(rank 2\)"):
         weight_admissible(parse_type("A2"), Weight.of(*coords), 5, 0)
+
+
+# -- phi_c and its surjectivity against the per-label computation ------------
+
+
+def reference_phi_c(source, vec, c):
+    """phi_c as it was computed label by label: each coefficient times
+    prod_a (lam(h^a) - c_a)^t_a, the bases formed anew for every label."""
+    zero_t = (0,) * len(source.outside)
+    out = {}
+    for (s, t, b), coeff in vec.items():
+        scalar = coeff
+        for pos, j in enumerate(source.outside):
+            scalar *= (source.lam_dual[j] - Fraction(c[j])) ** t[pos]
+        if scalar:
+            out[(s, zero_t, b)] = out.get((s, zero_t, b), Fraction(0)) + scalar
+    return {k: v for k, v in out.items() if v}
+
+
+def reference_surjective(source, c, target):
+    """Whether the per-label images of the source basis hit every target
+    label."""
+    hit = set()
+    for label in source.basis:
+        hit.update(reference_phi_c(source, {label: Fraction(1)}, c))
+    return hit == set(target.basis)
+
+
+# (fixture, I, weight, depth); the scalars are drawn per test
+_PROJECTION_CASES = [
+    ("alg_a2", (0,), (3, Fraction(1, 2)), 4),
+    ("alg_a3", (0,), (2, Fraction(1, 3), Fraction(-1, 2)), 3),
+    ("alg_g2", (1,), (Fraction(1, 2), 1), 3)]
+
+
+def _sources_and_scalars(request, fixture, I, weight, depth):
+    """The source, and scalar vectors on it: generic ones, and ones with
+    c_a = lam(h^a), where the base lam(h^a) - c_a is 0, on one root
+    outside I and on all of them."""
+    source = levi_gvm(request.getfixturevalue(fixture), SimpleSubset.of(*I),
+                      Weight.of(*weight), depth)
+    out = source.outside
+    generic = {j: Fraction(-3 - k, 2) for k, j in enumerate(out)}
+    scalars = [generic, {j: source.lam_dual[j] for j in out}]
+    if len(out) > 1:
+        scalars.append({**generic, out[0]: source.lam_dual[out[0]]})
+    return source, scalars
+
+
+@pytest.mark.parametrize("case", _PROJECTION_CASES, ids=["A2", "A3", "G2"])
+def test_phi_c_matches_the_per_label_reference(request, case):
+    source, scalars = _sources_and_scalars(request, *case)
+    rng = random.Random(5)
+    for c in scalars:
+        target = phi_c_target(source, c)
+        # many labels share each t; the two labels (s, t, b) and (s, t', b)
+        # of one (s, b) land on one target label, and here they cancel
+        zero = (0,) * len(source.outside)
+        s, _, b = source.basis[0]
+        first = {(s, zero, b): Fraction(1)}
+        a = source.outside[0]
+        base = source.lam_dual[a] - Fraction(c[a])
+        cancel = {**first, (s, (1,) + zero[1:], b): -1 / base if base else 1}
+        vecs = [{x: Fraction(1) for x in source.basis}, first, cancel, {}]
+        for _ in range(20):
+            labels = rng.sample(source.basis, 6)
+            vecs.append({x: Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                         for x in labels})
+        for vec in vecs:
+            assert phi_c(source, vec, c, target) == reference_phi_c(source, vec, c)
+
+
+@pytest.mark.parametrize("case", _PROJECTION_CASES, ids=["A2", "A3", "G2"])
+def test_phi_c_surjective_matches_the_per_label_reference(request, case):
+    """phi_c_surjective reads the labels directly; a stand-in source with
+    part of the basis, the labels with t = 0 among the ones left out,
+    shows it leaves out a label whose image is 0, where some base
+    lam(h^a) - c_a is 0 and t_a > 0."""
+    source, scalars = _sources_and_scalars(request, *case)
+    rng = random.Random(8)
+    verdicts = set()
+    for c in scalars:
+        target = phi_c_target(source, c)
+        moving = [x for x in source.basis if any(x[1])]
+        parts = [source.basis, moving] + [
+            [x for x in moving if rng.random() < 0.6] for _ in range(10)]
+        for part in parts:
+            stand_in = copy.copy(source)
+            stand_in.basis = part
+            got = phi_c_surjective(stand_in, c, target)
+            assert got == reference_surjective(stand_in, c, target), (c, part)
+            verdicts.add(got)
+    assert verdicts == {True, False}
+
+
+def test_projection_refusals_keep_their_messages(source, alg_a2):
+    c = {1: Fraction(-3)}
+    target = phi_c_target(source, c)
+    scalar_source = "source already has scalar dual-Cartan action"
+    with pytest.raises(ValueError, match=f"^{scalar_source}$"):
+        phi_c_target(target, c)
+    with pytest.raises(ValueError, match=f"^{scalar_source}$"):
+        phi_c(target, {}, c, target)
+    with pytest.raises(ValueError, match=f"^{scalar_source}$"):
+        phi_c_surjective(target, c, target)
+    wrong_keys = "c must be indexed by the simple roots outside I"
+    for bad in ({}, {0: 1}, {1: 1, 2: 0}):
+        for call in (lambda: phi_c(source, {}, bad, target),
+                     lambda: phi_c_surjective(source, bad, target)):
+            with pytest.raises(ValueError, match=f"^{wrong_keys}$"):
+                call()
+    mismatch = "target module does not match the projection data"
+    shallow = levi_gvm(alg_a2, SimpleSubset.of(0), Weight.of(3, Fraction(1, 2)), 3)
+    other_lam = levi_gvm(alg_a2, SimpleSubset.of(0), Weight.of(4, Fraction(1, 2)), 4)
+    for wrong in (phi_c_target(shallow, c), phi_c_target(other_lam, c),
+                  phi_c_target(source, {1: Fraction(2)}), source):
+        for call in (lambda: phi_c(source, {}, c, wrong),
+                     lambda: phi_c_surjective(source, c, wrong)):
+            with pytest.raises(ValueError, match=f"^{mismatch}$"):
+                call()
+
+
+def test_the_target_is_derived_from_its_source(source, monkeypatch):
+    """phi_c_checks builds one module, the target, and no Verma-like,
+    quotient or Levi-induced module: the target shares its source's V."""
+    built = []
+    for cls in (weightmod.VermaLikeModule, weightmod.QuotientModule,
+                weightmod.LeviInducedModule, weightmod.ScalarLeviModule):
+        def counted(self, *args, __init__=cls.__init__, name=cls.__name__):
+            built.append(name)
+            __init__(self, *args)
+        monkeypatch.setattr(cls, "__init__", counted)
+    c = {1: Fraction(-3)}
+    target = phi_c_target(source, c)
+    assert built == ["ScalarLeviModule"]
+    assert target.V is source.V and target.lam_dual is source.lam_dual
+    assert target.basis == [x for x in source.basis if not any(x[1])]
+    assert all(phi_c_checks(source, c, 20, random.Random(3)).values())
+    assert built == ["ScalarLeviModule"] * 2

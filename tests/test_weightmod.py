@@ -719,8 +719,9 @@ def test_weight_of_the_wrong_rank_is_refused(alg_a2, build, coords):
 @pytest.mark.parametrize("g", [("e", 99), ("f", -1), ("h", -1), ("h", 5),
                                ("hd", 0), ("hd", 2), ("x", 0)])
 def test_levi_module_refuses_a_generator_it_does_not_have(alg_a2, g, c):
-    module = LeviInducedModule(alg_a2, SimpleSubset.of(0),
-                               Weight.of(3, Fraction(1, 2)), 3, c)
+    module = levi_gvm(alg_a2, SimpleSubset.of(0), Weight.of(3, Fraction(1, 2)), 3)
+    if c is not None:
+        module = phi_c_target(module, c)
     top = max(module.basis, key=lambda x: _levi_height(module, x))
     for label in (module.hw_label(), top):
         with pytest.raises(ValueError, match=re.escape(f"{g} is not a generator")):

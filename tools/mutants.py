@@ -122,6 +122,18 @@ MUTANTS = {
         ["tests/test_weightmod.py::test_parabolic_verma_character_cross_check",
          "tests/test_weightmod.py::"
          "test_simple_dims_at_dominant_weights_are_signed_kostant_sums"]),
+    "phi-c-target-keeps-moving-labels": (
+        "weightmod.py",
+        "if not any(x[1]))",
+        "if True)",
+        ["tests/test_module_json.py::"
+         "test_target_action_is_the_projected_source_action"]),
+    "phi-c-surjective-ignores-a-zero-base": (
+        "deform.py",
+        "if all(base or not k for",
+        "if all(True or not k for",
+        ["tests/test_deform.py::"
+         "test_phi_c_surjective_matches_the_per_label_reference"]),
 }
 
 
