@@ -248,7 +248,7 @@ def reference_surjective(source, c, target):
     return hit == set(target.basis)
 
 
-# (fixture, I, weight, depth); the scalars are drawn per test
+# (fixture, I, weight, depth); the scalars come from _sources_and_scalars
 _PROJECTION_CASES = [
     ("alg_a2", (0,), (3, Fraction(1, 2)), 4),
     ("alg_a3", (0,), (2, Fraction(1, 3), Fraction(-1, 2)), 3),
