@@ -31,8 +31,8 @@ vectors and ``shapovalov_gram``.  The quotient L_J(lam) and the
 Levi-induced modules act on Fractions, as their reductions and their
 scalars lam(h^a) - c_a are rational.  The scalar-action module
 (``ScalarLeviModule``) is derived from its Levi-induced source: it shares
-the source's V and takes the source's labels with t = 0, so it builds no V
-and walks no labels of its own.
+the source's V, takes its labels with t = 0 and keeps its source, c and
+the bases lam(h^a) - c_a, the projection data that ``deform`` reads.
 
 Every module files its basis labels by weight drop once, as it enumerates
 them (``labels_by_drop``), and reads a label's drop there.  A character is
@@ -796,7 +796,9 @@ class ScalarLeviModule(LeviInducedModule):
     the projection maps: each dual-basis direction h^a acts by the scalar
     lam(h^a) - c_a instead of freely, so t stays zero.  It shares the
     source's V, lam_dual and index lists, and its basis is the source's
-    labels with t = 0, in source order, filed under the source's drops."""
+    labels with t = 0, in source order, filed under the source's drops.
+    It keeps ``source``, ``c`` and ``bases``, the scalars lam(h^a) - c_a
+    over ``outside`` in order: the projection data ``deform`` reads."""
 
     def __init__(self, source: LeviInducedModule, c: dict):
         if isinstance(source, ScalarLeviModule):
@@ -806,7 +808,9 @@ class ScalarLeviModule(LeviInducedModule):
         for name in ("alg", "rs", "I", "lam", "depth", "inner", "levi_idx",
                      "outside", "lam_dual", "V", "io_idx", "free_idx"):
             setattr(self, name, getattr(source, name))
+        self.source = source
         self.c = {j: Fraction(c[j]) for j in self.outside}
+        self.bases = [self.lam_dual[j] - self.c[j] for j in self.outside]
         self.kind = "levi_gvm_scalar"
         self._file_by_drop((x, source.label_drop(x)) for x in source.basis
                            if not any(x[1]))
@@ -816,7 +820,7 @@ class ScalarLeviModule(LeviInducedModule):
         kind, i = g
         if kind != "hd":
             return super()._act_label(g, label)
-        scalar = self.lam_dual[i] - self.c[i]
+        scalar = self.bases[self.outside.index(i)]
         return {label: scalar} if scalar else {}
 
 

@@ -294,28 +294,31 @@ def test_phi_c_matches_the_per_label_reference(request, case):
 
 @pytest.mark.parametrize("case", _PROJECTION_CASES, ids=["A2", "A3", "G2"])
 def test_phi_c_surjective_matches_the_per_label_reference(request, case):
-    """phi_c_surjective reads the labels directly; a stand-in source with
-    part of the basis, the labels with t = 0 among the ones left out,
-    shows it leaves out a label whose image is 0, where some base
-    lam(h^a) - c_a is 0 and t_a > 0."""
+    """phi_c_surjective reads the construction: on the real target, at
+    every scalar vector, the zero bases included, phi_c is onto.  A
+    stand-in target with one label left out, or with one source label with
+    t != 0 added, is not, and the per-label reference agrees on each."""
     source, scalars = _sources_and_scalars(request, *case)
     rng = random.Random(8)
+    moving = [x for x in source.basis if any(x[1])]
     verdicts = set()
     for c in scalars:
         target = phi_c_target(source, c)
-        moving = [x for x in source.basis if any(x[1])]
-        parts = [source.basis, moving] + [
-            [x for x in moving if rng.random() < 0.6] for _ in range(10)]
-        for part in parts:
-            stand_in = copy.copy(source)
-            stand_in.basis = part
-            got = phi_c_surjective(stand_in, c, target)
-            assert got == reference_surjective(stand_in, c, target), (c, part)
+        stand_ins = []
+        for _ in range(5):
+            short, extra = copy.copy(target), copy.copy(target)
+            drop = rng.choice(target.basis)
+            short.basis = [x for x in target.basis if x != drop]
+            extra.basis = target.basis + [rng.choice(moving)]
+            stand_ins += [short, extra]
+        for tgt, want in [(target, True)] + [(x, False) for x in stand_ins]:
+            got = phi_c_surjective(source, c, tgt)
+            assert got is want and got == reference_surjective(source, c, tgt), c
             verdicts.add(got)
     assert verdicts == {True, False}
 
 
-def test_projection_refusals_keep_their_messages(source, alg_a2):
+def test_projection_refusals_keep_their_messages(source, alg_a2, alg_b2):
     c = {1: Fraction(-3)}
     target = phi_c_target(source, c)
     scalar_source = "source already has scalar dual-Cartan action"
@@ -334,7 +337,10 @@ def test_projection_refusals_keep_their_messages(source, alg_a2):
     mismatch = "target module does not match the projection data"
     shallow = levi_gvm(alg_a2, SimpleSubset.of(0), Weight.of(3, Fraction(1, 2)), 3)
     other_lam = levi_gvm(alg_a2, SimpleSubset.of(0), Weight.of(4, Fraction(1, 2)), 4)
+    # the same I, lam, depth and c over another root system
+    other_type = levi_gvm(alg_b2, SimpleSubset.of(0), Weight.of(3, Fraction(1, 2)), 4)
     for wrong in (phi_c_target(shallow, c), phi_c_target(other_lam, c),
+                  phi_c_target(other_type, c),
                   phi_c_target(source, {1: Fraction(2)}), source):
         for call in (lambda: phi_c(source, {}, c, wrong),
                      lambda: phi_c_surjective(source, c, wrong)):
@@ -355,7 +361,9 @@ def test_the_target_is_derived_from_its_source(source, monkeypatch):
     c = {1: Fraction(-3)}
     target = phi_c_target(source, c)
     assert built == ["ScalarLeviModule"]
+    assert target.source is source
     assert target.V is source.V and target.lam_dual is source.lam_dual
+    assert target.bases == [source.lam_dual[1] - c[1]]
     assert target.basis == [x for x in source.basis if not any(x[1])]
     assert all(phi_c_checks(source, c, 20, random.Random(3)).values())
     assert built == ["ScalarLeviModule"] * 2

@@ -15,7 +15,7 @@ KEPT = {
     "gvm_region_irreducible": "the paper's acceptance tests (test_acceptance)",
     "kostant_partition": "benchmark: the weightmod.kostant tracer target",
     "module_to_json": "test reference: the recorded modules in test_module_json",
-    "phi_c_level_check": "ROADMAP item 5, the exhaustive phi_c level check",
+    "phi_c_level_check": "ROADMAP item 6, the exhaustive phi_c level check",
     "rank": "benchmark: the linalg.rank tracer target",
     "shapovalov_gram": "benchmark: the weightmod.gram tracer target",
     "simple_dims": "benchmark: the modules workload",

@@ -127,13 +127,20 @@ MUTANTS = {
         "if not any(x[1]))",
         "if True)",
         ["tests/test_module_json.py::"
-         "test_target_action_is_the_projected_source_action"]),
-    "phi-c-surjective-ignores-a-zero-base": (
+         "test_target_action_is_the_projected_source_action",
+         "tests/test_deform.py::"
+         "test_phi_c_surjective_matches_the_per_label_reference"]),
+    "phi-c-surjective-accepts-a-short-target": (
         "deform.py",
-        "if all(base or not k for",
-        "if all(True or not k for",
+        "if not any(x[1])} == set(target.basis)",
+        "if not any(x[1])} >= set(target.basis)",
         ["tests/test_deform.py::"
          "test_phi_c_surjective_matches_the_per_label_reference"]),
+    "phi-c-target-derivation-unchecked": (
+        "deform.py",
+        " or target.source is not source\n",
+        "\n",
+        ["tests/test_deform.py::test_projection_refusals_keep_their_messages"]),
 }
 
 
