@@ -22,10 +22,10 @@ from .rootsys import (SimpleSubset, Weight, _quoted, bad_primes, check_subset,
                       dot_orbit, parse_rational, parse_type, parse_weight)
 from .uea import (DeformationContext, EnvelopingAlgebra, exp_truncated,
                   iwasawa_generator_monomial, multiply, weight_components)
-from .weightmod import (MAX_BASIS_LABELS, _check_basis_budget, _check_depth,
-                        _drops_within, _kostant_table, character_to_json,
-                        levi_gvm, parabolic_verma, reflection_formula_check,
-                        verma)
+from .weightmod import (MAX_BASIS_LABELS, VermaLikeModule, _check_basis_budget,
+                        _check_depth, _drops_within, _kostant_table,
+                        character_to_json, levi_gvm, parabolic_verma,
+                        reflection_formula_check)
 
 SCHEMA = 1
 
@@ -116,7 +116,7 @@ def _cmd_character(args) -> int:
     if len(I):
         module = parabolic_verma(alg, I, lam, args.depth)
     else:
-        module = verma(alg, lam, args.depth)
+        module = VermaLikeModule(alg, lam, args.depth)
     ch = character_to_json(module.character())
     body = {"type": args.type, "weight": [str(x) for x in lam.coords],
             "parabolic": sorted(I), "depth": args.depth, "character": ch}
@@ -203,7 +203,7 @@ def _suite_verma(depth: int, rng) -> tuple[bool, str]:
     rs = parse_type("A2")
     alg = EnvelopingAlgebra(structure_constants(rs))
     lam = Weight.of(Fraction(2, 7), Fraction(-3, 5))
-    counts = verma(alg, lam, depth).drop_counts()
+    counts = VermaLikeModule(alg, lam, depth).drop_counts()
     for nu, count in _kostant_table(rs, _drops_within(rs.rank, depth)).items():
         if counts.get(nu, 0) != count:
             return False, f"multiplicity mismatch at drop {nu}"

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .rootsys import RootSystem, Weight, _shown, check_weight
 from .uea import UEAElement, check_odd_prime, vp
-from .weightmod import (LeviInducedModule, ScalarLeviModule, Vec, _clean,
+from .weightmod import (LeviInducedModule, ScalarLeviModule, Vec, _vec_add,
                         label_height)
 
 
@@ -46,38 +46,66 @@ def phi_c_target(source: LeviInducedModule, c: dict) -> ScalarLeviModule:
     return ScalarLeviModule(source, c)
 
 
-def _projection_bases(source: LeviInducedModule, c: dict,
-                      target: ScalarLeviModule) -> list[Fraction]:
-    """The target's bases lam(h^a) - c_a, once the target is checked to be
-    built from this source with these scalars."""
+def _check_projection(source: LeviInducedModule, c: dict,
+                      target: ScalarLeviModule) -> None:
+    """Refuse a target not built from this source with these scalars."""
     if isinstance(source, ScalarLeviModule):
         raise ValueError("source already has scalar dual-Cartan action")
     if set(c) != set(source.outside):
         raise ValueError("c must be indexed by the simple roots outside I")
     if (not isinstance(target, ScalarLeviModule) or target.source is not source
-            or any(target.c[j] != Fraction(c[j]) for j in source.outside)):
+            or target.c != c and any(target.c[j] != Fraction(c[j])
+                                     for j in source.outside)):
         raise ValueError("target module does not match the projection data")
-    return target.bases
+
+
+def _int_vector(vec: Vec) -> tuple[dict, int]:
+    """vec over one common denominator: ({label: int}, den)."""
+    den = math.lcm(*(x.denominator for x in vec.values()))
+    return {k: x.numerator * (den // x.denominator) for k, x in vec.items()}, den
+
+
+def _project(target: ScalarLeviModule, vec: dict) -> dict:
+    """t_den times phi_c of an int vector, as ints, zeros left in: each
+    label's scalar prod_a base_a^t_a is read from the target's table,
+    which holds every t-part of the source's labels."""
+    scalars = target.t_scalars
+    zero_t = (0,) * len(target.outside)
+    out: dict = {}
+    for (s, t, b), x in vec.items():
+        y = scalars.get(t)
+        if y is None:
+            raise ValueError(f"{t} is not the t-part of a source label, an "
+                             f"exponent vector of length {len(zero_t)} and "
+                             f"total at most {target.depth}")
+        if y:
+            key = (s, zero_t, b)
+            out[key] = out.get(key, 0) + x * y
+    return out
+
+
+def _act_word(module, word: list, vec: dict) -> dict:
+    """den ** len(word) times the action of a generator word (leftmost
+    factor acts last) on an int vector, through ``module.int_action``,
+    zeros left in."""
+    act = module.int_action
+    for g in reversed(word):
+        out: dict = {}
+        for label, x in vec.items():
+            for a, y in act(g, label).items():
+                out[a] = out.get(a, 0) + x * y
+        vec = out
+    return vec
 
 
 def phi_c(source: LeviInducedModule, vec: Vec, c: dict,
           target: ScalarLeviModule) -> Vec:
     """Project f^s h^t v to (lam(h) - c)^t f^s v in target, the module
-    ``phi_c_target(source, c)``.  The bases lam(h^a) - c_a are the
-    target's, and each distinct t's scalar is formed once per call."""
-    bases = _projection_bases(source, c, target)
-    zero_t = (0,) * len(bases)
-    scalars: dict[tuple, Fraction] = {}  # t -> prod_a base_a^t_a
-    out: Vec = {}
-    for (s, t, b), coeff in vec.items():
-        scalar = scalars.get(t)
-        if scalar is None:
-            scalar = scalars[t] = math.prod(
-                (base ** k for base, k in zip(bases, t)), start=Fraction(1))
-        if scalar:
-            key = (s, zero_t, b)
-            out[key] = out.get(key, Fraction(0)) + coeff * scalar
-    return _clean(out)
+    ``phi_c_target(source, c)``, which holds each t's scalar."""
+    _check_projection(source, c, target)
+    ints, den = _int_vector(vec)
+    den *= target.t_den
+    return {k: Fraction(x, den) for k, x in _project(target, ints).items() if x}
 
 
 def phi_c_homomorphism_check(source: LeviInducedModule, x: UEAElement,
@@ -85,16 +113,33 @@ def phi_c_homomorphism_check(source: LeviInducedModule, x: UEAElement,
                              target: ScalarLeviModule) -> bool:
     """phi_c(x . m) == x . phi_c(m), exactly.
 
+    Each monomial's generator word is read once and acts through both
+    modules' integer actions, and the two sides are compared as ints:
+    m's denominator and the target's t_den scale both alike, and each is
+    brought to the scale (source.den target.den)^degree(x) times the
+    common denominator of x's coefficients.
+
     Needs headroom in the truncation: the polynomial directions of the
     source are cut at the module depth, and acting past that cut would
     discard terms the scalar target keeps.
     """
-    t_max = max((sum(lab[1]) for lab in vec), default=0)
-    if t_max + x.degree() > source.depth:
+    words = [(source.alg.word(mono), q)
+             for mono, q in _int_vector(x.terms)[0].items()]
+    top = max((len(word) for word, _ in words), default=0)  # x's degree
+    if max((sum(t) for _, t, _ in vec), default=0) + top > source.depth:
         raise ValueError("depth exhausted: the action overflows the "
                          "polynomial truncation")
-    lhs = phi_c(source, source.apply_element(x, vec), c, target)
-    return lhs == target.apply_element(x, phi_c(source, vec, c, target))
+    _check_projection(source, c, target)
+    ints = _int_vector(vec)[0]
+    image = _project(target, ints)
+    ds, dt = source.den, target.den
+    diff: dict = {}  # lhs - rhs
+    for word, q in words:
+        k = len(word)
+        _vec_add(diff, _project(target, _act_word(source, word, ints)),
+                 q * ds ** (top - k) * dt ** top)
+        _vec_add(diff, _act_word(target, word, image), -q * ds ** top * dt ** (top - k))
+    return not any(diff.values())
 
 
 def phi_c_surjective(source: LeviInducedModule, c: dict,
@@ -104,7 +149,7 @@ def phi_c_surjective(source: LeviInducedModule, c: dict,
     a multiple of (s, 0, b), a label the Levi-induced basis then holds; so
     it is onto exactly when the target's basis is the source's labels with
     t = 0, and that set equality is what is checked."""
-    _projection_bases(source, c, target)
+    _check_projection(source, c, target)
     return {x for x in source.basis if not any(x[1])} == set(target.basis)
 
 
@@ -137,7 +182,11 @@ def phi_c_checks(source: LeviInducedModule, c: dict, samples: int,
     dual-basis direction outside I, and the homomorphism identity on
     samples, 1..MAX_SAMPLES of them.  Each sample draws from rng a
     generator, a label with room for one more degree in the truncation and
-    a coefficient in 1..9; the samples stop at the first failure."""
+    a coefficient in 1..9; the samples stop at the first failure.
+
+    The "surjective" entry is not evidence: ``phi_c_surjective`` reads the
+    target's construction, and on a target that ``phi_c_target`` builds it
+    cannot read False.  The entry stays so that the battery's keys do."""
     check_samples(samples)
     target = phi_c_target(source, c)
     checks = {"surjective": phi_c_surjective(source, c, target),

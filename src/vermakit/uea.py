@@ -132,11 +132,12 @@ class EnvelopingAlgebra:
         f, h, e = m
         out: list[Gen] = []
         for i in range(self.npos - 1, -1, -1):
-            out.extend([("f", i)] * f[i])
-        for i in range(self.rs.rank):
-            out.extend([("h", i)] * h[i])
-        for i in range(self.npos):
-            out.extend([("e", i)] * e[i])
+            if f[i]:
+                out += [("f", i)] * f[i]
+        for kind, exps in (("h", h), ("e", e)):
+            for i, k in enumerate(exps):
+                if k:
+                    out += [(kind, i)] * k
         return out
 
     def mono_one(self) -> Monomial:

@@ -23,16 +23,19 @@ stays in U(n-).  Any other generator g takes one commutation step past
 the leading f of the label, g f_L r = f_L (g r) + [g, f_L] r
 (``_commute_past_f``).  No term with an e or an h is ever formed.
 
-On the Verma path the arithmetic is on Python ints.  With lam = N/D over
-one common denominator D, D times the action of g on f^s v is an integer
-vector, and the simple quotient's weight spaces are ranked on these;
-Fractions appear only at its public edges, ``act_label``, the module
-vectors and ``shapovalov_gram``.  The quotient L_J(lam) and the
-Levi-induced modules act on Fractions, as their reductions and their
-scalars lam(h^a) - c_a are rational.  The scalar-action module
-(``ScalarLeviModule``) is derived from its Levi-induced source: it shares
-the source's V, takes its labels with t = 0 and keeps its source, c and
-the bases lam(h^a) - c_a, the projection data that ``deform`` reads.
+The Verma and Levi-induced actions are on Python ints.  With lam = N/D
+over one common denominator D, D times the action of g on f^s v is an
+integer vector, and the simple quotient's weight spaces are ranked on
+these; Fractions appear only at the public edges, ``act_label``, the
+module vectors and ``shapovalov_gram``.  A Levi-induced module scales its
+action by one denominator ``den``, which clears the only rational values:
+the h scalars from lam(h^a), the values of the quotient V = L_J(lam),
+whose reductions divide by echelon pivots, and, on the scalar-action
+module, its scalars lam(h^a) - c_a.  The quotient itself acts on
+Fractions.  The scalar-action module (``ScalarLeviModule``) is derived
+from its Levi-induced source: it shares the source's V, takes its labels
+with t = 0 and keeps its source, c, the bases lam(h^a) - c_a and each t's
+scalar, the projection data that ``deform`` reads.
 
 Every module files its basis labels by weight drop once, as it enumerates
 them (``labels_by_drop``), and reads a label's drop there.  A character is
@@ -114,6 +117,15 @@ def _vec_add(acc: Vec, vec: Vec, scale: Fraction | int) -> None:
         return
     for k, v in vec.items():
         acc[k] = acc.get(k, 0) + scale * v
+
+
+def _scaled(x: Fraction, den: int) -> int:
+    """den times x as an int; RuntimeError when den does not clear x's
+    denominator, so a value is never truncated."""
+    q, r = divmod(den, x.denominator)
+    if r:
+        raise RuntimeError(f"the module denominator {den} does not clear {x}")
+    return x.numerator * q
 
 
 def _commute_past_f(act, f_lead, bracket: dict, g, rest) -> dict:
@@ -502,11 +514,7 @@ def weyl_dim(rs: RootSystem, lam: Weight) -> int:
     return int(num)
 
 
-# -- module constructors -------------------------------------------------------
-
-
-def verma(alg: EnvelopingAlgebra, lam: Weight, depth: int) -> VermaLikeModule:
-    return VermaLikeModule(alg, lam, depth)
+# -- closed-form checks ----------------------------------------------------------
 
 
 def reflection_formula_check(alg: EnvelopingAlgebra, lam: Weight, i: int,
@@ -521,7 +529,7 @@ def reflection_formula_check(alg: EnvelopingAlgebra, lam: Weight, i: int,
     nonnegative integer: the sl2 step of the irreducibility criteria."""
     if s < 0:
         raise ValueError("the divided-power exponent must be nonnegative")
-    module = verma(alg, lam, max(s, 1))
+    module = VermaLikeModule(alg, lam, max(s, 1))
     idx = alg.rs.root_index[alg.rs.simple_root(i)]
     hw: Vec = {tuple([0] * alg.npos): Fraction(1)}
     a = lam.coords[i]
@@ -712,9 +720,19 @@ class LeviInducedModule(HighestWeightModule):
             self.inner)
         self.io_idx = self.V.parent.allowed
         self.free_idx = sorted(set(self.levi_idx) - set(self.io_idx))
+        # one denominator clears every value of the action: lam_dual's, and
+        # V's.  V reduces lam_den-scaled int vectors against one weight
+        # space's echelon rows, whose matrix on the pivot columns is
+        # triangular, so by Cramer's rule the product of its pivots clears
+        # the result
+        self.den = math.lcm(*(x.denominator for x in self.lam_dual),
+                            self.V.parent.lam_den * math.lcm(*(
+                                math.prod(row[c] for row, c in zip(rows, pivots))
+                                for _, rows, pivots in self.V._reduction.values())))
         n_out = len(self.outside)
         # t: every exponent vector of total degree <= depth
-        t_labels = _enum_f_labels(n_out, list(range(n_out)), [1] * n_out, depth)
+        self.t_labels = t_labels = _enum_f_labels(n_out, list(range(n_out)),
+                                                  [1] * n_out, depth)
         # the free f-parts once, at the full depth and in lexicographic
         # order, each with its height and drop; a V label b keeps those
         # within depth - height(b), still in that order
@@ -730,7 +748,7 @@ class LeviInducedModule(HighestWeightModule):
                         drop = add(s_drop, v_drop)
                         yield from (((s, t, b), drop) for t in t_labels)
         self._file_by_drop(labelled())
-        self._memo: dict[tuple, Vec] = {}
+        self._memo: dict[tuple, dict[tuple, int]] = {}  # (g, label at t = 0)
 
     def hw_label(self):
         zero_s = (0,) * self.alg.npos
@@ -743,10 +761,25 @@ class LeviInducedModule(HighestWeightModule):
     # element h^j, j outside I
 
     def act_label(self, g, label) -> Vec:
+        """The action of g on the label: ``int_action`` over den."""
+        den = self.den
+        return {a: Fraction(x, den) for a, x in self.int_action(g, label).items()}
+
+    def int_action(self, g, label) -> dict[tuple, int]:
+        """den times ``act_label(g, label)``, as ints.  The h^a are central
+        in the Levi of I, so g acts on (s, t, b) as on (s, 0, b) with t
+        added to each term, less the terms past the depth; the action at
+        t = 0 is memoised."""
+        s, t, b = label
+        if any(t):
+            room = self.depth - sum(t)
+            return {(a, add(t, u), b2): x for (a, u, b2), x
+                    in self.int_action(g, (s, (0,) * len(t), b)).items()
+                    if sum(u) <= room}
         cached = self._memo.get((g, label))
         if cached is None:
             self._check_generator(g)
-            cached = self._memo[(g, label)] = self._act_label(g, label)
+            cached = self._memo[(g, label)] = self._int_action(g, label)
         return cached
 
     def _check_generator(self, g) -> None:
@@ -761,34 +794,41 @@ class LeviInducedModule(HighestWeightModule):
                 f"index in 0..{self.rs.rank - 1} and hd one outside I, "
                 f"in {self.outside}")
 
-    def _act_label(self, g, label) -> Vec:
-        """hd and h read the label, a free f multiplies into s in U(n-),
-        and an e or an inner f commutes past the leading free f of s."""
+    def _int_action(self, g, label) -> dict[tuple, int]:
+        """On a label with t = 0: hd and h read the label, a free f
+        multiplies into s in U(n-), and an e or an inner f commutes past
+        the leading free f of s."""
         s, t, b = label
         kind, i = g
+        den = self.den
         if kind == "hd":  # [h^i, f_R] = 0 for every root R of the Levi of I
-            if sum(t) >= self.depth:
-                return {}
-            return {(s, _bump(t, self.outside.index(i), 1), b): Fraction(1)}
+            return {(s, _bump(t, self.outside.index(i), 1), b): den}
         if kind == "h":  # h_i = sum_k a_ki h^k
             drop = self.label_drop(label)
-            scalar = sum(self.rs.cartan[k][i] * (self.lam_dual[k] - drop[k])
+            cartan = self.rs.cartan
+            scalar = sum(cartan[k][i] * (_scaled(self.lam_dual[k], den) - den * drop[k])
                          for k in self.I)
             out = {label: scalar} if scalar else {}
             for j in self.outside:
-                _vec_add(out, self.act_label(("hd", j), label), self.rs.cartan[j][i])
+                _vec_add(out, self.int_action(("hd", j), label), cartan[j][i])
             return _clean(out)
         if kind == "f" and i in self.free_idx:  # stays among the free roots
-            budget = self.depth - label_height(self.rs, b)
-            return {(a, t, b): Fraction(x)
-                    for a, x in _f_product(self.alg, budget, i, s).items()}
+            return {a: den * x for a, x in self._free_f(i, label).items()}
         lead, rest = _split_lead(s)
         if lead is not None:
-            return _commute_past_f(self.act_label, partial(self.act_label, ("f", lead)),
+            return _commute_past_f(self.int_action, partial(self._free_f, lead),
                                    self.alg.sc.bracket(g, ("f", lead)), g, (rest, t, b))
         if i in self.io_idx:
-            return {(s, t, b2): x for b2, x in self.V.act_label(g, b).items()}
+            return {(s, t, b2): _scaled(x, den)
+                    for b2, x in self.V.act_label(g, b).items()}
         return {}  # e of a free root kills the induced vacuum
+
+    def _free_f(self, i: int, label) -> dict[tuple, int]:
+        """f_i on (s, t, b) for a free root i, unscaled: the normal form of
+        f_i f^s, cut where its height passes the depth less b's."""
+        s, t, b = label
+        budget = self.depth - label_height(self.rs, b)
+        return {(a, t, b): x for a, x in _f_product(self.alg, budget, i, s).items()}
 
 
 class ScalarLeviModule(LeviInducedModule):
@@ -798,7 +838,9 @@ class ScalarLeviModule(LeviInducedModule):
     source's V, lam_dual and index lists, and its basis is the source's
     labels with t = 0, in source order, filed under the source's drops.
     It keeps ``source``, ``c`` and ``bases``, the scalars lam(h^a) - c_a
-    over ``outside`` in order: the projection data ``deform`` reads."""
+    over ``outside`` in order, and ``t_scalars``, prod_a base_a^t_a for
+    each t of the source, as ints over ``t_den``: the projection data
+    ``deform`` reads.  Its denominator also clears the bases."""
 
     def __init__(self, source: LeviInducedModule, c: dict):
         if isinstance(source, ScalarLeviModule):
@@ -811,17 +853,23 @@ class ScalarLeviModule(LeviInducedModule):
         self.source = source
         self.c = {j: Fraction(c[j]) for j in self.outside}
         self.bases = [self.lam_dual[j] - self.c[j] for j in self.outside]
+        base_den = math.lcm(*(x.denominator for x in self.bases))
+        self.den = math.lcm(source.den, base_den)
+        nums = [_scaled(x, base_den) for x in self.bases]
+        self.t_den = base_den ** self.depth
+        self.t_scalars = {t: math.prod(n ** k for n, k in zip(nums, t))
+                          * base_den ** (self.depth - sum(t)) for t in source.t_labels}
         self.kind = "levi_gvm_scalar"
         self._file_by_drop((x, source.label_drop(x)) for x in source.basis
                            if not any(x[1]))
-        self._memo: dict[tuple, Vec] = {}
+        self._memo: dict[tuple, dict[tuple, int]] = {}
 
-    def _act_label(self, g, label) -> Vec:
+    def _int_action(self, g, label) -> dict[tuple, int]:
         kind, i = g
         if kind != "hd":
-            return super()._act_label(g, label)
-        scalar = self.bases[self.outside.index(i)]
-        return {label: scalar} if scalar else {}
+            return super()._int_action(g, label)
+        x = _scaled(self.bases[self.outside.index(i)], self.den)
+        return {label: x} if x else {}
 
 
 def levi_gvm(alg: EnvelopingAlgebra, I: SimpleSubset, lam: Weight,

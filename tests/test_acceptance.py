@@ -23,7 +23,7 @@ from vermakit.uea import (DeformationContext, exp_truncated,
                           weight_components, weight_of_monomial)
 from vermakit.weightmod import (VermaLikeModule, kostant_partition, levi_gvm,
                                 reflection_formula_check, simple_dims_table,
-                                verma, weyl_dim)
+                                weyl_dim)
 
 
 def test_criterion_01_chevalley_relations_and_transpose_symmetry():
@@ -65,7 +65,7 @@ def test_criterion_03_verma_character_is_kostant(alg_a2, alg_g2):
     for alg, lam in ((alg_a2, Weight.of(Fraction(2, 7), Fraction(-3, 5))),
                      (alg_g2, Weight.of(Fraction(1, 3), Fraction(-5, 7)))):
         rs = alg.rs
-        ch = verma(alg, lam, 6).character().as_dict()
+        ch = VermaLikeModule(alg, lam, 6).character().as_dict()
         for nu in itertools.product(range(7), repeat=2):
             if sum(nu) > 6:
                 continue
@@ -75,14 +75,14 @@ def test_criterion_03_verma_character_is_kostant(alg_a2, alg_g2):
 
 def test_criterion_04_sl2_calibration(alg_a1):
     for m in range(6):
-        table = simple_dims_table(verma(alg_a1, Weight.of(m), 8))
+        table = simple_dims_table(VermaLikeModule(alg_a1, Weight.of(m), 8))
         assert sum(table.values()) == m + 1 == weyl_dim(alg_a1.rs, Weight.of(m))
     rng = random.Random(7)
     for _ in range(10):
         a = Fraction(rng.randint(-30, 30), rng.choice([2, 3, 4, 7]))
         if a.denominator == 1:
             a += Fraction(1, 2)
-        table = simple_dims_table(verma(alg_a1, Weight.of(a), 8))
+        table = simple_dims_table(VermaLikeModule(alg_a1, Weight.of(a), 8))
         assert all(r == 1 for r in table.values())
 
 

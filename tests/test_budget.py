@@ -13,10 +13,10 @@ from vermakit.chevalley import structure_constants
 from vermakit.criteria import case3_additivity_check, classify_sl3
 from vermakit.rootsys import SimpleSubset, Weight, parse_type, positive_subsystem
 from vermakit.uea import EnvelopingAlgebra
-from vermakit.weightmod import (MAX_BASIS_LABELS, _drops_within,
+from vermakit.weightmod import (MAX_BASIS_LABELS, VermaLikeModule, _drops_within,
                                 _enum_f_labels, _verma_labels,
                                 kostant_partition, levi_gvm, parabolic_verma,
-                                reflection_formula_check, simple_dims, verma)
+                                reflection_formula_check, simple_dims)
 
 _ALL_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D4",
               "F4", "G2"]
@@ -40,7 +40,7 @@ def deadline():
 
 
 @pytest.mark.parametrize("call", [
-    lambda alg: verma(alg, GENERIC, DEEP),
+    lambda alg: VermaLikeModule(alg, GENERIC, DEEP),
     lambda alg: simple_dims(alg, GENERIC, DEEP),
     lambda alg: parabolic_verma(alg, SimpleSubset.of(0), Weight.of(2, 1), DEEP),
     lambda alg: levi_gvm(alg, SimpleSubset.of(0), Weight.of(2, 1), DEEP),

@@ -12,7 +12,7 @@ from vermakit.chevalley import (constants_to_json, structure_constants,
 from vermakit.deform import phi_c_homomorphism_check, phi_c_target
 from vermakit.rootsys import SimpleSubset, Weight, add, neg, parse_type, sub
 from vermakit.uea import EnvelopingAlgebra
-from vermakit.weightmod import levi_gvm, simple_dims_table, verma
+from vermakit.weightmod import VermaLikeModule, levi_gvm, simple_dims_table
 
 
 @pytest.fixture(scope="module")
@@ -331,7 +331,7 @@ def test_memoised_brackets_match_a_fresh_computation(label):
     sc = structure_constants(parse_type(label))
     rs, alg = sc.rs, EnvelopingAlgebra(sc)
     lam = Weight.of(1, *[Fraction(1, 2)] * (rs.rank - 1))
-    simple_dims_table(verma(alg, lam, 3))
+    simple_dims_table(VermaLikeModule(alg, lam, 3))
     assert verify_chevalley(sc)["all_pass"]
     source = levi_gvm(alg, SimpleSubset.of(0), lam, 2)
     c = {j: Fraction(-2) for j in source.outside}

@@ -14,7 +14,7 @@ from vermakit.chevalley import structure_constants
 from vermakit.cli import main
 from vermakit.rootsys import Weight, parse_type
 from vermakit.uea import EnvelopingAlgebra
-from vermakit.weightmod import MAX_BASIS_LABELS, _verma_labels, verma
+from vermakit.weightmod import MAX_BASIS_LABELS, VermaLikeModule, _verma_labels
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -380,7 +380,8 @@ def test_depth_over_budget_is_refused_before_any_work(capsys, monkeypatch, argv)
 def test_verma_label_count_is_the_basis_size(label, depth):
     rs = parse_type(label)
     alg = EnvelopingAlgebra(structure_constants(rs))
-    size = len(verma(alg, Weight.of(*[Fraction(1, 2)] * rs.rank), depth).basis)
+    lam = Weight.of(*[Fraction(1, 2)] * rs.rank)
+    size = len(VermaLikeModule(alg, lam, depth).basis)
     assert _verma_labels(rs, depth, size) == size
     assert _verma_labels(rs, depth, size - 1) > size - 1
 

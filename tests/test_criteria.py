@@ -126,8 +126,8 @@ def test_jantzen_consistent_with_shapovalov(alg_a2):
         if len(I):
             module = parabolic_verma(alg_a2, I, lam, 5)
         else:
-            from vermakit.weightmod import verma
-            module = verma(alg_a2, lam, 5)
+            from vermakit.weightmod import VermaLikeModule
+            module = VermaLikeModule(alg_a2, lam, 5)
         ch = module.character().as_dict()
         simple = simple_dims(alg_a2, lam, 5).as_dict()
         for w, d in ch.items():

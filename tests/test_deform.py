@@ -1,5 +1,6 @@
 import copy
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -110,6 +111,18 @@ def test_phi_c_checks_draw_each_sample_in_order_and_stop_at_a_failure(
     for x, vec in seen:
         assert x == alg_a2.gen(*rng.choice(gens))
         assert vec == {rng.choice(roomy): Fraction(rng.randint(1, 9))}
+
+
+@pytest.mark.parametrize("t", [(5,), (1, 2), ()], ids=["past-depth", "long", "empty"])
+def test_phi_c_refuses_a_t_part_no_source_label_has(source, t):
+    # the projection used to form any t's scalar, and zip cut a t-part of
+    # the wrong length short: (1, 2) read as (1,)
+    c = {1: Fraction(-3)}
+    zero = (0,) * source.alg.npos
+    message = (rf"^{re.escape(str(t))} is not the t-part of a source label, "
+               rf"an exponent vector of length 1 and total at most 4$")
+    with pytest.raises(ValueError, match=message):
+        phi_c(source, {(zero, t, zero): Fraction(1)}, c, phi_c_target(source, c))
 
 
 def test_phi_c_depth_guard(source, alg_a2):

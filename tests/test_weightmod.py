@@ -12,14 +12,16 @@ from vermakit.rootsys import (SimpleSubset, Weight, dot_orbit, dot_reflect,
                               sub)
 from vermakit.uea import EnvelopingAlgebra
 from vermakit.weightmod import (MAX_BASIS_LABELS, Character, LeviInducedModule,
-                                QuotientModule, VermaLikeModule, _character,
-                                _drops_within, _enum_f_labels,
+                                QuotientModule, ScalarLeviModule, VermaLikeModule,
+                                _bump, _character, _commute_past_f,
+                                _drops_within, _enum_f_labels, _f_product,
                                 _induced_character_check, _kostant_table,
-                                _verma_labels, character_to_json,
+                                _scaled, _split_lead, _verma_labels,
+                                character_to_json,
                                 kostant_partition, label_height, levi_gvm,
                                 module_to_json, parabolic_verma,
                                 shapovalov_gram, simple_dims, simple_dims_table,
-                                verma, weyl_dim)
+                                weyl_dim)
 
 
 def test_kostant_partition_a2(alg_a2):
@@ -41,7 +43,7 @@ def test_weyl_dimension_formula(alg_a2):
 def test_verma_character_is_kostant(alg_a2):
     rs = alg_a2.rs
     lam = Weight.of(Fraction(1, 3), Fraction(-2, 7))
-    module = verma(alg_a2, lam, 5)
+    module = VermaLikeModule(alg_a2, lam, 5)
     ch = module.character().as_dict()
     for s in module.basis:
         nu = module.label_drop(s)
@@ -51,7 +53,7 @@ def test_verma_character_is_kostant(alg_a2):
 def test_verma_action_respects_weights(alg_a2):
     rs = alg_a2.rs
     lam = Weight.of(2, -1)
-    module = verma(alg_a2, lam, 4)
+    module = VermaLikeModule(alg_a2, lam, 4)
     hw = {tuple([0] * alg_a2.npos): Fraction(1)}
     for i in range(rs.rank):
         got = module.act(("h", i), hw)
@@ -62,7 +64,7 @@ def test_verma_action_respects_weights(alg_a2):
 def test_shapovalov_gram_sl2(alg_a1):
     # det of the depth-k space for M(a) is k! * a(a-1)...(a-k+1)
     lam = Weight.of(Fraction(1, 2))
-    module = verma(alg_a1, lam, 4)
+    module = VermaLikeModule(alg_a1, lam, 4)
     g1 = shapovalov_gram(module, (1,))
     assert g1 == [[Fraction(1, 2)]]
     g2 = shapovalov_gram(module, (2,))
@@ -71,12 +73,12 @@ def test_shapovalov_gram_sl2(alg_a1):
 
 def test_simple_dims_sl2_finite(alg_a1):
     for m in range(4):
-        table = simple_dims_table(verma(alg_a1, Weight.of(m), 6))
+        table = simple_dims_table(VermaLikeModule(alg_a1, Weight.of(m), 6))
         assert sum(table.values()) == m + 1
 
 
 def test_simple_dims_generic_verma_is_simple(alg_a1):
-    module = verma(alg_a1, Weight.of(Fraction(-3, 4)), 6)
+    module = VermaLikeModule(alg_a1, Weight.of(Fraction(-3, 4)), 6)
     table = simple_dims_table(module)
     assert all(r == 1 for r in table.values())
 
@@ -183,7 +185,7 @@ def test_shapovalov_determinant_formula(request, fraction_rank_det, label):
     constants = None
     for coords in [(Fraction(1, 2), Fraction(1, 3)), (Fraction(-2, 5), Fraction(3, 7)),
                    (Fraction(5, 4), Fraction(-7, 11))]:
-        module = verma(alg, Weight.of(*coords), 5)
+        module = VermaLikeModule(alg, Weight.of(*coords), 5)
         pairings = shifted_pairings(rs, module.lam)
         ratios = {}
         for nu in {module.label_drop(s) for s in module.basis}:
@@ -222,7 +224,7 @@ def test_simple_dims_are_the_shapovalov_ranks_on_every_type(fraction_rank_det,
                                                             label, depth):
     alg = _algebra(label)
     for coords in _KIND_WEIGHTS:
-        module = verma(alg, Weight.of(*coords[:alg.rs.rank]), depth)
+        module = VermaLikeModule(alg, Weight.of(*coords[:alg.rs.rank]), depth)
         ranks = {nu: fraction_rank_det(shapovalov_gram(module, nu))[0]
                  for nu in module.labels_by_drop}
         assert simple_dims_table(module) == {nu: r for nu, r in ranks.items()
@@ -241,7 +243,7 @@ def test_simple_dims_at_dominant_weights_are_signed_kostant_sums(label, depth):
     partitions = _kostant_table(rs, drops)
     for coords in (_DOMINANT, (0, 0, 0, 0)):
         lam = Weight.of(*coords[:rs.rank])
-        got = simple_dims_table(verma(alg, lam, depth))
+        got = simple_dims_table(VermaLikeModule(alg, lam, depth))
         orbit = dot_orbit(rs, lam).items()
         for nu in drops:
             want = sum(sign * partitions.get(sub(nu, shift), 0)
@@ -438,6 +440,115 @@ def test_levi_module_respects_every_bracket(label, I, coords, depth):
     assert _check_every_bracket(module, gens)
 
 
+# -- the integer Levi action against the Fraction action it replaced ----------
+
+
+def _reference_levi_action(module):
+    """act(g, label) on a Levi-induced or scalar-action module as it was
+    computed on Fractions before the action moved onto ints: memoised per
+    (g, label), with the scalar module's h^a acting by lam(h^a) - c_a,
+    formed here from lam_dual and c."""
+    memo = {}
+    scalar = isinstance(module, ScalarLeviModule)
+    rs = module.rs
+
+    def act(g, label):
+        if (g, label) not in memo:
+            memo[(g, label)] = _act(g, label)
+        return memo[(g, label)]
+
+    def _act(g, label):
+        s, t, b = label
+        kind, i = g
+        if kind == "hd":
+            if scalar:
+                x = module.lam_dual[i] - Fraction(module.c[i])
+                return {label: x} if x else {}
+            if sum(t) >= module.depth:
+                return {}
+            return {(s, _bump(t, module.outside.index(i), 1), b): Fraction(1)}
+        if kind == "h":  # h_i = sum_k a_ki h^k
+            drop = module.label_drop(label)
+            x = sum(rs.cartan[k][i] * (module.lam_dual[k] - drop[k]) for k in module.I)
+            out = {label: x} if x else {}
+            for j in module.outside:
+                for a, y in act(("hd", j), label).items():
+                    out[a] = out.get(a, 0) + rs.cartan[j][i] * y
+            return {a: y for a, y in out.items() if y}
+        if kind == "f" and i in module.free_idx:
+            budget = module.depth - label_height(rs, b)
+            return {(a, t, b): Fraction(x)
+                    for a, x in _f_product(module.alg, budget, i, s).items()}
+        lead, rest = _split_lead(s)
+        if lead is not None:
+            return _commute_past_f(act, lambda u: act(("f", lead), u),
+                                   module.alg.sc.bracket(g, ("f", lead)), g,
+                                   (rest, t, b))
+        if i in module.io_idx:
+            return {(s, t, b2): x for b2, x in module.V.act_label(g, b).items()}
+        return {}
+
+    return act
+
+
+# (type, I, inner or None for the interior of I, weight, depth, c)
+_REFERENCE_CASES = [
+    ("A2", (0,), None, (3, Fraction(1, 2)), 4, (Fraction(2, 5),)),
+    ("B2", (1,), None, (Fraction(2, 3), 1), 5, (Fraction(-1, 4),)),
+    ("G2", (1,), None, (Fraction(1, 3), 2), 5, (Fraction(-1, 7),)),
+    ("A3", (0, 1), None, (2, Fraction(1, 2), Fraction(1, 3)), 4, (Fraction(3, 4),)),
+    # V = L_{C2}(1, 1) reduces against echelon pivots 2 and 6
+    ("C3", (1, 2), (1, 2), (Fraction(1, 3), 1, 1), 4, (Fraction(5, 2),))]
+
+
+@pytest.mark.parametrize("label,I,inner,coords,depth,c", _REFERENCE_CASES,
+                         ids=[case[0] for case in _REFERENCE_CASES])
+def test_levi_actions_match_the_fraction_reference(label, I, inner, coords,
+                                                   depth, c):
+    """act_label, the Fraction view of the integer action, equals the
+    Fraction action it replaced on every generator and every label of a
+    Levi-induced module and of its scalar-action module; int_action is
+    den times it."""
+    alg = _algebra(label)
+    source = LeviInducedModule(alg, SimpleSubset.of(*I), Weight.of(*coords),
+                               depth, inner and SimpleSubset.of(*inner))
+    target = ScalarLeviModule(source, dict(zip(source.outside, c)))
+    pivots = {rows[k][col] for _, rows, cols in source.V._reduction.values()
+              for k, col in enumerate(cols)}
+    if label == "C3":
+        assert max(pivots) > 1 and source.den % 6 == 0
+    assert target.den % max(x.denominator for x in target.bases) == 0
+    for module in (source, target):
+        reference = _reference_levi_action(module)
+        gens = ([(kind, i) for kind in ("e", "f") for i in module.levi_idx]
+                + [("h", i) for i in range(alg.rs.rank)]
+                + [("hd", j) for j in module.outside])
+        for g in gens:
+            for x in module.basis:
+                want = reference(g, x)
+                assert module.act_label(g, x) == want, (g, x)
+                assert module.int_action(g, x) == {
+                    a: int(y * module.den) for a, y in want.items()}, (g, x)
+
+
+def test_a_value_the_denominator_does_not_clear_is_refused():
+    """_scaled turns a value into an int only when the denominator clears
+    it, and raises otherwise rather than truncate; a C3 module whose
+    denominator leaves out V's pivots meets such a value."""
+    assert _scaled(Fraction(5, 6), 12) == 10
+    with pytest.raises(RuntimeError, match="does not clear 1/3"):
+        _scaled(Fraction(1, 3), 4)
+    alg = _algebra("C3")
+    module = LeviInducedModule(alg, SimpleSubset.of(1, 2),
+                               Weight.of(Fraction(1, 3), 1, 1), 4, SimpleSubset.of(1, 2))
+    module.den = module.V.parent.lam_den
+    gens = [(kind, i) for kind in ("e", "f") for i in module.levi_idx]
+    with pytest.raises(RuntimeError, match="the module denominator 3 does not clear"):
+        for g in gens:
+            for x in module.basis:
+                module.int_action(g, x)
+
+
 def test_character_json_sorted(alg_a2):
     ch = Character.of({Weight.of(0, 0): 1, Weight.of(-1, -1): 2})
     records = character_to_json(ch)
@@ -446,7 +557,7 @@ def test_character_json_sorted(alg_a2):
 
 
 def test_module_json_shape(alg_a1):
-    module = verma(alg_a1, Weight.of(1), 3)
+    module = VermaLikeModule(alg_a1, Weight.of(1), 3)
     data = module_to_json(module)
     assert data["kind"] == "verma"
     assert len(data["basis"]) == 4
@@ -455,7 +566,7 @@ def test_module_json_shape(alg_a1):
 
 def test_gram_rank_matches_simple_dims(alg_a2):
     lam = Weight.of(1, 0)
-    module = verma(alg_a2, lam, 3)
+    module = VermaLikeModule(alg_a2, lam, 3)
     table = simple_dims_table(module)
     for nu, r in table.items():
         gram = shapovalov_gram(module, nu)
@@ -465,7 +576,7 @@ def test_gram_rank_matches_simple_dims(alg_a2):
 @pytest.mark.parametrize("depth", [0, -3])
 def test_modules_refuse_depth_below_one(alg_a2, depth):
     lam = Weight.of(1, Fraction(1, 3))
-    for build in (verma, simple_dims, VermaLikeModule):
+    for build in (simple_dims, VermaLikeModule):
         with pytest.raises(ValueError, match="depth must be at least 1"):
             build(alg_a2, lam, depth)
     for build in (parabolic_verma, levi_gvm):
@@ -498,7 +609,7 @@ def test_integer_action_and_gram_rows_are_scaled_rationals(request, label):
     alg = request.getfixturevalue(f"alg_{label.lower()}")
     gens = alg.sc.generators()
     for den, coords in _DENOMINATOR_WEIGHTS.items():
-        module = verma(alg, Weight.of(*coords), 5)
+        module = VermaLikeModule(alg, Weight.of(*coords), 5)
         assert module.lam_den == den
         for g in gens:
             for s in module.basis:
@@ -514,7 +625,7 @@ def test_integer_action_and_gram_rows_are_scaled_rationals(request, label):
 def test_f_action_refuses_terms_outside_u_n_minus(alg_a2, monkeypatch):
     # the normal form of f f^s lies in U(n-): a term with an h- or an
     # e-part means the rewriting is wrong, not that the term kills v
-    module = verma(alg_a2, Weight.of(Fraction(1, 2), 1), 3)
+    module = VermaLikeModule(alg_a2, Weight.of(Fraction(1, 2), 1), 3)
     zero = (0,) * alg_a2.npos
     for h, e in [((1, 0), zero), ((0, 0), (0, 0, 1))]:
         monkeypatch.setattr(alg_a2, "gen_mul_mono",
@@ -527,7 +638,7 @@ def test_f_action_refuses_terms_outside_u_n_minus(alg_a2, monkeypatch):
 
 @pytest.mark.parametrize("g", [("h", -1), ("h", 2), ("x", 0)])
 def test_integer_action_refuses_a_generator_it_does_not_have(alg_a2, g):
-    module = verma(alg_a2, Weight.of(Fraction(1, 2), 1), 3)
+    module = VermaLikeModule(alg_a2, Weight.of(Fraction(1, 2), 1), 3)
     zero = (0,) * alg_a2.npos
     for act in (module.int_action, module.act_label):
         with pytest.raises(ValueError, match=re.escape(str(g))):
@@ -548,7 +659,7 @@ def test_simple_dims_rewrites_only_f_generators(request, monkeypatch, label):
 
     monkeypatch.setattr(alg, "gen_mul_mono", spy)
     simple_dims(alg, Weight.of(Fraction(1, 2), Fraction(-1, 3)), 8)
-    simple_dims_table(verma(alg, Weight.of(1, 2), 8))
+    simple_dims_table(VermaLikeModule(alg, Weight.of(1, 2), 8))
     assert seen == {("f", False)}
 
 
@@ -634,7 +745,7 @@ def test_verma_h_scalar_is_lam_less_the_drop_on_every_label(label):
     alg = _algebra(label)
     rs = alg.rs
     lam = Weight.of(*_KIND_WEIGHTS[0][:rs.rank])
-    module = verma(alg, lam, 4)
+    module = VermaLikeModule(alg, lam, 4)
     for s in module.basis:
         pairings = rs.simple_coroot_pairings(module.label_drop(s))
         for i in range(rs.rank):
@@ -701,15 +812,15 @@ def test_kostant_partition_refuses_malformed_input(alg_a2, nu, bad):
 
 
 @pytest.mark.parametrize("build", [
-    verma, simple_dims, VermaLikeModule,
+    simple_dims, VermaLikeModule,
     lambda alg, lam, depth: parabolic_verma(alg, SimpleSubset.of(0), lam, depth),
     lambda alg, lam, depth: levi_gvm(alg, SimpleSubset.of(0), lam, depth),
     lambda alg, lam, depth: weyl_dim(alg.rs, lam)],
-    ids=["verma", "simple_dims", "VermaLikeModule", "parabolic_verma",
+    ids=["simple_dims", "VermaLikeModule", "parabolic_verma",
          "levi_gvm", "weyl_dim"])
 @pytest.mark.parametrize("coords", [(1,), (1, 0, 2)])
 def test_weight_of_the_wrong_rank_is_refused(alg_a2, build, coords):
-    # weyl_dim used to answer 0 and 8 here, verma to build a wrong character
+    # weyl_dim used to answer 0 and 8 here, VermaLikeModule to build a wrong character
     message = rf"needs 2 coordinates \(rank 2\), got {len(coords)}"
     with pytest.raises(ValueError, match=message):
         build(alg_a2, Weight.of(*coords), 3)
@@ -775,7 +886,7 @@ def test_integer_action_is_scaled_rational_for_drawn_weights(request, hypothesis
     @hypothesis.settings(max_examples=25, deadline=None, database=None)
     @hypothesis.given(st.tuples(coordinate, coordinate))
     def check(coords):
-        module = verma(alg, Weight.of(*coords), 4)
+        module = VermaLikeModule(alg, Weight.of(*coords), 4)
         for g in alg.sc.generators():
             for s in module.basis:
                 assert module.int_action(g, s) == {
@@ -933,7 +1044,7 @@ def _oracle_modules(label):
     J = SimpleSubset.of(*range(max(rank_ - 1, 1)))
     c = {j: Fraction(-2) for j in range(rank_) if j not in J}
     levi = levi_gvm(alg, J, lam, depth)
-    return {"verma": verma(alg, lam, depth),
+    return {"verma": VermaLikeModule(alg, lam, depth),
             "L_J": QuotientModule(VermaLikeModule(alg, lam, depth, J), J),
             "levi": levi,
             "levi_c": phi_c_target(levi, c),
@@ -968,7 +1079,8 @@ def test_characters_match_the_fraction_construction(label):
     for coords in _KIND_WEIGHTS:
         lam = Weight.of(*coords[:alg.rs.rank])
         depth = _ORACLE_DEPTHS[label]
-        old = _old_character(alg.rs, lam, simple_dims_table(verma(alg, lam, depth)))
+        old = _old_character(alg.rs, lam,
+                             simple_dims_table(VermaLikeModule(alg, lam, depth)))
         assert simple_dims(alg, lam, depth).dims == old.dims, coords
 
 
@@ -1000,7 +1112,7 @@ def test_dominant_simple_dims_match_the_rank_path_and_weyl_dim(monkeypatch, labe
     assert [s for s in dot_orbit(rs, large) if sum(s) <= depth] == [(0,) * rs.rank]
     weights = [Weight.of(*[0] * rs.rank), Weight.of(*_DOMINANT[:rs.rank]), large]
     covered = _covering_depths(rs)
-    want = [_character(rs, lam, simple_dims_table(verma(alg, lam, depth)))
+    want = [_character(rs, lam, simple_dims_table(VermaLikeModule(alg, lam, depth)))
             for lam in weights]
 
     def refuse(*args, **kwargs):

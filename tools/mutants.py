@@ -36,9 +36,14 @@ MUTANTS = {
         ["tests/test_criteria.py::test_walk_grid_digest"]),
     "levi-h-negates-the-hd-term": (
         "weightmod.py",
-        '_vec_add(out, self.act_label(("hd", j), label), self.rs.cartan[j][i])',
-        '_vec_add(out, self.act_label(("hd", j), label), -self.rs.cartan[j][i])',
+        '_vec_add(out, self.int_action(("hd", j), label), cartan[j][i])',
+        '_vec_add(out, self.int_action(("hd", j), label), -cartan[j][i])',
         ["tests/test_weightmod.py::test_scalar_levi_module_labels_are_h_weight_vectors"]),
+    "levi-denominator-leaves-out-v-pivots": (
+        "weightmod.py",
+        "math.prod(row[c] for row, c in zip(rows, pivots))",
+        "1",
+        ["tests/test_weightmod.py::test_levi_actions_match_the_fraction_reference"]),
     "simple-dims-keeps-one-e-block": (
         "weightmod.py",
         "if images:\n                blocks.append(",
