@@ -476,7 +476,8 @@ def dot_orbit(rs: RootSystem, lam: Weight,
     check_weight(rs, lam)
     subset = SimpleSubset.of(*range(rs.rank)) if subset is None else subset
     check_subset(rs, subset)
-    shifted = [x + 1 for x in lam.coords]  # <lam + rho, a_i^v>
+    shifted = [int(x) + 1 if x.denominator == 1 else x + 1  # <lam + rho, a_i^v>
+               for x in lam.coords]
     signs = {(0,) * rs.rank: 1}
     frontier = list(signs)
     while frontier:

@@ -9,9 +9,9 @@ modules carry extra central polynomial directions along the dual Cartan
 basis.  All actions are exact, so weight-space dimensions of simple
 quotients come out of ranks over Q of the simple-root e maps.  At a
 dominant integral weight they come from Weyl's formula in Kostant's form
-instead, a signed sum of Kostant partitions over a dot orbit
-(``_orbit_counts``, which also checks the parabolic modules), with no
-module built.
+instead, a signed sum of Kostant partitions over a dot orbit: one table
+seeded with its shifts (``_orbit_counts``, which also checks the
+parabolic modules), with no module built.
 
 Actions are computed in the module, not through normal forms in U(g).
 Every module acts by the same rules.  The Cartan generators read their
@@ -38,8 +38,9 @@ with t = 0 and keeps its source, c, the bases lam(h^a) - c_a and each t's
 scalar, the projection data that ``deform`` reads.
 
 Every module files its basis labels by weight drop once, as it enumerates
-them (``labels_by_drop``), and reads a label's drop there.  A character is
-built from such counts, one weight per drop, on integer pairings.
+them with their drops (``labels_by_drop``), and reads a label's drop
+there.  A character is built from such counts, one weight per drop, on
+integer pairings.
 
 Depth semantics: a statement "within depth d" quantifies over weights
 lam - nu with the height of nu at most d.
@@ -49,6 +50,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 from functools import partial
 
@@ -92,12 +94,13 @@ class Character(Value):
 
 def _character(rs: RootSystem, lam: Weight, counts: dict[tuple, int]) -> Character:
     """The Character with counts[nu] at lam - nu.  Each weight is built
-    once, from the integer pairings <nu, alpha_i^v>, and the weights are
-    sorted on the negated pairings: every weight is lam less its pairings,
-    so this is the order of ``Character.of`` on coordinates.  Each
-    coordinate lam_i - x is built once per (i, x), so the weights share
-    their Fractions."""
-    pairs = sorted(((rs.simple_coroot_pairings(nu), n)
+    once, from the integer pairings <nu, alpha_i^v> = sum_k nu_k a_ki, read
+    down the Cartan columns, and the weights are sorted on the negated
+    pairings: every weight is lam less its pairings, so this is the order
+    of ``Character.of`` on coordinates.  Each coordinate lam_i - x is built
+    once per (i, x), so the weights share their Fractions."""
+    cartan_cols = list(zip(*rs.cartan))
+    pairs = sorted(((tuple(sum(map(operator.mul, nu, c)) for c in cartan_cols), n)
                     for nu, n in counts.items() if n),
                    key=lambda pn: tuple(-x for x in pn[0]))
     columns = [dict.fromkeys(col) for col in zip(*(p for p, _ in pairs))]
@@ -237,16 +240,26 @@ def _f_product(alg: EnvelopingAlgebra, budget: int, i: int,
     return out
 
 
-def _enum_f_labels(npos: int, idxs: list[int], heights: list[int],
-                   budget: int) -> list[tuple]:
-    """All exponent tuples supported on idxs with weighted height <= budget,
-    in lexicographic order of their exponents along idxs."""
-    labels = [((0,) * npos, budget)]
+def _enum_f_labels(roots: list[tuple], idxs: list[int],
+                   budget: int) -> list[tuple[tuple, int, tuple]]:
+    """Each exponent tuple s over roots, supported on idxs, with height
+    sum_i s_i ht(roots[i]) <= budget, as (s, height, drop = sum_i s_i
+    roots[i]), carried as the exponents are set; in lexicographic order of
+    the exponents along idxs.  Over unit vectors s is its own drop."""
+    labels = [((0,) * len(roots), budget, (0,) * len(roots[0]) if roots else ())]
     for i in idxs:
-        h = heights[i]
-        labels = [(_bump(s, i, k), rem - k * h)
-                  for s, rem in labels for k in range(rem // h + 1)]
-    return [s for s, _ in labels]
+        root, h = roots[i], sum(roots[i])
+        out = []
+        for label in labels:
+            s, rem, drop = label
+            if rem >= 0:  # k = 0; only a negative budget fails this
+                out.append(label)
+            head, tail, k = s[:i], s[i + 1:], 0
+            while rem >= h:
+                k, rem, drop = k + 1, rem - h, tuple(map(operator.add, drop, root))
+                out.append((head + (k,) + tail, rem, drop))
+        labels = out
+    return [(s, budget - rem, drop) for s, rem, drop in labels]
 
 
 # Largest Verma basis a module may be built to: `_check_depth` refuses a
@@ -326,8 +339,8 @@ class VermaLikeModule(HighestWeightModule):
                                for r in positive_subsystem(self.rs, J)))
         self._allowed_set = set(self.allowed)
         # lexicographic, so each weight space's labels come sorted
-        self._file_by_drop((s, alg.root_sum(s)) for s in _enum_f_labels(
-            alg.npos, self.allowed, self.rs.heights, depth))
+        self._file_by_drop((s, drop) for s, _, drop in _enum_f_labels(
+            self.rs.positive_roots, self.allowed, depth))
         self.kind = "verma"
         self._memo: dict[tuple, dict[tuple, int]] = {}  # (R, s) -> e_R f^s v
 
@@ -416,8 +429,8 @@ class QuotientModule(HighestWeightModule):
             # one f_L; the enumeration is lexicographic, so m' comes first.
             # A singular vector past the depth has no translates.
             translates: dict[tuple, Vec] = {}
-            for mono in _enum_f_labels(self.alg.npos, parent.allowed, rs.heights,
-                                       parent.depth - power * rs.heights[idx]):
+            for mono, _, _ in _enum_f_labels(rs.positive_roots, parent.allowed,
+                                             parent.depth - power * rs.heights[idx]):
                 lead, rest = _split_lead(mono)
                 if lead is None:
                     vec = {_bump(mono, idx, power): 1}
@@ -466,22 +479,36 @@ class QuotientModule(HighestWeightModule):
 # -- oracles -----------------------------------------------------------------
 
 
-def _kostant_table(rs: RootSystem, drops: list[tuple]) -> dict[tuple, int]:
+def _kostant_table(rs: RootSystem, drops: list[tuple],
+                   seeds: dict[tuple, int] | None = None) -> dict[tuple, int]:
     """Kostant's partition function P(nu), the number of ways to write nu
     as an N0-combination of positive roots, at every nu in drops: a set
     closed under subtracting a positive root while no coordinate goes
     negative, listed so that nu - beta comes before nu, as lexicographic
     order does.  One pass per positive root beta, P[nu] += P[nu - beta] in
     that order, so P[nu - beta] has already counted beta any number of
-    times."""
-    table = dict.fromkeys(drops, 0)
-    table[(0,) * rs.rank] = 1
+    times.  The recursion is linear, so seeds {shift: sign} (default
+    {0: 1}), each shift a drop, give sum sign P(nu - shift) at every nu.
+    A drop's key is one int, its digits in base (largest drop coordinate)
+    + (largest coefficient of a positive root) + 1, so the digits of
+    nu - beta fit a window narrower than the base, and nu - beta has a
+    drop's key only when it is that drop: no tuple is formed per step."""
+    base = max(map(max, drops)) + max(map(max, rs.positive_roots)) + 1
+    powers = [base ** j for j in range(rs.rank)]
+    index = {nu: sum(map(operator.mul, nu, powers)) for nu in drops}
+    table = dict.fromkeys(index.values(), 0)
+    for shift, sign in ({(0,) * rs.rank: 1} if seeds is None else seeds).items():
+        if shift not in index:  # the tuple, so a negative digit cannot alias
+            raise ValueError(f"seed shift {tuple(shift)} is not one of the "
+                             f"table's drops")
+        table[index[shift]] = sign
     for beta in rs.positive_roots:
-        for nu in drops:
-            below = table.get(sub(nu, beta))
+        step = sum(map(operator.mul, beta, powers))
+        for k in index.values():
+            below = table.get(k - step)
             if below:
-                table[nu] += below
-    return table
+                table[k] += below
+    return dict(zip(index, table.values()))
 
 
 def kostant_partition(rs: RootSystem, nu: tuple) -> int:
@@ -545,7 +572,8 @@ def reflection_formula_check(alg: EnvelopingAlgebra, lam: Weight, i: int,
 def _drops_within(rank: int, depth: int) -> list[tuple]:
     """Every root drop nu of height at most depth: the weights lam - nu
     a statement "within depth" quantifies over."""
-    return _enum_f_labels(rank, list(range(rank)), [1] * rank, depth)
+    units = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+    return [nu for _, _, nu in _enum_f_labels(units, list(range(rank)), depth)]
 
 
 def _orbit_counts(rs: RootSystem, lam: Weight, subset: SimpleSubset,
@@ -554,22 +582,15 @@ def _orbit_counts(rs: RootSystem, lam: Weight, subset: SimpleSubset,
     orbit of lam under the subset, on which lam is dominant integral:
     sum_{w in W_subset} (-1)^l(w) ch M(w.lam), which is ch M_subset(lam),
     and ch L(lam) when the subset is every simple root (Weyl's formula in
-    Kostant's form).  Only the orbit shifts of height at most the depth are
-    summed: every shift is a drop with nonnegative integer coordinates, so
-    P(nu - shift) is 0 unless shift <= nu.  Every count is read from one
-    Kostant table over the drops within the depth, the identity's term
-    P(nu) directly."""
-    orbit = [(shift, sign) for shift, sign in dot_orbit(rs, lam, subset).items()
-             if any(shift) and sum(shift) <= depth]
-    drops = _drops_within(rs.rank, depth)
-    partitions = _kostant_table(rs, drops)
-    counts = {}
-    for drop in drops:
-        n = partitions[drop] + sum(sign * partitions.get(sub(drop, shift), 0)
-                                   for shift, sign in orbit)
-        if n:
-            counts[drop] = n
-    return counts
+    Kostant's form).  One Kostant table over the drops within the depth,
+    seeded with each orbit shift lam - w.lam and its sign, gives every
+    count in one pass per positive root.  Only the shifts of height at
+    most the depth are seeded: every shift is a drop with nonnegative
+    integer coordinates, so P(nu - shift) is 0 unless shift <= nu."""
+    seeds = {shift: sign for shift, sign in dot_orbit(rs, lam, subset).items()
+             if sum(shift) <= depth}
+    table = _kostant_table(rs, _drops_within(rs.rank, depth), seeds)
+    return {nu: n for nu, n in table.items() if n}
 
 
 def _induced_character_check(module: LeviInducedModule) -> None:
@@ -729,20 +750,17 @@ class LeviInducedModule(HighestWeightModule):
                             self.V.parent.lam_den * math.lcm(*(
                                 math.prod(row[c] for row, c in zip(rows, pivots))
                                 for _, rows, pivots in self.V._reduction.values())))
-        n_out = len(self.outside)
         # t: every exponent vector of total degree <= depth
-        self.t_labels = t_labels = _enum_f_labels(n_out, list(range(n_out)),
-                                                  [1] * n_out, depth)
+        self.t_labels = t_labels = _drops_within(len(self.outside), depth)
         # the free f-parts once, at the full depth and in lexicographic
         # order, each with its height and drop; a V label b keeps those
-        # within depth - height(b), still in that order
-        free = [(s, label_height(rs, s), alg.root_sum(s)) for s in
-                _enum_f_labels(alg.npos, self.free_idx, rs.heights, depth)]
+        # within depth - height(b), its drop's sum, still in that order
+        free = _enum_f_labels(rs.positive_roots, self.free_idx, depth)
 
         def labelled():
             for b in self.V.basis:
                 v_drop = self.V.label_drop(b)
-                room = depth - label_height(rs, b)
+                room = depth - sum(v_drop)
                 for s, height, s_drop in free:
                     if height <= room:
                         drop = add(s_drop, v_drop)

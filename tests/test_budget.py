@@ -97,7 +97,7 @@ def _levi_bound(rs, I, depth):
     Levi of I, times the exponent vectors over the dual-basis directions."""
     levi = sorted(rs.root_index[r] for r in positive_subsystem(rs, I))
     outside = rs.rank - len(I)
-    n_levi = len(_enum_f_labels(len(rs.positive_roots), levi, rs.heights, depth))
+    n_levi = len(_enum_f_labels(rs.positive_roots, levi, depth))
     return n_levi * math.comb(depth + outside, outside)
 
 

@@ -1,3 +1,4 @@
+import itertools
 import re
 import signal
 from fractions import Fraction
@@ -16,7 +17,8 @@ from vermakit.weightmod import (MAX_BASIS_LABELS, Character, LeviInducedModule,
                                 _bump, _character, _commute_past_f,
                                 _drops_within, _enum_f_labels, _f_product,
                                 _induced_character_check, _kostant_table,
-                                _scaled, _split_lead, _verma_labels,
+                                _orbit_counts, _scaled, _split_lead,
+                                _verma_labels,
                                 character_to_json,
                                 kostant_partition, label_height, levi_gvm,
                                 module_to_json, parabolic_verma,
@@ -695,8 +697,8 @@ def _reductions_by_words(parent, singular, fraction_rref):
     by_drop = {}
     for u in singular:
         ht = min(label_height(parent.rs, s) for s in u)
-        for mono in _enum_f_labels(alg.npos, parent.allowed, parent.rs.heights,
-                                   parent.depth - ht):
+        for mono, _, _ in _enum_f_labels(parent.rs.positive_roots, parent.allowed,
+                                         parent.depth - ht):
             vec = parent.apply_word(alg.word((mono, zero_h, zero_e)), u)
             if vec:
                 by_drop.setdefault(parent.label_drop(next(iter(vec))), []).append(vec)
@@ -760,7 +762,7 @@ def test_kostant_table_counts_the_verma_labels_of_each_drop(label, depth):
     rs = parse_type(label)
     npos = len(rs.positive_roots)
     counts = {}
-    for s in _enum_f_labels(npos, list(range(npos)), rs.heights, depth):
+    for s, _, _ in _enum_f_labels(rs.positive_roots, list(range(npos)), depth):
         drop = tuple(sum(k * root[j] for k, root in zip(s, rs.positive_roots))
                      for j in range(rs.rank))
         counts[drop] = counts.get(drop, 0) + 1
@@ -919,6 +921,12 @@ def reference_enum_f_labels(npos, idxs, heights, budget):
     return labels
 
 
+def _labels(roots, idxs, budget):
+    """The exponent tuples of _enum_f_labels, without the carried
+    height and drop."""
+    return [s for s, _, _ in _enum_f_labels(roots, idxs, budget)]
+
+
 _ALL_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D4",
               "F4", "G2"]
 
@@ -928,7 +936,7 @@ def test_verma_basis_enumeration_matches_the_reference(label):
     rs = parse_type(label)
     npos = len(rs.positive_roots)
     for depth in range(4):
-        got = _enum_f_labels(npos, list(range(npos)), rs.heights, depth)
+        got = _labels(rs.positive_roots, list(range(npos)), depth)
         assert got == reference_enum_f_labels(npos, list(range(npos)),
                                               rs.heights, depth), depth
         assert all(label_height(rs, s) <= depth for s in got)
@@ -963,19 +971,20 @@ def test_levi_enumeration_matches_the_reference(label, J):
     npos = len(rs.positive_roots)
     idxs = sorted(rs.root_index[r] for r in positive_subsystem(rs, SimpleSubset.of(*J)))
     for budget in (-2, -1, 0, 1, 5, 8):
-        assert (_enum_f_labels(npos, idxs, rs.heights, budget)
+        assert (_labels(rs.positive_roots, idxs, budget)
                 == reference_enum_f_labels(npos, idxs, rs.heights, budget)), budget
 
 
 def test_enumeration_edges_match_the_reference():
     heights = [1, 1, 2]
+    roots = [(h,) for h in heights]  # a root's height is its coordinate sum
     cases = [([], 3), ([], 0), ([], -1), ([0, 1, 2], 0), ([2, 0], 0),
              ([2, 0], -1), ([2, 0], 5), ([1], 4)]
     for idxs, budget in cases:
-        assert (_enum_f_labels(3, idxs, heights, budget)
+        assert (_labels(roots, idxs, budget)
                 == reference_enum_f_labels(3, idxs, heights, budget)), (idxs, budget)
-    assert _enum_f_labels(3, [], heights, 3) == [(0, 0, 0)]
-    assert _enum_f_labels(3, [0, 1, 2], heights, 0) == [(0, 0, 0)]
+    assert _labels(roots, [], 3) == [(0, 0, 0)]
+    assert _labels(roots, [0, 1, 2], 0) == [(0, 0, 0)]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -1123,3 +1132,157 @@ def test_dominant_simple_dims_match_the_rank_path_and_weyl_dim(monkeypatch, labe
         assert simple_dims(alg, lam, depth).dims == ch.dims, lam
     for lam, cover in covered:
         assert simple_dims(alg, lam, cover).total() == weyl_dim(rs, lam), lam
+
+
+# -- the integer-keyed Kostant table and the carried drops against the old code --
+
+_KOSTANT_DEPTHS = {"A1": 12, "A2": 10, "B2": 10, "C2": 10, "G2": 10, "A3": 7,
+                   "B3": 7, "C3": 7, "A4": 6, "B4": 6, "C4": 6, "D4": 6, "F4": 7}
+
+
+def reference_kostant_table(rs, drops):
+    """The tuple-keyed table _kostant_table replaced: one pass per positive
+    root, P[nu] += P[nu - beta], with nu - beta formed as a tuple."""
+    table = dict.fromkeys(drops, 0)
+    table[(0,) * rs.rank] = 1
+    for beta in rs.positive_roots:
+        for nu in drops:
+            below = table.get(sub(nu, beta))
+            if below:
+                table[nu] += below
+    return table
+
+
+def reference_orbit_counts(rs, lam, subset, depth):
+    """The per-drop orbit sum _orbit_counts replaced: P(nu) plus, at each
+    drop, the signed P(nu - shift) over the other orbit shifts within the
+    depth, read from the tuple-keyed table."""
+    orbit = [(shift, sign) for shift, sign in dot_orbit(rs, lam, subset).items()
+             if any(shift) and sum(shift) <= depth]
+    drops = reference_enum_f_labels(rs.rank, list(range(rs.rank)), [1] * rs.rank,
+                                    depth)
+    partitions = reference_kostant_table(rs, drops)
+    counts = {}
+    for drop in drops:
+        n = partitions[drop] + sum(sign * partitions.get(sub(drop, shift), 0)
+                                   for shift, sign in orbit)
+        if n:
+            counts[drop] = n
+    return counts
+
+
+def _aliased_keys(rs, drops, base):
+    """The (nu, beta) with nu - beta off the drops, a coordinate negative,
+    whose digits in base equal those of some drop: the pairs a key table
+    in that base would read wrongly."""
+    def key(nu):
+        return sum(x * base ** j for j, x in enumerate(nu))
+
+    keys = {key(nu) for nu in drops}
+    return [(nu, beta) for beta in rs.positive_roots for nu in drops
+            if min(sub(nu, beta)) < 0 and key(sub(nu, beta)) in keys]
+
+
+@pytest.mark.parametrize("label,depth", _KOSTANT_DEPTHS.items())
+def test_kostant_table_matches_the_tuple_keyed_reference(label, depth):
+    """Unseeded, on the drops within the depth and on the boxes that
+    kostant_partition fills.  A key base without the root margin (largest
+    drop coordinate + 1) would alias on every type of rank 2 or more at
+    these depths, and on G2 (coefficient 3) and F4 (coefficient 4) even a
+    margin one short would; a rank-1 key has one digit, which cannot."""
+    rs = parse_type(label)
+    drops = _drops_within(rs.rank, depth)
+    top = max(map(max, drops))
+    margin = max(map(max, rs.positive_roots))
+    assert bool(_aliased_keys(rs, drops, top + 1)) == (rs.rank > 1)
+    assert not _aliased_keys(rs, drops, top + margin + 1)
+    if label in ("G2", "F4"):
+        assert _aliased_keys(rs, drops, top + margin)
+    assert _kostant_table(rs, drops) == reference_kostant_table(rs, drops)
+    for nu in (drops[-1], drops[len(drops) // 2], tuple([2] * rs.rank)):
+        box = [tuple(x) for x in itertools.product(*(range(n + 1) for n in nu))]
+        want = reference_kostant_table(rs, box)
+        assert _kostant_table(rs, box) == want, nu
+        assert kostant_partition(rs, nu) == want[nu], nu
+
+
+def _orbit_subsets(rank):
+    """The empty subset, each single simple root and every simple root."""
+    return ([SimpleSubset.of()] + [SimpleSubset.of(i) for i in range(rank)]
+            + [SimpleSubset.of(*range(rank))])
+
+
+@pytest.mark.parametrize("label,depth", _KOSTANT_DEPTHS.items())
+def test_orbit_counts_match_the_per_drop_reference(label, depth):
+    """One seeded table gives, at every drop, the signed Kostant sum over
+    the dot orbit of a dominant weight, for J empty, each simple root and
+    every simple root: equal to the per-drop sum of the tuple-keyed table,
+    zeros included, and _orbit_counts keeps its nonzero counts."""
+    rs = parse_type(label)
+    drops = _drops_within(rs.rank, depth)
+    partitions = reference_kostant_table(rs, drops)
+    for coords in ((0, 0, 0, 0), _DOMINANT, (1, 0, 2, 1)):
+        lam = Weight.of(*coords[:rs.rank])
+        for J in _orbit_subsets(rs.rank):
+            seeds = {shift: sign for shift, sign in dot_orbit(rs, lam, J).items()
+                     if sum(shift) <= depth}
+            assert all(type(x) is int for shift in seeds for x in shift)
+            want = {nu: sum(sign * partitions.get(sub(nu, shift), 0)
+                            for shift, sign in seeds.items()) for nu in drops}
+            assert _kostant_table(rs, drops, seeds) == want, (coords, J)
+            assert (_orbit_counts(rs, lam, J, depth)
+                    == reference_orbit_counts(rs, lam, J, depth)), (coords, J)
+
+
+def test_a_seed_off_the_drops_is_refused():
+    """A seed must be one of the table's drops, checked as a tuple: on A2
+    within depth 4 the keys have base 4 + 1 + 1 = 6, so (-2, 1) has the
+    key 4 of the drop (4, 0), and it is still refused, by name."""
+    rs = parse_type("A2")
+    drops = _drops_within(2, 4)
+    for shift in ((-2, 1), (5, 0), (0, 0, 0)):
+        message = re.escape(f"seed shift {shift} is not one of the table's drops")
+        with pytest.raises(ValueError, match=message):
+            _kostant_table(rs, drops, {(0, 0): 1, shift: -1})
+    assert _kostant_table(rs, drops, {(4, 0): 1})[(4, 0)] == 1
+
+
+def _carried_cases(label):
+    """A Verma module, a Levi Verma module of a proper J, a Levi-induced
+    module and a parabolic Verma module of type label."""
+    alg = _algebra(label)
+    rank_, depth = alg.rs.rank, _ORACLE_DEPTHS[label]
+    J = SimpleSubset.of(*range(rank_ - 1))
+    lam = Weight.of(*(1 if i < max(rank_ - 1, 1) else Fraction(2, 7)
+                      for i in range(rank_)))
+    return alg, J, {"verma": VermaLikeModule(alg, lam, depth),
+                    "verma_J": VermaLikeModule(alg, lam, depth, J),
+                    "levi": levi_gvm(alg, J, lam, depth),
+                    "parabolic": parabolic_verma(alg, J, lam, depth)}
+
+
+@pytest.mark.parametrize("label", _ALL_TYPES)
+def test_labels_carry_their_height_and_drop(label):
+    """The enumerator's carried height and drop are label_height and
+    root_sum; a Verma-like module files each label under that drop, and a
+    Levi-induced label (s, t, b) under root_sum(s) plus V's drop of b, its
+    height label_height(s) + label_height(b) within the depth."""
+    alg, J, modules = _carried_cases(label)
+    rs = alg.rs
+    for kind, module in modules.items():
+        if isinstance(module, VermaLikeModule):
+            carried = _enum_f_labels(rs.positive_roots, module.allowed, module.depth)
+            assert [s for s, _, _ in carried] == module.basis, kind
+        else:
+            carried = _enum_f_labels(rs.positive_roots, module.free_idx, module.depth)
+            for s, t, b in module.basis:
+                drop = tuple(x + y for x, y in zip(alg.root_sum(s),
+                                                   module.V.label_drop(b)))
+                height = label_height(rs, s) + label_height(rs, b)
+                assert module.label_drop((s, t, b)) == drop, (kind, s, t, b)
+                assert sum(drop) == height <= module.depth, (kind, s, t, b)
+        for s, height, drop in carried:
+            assert height == label_height(rs, s), (kind, s)
+            assert drop == alg.root_sum(s), (kind, s)
+            if isinstance(module, VermaLikeModule):
+                assert module.label_drop(s) == drop, (kind, s)

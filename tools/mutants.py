@@ -75,10 +75,16 @@ MUTANTS = {
         ["tests/test_rootsys.py::test_check_weight_refuses_an_oversized_coordinate"]),
     "kostant-table-counts-each-root-once": (
         "weightmod.py",
-        "for nu in drops:",
-        "for nu in reversed(drops):",
+        "for k in index.values():",
+        "for k in reversed(index.values()):",
         ["tests/test_weightmod.py::"
          "test_kostant_table_counts_the_verma_labels_of_each_drop"]),
+    "kostant-key-base-without-root-margin": (
+        "weightmod.py",
+        "base = max(map(max, drops)) + max(map(max, rs.positive_roots)) + 1",
+        "base = max(map(max, drops)) + 1",
+        ["tests/test_weightmod.py::"
+         "test_kostant_table_matches_the_tuple_keyed_reference"]),
     "compute-a-reads-signed-pairings": (
         "criteria.py",
         "int(abs(pairings[a]))",
@@ -104,10 +110,15 @@ MUTANTS = {
          "test_induced_character_check_catches_a_missing_label"]),
     "orbit-shift-pruned-one-short": (
         "weightmod.py",
-        "and sum(shift) <= depth]",
-        "and sum(shift) < depth]",
+        "if sum(shift) <= depth}",
+        "if sum(shift) < depth}",
         ["tests/test_weightmod.py::"
          "test_dominant_simple_dims_match_the_rank_path_and_weyl_dim"]),
+    "orbit-seeds-without-the-identity": (
+        "weightmod.py",
+        "if sum(shift) <= depth}",
+        "if any(shift) and sum(shift) <= depth}",
+        ["tests/test_weightmod.py::test_orbit_counts_match_the_per_drop_reference"]),
     "weyl-path-on-integral-weights": (
         "weightmod.py",
         "if lam.is_dominant_integral():",
