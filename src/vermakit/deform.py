@@ -15,8 +15,8 @@ from fractions import Fraction
 
 from .rootsys import RootSystem, Weight, _shown, check_weight
 from .uea import UEAElement, check_odd_prime, vp
-from .weightmod import (LeviInducedModule, ScalarLeviModule, Vec, _vec_add,
-                        label_height)
+from .weightmod import (LeviInducedModule, ScalarLeviModule, Vec, _int_vector,
+                        _vec_add, label_height)
 
 
 def _valuations_at_least(values, p: int, n: int) -> bool:
@@ -59,43 +59,27 @@ def _check_projection(source: LeviInducedModule, c: dict,
         raise ValueError("target module does not match the projection data")
 
 
-def _int_vector(vec: Vec) -> tuple[dict, int]:
-    """vec over one common denominator: ({label: int}, den)."""
-    den = math.lcm(*(x.denominator for x in vec.values()))
-    return {k: x.numerator * (den // x.denominator) for k, x in vec.items()}, den
-
-
 def _project(target: ScalarLeviModule, vec: dict) -> dict:
     """t_den times phi_c of an int vector, as ints, zeros left in: each
     label's scalar prod_a base_a^t_a is read from the target's table,
-    which holds every t-part of the source's labels."""
-    scalars = target.t_scalars
+    which holds every t-part of the source's labels.  A label that is not
+    in the source's basis, read off its drop table, is refused."""
+    scalars, source_labels = target.t_scalars, target.source._drop_of
     zero_t = (0,) * len(target.outside)
     out: dict = {}
-    for (s, t, b), x in vec.items():
+    for label, x in vec.items():
+        s, t, b = label
         y = scalars.get(t)
         if y is None:
             raise ValueError(f"{t} is not the t-part of a source label, an "
                              f"exponent vector of length {len(zero_t)} and "
                              f"total at most {target.depth}")
+        if label not in source_labels:
+            raise ValueError(f"{label} is not a basis label of the source")
         if y:
             key = (s, zero_t, b)
             out[key] = out.get(key, 0) + x * y
     return out
-
-
-def _act_word(module, word: list, vec: dict) -> dict:
-    """den ** len(word) times the action of a generator word (leftmost
-    factor acts last) on an int vector, through ``module.int_action``,
-    zeros left in."""
-    act = module.int_action
-    for g in reversed(word):
-        out: dict = {}
-        for label, x in vec.items():
-            for a, y in act(g, label).items():
-                out[a] = out.get(a, 0) + x * y
-        vec = out
-    return vec
 
 
 def phi_c(source: LeviInducedModule, vec: Vec, c: dict,
@@ -136,9 +120,9 @@ def phi_c_homomorphism_check(source: LeviInducedModule, x: UEAElement,
     diff: dict = {}  # lhs - rhs
     for word, q in words:
         k = len(word)
-        _vec_add(diff, _project(target, _act_word(source, word, ints)),
+        _vec_add(diff, _project(target, source.int_word(word, ints)),
                  q * ds ** (top - k) * dt ** top)
-        _vec_add(diff, _act_word(target, word, image), -q * ds ** top * dt ** (top - k))
+        _vec_add(diff, target.int_word(word, image), -q * ds ** top * dt ** (top - k))
     return not any(diff.values())
 
 
@@ -158,6 +142,8 @@ def hw_scalar_check(target: ScalarLeviModule, c: dict, i: int) -> bool:
     on the generator is exactly c_i."""
     if not isinstance(target, ScalarLeviModule):
         raise ValueError("hw_scalar_check needs the scalar-action module")
+    if set(c) != set(target.outside):
+        raise ValueError("c must be indexed by the simple roots outside I")
     hw = target.hw_label()
     image = target.act_label(("hd", i), hw)
     return (image.keys() <= {hw}

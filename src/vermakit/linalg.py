@@ -4,11 +4,11 @@ coordinates, and integer lattices.
 Everything here works on lists of lists of Fractions (or ints); no floats
 anywhere.  ``rref``, a sparse row echelon elimination on Python ints, is the
 one rational kernel: ``rank`` and ``span_coordinates`` read it, and
-``reduce_against`` reduces a vector against its rows.  The lattice part is
-the row Hermite normal form of an integer matrix (``hermite_form``) and
-membership of its row lattice (``in_lattice``); the Hermite form also gives
-the Cartan determinants of the closed root subsystems, as the product of its
-pivots.
+``reduce_against``, the one reduction step, reduces an int vector against
+its rows on ints.  The lattice part is the row Hermite normal form of an
+integer matrix (``hermite_form``) and membership of its row lattice
+(``in_lattice``); the Hermite form also gives the Cartan determinants of
+the closed root subsystems, as the product of its pivots.
 """
 
 from __future__ import annotations
@@ -67,16 +67,20 @@ def rank(rows: list[list[Fraction]]) -> int:
     return len(rref(rows)[1])
 
 
-def reduce_against(vec: list, rows: list[dict[int, int]],
-                   pivots: list[int]) -> list:
-    """The one vector of vec's coset modulo the rows of ``rref`` that is zero
-    on their pivots, cleared in pivot order: zero when vec is in their span."""
-    vec = list(vec)
+def reduce_against(vec: list[int], rows: list[dict[int, int]],
+                   pivots: list[int]) -> list[int]:
+    """P times the one vector of the int vector vec's coset modulo the rows
+    of ``rref`` that is zero on their pivots, P the product of the pivots:
+    zero when vec is in their span.  vec is scaled by P and cleared in pivot
+    order by exact division: by Cramer's rule the pivots not yet cleared
+    divide what is left."""
+    scale = math.prod(row[c] for row, c in zip(rows, pivots))
+    vec = [scale * x for x in vec]
     for row, c in zip(rows, pivots):
         if vec[c]:
-            factor = Fraction(vec[c], row[c])
+            q = vec[c] // row[c]
             for k, a in row.items():
-                vec[k] -= factor * a
+                vec[k] -= q * a
     return vec
 
 
@@ -86,19 +90,23 @@ def span_coordinates(spanning: list, candidates: list) -> list[list[Fraction] | 
 
     The spanning set is brought to echelon form once, next to an identity
     block that records each row as a combination of the spanning vectors.  A
-    candidate, padded with zeros and reduced against every row (those with
-    their pivot in the block are relations), leaves zero on the left exactly
-    when it lies in the span, and minus its coordinates on the right.  The
-    coordinates are unique, so integrality decides membership of the Z-span,
-    when the spanning vectors are linearly independent.
+    candidate over one denominator m, padded with zeros and reduced against
+    every row (those with their pivot in the block are relations), leaves
+    zero on the left exactly when it lies in the span, and -m P times its
+    coordinates on the right, P the pivots' product.  The coordinates are
+    unique, so integrality decides membership of the Z-span, when the
+    spanning vectors are linearly independent.
     """
     k = len(spanning)
     rows, pivots = rref([list(v) + [int(i == j) for j in range(k)]
                          for i, v in enumerate(spanning)])
+    scale = math.prod(row[c] for row, c in zip(rows, pivots))
     out: list[list[Fraction] | None] = []
     for x in candidates:
-        resid = reduce_against(list(x) + [Fraction(0)] * k, rows, pivots)
-        out.append(None if any(resid[:len(x)]) else [-a for a in resid[len(x):]])
+        m = math.lcm(*(a.denominator for a in x))
+        resid = reduce_against([int(a * m) for a in x] + [0] * k, rows, pivots)
+        out.append(None if any(resid[:len(x)]) else
+                   [Fraction(-a, m * scale) for a in resid[len(x):]])
     return out
 
 

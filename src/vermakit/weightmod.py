@@ -23,16 +23,16 @@ stays in U(n-).  Any other generator g takes one commutation step past
 the leading f of the label, g f_L r = f_L (g r) + [g, f_L] r
 (``_commute_past_f``).  No term with an e or an h is ever formed.
 
-The Verma and Levi-induced actions are on Python ints.  With lam = N/D
-over one common denominator D, D times the action of g on f^s v is an
-integer vector, and the simple quotient's weight spaces are ranked on
-these; Fractions appear only at the public edges, ``act_label``, the
-module vectors and ``shapovalov_gram``.  A Levi-induced module scales its
-action by one denominator ``den``, which clears the only rational values:
-the h scalars from lam(h^a), the values of the quotient V = L_J(lam),
-whose reductions divide by echelon pivots, and, on the scalar-action
-module, its scalars lam(h^a) - c_a.  The quotient itself acts on
-Fractions.  The scalar-action module (``ScalarLeviModule``) is derived
+Every module has a denominator ``den``, and ``int_action(g, label)``,
+den times the action, is on Python ints, as is ``int_word``, the action
+of a generator word; Fractions appear only at the public edges,
+``act_label``, the module vectors and ``shapovalov_gram``.  A Verma
+module's den is lam's common denominator, and the simple quotient's
+weight spaces are ranked on its int vectors.  The quotient V = L_J(lam)
+reduces its parent's int action on ints; its den also clears its echelon
+pivots.  A Levi-induced module's den clears lam(h^a) in the h scalars,
+the values of V and, on the scalar-action module, lam(h^a) - c_a.  The
+scalar-action module (``ScalarLeviModule``) is derived
 from its Levi-induced source: it shares the source's V, takes its labels
 with t = 0 and keeps its source, c, the bases lam(h^a) - c_a and each t's
 scalar, the projection data that ``deform`` reads.
@@ -122,13 +122,19 @@ def _vec_add(acc: Vec, vec: Vec, scale: Fraction | int) -> None:
         acc[k] = acc.get(k, 0) + scale * v
 
 
-def _scaled(x: Fraction, den: int) -> int:
-    """den times x as an int; RuntimeError when den does not clear x's
-    denominator, so a value is never truncated."""
-    q, r = divmod(den, x.denominator)
+def _int_vector(vec: Vec) -> tuple[dict, int]:
+    """vec over one common denominator: ({label: int}, den)."""
+    den = math.lcm(*(x.denominator for x in vec.values()))
+    return {k: x.numerator * (den // x.denominator) for k, x in vec.items()}, den
+
+
+def _scaled(x: Fraction | int, den: int, d: int = 1) -> int:
+    """den times x / d as an int; RuntimeError when den does not clear
+    x / d, so a value is never truncated."""
+    q, r = divmod(x.numerator * den, x.denominator * d)
     if r:
-        raise RuntimeError(f"the module denominator {den} does not clear {x}")
-    return x.numerator * q
+        raise RuntimeError(f"the module denominator {den} does not clear {Fraction(x, d)}")
+    return q
 
 
 def _commute_past_f(act, f_lead, bracket: dict, g, rest) -> dict:
@@ -145,31 +151,37 @@ def _commute_past_f(act, f_lead, bracket: dict, g, rest) -> dict:
 
 
 class HighestWeightModule:
-    """Shared plumbing: generator words act label by label."""
+    """Shared plumbing: generator words act label by label, on ints."""
 
     alg: EnvelopingAlgebra
     rs: RootSystem
     lam: Weight
     depth: int
+    den: int  # clears every value of the action
     basis: list
     labels_by_drop: dict  # drop -> the basis labels of weight lam - drop
 
-    def act_label(self, g, label) -> Vec:
-        raise NotImplementedError
+    def int_word(self, word: list, vec: dict) -> dict:
+        """den ** len(word) times the action of a generator word (leftmost
+        factor acts last) on an int vector through ``int_action``, zeros left in."""
+        for g in reversed(word):
+            out: dict = {}
+            for label, x in vec.items():
+                if x:
+                    for a, y in self.int_action(g, label).items():
+                        out[a] = out.get(a, 0) + x * y
+            vec = out
+        return vec
 
     def act(self, g, vec: Vec) -> Vec:
-        out: Vec = {}
-        for label, coeff in vec.items():
-            _vec_add(out, self.act_label(g, label), coeff)
-        return _clean(out)
+        return self.apply_word([g], vec)
 
     def apply_word(self, word: list, vec: Vec) -> Vec:
-        """Apply a product of generators (leftmost factor acts last)."""
-        for g in reversed(word):
-            vec = self.act(g, vec)
-            if not vec:
-                break
-        return vec
+        """Apply a product of generators (leftmost factor acts last): the
+        Fraction view of ``int_word``."""
+        ints, den = _int_vector(vec)
+        den *= self.den ** len(word)
+        return {k: Fraction(x, den) for k, x in self.int_word(word, ints).items() if x}
 
     def apply_element(self, x: UEAElement, vec: Vec) -> Vec:
         out: Vec = {}
@@ -330,10 +342,8 @@ class VermaLikeModule(HighestWeightModule):
         self.rs = alg.rs
         self.lam = lam
         self.depth = depth
-        # lam = lam_num / lam_den over one common denominator
-        self.lam_den = math.lcm(*(x.denominator for x in lam.coords))
-        self.lam_num = [x.numerator * (self.lam_den // x.denominator)
-                        for x in lam.coords]
+        # lam = lam_num / den over one common denominator
+        self.lam_num, self.den = _int_vector(dict(enumerate(lam.coords)))
         self.allowed = (list(range(alg.npos)) if J is None else
                         sorted(self.rs.root_index[r]
                                for r in positive_subsystem(self.rs, J)))
@@ -345,12 +355,10 @@ class VermaLikeModule(HighestWeightModule):
         self._memo: dict[tuple, dict[tuple, int]] = {}  # (R, s) -> e_R f^s v
 
     def act_label(self, g, s: tuple) -> Vec:
-        """The action of g on f^s v: ``int_action`` over lam_den."""
-        den = self.lam_den
-        return {a: Fraction(x, den) for a, x in self.int_action(g, s).items()}
+        return {a: Fraction(x, self.den) for a, x in self.int_action(g, s).items()}
 
     def int_action(self, g, s: tuple) -> dict[tuple, int]:
-        """lam_den times ``act_label(g, s)``, as ints; e actions are
+        """den times the action of g on f^s v, as ints; e actions are
         memoised.
 
         Computed in the module, not in U(g): h_i acts on f^s v by the
@@ -365,7 +373,7 @@ class VermaLikeModule(HighestWeightModule):
                 raise ValueError(f"{g} is not a generator: the Cartan index "
                                  f"must be in 0..{self.rs.rank - 1}")
             rs = self.rs
-            x = self.lam_num[i] - self.lam_den * sum(
+            x = self.lam_num[i] - self.den * sum(
                 n * rs.simple_coroot_pairings(root)[i]
                 for n, root in zip(s, rs.positive_roots) if n)
             return {s: x} if x and label_height(rs, s) <= self.depth else {}
@@ -375,7 +383,7 @@ class VermaLikeModule(HighestWeightModule):
         if i not in self._allowed_set:
             raise ValueError(f"{g} is outside the allowed roots {self.allowed}")
         if kind == "f":  # the rewriting engine memoises f f^s
-            return {a: self.lam_den * c
+            return {a: self.den * c
                     for a, c in _f_product(self.alg, self.depth, i, s).items()}
         cached = self._memo.get((i, s))
         if cached is not None:
@@ -402,9 +410,14 @@ class QuotientModule(HighestWeightModule):
     a in a simple subset J on which lam is dominant integral, one reduction
     per weight space.  Over the Levi of J this is the finite-dimensional
     L_J(lam) inside every induced module: those vectors generate the
-    maximal submodule (Humphreys, BGG Category O, 2008)."""
+    maximal submodule (Humphreys, BGG Category O, 2008).  Its ``den`` is the
+    parent's times the lcm, over its weight spaces, of the product of that
+    echelon's pivots, which ``reduce_against`` scales a remainder by."""
 
     def __init__(self, parent: VermaLikeModule, J: SimpleSubset):
+        if not isinstance(parent, VermaLikeModule):
+            raise ValueError(f"the parent must be a VermaLikeModule, not a "
+                             f"{type(parent).__name__}")
         check_subset(parent.rs, J)
         _check_dominant_on(parent.rs, parent.lam, J)
         self.parent = parent
@@ -414,7 +427,8 @@ class QuotientModule(HighestWeightModule):
         self.depth = parent.depth
         self._drop_of = parent._drop_of  # its labels are the parent's
         self._build_reductions(J)
-        self._memo: dict[tuple, Vec] = {}
+        self.den = parent.den * math.lcm(*(p for *_, p in self._reduction.values()))
+        self._memo: dict[tuple, dict[tuple, int]] = {}  # (g, s) -> int action
 
     def _build_reductions(self, J: SimpleSubset) -> None:
         parent, rs = self.parent, self.rs
@@ -442,36 +456,36 @@ class QuotientModule(HighestWeightModule):
                 if vec:
                     drop = parent.label_drop(next(iter(vec)))
                     by_drop.setdefault(drop, []).append(vec)
-        # per weight space: the submodule's echelon, keep non-pivot labels
+        # per weight space: the submodule's echelon, with its pivots' product;
+        # keep non-pivot labels
         self._reduction: dict[tuple, tuple] = {}
         self.basis, self.labels_by_drop = [], {}
         for drop, labels in sorted(parent.labels_by_drop.items()):
             rows = [[vec.get(s, 0) for s in labels] for vec in by_drop.get(drop, [])]
             echelon, pivots = rref(rows)
-            self._reduction[drop] = (labels, echelon, pivots)
+            self._reduction[drop] = (labels, echelon, pivots, math.prod(
+                row[c] for row, c in zip(echelon, pivots)))
             kept = [s for i, s in enumerate(labels) if i not in pivots]
             if kept:
                 self.labels_by_drop[drop] = kept
                 self.basis.extend(kept)
 
-    def project(self, vec: Vec) -> Vec:
-        """Reduce a parent-module vector modulo the submodule."""
-        by_drop: dict[tuple, Vec] = {}
-        for s, c in vec.items():
-            by_drop.setdefault(self.parent.label_drop(s), {})[s] = c
-        out: Vec = {}
-        for drop, part in by_drop.items():
-            labels, echelon, pivots = self._reduction[drop]
-            coords = reduce_against([part.get(s, 0) for s in labels], echelon, pivots)
-            for s, x in zip(labels, coords):
-                if x:
-                    out[s] = x
-        return out
-
     def act_label(self, g, s: tuple) -> Vec:
+        return {a: Fraction(x, self.den) for a, x in self.int_action(g, s).items()}
+
+    def int_action(self, g, s: tuple) -> dict[tuple, int]:
+        """den times the action of g on the class of f^s v, as ints, memoised:
+        the parent's int action, in one weight space, reduced modulo the
+        submodule and brought to den by exact division."""
         cached = self._memo.get((g, s))
         if cached is None:
-            cached = self.project(self.parent.act_label(g, s))
+            vec, cached = self.parent.int_action(g, s), {}
+            if vec:
+                labels, echelon, pivots, p = self._reduction[
+                    self.parent.label_drop(next(iter(vec)))]
+                reduced = reduce_against([vec.get(u, 0) for u in labels], echelon, pivots)
+                cached = {u: _scaled(x, self.den, p * self.parent.den)
+                          for u, x in zip(labels, reduced) if x}
             self._memo[(g, s)] = cached
         return cached
 
@@ -741,15 +755,8 @@ class LeviInducedModule(HighestWeightModule):
             self.inner)
         self.io_idx = self.V.parent.allowed
         self.free_idx = sorted(set(self.levi_idx) - set(self.io_idx))
-        # one denominator clears every value of the action: lam_dual's, and
-        # V's.  V reduces lam_den-scaled int vectors against one weight
-        # space's echelon rows, whose matrix on the pivot columns is
-        # triangular, so by Cramer's rule the product of its pivots clears
-        # the result
-        self.den = math.lcm(*(x.denominator for x in self.lam_dual),
-                            self.V.parent.lam_den * math.lcm(*(
-                                math.prod(row[c] for row, c in zip(rows, pivots))
-                                for _, rows, pivots in self.V._reduction.values())))
+        # one denominator clears every value of the action: lam_dual's and V's
+        self.den = math.lcm(*(x.denominator for x in self.lam_dual), self.V.den)
         # t: every exponent vector of total degree <= depth
         self.t_labels = t_labels = _drops_within(len(self.outside), depth)
         # the free f-parts once, at the full depth and in lexicographic
@@ -779,12 +786,10 @@ class LeviInducedModule(HighestWeightModule):
     # element h^j, j outside I
 
     def act_label(self, g, label) -> Vec:
-        """The action of g on the label: ``int_action`` over den."""
-        den = self.den
-        return {a: Fraction(x, den) for a, x in self.int_action(g, label).items()}
+        return {a: Fraction(x, self.den) for a, x in self.int_action(g, label).items()}
 
     def int_action(self, g, label) -> dict[tuple, int]:
-        """den times ``act_label(g, label)``, as ints.  The h^a are central
+        """den times the action of g on the label, as ints.  The h^a are central
         in the Levi of I, so g acts on (s, t, b) as on (s, 0, b) with t
         added to each term, less the terms past the depth; the action at
         t = 0 is memoised."""
@@ -837,8 +842,8 @@ class LeviInducedModule(HighestWeightModule):
             return _commute_past_f(self.int_action, partial(self._free_f, lead),
                                    self.alg.sc.bracket(g, ("f", lead)), g, (rest, t, b))
         if i in self.io_idx:
-            return {(s, t, b2): _scaled(x, den)
-                    for b2, x in self.V.act_label(g, b).items()}
+            k = den // self.V.den
+            return {(s, t, b2): k * x for b2, x in self.V.int_action(g, b).items()}
         return {}  # e of a free root kills the induced vacuum
 
     def _free_f(self, i: int, label) -> dict[tuple, int]:

@@ -125,6 +125,25 @@ def test_phi_c_refuses_a_t_part_no_source_label_has(source, t):
         phi_c(source, {(zero, t, zero): Fraction(1)}, c, phi_c_target(source, c))
 
 
+@pytest.mark.parametrize("label", [((5, 0, 0), (0,), (0, 0, 0)),
+                                   ((0, 0, 0), (0,), (9, 9, 9))],
+                         ids=["s-past-depth", "b-not-in-V"])
+def test_phi_c_entry_points_refuse_a_label_that_is_not_a_source_label(alg_a2, label):
+    # the first was its own image under phi_c, phi_c_level_check passed
+    # the second and phi_c_homomorphism_check raised KeyError on it
+    src = levi_gvm(alg_a2, SimpleSubset.of(0), Weight.of(2, Fraction(1, 3)), 3)
+    c = {1: Fraction(-2)}
+    target = phi_c_target(src, c)
+    vec = {label: Fraction(1)}
+    message = f"^{re.escape(str(label))} is not a basis label of the source$"
+    for call in (lambda: phi_c(src, vec, c, target),
+                 lambda: phi_c_level_check(src, vec, c, target, 5, 0),
+                 lambda: phi_c_homomorphism_check(src, alg_a2.gen("h", 0), vec, c,
+                                                  target)):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
 def test_phi_c_depth_guard(source, alg_a2):
     deep = max(source.basis, key=lambda m: sum(m[1]))
     c = {1: Fraction(0)}
@@ -221,12 +240,15 @@ def test_phi_c_checks_refuse_a_sample_count_out_of_range_before_any_work(
 @pytest.mark.parametrize("c", [{}, {0: 1}, {1: 1, 5: 2}],
                          ids=["empty", "inside-I", "extra-index"])
 def test_scalars_not_indexed_by_the_roots_outside_i_are_refused(source, c):
-    # the first two used to raise KeyError: 1, the third was accepted
+    # the first two used to raise KeyError: 1, the third was accepted; so
+    # did hw_scalar_check
     message = "c must be indexed by the simple roots outside I"
     with pytest.raises(ValueError, match=message):
         phi_c_target(source, c)
     with pytest.raises(ValueError, match=message):
         phi_c_checks(source, c, 3, random.Random(0))
+    with pytest.raises(ValueError, match=message):
+        hw_scalar_check(phi_c_target(source, {1: Fraction(-3)}), c, 1)
 
 
 @pytest.mark.parametrize("coords", [(Fraction(1, 5),), (1, 0, 2)])

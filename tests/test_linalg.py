@@ -56,12 +56,19 @@ def _random_matrices(rng, entry):
                 yield rows
 
 
+def _cleared(vec):
+    """vec over one common denominator m: (its int entries, m)."""
+    m = math.lcm(*(Fraction(x).denominator for x in vec))
+    return [int(x * m) for x in vec], m
+
+
 def _check_echelon(rows, reference, vectors, reduced_remainder):
     """rref(rows) against a reference reduced row echelon form of rows: the
     same pivots, each echelon row primitive with a positive pivot and zero
     left of it, every reference row reducing to zero (so the rows span the
-    same space), and the same remainder for each vector.  The input is left
-    alone."""
+    same space), and for each vector, its denominators cleared by m, P m
+    times the same remainder, P the product of the pivots, on ints.  The
+    input is left alone."""
     before = [list(row) for row in rows]
     echelon, pivots = rref(rows)
     assert [list(row) for row in rows] == before
@@ -71,11 +78,15 @@ def _check_echelon(rows, reference, vectors, reduced_remainder):
         assert min(row) == c and row[c] > 0, rows
         assert all(type(x) is int and x for x in row.values())
         assert math.gcd(*row.values()) == 1, rows
+    scale = math.prod(row[c] for row, c in zip(echelon, pivots))
     for row in reduced:
-        assert not any(reduce_against(row, echelon, pivots)), rows
+        assert not any(reduce_against(_cleared(row)[0], echelon, pivots)), rows
     for vec in vectors:
-        assert (reduce_against(vec, echelon, pivots)
-                == reduced_remainder(vec, reduced, pivots)), (rows, vec)
+        ints, m = _cleared(vec)
+        got = reduce_against(ints, echelon, pivots)
+        assert all(type(x) is int for x in got)
+        assert got == [scale * m * x for x in reduced_remainder(vec, reduced, pivots)], \
+            (rows, vec)
 
 
 def test_rref_matches_fraction_gauss_jordan(fraction_rref, bareiss_rref,

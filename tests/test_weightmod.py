@@ -149,6 +149,17 @@ def test_quotient_refuses_a_simple_root_outside_its_parent(alg_a2):
         QuotientModule(parent, SimpleSubset.of(0, 1))
 
 
+def test_quotient_refuses_a_parent_that_is_not_verma_like(alg_a2):
+    # a quotient of a quotient used to raise AttributeError: _allowed_set
+    J = SimpleSubset.of(0)
+    quotient = QuotientModule(VermaLikeModule(alg_a2, Weight.of(1, 1), 4), J)
+    levi = levi_gvm(alg_a2, J, Weight.of(1, Fraction(1, 2)), 3)
+    for parent, name in ((quotient, "QuotientModule"), (levi, "LeviInducedModule")):
+        with pytest.raises(ValueError, match=f"^the parent must be a VermaLikeModule, "
+                                             f"not a {name}$"):
+            QuotientModule(parent, J)
+
+
 _GRAM_WEIGHTS = {  # rank -> generic, dominant integral, singular
     1: [(Fraction(2, 7),), (2,), (-1,)],
     2: [(Fraction(1, 2), Fraction(-1, 3)), (1, 2), (Fraction(2, 5), -1)],
@@ -515,7 +526,7 @@ def test_levi_actions_match_the_fraction_reference(label, I, inner, coords,
     source = LeviInducedModule(alg, SimpleSubset.of(*I), Weight.of(*coords),
                                depth, inner and SimpleSubset.of(*inner))
     target = ScalarLeviModule(source, dict(zip(source.outside, c)))
-    pivots = {rows[k][col] for _, rows, cols in source.V._reduction.values()
+    pivots = {rows[k][col] for _, rows, cols, _ in source.V._reduction.values()
               for k, col in enumerate(cols)}
     if label == "C3":
         assert max(pivots) > 1 and source.den % 6 == 0
@@ -534,21 +545,25 @@ def test_levi_actions_match_the_fraction_reference(label, I, inner, coords,
 
 
 def test_a_value_the_denominator_does_not_clear_is_refused():
-    """_scaled turns a value into an int only when the denominator clears
-    it, and raises otherwise rather than truncate; a C3 module whose
-    denominator leaves out V's pivots meets such a value."""
-    assert _scaled(Fraction(5, 6), 12) == 10
+    """_scaled turns den x / d into an int only when den clears x / d, and
+    raises otherwise rather than truncate; a C3 quotient whose scale leaves
+    out its pivots 2 and 6 meets such a value in its exact division."""
+    assert _scaled(Fraction(5, 6), 12) == 10 and _scaled(4, 3, 6) == 2
     with pytest.raises(RuntimeError, match="does not clear 1/3"):
         _scaled(Fraction(1, 3), 4)
+    with pytest.raises(RuntimeError, match="does not clear 1/3"):
+        _scaled(2, 4, 6)
     alg = _algebra("C3")
     module = LeviInducedModule(alg, SimpleSubset.of(1, 2),
                                Weight.of(Fraction(1, 3), 1, 1), 4, SimpleSubset.of(1, 2))
-    module.den = module.V.parent.lam_den
-    gens = [(kind, i) for kind in ("e", "f") for i in module.levi_idx]
+    V = module.V
+    assert V.parent.den == 3 and V.den % 18 == 0
+    V.den = V.parent.den
+    gens = [(kind, i) for kind in ("e", "f") for i in V.parent.allowed]
     with pytest.raises(RuntimeError, match="the module denominator 3 does not clear"):
         for g in gens:
-            for x in module.basis:
-                module.int_action(g, x)
+            for b in V.basis:
+                V.int_action(g, b)
 
 
 def test_character_json_sorted(alg_a2):
@@ -612,7 +627,7 @@ def test_integer_action_and_gram_rows_are_scaled_rationals(request, label):
     gens = alg.sc.generators()
     for den, coords in _DENOMINATOR_WEIGHTS.items():
         module = VermaLikeModule(alg, Weight.of(*coords), 5)
-        assert module.lam_den == den
+        assert module.den == den
         for g in gens:
             for s in module.basis:
                 reference = _rational_action(module, g, s)
@@ -669,16 +684,36 @@ _LEVI_ACTION_CASES = [("A3", None, 4), ("A3", (0, 1), 5), ("G2", (1,), 6),
                       ("G2", (0,), 6)]
 
 
+def _fraction_remainder(quotient, vec):
+    """vec modulo the quotient's submodule, as the quotient reduced it on
+    Fractions: weight space by weight space, each pivot cleared in turn
+    against its echelon row, the reference for the integer reduction."""
+    out = {}
+    for drop, (labels, rows, pivots, _) in quotient._reduction.items():
+        x = [vec.get(u, Fraction(0)) for u in labels]
+        for row, c in zip(rows, pivots):
+            factor = x[c] / row[c]
+            for k, a in row.items():
+                x[k] -= factor * a
+        out.update((u, y) for u, y in zip(labels, x) if y)
+    return out
+
+
 @pytest.mark.parametrize("label,levi,depth", _LEVI_ACTION_CASES)
 def test_integer_action_is_scaled_rational_on_a3_and_levi_modules(
         request, label, levi, depth):
+    """The Verma-like module of the Levi, and its quotient by the simple
+    roots of the Levi on which lam is dominant integral, where there are
+    any: int_action is den times the Fraction action, the quotient's that
+    of its parent reduced on Fractions."""
     alg = request.getfixturevalue(f"alg_{label.lower()}")
     rs = alg.rs
     J = None if levi is None else SimpleSubset.of(*levi)
+    quotients = 0
     for den, coords in _DENOMINATOR_WEIGHTS.items():
         lam = Weight.of(*(coords + (1,) * (rs.rank - 2)))
         module = VermaLikeModule(alg, lam, depth, J)
-        assert module.lam_den == den
+        assert module.den == den
         gens = [g for g in alg.sc.generators()
                 if g[0] == "h" or g[1] in module.allowed]
         for g in gens:
@@ -686,6 +721,21 @@ def test_integer_action_is_scaled_rational_on_a3_and_levi_modules(
                 reference = _rational_action(module, g, s)
                 assert module.int_action(g, s) == {a: den * x for a, x in
                                                    reference.items()}, (g, s)
+        dominant = [j for j in (range(rs.rank) if levi is None else levi)
+                    if lam.coords[j].denominator == 1 and lam.coords[j] >= 0]
+        if not dominant:
+            continue
+        quotients += 1
+        quotient = QuotientModule(module, SimpleSubset.of(*dominant))
+        assert quotient.den % den == 0
+        for g in gens:
+            for s in quotient.basis:
+                reference = _fraction_remainder(quotient, _rational_action(module, g, s))
+                got = quotient.int_action(g, s)
+                assert all(type(x) is int for x in got.values())
+                assert got == {a: quotient.den * x for a, x in reference.items()}, (g, s)
+                assert quotient.act_label(g, s) == reference, (g, s)
+    assert quotients
 
 
 def _reductions_by_words(parent, singular, fraction_rref):
@@ -733,12 +783,26 @@ def test_incremental_translates_match_whole_words(request, fraction_rref,
     reduction, basis = _reductions_by_words(parent, singular, fraction_rref)
     assert module.basis == basis
     assert len(basis) < len(parent.basis)
+
+    def remainder(vec):
+        """vec modulo the submodule, reduced over Fraction by the reference."""
+        out = {}
+        for s, x in vec.items():
+            labels, reduced, pivots = reduction[parent.label_drop(s)]
+            unit = [Fraction(int(t == s)) for t in labels]
+            for t, y in zip(labels, reduced_remainder(unit, reduced, pivots)):
+                out[t] = out.get(t, 0) + x * y
+        return {t: y for t, y in out.items() if y}
+
+    # the integer path: the parent's int action, reduced on ints over the
+    # scale of each weight space's pivots, is den times the reference
+    gens = [g for g in alg.sc.generators() if g[0] == "h" or g[1] in parent.allowed]
     for s in parent.basis:
-        labels, reduced, pivots = reduction[parent.label_drop(s)]
-        unit = [Fraction(int(t == s)) for t in labels]
-        want = {t: x for t, x in zip(labels, reduced_remainder(unit, reduced, pivots))
-                if x}
-        assert module.project({s: Fraction(1)}) == want, s
+        for g in gens:
+            want = remainder(parent.act_label(g, s))
+            assert module.act_label(g, s) == want, (g, s)
+            assert module.int_action(g, s) == {
+                t: x * module.den for t, x in want.items()}, (g, s)
 
 
 @pytest.mark.parametrize("label", _TYPE_DEPTHS)
@@ -892,7 +956,7 @@ def test_integer_action_is_scaled_rational_for_drawn_weights(request, hypothesis
         for g in alg.sc.generators():
             for s in module.basis:
                 assert module.int_action(g, s) == {
-                    a: module.lam_den * x
+                    a: module.den * x
                     for a, x in _rational_action(module, g, s).items()}, (g, s)
 
     check()

@@ -41,9 +41,14 @@ MUTANTS = {
         ["tests/test_weightmod.py::test_scalar_levi_module_labels_are_h_weight_vectors"]),
     "levi-denominator-leaves-out-v-pivots": (
         "weightmod.py",
-        "math.prod(row[c] for row, c in zip(rows, pivots))",
+        "math.lcm(*(p for *_, p in self._reduction.values()))",
         "1",
         ["tests/test_weightmod.py::test_levi_actions_match_the_fraction_reference"]),
+    "reduce-against-unscaled": (
+        "linalg.py",
+        "vec = [scale * x for x in vec]",
+        "vec = list(vec)",
+        ["tests/test_linalg.py::test_rref_matches_fraction_gauss_jordan"]),
     "simple-dims-keeps-one-e-block": (
         "weightmod.py",
         "if images:\n                blocks.append(",
