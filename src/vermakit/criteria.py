@@ -28,12 +28,13 @@ from .deform import weight_admissible
 # checks that a function imported into several modules is patched in each
 from .linalg import rank  # noqa: F401
 from .rootsys import (Record, Root, RootSystem, SimpleSubset, Weight,
-                      bad_primes, check_subset, check_weight, dot_reflect,
-                      interior, is_singular, positive_subsystem,
-                      root_subsystem, shifted_pairings, sub)
+                      bad_primes, check_dominant_on, check_subset,
+                      check_weight, dot_reflect, interior, is_singular,
+                      positive_subsystem, root_subsystem, shifted_pairings,
+                      sub)
 from .uea import EnvelopingAlgebra, check_odd_prime
-from .weightmod import (VermaLikeModule, _check_depth, _check_dominant_on,
-                        _drops_within, parabolic_verma, simple_dims_table)
+from .weightmod import (VermaLikeModule, _check_depth, _drops_within,
+                        parabolic_verma, simple_dims_table)
 
 
 def _is_positive_integer(q: Fraction) -> bool:
@@ -64,7 +65,7 @@ def condition_star(rs: RootSystem, I: SimpleSubset, lam: Weight,
     are positive: -gamma passes each test exactly when gamma does."""
     pairings = shifted_pairings(rs, lam)
     check_subset(rs, I)
-    _check_dominant_on(rs, lam, I)
+    check_dominant_on(lam, I)
     if phi_pos is not None:
         pairings = {beta: pairings[beta] for beta in phi_pos}
     levi = root_subsystem(rs, I)
@@ -117,7 +118,7 @@ def gvm_region_irreducible(rs: RootSystem, I: SimpleSubset, lam: Weight,
     lam - sum c_j a_j, certified by condition (*) inside the Levi
     subsystem.  Requires integer c_j <= -A."""
     A = compute_A(rs, I, lam)  # checks lam, then I
-    _check_dominant_on(rs, lam, I)
+    check_dominant_on(lam, I)
     outside = [j for j in range(rs.rank) if j not in I]
     if set(c) != set(outside):
         raise ValueError("c must be indexed by the simple roots outside I")

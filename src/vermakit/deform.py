@@ -16,7 +16,7 @@ from fractions import Fraction
 from .rootsys import RootSystem, Weight, _shown, check_weight
 from .uea import UEAElement, check_odd_prime, vp
 from .weightmod import (LeviInducedModule, ScalarLeviModule, Vec, _int_vector,
-                        _vec_add, label_height)
+                        label_height)
 
 
 def _valuations_at_least(values, p: int, n: int) -> bool:
@@ -48,10 +48,11 @@ def phi_c_target(source: LeviInducedModule, c: dict) -> ScalarLeviModule:
 
 def _check_projection(source: LeviInducedModule, c: dict,
                       target: ScalarLeviModule) -> None:
-    """Refuse a target not built from this source with these scalars."""
+    """Refuse a target not built from this source with these scalars.  c
+    is indexed by ``outside`` when it has as many keys, each one of them."""
     if isinstance(source, ScalarLeviModule):
         raise ValueError("source already has scalar dual-Cartan action")
-    if set(c) != set(source.outside):
+    if len(c) != len(source.outside) or not all(map(c.__contains__, source.outside)):
         raise ValueError("c must be indexed by the simple roots outside I")
     if (not isinstance(target, ScalarLeviModule) or target.source is not source
             or target.c != c and any(target.c[j] != Fraction(c[j])
@@ -97,32 +98,40 @@ def phi_c_homomorphism_check(source: LeviInducedModule, x: UEAElement,
                              target: ScalarLeviModule) -> bool:
     """phi_c(x . m) == x . phi_c(m), exactly.
 
-    Each monomial's generator word is read once and acts through both
-    modules' integer actions, and the two sides are compared as ints:
-    m's denominator and the target's t_den scale both alike, and each is
-    brought to the scale (source.den target.den)^degree(x) times the
-    common denominator of x's coefficients.
+    m is projected first, so that its refusals come before any action.
+    Each monomial's generator word, read once per algebra, then acts once
+    through each module's integer action, and the two sides are compared
+    on one integer scale: one common denominator clears the coefficients
+    of x and of m, which with the target's t_den scale both sides alike,
+    and a word of length k acts with den^k of its module, raised to
+    (source.den target.den)^top, top the degree of x.
 
     Needs headroom in the truncation: the polynomial directions of the
     source are cut at the module depth, and acting past that cut would
     discard terms the scalar target keeps.
     """
-    words = [(source.alg.word(mono), q)
-             for mono, q in _int_vector(x.terms)[0].items()]
-    top = max((len(word) for word, _ in words), default=0)  # x's degree
-    if max((sum(t) for _, t, _ in vec), default=0) + top > source.depth:
+    word_of = source.alg.word
+    top = max(map(len, map(word_of, x.terms)), default=0)  # x's degree
+    if max([sum(t) for _, t, _ in vec], default=0) + top > source.depth:
         raise ValueError("depth exhausted: the action overflows the "
                          "polynomial truncation")
     _check_projection(source, c, target)
-    ints = _int_vector(vec)[0]
+    den = math.lcm(*[q.denominator for q in x.terms.values()],
+                   *[a.denominator for a in vec.values()])
+    ints = {label: a.numerator * (den // a.denominator) for label, a in vec.items()}
     image = _project(target, ints)
     ds, dt = source.den, target.den
     diff: dict = {}  # lhs - rhs
-    for word, q in words:
-        k = len(word)
-        _vec_add(diff, _project(target, source.int_word(word, ints)),
-                 q * ds ** (top - k) * dt ** top)
-        _vec_add(diff, target.int_word(word, image), -q * ds ** top * dt ** (top - k))
+    for mono, q in x.terms.items():
+        word = word_of(mono)
+        k = top - len(word)
+        q = q.numerator * (den // q.denominator)
+        scale = q * ds ** k * dt ** top
+        for label, y in _project(target, source.int_word(word, ints)).items():
+            diff[label] = diff.get(label, 0) + scale * y
+        scale = q * dt ** k * ds ** top
+        for label, y in target.int_word(word, image).items():
+            diff[label] = diff.get(label, 0) - scale * y
     return not any(diff.values())
 
 

@@ -448,11 +448,14 @@ def parse_weight(rs: RootSystem, text: str) -> Weight:
 
 def shifted_pairings(rs: RootSystem, lam: Weight) -> dict[Root, Fraction]:
     """{beta: <lam + rho, beta^v>} over the positive roots, from the coroot
-    table; lam is checked first, since a sum of weights zips coordinates."""
+    table; lam is checked first, since a sum of weights zips coordinates.
+    The sums run on ints over lam's common denominator, one Fraction a root."""
     check_weight(rs, lam)
-    shifted = [x + 1 for x in lam.coords]  # <lam + rho, a_i^v>
-    return {beta: sum((c * x for c, x in zip(rs.coroot_coefficients(beta),
-                                             shifted)), Fraction(0))
+    den = math.lcm(*(x.denominator for x in lam.coords))
+    shifted = [x.numerator * (den // x.denominator) + den  # den <lam + rho, a_i^v>
+               for x in lam.coords]
+    return {beta: Fraction(sum(map(operator.mul, rs.coroot_coefficients(beta), shifted)),
+                           den)
             for beta in rs.positive_roots}
 
 
@@ -465,17 +468,25 @@ def dot_reflect(rs: RootSystem, i: int, lam: Weight) -> Weight:
     return lam - alpha_wt.scale(factor)
 
 
-def dot_orbit(rs: RootSystem, lam: Weight,
-              subset: SimpleSubset | None = None) -> dict[tuple, int]:
+def dot_orbit(rs: RootSystem, lam: Weight, subset: SimpleSubset | None = None,
+              depth: int | None = None) -> dict[tuple, int]:
     """The dot orbit of lam under the reflections in the subset (default:
     all simple roots) as {lam - w.lam in simple-root coordinates: (-1)^k},
     k the fewest reflections that reach w.lam.  The drops are ints where lam
     is integral on the subset; where it is dominant integral, the orbit is
     free, k = l(w), and the signed sum of the ch M(lam - drop) is ch M_J(lam)
-    (Lepowsky's generalised BGG resolution)."""
+    (Lepowsky's generalised BGG resolution).
+
+    With a depth, lam must be dominant integral on the subset, and only the
+    drops of height at most depth are kept, found without walking past them:
+    where s_i lengthens w it adds <w(lam + rho), a_i^v> a_i, a positive
+    multiple of a_i, to the drop, so heights grow along reduced words and
+    every drop within the depth is reached through drops within it."""
     check_weight(rs, lam)
     subset = SimpleSubset.of(*range(rs.rank)) if subset is None else subset
     check_subset(rs, subset)
+    if depth is not None:
+        check_dominant_on(lam, subset)
     shifted = [int(x) + 1 if x.denominator == 1 else x + 1  # <lam + rho, a_i^v>
                for x in lam.coords]
     signs = {(0,) * rs.rank: 1}
@@ -489,11 +500,21 @@ def dot_orbit(rs: RootSystem, lam: Weight,
                 x = drop[i] + shifted[i] - pairings[i]
                 x = int(x) if x.denominator == 1 else x
                 new = drop[:i] + (x,) + drop[i + 1:]
-                if new not in signs:
+                if new not in signs and (depth is None or sum(new) <= depth):
                     signs[new] = -signs[drop]
                     nxt.append(new)
         frontier = nxt
     return signs
+
+
+def check_dominant_on(lam: Weight, subset) -> None:
+    """Raise ValueError unless lam is dominant integral on the subset."""
+    for i in subset:
+        v = lam.coords[i]
+        if v.denominator != 1 or v < 0:
+            raise ValueError(
+                f"weight must be dominant integral on the subset; "
+                f"coordinate {i} is {v}")
 
 
 def is_singular(rs: RootSystem, lam: Weight) -> bool:

@@ -114,6 +114,7 @@ class EnvelopingAlgebra:
         self.npos = len(sc.rs.positive_roots)
         self._one = ((0,) * self.npos, (0,) * self.rs.rank, (0,) * self.npos)
         self._memo: dict[tuple[Gen, Monomial], dict[Monomial, int]] = {}
+        self._words: dict[Monomial, tuple[Gen, ...]] = {}
         # criteria.classify_sl3's case-3 verdicts, per (mu, gamma, depth)
         self.case3_verdicts: dict[tuple, bool] = {}
 
@@ -127,18 +128,22 @@ class EnvelopingAlgebra:
             return (1, i)
         return (2, i)
 
-    def word(self, m: Monomial) -> list[Gen]:
-        """The monomial as a normal-ordered generator word."""
-        f, h, e = m
-        out: list[Gen] = []
-        for i in range(self.npos - 1, -1, -1):
-            if f[i]:
-                out += [("f", i)] * f[i]
-        for kind, exps in (("h", h), ("e", e)):
-            for i, k in enumerate(exps):
-                if k:
-                    out += [(kind, i)] * k
-        return out
+    def word(self, m: Monomial) -> tuple[Gen, ...]:
+        """The monomial as a normal-ordered generator word, read once per
+        monomial and kept on the instance."""
+        cached = self._words.get(m)
+        if cached is None:
+            f, h, e = m
+            out: list[Gen] = []
+            for i in range(self.npos - 1, -1, -1):
+                if f[i]:
+                    out += [("f", i)] * f[i]
+            for kind, exps in (("h", h), ("e", e)):
+                for i, k in enumerate(exps):
+                    if k:
+                        out += [(kind, i)] * k
+            cached = self._words[m] = tuple(out)
+        return cached
 
     def mono_one(self) -> Monomial:
         return self._one
@@ -238,7 +243,7 @@ class EnvelopingAlgebra:
 
     def gen(self, kind: str, i: int) -> "UEAElement":
         self._check_gen(kind, i)
-        return UEAElement(self, {self.mono_of_gen((kind, i)): Fraction(1)})
+        return UEAElement(self, {self.mono_of_gen((kind, i)): 1})
 
     def divided_power(self, kind: str, i: int, s: int) -> "UEAElement":
         """x^s / s! for a single generator, stored expanded."""

@@ -58,8 +58,8 @@ from functools import partial
 # checks that a function imported into several modules is patched in each
 from .linalg import rank, reduce_against, rref, span_coordinates  # noqa: F401
 from .rootsys import (RootSystem, SimpleSubset, Value, Weight, _shown, add,
-                      check_subset, check_weight, dot_orbit, interior,
-                      positive_subsystem, shifted_pairings, sub)
+                      check_dominant_on, check_subset, check_weight, dot_orbit,
+                      interior, positive_subsystem, shifted_pairings, sub)
 from .uea import EnvelopingAlgebra, UEAElement
 
 Vec = dict  # basis label -> Fraction
@@ -94,20 +94,18 @@ class Character(Value):
 
 def _character(rs: RootSystem, lam: Weight, counts: dict[tuple, int]) -> Character:
     """The Character with counts[nu] at lam - nu.  Each weight is built
-    once, from the integer pairings <nu, alpha_i^v> = sum_k nu_k a_ki, read
-    down the Cartan columns, and the weights are sorted on the negated
-    pairings: every weight is lam less its pairings, so this is the order
-    of ``Character.of`` on coordinates.  Each coordinate lam_i - x is built
-    once per (i, x), so the weights share their Fractions."""
-    cartan_cols = list(zip(*rs.cartan))
-    pairs = sorted(((tuple(sum(map(operator.mul, nu, c)) for c in cartan_cols), n)
-                    for nu, n in counts.items() if n),
-                   key=lambda pn: tuple(-x for x in pn[0]))
-    columns = [dict.fromkeys(col) for col in zip(*(p for p, _ in pairs))]
-    for c, col in zip(lam.coords, columns):
-        for x in col:
-            col[x] = c - x
-    return Character(tuple((Weight(tuple(col[x] for col, x in zip(columns, p))), n)
+    once, from the negated integer pairings -<nu, alpha_i^v> = sum_k nu_k
+    (-a_ki), one list per negated Cartan column, and the weights are sorted
+    on them directly: every weight is lam plus its negated pairings, so
+    this is the order of ``Character.of`` on coordinates, and no two drops
+    share their pairings.  Each coordinate lam_i + x is built once per
+    (i, x), so the weights share their Fractions."""
+    drops = [nu for nu, n in counts.items() if n]
+    pairings = [[sum(map(operator.mul, nu, col)) for nu in drops]
+                for col in ([-a for a in col] for col in zip(*rs.cartan))]
+    values = [{x: c + x for x in set(xs)} for c, xs in zip(lam.coords, pairings)]
+    pairs = sorted(zip(zip(*pairings), map(counts.__getitem__, drops)))
+    return Character(tuple((Weight(tuple(map(dict.__getitem__, values, p))), n)
                            for p, n in pairs))
 
 
@@ -190,14 +188,13 @@ class HighestWeightModule:
         return _clean(out)
 
     def _file_by_drop(self, labelled) -> None:
-        """The basis, in order, from (label, drop) pairs, and its one table
-        of labels by drop, with each label's drop indexed back."""
-        self.basis, self.labels_by_drop = [], {}
+        """The basis, in order, from (label, drop) pairs, its one table of
+        labels by drop and each label's drop, in one pass."""
+        self.basis, self.labels_by_drop, self._drop_of = [], {}, {}
         for label, drop in labelled:
             self.basis.append(label)
             self.labels_by_drop.setdefault(drop, []).append(label)
-        self._drop_of = {label: nu for nu, labels in self.labels_by_drop.items()
-                         for label in labels}
+            self._drop_of[label] = drop
 
     def label_drop(self, label) -> tuple:
         return self._drop_of[label]
@@ -217,7 +214,7 @@ class HighestWeightModule:
 def label_height(rs: RootSystem, s: tuple) -> int:
     """Height of the weight drop of f^s: each s_i times the height of the
     i-th positive root."""
-    return sum(k * h for k, h in zip(s, rs.heights) if k)
+    return sum(map(operator.mul, s, rs.heights))
 
 
 def _bump(s: tuple, i: int, k: int) -> tuple:
@@ -366,17 +363,25 @@ class VermaLikeModule(HighestWeightModule):
         f_R f^s, which lies in U(n-); and e_R by recursion on f^s = f_L f^r,
         L the leading index:
         e_R f^s v = f_L (e_R f^r v) + [e_R, f_L] f^r v.
-        No term with an e or an h is ever formed."""
+        No term with an e or an h is ever formed.  A label outside the
+        basis is refused; an e memo hit is a basis label already."""
         kind, i = g
+        if kind == "e":
+            cached = self._memo.get((i, s))
+            if cached is not None:
+                return cached
+        drop = self._drop_of.get(s)
+        if drop is None:
+            raise ValueError(f"{s} is not a basis label: labels are exponent "
+                             f"vectors over the allowed roots {self.allowed} "
+                             f"of height at most {self.depth}")
         if kind == "h":  # a scalar: cheaper to recompute than to memoise
             if not 0 <= i < self.rs.rank:
                 raise ValueError(f"{g} is not a generator: the Cartan index "
                                  f"must be in 0..{self.rs.rank - 1}")
-            rs = self.rs
             x = self.lam_num[i] - self.den * sum(
-                n * rs.simple_coroot_pairings(root)[i]
-                for n, root in zip(s, rs.positive_roots) if n)
-            return {s: x} if x and label_height(rs, s) <= self.depth else {}
+                d * row[i] for d, row in zip(drop, self.rs.cartan) if d)
+            return {s: x} if x else {}
         if kind not in ("e", "f"):
             raise ValueError(f"{g} is not a generator: its kind must be "
                              f"'e', 'f' or 'h'")
@@ -385,24 +390,12 @@ class VermaLikeModule(HighestWeightModule):
         if kind == "f":  # the rewriting engine memoises f f^s
             return {a: self.den * c
                     for a, c in _f_product(self.alg, self.depth, i, s).items()}
-        cached = self._memo.get((i, s))
-        if cached is not None:
-            return cached
         lead, rest = _split_lead(s)
         out = {} if lead is None else _commute_past_f(  # e kills v
             self.int_action, partial(_f_product, self.alg, self.depth, lead),
             self.alg.sc.bracket(g, ("f", lead)), g, rest)
         self._memo[(i, s)] = out
         return out
-
-
-def _check_dominant_on(rs: RootSystem, lam: Weight, subset) -> None:
-    for i in subset:
-        v = lam.coords[i]
-        if v.denominator != 1 or v < 0:
-            raise ValueError(
-                f"weight must be dominant integral on the subset; "
-                f"coordinate {i} is {v}")
 
 
 class QuotientModule(HighestWeightModule):
@@ -419,7 +412,7 @@ class QuotientModule(HighestWeightModule):
             raise ValueError(f"the parent must be a VermaLikeModule, not a "
                              f"{type(parent).__name__}")
         check_subset(parent.rs, J)
-        _check_dominant_on(parent.rs, parent.lam, J)
+        check_dominant_on(parent.lam, J)
         self.parent = parent
         self.alg = parent.alg
         self.rs = parent.rs
@@ -584,10 +577,13 @@ def reflection_formula_check(alg: EnvelopingAlgebra, lam: Weight, i: int,
 
 
 def _drops_within(rank: int, depth: int) -> list[tuple]:
-    """Every root drop nu of height at most depth: the weights lam - nu
-    a statement "within depth" quantifies over."""
-    units = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
-    return [nu for _, _, nu in _enum_f_labels(units, list(range(rank)), depth)]
+    """Every root drop nu of height at most depth, in lexicographic order:
+    the weights lam - nu a statement "within depth" quantifies over.  Each
+    drop carries the height it has left as its coordinates are set."""
+    drops = [((), depth)]
+    for _ in range(rank):
+        drops = [(nu + (k,), room - k) for nu, room in drops for k in range(room + 1)]
+    return [nu for nu, _ in drops]
 
 
 def _orbit_counts(rs: RootSystem, lam: Weight, subset: SimpleSubset,
@@ -600,9 +596,9 @@ def _orbit_counts(rs: RootSystem, lam: Weight, subset: SimpleSubset,
     seeded with each orbit shift lam - w.lam and its sign, gives every
     count in one pass per positive root.  Only the shifts of height at
     most the depth are seeded: every shift is a drop with nonnegative
-    integer coordinates, so P(nu - shift) is 0 unless shift <= nu."""
-    seeds = {shift: sign for shift, sign in dot_orbit(rs, lam, subset).items()
-             if sum(shift) <= depth}
+    integer coordinates, so P(nu - shift) is 0 unless shift <= nu; the
+    orbit walk itself stops at the depth."""
+    seeds = dot_orbit(rs, lam, subset, depth)
     table = _kostant_table(rs, _drops_within(rs.rank, depth), seeds)
     return {nu: n for nu, n in table.items() if n}
 
@@ -737,6 +733,9 @@ class LeviInducedModule(HighestWeightModule):
         levi_roots = positive_subsystem(rs, I)
         self.levi_idx = [rs.root_index[r] for r in levi_roots]
         self.outside = [j for j in range(rs.rank) if j not in I]
+        self._generators = frozenset(
+            [(kind, i) for kind in ("e", "f") for i in self.levi_idx]
+            + [("h", i) for i in range(rs.rank)] + [("hd", j) for j in self.outside])
         self.kind = "levi_gvm"
 
         # lam(h^a), h^a dual to the simple roots: lam's coordinate on alpha_a,
@@ -757,22 +756,27 @@ class LeviInducedModule(HighestWeightModule):
         self.free_idx = sorted(set(self.levi_idx) - set(self.io_idx))
         # one denominator clears every value of the action: lam_dual's and V's
         self.den = math.lcm(*(x.denominator for x in self.lam_dual), self.V.den)
+        self.dual_num = [_scaled(x, self.den) for x in self.lam_dual]
         # t: every exponent vector of total degree <= depth
         self.t_labels = t_labels = _drops_within(len(self.outside), depth)
         # the free f-parts once, at the full depth and in lexicographic
         # order, each with its height and drop; a V label b keeps those
-        # within depth - height(b), its drop's sum, still in that order
+        # within depth - height(b), its drop's sum, still in that order,
+        # and each (s, b) files its labels under one drop, in one pass
         free = _enum_f_labels(rs.positive_roots, self.free_idx, depth)
-
-        def labelled():
-            for b in self.V.basis:
-                v_drop = self.V.label_drop(b)
-                room = depth - sum(v_drop)
-                for s, height, s_drop in free:
-                    if height <= room:
-                        drop = add(s_drop, v_drop)
-                        yield from (((s, t, b), drop) for t in t_labels)
-        self._file_by_drop(labelled())
+        self.basis, self.labels_by_drop, self._drop_of = basis, by_drop, drop_of = [], {}, {}
+        for b in self.V.basis:
+            v_drop = self.V._drop_of[b]
+            room = depth - sum(v_drop)
+            for s, height, s_drop in free:
+                if height <= room:
+                    drop = add(s_drop, v_drop)
+                    filed = by_drop.setdefault(drop, [])
+                    for t in t_labels:
+                        label = (s, t, b)
+                        basis.append(label)
+                        filed.append(label)
+                        drop_of[label] = drop
         self._memo: dict[tuple, dict[tuple, int]] = {}  # (g, label at t = 0)
 
     def hw_label(self):
@@ -794,23 +798,19 @@ class LeviInducedModule(HighestWeightModule):
         added to each term, less the terms past the depth; the action at
         t = 0 is memoised."""
         s, t, b = label
-        if any(t):
-            room = self.depth - sum(t)
-            return {(a, add(t, u), b2): x for (a, u, b2), x
-                    in self.int_action(g, (s, (0,) * len(t), b)).items()
-                    if sum(u) <= room}
-        cached = self._memo.get((g, label))
+        base = (s, (0,) * len(t), b) if any(t) else label
+        cached = self._memo.get((g, base))
         if cached is None:
             self._check_generator(g)
-            cached = self._memo[(g, label)] = self._int_action(g, label)
-        return cached
+            cached = self._memo[(g, base)] = self._int_action(g, base)
+        if base is label:
+            return cached
+        room = self.depth - sum(t)
+        return {(a, add(t, u), b2): x for (a, u, b2), x in cached.items()
+                if sum(u) <= room}
 
     def _check_generator(self, g) -> None:
-        kind, i = g
-        ok = (i in self.levi_idx if kind in ("e", "f") else
-              0 <= i < self.rs.rank if kind == "h" else
-              kind == "hd" and i in self.outside)
-        if not ok:
+        if g not in self._generators:
             raise ValueError(
                 f"{g} is not a generator: e and f take the index of a positive "
                 f"root of the Levi subalgebra, in {self.levi_idx}, h a simple "
@@ -827,10 +827,9 @@ class LeviInducedModule(HighestWeightModule):
         if kind == "hd":  # [h^i, f_R] = 0 for every root R of the Levi of I
             return {(s, _bump(t, self.outside.index(i), 1), b): den}
         if kind == "h":  # h_i = sum_k a_ki h^k
-            drop = self.label_drop(label)
+            drop = self._drop_of[label]
             cartan = self.rs.cartan
-            scalar = sum(cartan[k][i] * (_scaled(self.lam_dual[k], den) - den * drop[k])
-                         for k in self.I)
+            scalar = sum(cartan[k][i] * (self.dual_num[k] - den * drop[k]) for k in self.I)
             out = {label: scalar} if scalar else {}
             for j in self.outside:
                 _vec_add(out, self.int_action(("hd", j), label), cartan[j][i])
@@ -850,7 +849,7 @@ class LeviInducedModule(HighestWeightModule):
         """f_i on (s, t, b) for a free root i, unscaled: the normal form of
         f_i f^s, cut where its height passes the depth less b's."""
         s, t, b = label
-        budget = self.depth - label_height(self.rs, b)
+        budget = self.depth - sum(self.V._drop_of[b])
         return {(a, t, b): x for a, x in _f_product(self.alg, budget, i, s).items()}
 
 
@@ -871,13 +870,14 @@ class ScalarLeviModule(LeviInducedModule):
         if set(c) != set(source.outside):
             raise ValueError("c must be indexed by the simple roots outside I")
         for name in ("alg", "rs", "I", "lam", "depth", "inner", "levi_idx",
-                     "outside", "lam_dual", "V", "io_idx", "free_idx"):
+                     "outside", "_generators", "lam_dual", "V", "io_idx", "free_idx"):
             setattr(self, name, getattr(source, name))
         self.source = source
         self.c = {j: Fraction(c[j]) for j in self.outside}
         self.bases = [self.lam_dual[j] - self.c[j] for j in self.outside]
         base_den = math.lcm(*(x.denominator for x in self.bases))
         self.den = math.lcm(source.den, base_den)
+        self.dual_num = [_scaled(x, self.den) for x in self.lam_dual]
         nums = [_scaled(x, base_den) for x in self.bases]
         self.t_den = base_den ** self.depth
         self.t_scalars = {t: math.prod(n ** k for n, k in zip(nums, t))

@@ -402,3 +402,86 @@ def test_the_target_is_derived_from_its_source(source, monkeypatch):
     assert target.basis == [x for x in source.basis if not any(x[1])]
     assert all(phi_c_checks(source, c, 20, random.Random(3)).values())
     assert built == ["ScalarLeviModule"] * 2
+
+
+# -- the homomorphism check against the parent's per-call round trips ---------
+
+
+def reference_homomorphism_check(source, x, vec, c, target):
+    """phi_c_homomorphism_check as it was: x's coefficients and m each
+    brought to ints by their own _int_vector round trip, the words read
+    anew, and both sides added into one difference by _vec_add."""
+    words = [(source.alg.word(mono), q)
+             for mono, q in weightmod._int_vector(x.terms)[0].items()]
+    top = max((len(word) for word, _ in words), default=0)
+    if max((sum(t) for _, t, _ in vec), default=0) + top > source.depth:
+        raise ValueError("depth exhausted: the action overflows the "
+                         "polynomial truncation")
+    deform._check_projection(source, c, target)
+    ints = weightmod._int_vector(vec)[0]
+    image = deform._project(target, ints)
+    ds, dt = source.den, target.den
+    diff = {}
+    for word, q in words:
+        k = len(word)
+        weightmod._vec_add(diff, deform._project(target, source.int_word(word, ints)),
+                           q * ds ** (top - k) * dt ** top)
+        weightmod._vec_add(diff, target.int_word(word, image),
+                           -q * ds ** top * dt ** (top - k))
+    return not any(diff.values())
+
+
+# (fixture, I, inner or None for the interior of I, weight, depth, c)
+_HOMOMORPHISM_CASES = [
+    ("alg_a2", (0,), None, (3, Fraction(1, 2)), 6, (Fraction(2, 5),)),
+    ("alg_a3", (0, 1), None, (2, Fraction(1, 2), Fraction(1, 3)), 4, (Fraction(3, 4),)),
+    ("alg_b2", (1,), None, (Fraction(2, 3), 1), 6, (Fraction(-1, 4),)),
+    ("alg_g2", (1,), None, (Fraction(1, 3), 2), 6, (Fraction(-1, 7),)),
+    # V = L_{C2}(1, 1) reduces against echelon pivots 2 and 6
+    ("alg_c3", (1, 2), (1, 2), (Fraction(1, 3), 1, 1), 5, (Fraction(5, 2),))]
+
+
+@pytest.mark.parametrize("case", _HOMOMORPHISM_CASES,
+                         ids=[case[0][4:].upper() for case in _HOMOMORPHISM_CASES])
+def test_homomorphism_check_matches_the_parent_reference(request, case):
+    """The check equals the parent's on every (generator, label) pair with
+    room for one more degree, on multi-term x of degree 2 and multi-label
+    m with mixed denominators, and on a stand-in target whose projection
+    scalars are another c's, where the identity fails on some pairs.  The
+    source and target scales differ on every case but C3."""
+    fixture, I, inner, coords, depth, c = case
+    alg = request.getfixturevalue(fixture)
+    source = weightmod.LeviInducedModule(alg, SimpleSubset.of(*I), Weight.of(*coords),
+                                         depth, inner and SimpleSubset.of(*inner))
+    c = dict(zip(source.outside, c))
+    target = phi_c_target(source, c)
+    if fixture == "alg_c3":
+        assert source.den % 6 == 0
+    assert (source.den != target.den) == (fixture != "alg_c3")
+    gens = ([alg.gen(kind, i) for kind in ("e", "f") for i in source.levi_idx]
+            + [alg.gen("h", i) for i in range(alg.rs.rank)])
+    roomy = [m for m in source.basis if sum(m[1]) < source.depth]
+    for x in gens:
+        for m in roomy:
+            vec = {m: Fraction(3, 2)}
+            assert phi_c_homomorphism_check(source, x, vec, c, target) is True
+            assert reference_homomorphism_check(source, x, vec, c, target) is True
+    rng = random.Random(len(source.basis))
+    deep = [m for m in source.basis if sum(m[1]) + 2 <= source.depth]
+    mixed = [gens[0] + gens[-1].scale(Fraction(2, 3)),
+             gens[1] * gens[-1] + gens[0].scale(Fraction(-5, 7)),
+             gens[len(gens) // 2] * gens[0] - gens[0] * gens[len(gens) // 2]]
+    others = {j: x + 1 for j, x in c.items()}
+    stand_in = copy.copy(phi_c_target(source, others))
+    stand_in.t_scalars, stand_in.t_den = target.t_scalars, target.t_den
+    verdicts = set()
+    for x in mixed + gens:
+        for _ in range(12):
+            vec = {m: Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 6))
+                   for m in rng.sample(deep, 3)}
+            assert (phi_c_homomorphism_check(source, x, vec, c, target)
+                    is reference_homomorphism_check(source, x, vec, c, target) is True)
+            got = phi_c_homomorphism_check(source, x, vec, others, stand_in)
+            assert got is reference_homomorphism_check(source, x, vec, others, stand_in)
+            verdicts.add(got)
+    assert verdicts == {True, False}

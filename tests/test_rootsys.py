@@ -532,3 +532,69 @@ def test_vectors_that_are_not_roots_use_the_general_formulas(label):
         2 * x for x in rs.simple_coroot_pairings(rs.positive_roots[-1]))
     assert rs.norm(twice_top) == 4 * rs.norm(rs.positive_roots[-1])
     assert drop in dot_orbit(rs, lam)
+
+
+# -- the integer shifted pairings and the bounded dot orbit --------------------
+
+
+def reference_shifted_pairings(rs, lam):
+    """shifted_pairings as it was: <lam + rho, beta^v> summed on Fractions."""
+    shifted = [x + 1 for x in lam.coords]
+    return {beta: sum((c * x for c, x in zip(rs.coroot_coefficients(beta), shifted)),
+                      Fraction(0))
+            for beta in rs.positive_roots}
+
+
+@pytest.mark.parametrize("label", _ALL_TYPES)
+def test_shifted_pairings_match_the_fraction_sums(label):
+    """On ints over lam's common denominator, one Fraction per root: the
+    same table, in the same order, at denominators 1 to 7, mixed ones
+    included."""
+    rs = parse_type(label)
+    rng = random.Random(len(label) + rs.rank)
+    for den in range(1, 8):
+        weights = [Weight.of(*(Fraction(k - 3 * j, den) for j in range(rs.rank)))
+                   for k in range(-2, 3)]
+        weights += [Weight.of(*(Fraction(rng.randint(-20, 20), rng.choice([1, den]))
+                                for _ in range(rs.rank))) for _ in range(4)]
+        for lam in weights:
+            got = shifted_pairings(rs, lam)
+            want = reference_shifted_pairings(rs, lam)
+            assert list(got.items()) == list(want.items()), (den, lam)
+            assert all(type(q) is Fraction for q in got.values())
+
+
+def _dominant_weights(rank_):
+    return [(0,) * rank_, (1,) * rank_, tuple(2 * (j % 2) for j in range(rank_)),
+            tuple(range(rank_))]
+
+
+@pytest.mark.parametrize("label", _ALL_TYPES)
+def test_bounded_dot_orbit_is_the_full_orbit_within_the_depth(label):
+    """With a depth, the orbit walk keeps exactly the drops of the full
+    orbit of height at most the depth, with their signs, for dominant lam
+    and every subset tried: heights grow along reduced words."""
+    rs = parse_type(label)
+    subsets = ([SimpleSubset.of()] + [SimpleSubset.of(i) for i in range(rs.rank)]
+               + [SimpleSubset.of(*range(rs.rank - 1)), SimpleSubset.of(*range(rs.rank))])
+    for coords in _dominant_weights(rs.rank):
+        lam = Weight.of(*coords)
+        for J in subsets:
+            full = dot_orbit(rs, lam, J)
+            top = max(map(sum, full))
+            for depth in sorted({0, 1, 3, 7, top // 2, top - 1, top, top + 2}):
+                if depth < 0:
+                    continue
+                want = {d: s for d, s in full.items() if sum(d) <= depth}
+                assert dot_orbit(rs, lam, J, depth) == want, (coords, sorted(J), depth)
+
+
+@pytest.mark.parametrize("coords,subset,bad", [((Fraction(1, 2), 1), (0,), "1/2"),
+                                               ((1, -1), (0, 1), "-1")])
+def test_a_bounded_dot_orbit_needs_a_dominant_weight_on_the_subset(coords, subset, bad):
+    rs = parse_type("A2")
+    lam = Weight.of(*coords)
+    with pytest.raises(ValueError, match=f"dominant integral on the subset; "
+                                         f"coordinate . is {bad}"):
+        dot_orbit(rs, lam, SimpleSubset.of(*subset), 4)
+    assert dot_orbit(rs, lam, SimpleSubset.of(*subset))  # the full orbit stays open

@@ -1350,3 +1350,95 @@ def test_labels_carry_their_height_and_drop(label):
             assert drop == alg.root_sum(s), (kind, s)
             if isinstance(module, VermaLikeModule):
                 assert module.label_drop(s) == drop, (kind, s)
+
+
+# -- the one-pass filing, the drop enumeration and the label refusal ---------
+
+
+def reference_filing(module):
+    """basis, labels_by_drop and _drop_of as the generator-based filing
+    built them: (label, drop) pairs from a generator over V's labels and
+    the free f-labels (from the source's labels with t = 0 on the
+    scalar-action module), filed one label at a time, with a second pass
+    indexing each label's drop."""
+    if isinstance(module, ScalarLeviModule):
+        source = module.source
+        labelled = ((x, source.label_drop(x)) for x in source.basis if not any(x[1]))
+    else:
+        free = _enum_f_labels(module.rs.positive_roots, module.free_idx, module.depth)
+
+        def generated():
+            for b in module.V.basis:
+                v_drop = module.V.label_drop(b)
+                room = module.depth - sum(v_drop)
+                for s, height, s_drop in free:
+                    if height <= room:
+                        drop = tuple(x + y for x, y in zip(s_drop, v_drop))
+                        yield from (((s, t, b), drop) for t in module.t_labels)
+        labelled = generated()
+    basis, by_drop = [], {}
+    for label, drop in labelled:
+        basis.append(label)
+        by_drop.setdefault(drop, []).append(label)
+    drop_of = {label: nu for nu, labels in by_drop.items() for label in labels}
+    return basis, by_drop, drop_of
+
+
+@pytest.mark.parametrize("label", _ALL_TYPES)
+def test_induced_filing_matches_the_generator_reference(label):
+    """The one-pass filing gives the basis in the same order, the same
+    table with its drops in the same order, and the same drop index, on
+    Levi-induced modules (free, with inner the interior of I and with
+    inner every simple root of I, and with scalars c) and on parabolic
+    Verma modules of every type."""
+    modules = dict(_oracle_modules(label))
+    alg, J, carried = _carried_cases(label)
+    modules["levi_J"] = carried["levi"]
+    lam = modules["levi"].lam
+    modules["levi_inner"] = LeviInducedModule(alg, modules["levi"].I, lam, 3,
+                                              modules["levi"].I)
+    for kind, module in modules.items():
+        if not isinstance(module, LeviInducedModule):
+            continue
+        basis, by_drop, drop_of = reference_filing(module)
+        assert module.basis == basis, kind
+        assert list(module.labels_by_drop.items()) == list(by_drop.items()), kind
+        assert module._drop_of == drop_of, kind
+        if not isinstance(module, ScalarLeviModule):
+            # one shared drop tuple per (s, b): every t-label of it files under it
+            for s, _, b in module.basis:
+                shared = {id(module.label_drop((s, t, b))) for t in module.t_labels
+                          if (s, t, b) in drop_of}
+                assert len(shared) == 1, (kind, s, b)
+
+
+def reference_drops_within(rank, depth):
+    """_drops_within as it was: the f-label enumeration over unit vectors."""
+    units = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+    return [nu for _, _, nu in _enum_f_labels(units, list(range(rank)), depth)]
+
+
+@pytest.mark.parametrize("rank_", range(5))
+def test_drops_within_match_the_unit_vector_enumeration(rank_):
+    for depth in range(-2, 9):
+        assert _drops_within(rank_, depth) == reference_drops_within(rank_, depth), depth
+
+
+@pytest.mark.parametrize("g,label", [(("h", 0), (1, 0, 0)), (("f", 1), (1, 0, 0)),
+                                     (("e", 1), (1, 0, 9)), (("h", 0), (0, 9, 0))],
+                         ids=["h-off-the-allowed-roots", "f-off-the-allowed-roots",
+                              "e-off-the-allowed-roots", "h-past-the-depth"])
+def test_verma_like_action_refuses_a_label_outside_its_basis(alg_a2, g, label):
+    """On A2 with J = {0} the basis runs over the root of index 1 only, to
+    height 3: a label with an exponent elsewhere, or past the depth, is
+    refused by name, for every generator kind, before any rewriting or
+    memo entry.  The e label has no memo entry, so its refusal is tested
+    off the memo-hit path, which only basis labels reach."""
+    module = VermaLikeModule(alg_a2, Weight.of(1, 2), 3, SimpleSubset.of(0))
+    assert module.basis == [(0, k, 0) for k in range(4)]
+    assert all((i, label) not in module._memo for i in module.allowed)
+    rewritten = len(alg_a2._memo)
+    for act in (module.int_action, module.act_label):
+        with pytest.raises(ValueError, match=re.escape(f"{label} is not a basis label")):
+            act(g, label)
+    assert not module._memo and len(alg_a2._memo) == rewritten

@@ -113,16 +113,18 @@ MUTANTS = {
         "    return\n    counts = module.drop_counts()\n    expect = _orbit_counts(",
         ["tests/test_weightmod.py::"
          "test_induced_character_check_catches_a_missing_label"]),
-    "orbit-shift-pruned-one-short": (
-        "weightmod.py",
-        "if sum(shift) <= depth}",
-        "if sum(shift) < depth}",
+    "orbit-walk-bounded-one-short": (
+        "rootsys.py",
+        "(depth is None or sum(new) <= depth)",
+        "(depth is None or sum(new) < depth)",
         ["tests/test_weightmod.py::"
-         "test_dominant_simple_dims_match_the_rank_path_and_weyl_dim"]),
+         "test_dominant_simple_dims_match_the_rank_path_and_weyl_dim",
+         "tests/test_rootsys.py::"
+         "test_bounded_dot_orbit_is_the_full_orbit_within_the_depth"]),
     "orbit-seeds-without-the-identity": (
         "weightmod.py",
-        "if sum(shift) <= depth}",
-        "if any(shift) and sum(shift) <= depth}",
+        "    seeds = dot_orbit(rs, lam, subset, depth)\n",
+        "    seeds = {s: v for s, v in dot_orbit(rs, lam, subset, depth).items() if any(s)}\n",
         ["tests/test_weightmod.py::test_orbit_counts_match_the_per_drop_reference"]),
     "weyl-path-on-integral-weights": (
         "weightmod.py",
@@ -130,10 +132,10 @@ MUTANTS = {
         "if lam.is_integral():",
         ["tests/test_weightmod.py::"
          "test_characters_match_the_fraction_construction"]),
-    "character-order-key-unnegated": (
+    "character-order-reversed": (
         "weightmod.py",
-        "key=lambda pn: tuple(-x for x in pn[0])",
-        "key=lambda pn: tuple(x for x in pn[0])",
+        "pairs = sorted(zip(zip(*pairings), map(counts.__getitem__, drops)))",
+        "pairs = sorted(zip(zip(*pairings), map(counts.__getitem__, drops)), reverse=True)",
         ["tests/test_weightmod.py::"
          "test_characters_match_the_fraction_construction"]),
     "dot-orbit-sign-unflipped": (
@@ -157,6 +159,24 @@ MUTANTS = {
         "if not any(x[1])} >= set(target.basis)",
         ["tests/test_deform.py::"
          "test_phi_c_surjective_matches_the_per_label_reference"]),
+    "levi-filing-reuses-the-first-v-drop": (
+        "weightmod.py",
+        "            v_drop = self.V._drop_of[b]\n",
+        "            v_drop = self.V._drop_of[self.V.basis[0]]\n",
+        ["tests/test_weightmod.py::"
+         "test_induced_filing_matches_the_generator_reference"]),
+    "phi-c-comparison-swaps-the-scales": (
+        "deform.py",
+        "scale = q * ds ** k * dt ** top\n"
+        "        for label, y in _project(target, source.int_word(word, ints)).items():\n"
+        "            diff[label] = diff.get(label, 0) + scale * y\n"
+        "        scale = q * dt ** k * ds ** top\n",
+        "scale = q * dt ** k * ds ** top\n"
+        "        for label, y in _project(target, source.int_word(word, ints)).items():\n"
+        "            diff[label] = diff.get(label, 0) + scale * y\n"
+        "        scale = q * ds ** k * dt ** top\n",
+        ["tests/test_deform.py::"
+         "test_homomorphism_check_matches_the_parent_reference"]),
     "phi-c-target-derivation-unchecked": (
         "deform.py",
         " or target.source is not source\n",
